@@ -2,8 +2,8 @@
 // the same revalidation workload (repeated premises, mostly-derived goals)
 // through three engine configurations:
 //
-//   per-query  — `use_prepared_cache = false`: every CheckOne re-canonicalizes,
-//                re-translates, and re-indexes the premise set from scratch.
+//   per-query  — `use_prepared_cache = false`: every CheckOne re-canonicalizes
+//                and re-compiles the premise set from scratch.
 //   prepared   — one explicit `Prepare()` call, then CheckOne on the shared
 //                artifact: compilation amortized over the whole run.
 //   cached     — the default unprepared API: the process-wide
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
 #include "util/random.h"
@@ -156,10 +157,13 @@ void RunPreparedExperiment() {
 
   const PrepareStats& ps = (*prepared)->stats();
   const CacheCounters cache = GlobalPreparedPremisesCache().counters();
+  // The engine no longer compiles the Proposition 5.4 CNF; its size is
+  // still recorded, from the canonical set the artifact holds.
+  const PremiseTranslation translation = TranslatePremises(n, (*prepared)->constraints());
   std::printf("prepare: %zu -> %zu constraints (%zu trivial, %zu duplicates dropped), "
               "%d vars, %zu clauses, %.3fms build\n",
               ps.input_constraints, ps.canonical_constraints, ps.dropped_trivial,
-              ps.dropped_duplicates, ps.translation_vars, ps.translation_clauses,
+              ps.dropped_duplicates, translation.num_vars, translation.clauses.size(),
               static_cast<double>(ps.total_ns) / 1e6);
   std::printf("prepared cache: %.4f lifetime hit ratio\n\n", cache.HitRatio());
 
@@ -182,8 +186,8 @@ void RunPreparedExperiment() {
        << ", \"canonical_constraints\": " << ps.canonical_constraints
        << ", \"dropped_trivial\": " << ps.dropped_trivial
        << ", \"dropped_duplicates\": " << ps.dropped_duplicates
-       << ", \"translation_vars\": " << ps.translation_vars
-       << ", \"translation_clauses\": " << ps.translation_clauses
+       << ", \"translation_vars\": " << translation.num_vars
+       << ", \"translation_clauses\": " << translation.clauses.size()
        << ", \"build_ms\": " << static_cast<double>(ps.total_ns) / 1e6 << "},\n";
   json << "  \"prepared_cache\": {\"hits\": " << cache.hits
        << ", \"misses\": " << cache.misses << ", \"hit_ratio\": " << cache.HitRatio()

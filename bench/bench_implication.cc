@@ -8,7 +8,7 @@
 // Experiment E2 — batched implication engine vs the sequential front door:
 // a 1000-query batch re-validating derived constraints (repeated right-hand
 // families, shared premises) through `ImplicationEngine`, which amortizes
-// witness-set enumeration and premise translation across the batch.
+// witness-set enumeration and premise compilation across the batch.
 
 // Experiment E3 — cost and output of the observability layer: the E2 batch
 // with metrics disabled / enabled / enabled+tracing (interleaved
@@ -138,10 +138,13 @@ void MakeBatchWorkload(int n, int num_queries, ConstraintSet* premises,
 
 // The adversarial deadline workload: pigeonhole DNF tautologies through the
 // Proposition 5.5 reduction. The interval cover is inconclusive on them, so
-// every query is pinned to DPLL and genuinely exceeds a ~10ms deadline.
-prop::DnfFormula PigeonholeDnf(int holes) {
+// every query is pinned to the sat search. Each of the `pads` conjuncts
+// ¬a ∧ ¬b on fresh variables becomes a premise ∅ -> {{a}, {b}} the search
+// branches on first, doubling its work: PHP(7,6) behind 8 pads takes about
+// 3.7·10^5 nodes, far past a ~10ms deadline.
+prop::DnfFormula PigeonholeDnf(int holes, int pads) {
   prop::DnfFormula f;
-  f.num_vars = (holes + 1) * holes;
+  f.num_vars = (holes + 1) * holes + 2 * pads;
   auto var = [&](int pigeon, int hole) { return pigeon * holes + hole; };
   for (int i = 0; i <= holes; ++i) {
     prop::DnfConjunct c;
@@ -155,6 +158,11 @@ prop::DnfFormula PigeonholeDnf(int holes) {
         c.pos = (Mask{1} << var(i, k)) | (Mask{1} << var(j, k));
         f.conjuncts.push_back(c);
       }
+  for (int p = 0; p < pads; ++p) {
+    prop::DnfConjunct c;
+    c.neg = Mask{3} << ((holes + 1) * holes + 2 * p);
+    f.conjuncts.push_back(c);
+  }
   return f;
 }
 
@@ -231,10 +239,10 @@ void PrintBatchEngineTable() {
               "(%+.2f%%)\n",
               no_deadline_ms, generous_ms, overhead_pct);
 
-  // Adversarial deadline run: 200 pigeonhole queries that each want ~25ms
-  // of DPLL under a 10ms per-query deadline and kDegrade.
+  // Adversarial deadline run: 200 pigeonhole queries that each want far
+  // more than 10ms of search under a 10ms per-query deadline and kDegrade.
   const int kPhpHoles = 6;
-  prop::DnfFormula php = PigeonholeDnf(kPhpHoles);
+  prop::DnfFormula php = PigeonholeDnf(kPhpHoles, 8);
   ConstraintSet php_premises = DnfTautologyReduction(php);
   const std::size_t kAdversarialQueries = 200;
   std::vector<DifferentialConstraint> php_goals(kAdversarialQueries, TautologyGoal());
@@ -248,7 +256,7 @@ void PrintBatchEngineTable() {
   double adv_ms = MeasureMs(
       [&] { adv_out = adv_engine.CheckBatch(php.num_vars, php_premises, php_goals); }, 1);
   if (adv_out.ok()) {
-    std::printf("adversarial deadlines (PHP(%d,%d), 10ms/query, degrade): %.1fms, %s\n",
+    std::printf("adversarial deadlines (PHP(%d,%d) + 8 pads, 10ms/query, degrade): %.1fms, %s\n",
                 kPhpHoles + 1, kPhpHoles, adv_ms, adv_out->stats.ToString().c_str());
   }
   std::printf("\n");
@@ -362,7 +370,7 @@ void PrintObservabilityTable() {
   // (near-zero slack) plus the friendly batch under a generous deadline
   // (large slack), so the distribution has both tails.
   const int kPhpHoles = 6;
-  prop::DnfFormula php = PigeonholeDnf(kPhpHoles);
+  prop::DnfFormula php = PigeonholeDnf(kPhpHoles, 8);
   ConstraintSet php_premises = DnfTautologyReduction(php);
   std::vector<DifferentialConstraint> php_goals(100, TautologyGoal());
   EngineOptions adv;

@@ -9,10 +9,14 @@
 //   full     — 1.0: every call traced client- and server-side, engine
 //              spans grafted, stores written.
 //
-// The headline number is the default-rate overhead over off (the
-// acceptance bar is <= 2%, encoded in bench/BENCH_E8.schema.json and
-// checked in CI); the full row bounds the worst case an operator can dial
-// in. Results land in BENCH_E8.json.
+// The three pairs run side by side in interleaved trials (see
+// RunTracingExperiment); each row reports its median trial, and each
+// overhead is the median over trials of that trial's ratio to off, so a
+// host slowdown spanning some trials cancels out of it. The headline
+// number is the default-rate overhead over off (the acceptance bar is
+// <= 2%, encoded in bench/BENCH_E8.schema.json and checked in CI); the
+// full row bounds the worst case an operator can dial in. Results land in
+// BENCH_E8.json.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +26,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,102 +69,124 @@ double MeasureMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-struct RateRow {
-  double ms = 0;                // best-of-trials batch wall time
-  std::uint64_t implied = 0;    // verdict checksum across all calls
-  std::uint64_t stored = 0;     // traces added to the store during the run
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+}
+
+// One server + client pair at a fixed sampling rate. All three pairs stay
+// alive for the whole experiment, so every rate runs in the same process
+// and machine state.
+struct RatePair {
+  double rate = 0;
+  std::unique_ptr<net::DiffcdServer> server;
+  std::optional<net::DiffcClient> client;
+  std::uint64_t handle = 0;
+  std::vector<double> trial_ms;  // one batch wall time per trial
+  std::uint64_t implied = 0;     // verdict checksum across measured calls
+  std::uint64_t stored = 0;      // traces added to the store in its trials
+  bool failed = false;
 };
 
-// One server + one client at the given sampling rate; `calls` CHECK_BATCH
-// round trips per trial, best (min) of `trials` — the standard estimator
-// for a fixed workload under scheduler noise, applied identically to
-// every row so the ratio is fair.
-RateRow RunRate(double rate, int calls, int trials, int n,
-                const ConstraintSet& premises,
-                const std::vector<DifferentialConstraint>& goals) {
-  RateRow row;
+Status StartPair(double rate, int n, const ConstraintSet& premises, RatePair* pair) {
+  pair->rate = rate;
   net::ServerOptions sopts;
   sopts.listen_address = "127.0.0.1:0";
   sopts.engine.num_threads = 1;
   sopts.trace_sample_rate = rate;
-  net::DiffcdServer server(sopts);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n", started.ToString().c_str());
-    return row;
-  }
+  pair->server = std::make_unique<net::DiffcdServer>(sopts);
+  if (Status started = pair->server->Start(); !started.ok()) return started;
   net::ClientOptions copts;
   copts.seed = 20260809;
   copts.trace_sample_rate = rate;
   Result<net::DiffcClient> client =
-      net::DiffcClient::Connect(server.bound_address(), copts);
-  if (!client.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", client.status().ToString().c_str());
-    return row;
-  }
-  Result<net::RegisterOkMsg> reg = client->RegisterPremises(n, premises);
-  if (!reg.ok()) {
-    std::fprintf(stderr, "register failed: %s\n", reg.status().ToString().c_str());
-    return row;
-  }
+      net::DiffcClient::Connect(pair->server->bound_address(), copts);
+  if (!client.ok()) return client.status();
+  pair->client.emplace(std::move(client).value());
+  Result<net::RegisterOkMsg> reg = pair->client->RegisterPremises(n, premises);
+  if (!reg.ok()) return reg.status();
+  pair->handle = reg->handle;
+  return Status::Ok();
+}
 
-  const std::uint64_t stored_before = obs::GlobalTraceStore().total();
-  bool failed = false;
-  auto run_calls = [&] {
-    for (int c = 0; c < calls; ++c) {
-      Result<net::BatchResultMsg> res = client->CheckBatch(reg->handle, n, goals);
-      if (!res.ok()) {
-        failed = true;
-        return;
-      }
-      row.implied += res->stats.implied;
+// `calls` CHECK_BATCH round trips on `pair`; returns the implied count.
+std::uint64_t RunCalls(RatePair* pair, int calls, int n,
+                       const std::vector<DifferentialConstraint>& goals) {
+  std::uint64_t implied = 0;
+  for (int c = 0; c < calls && !pair->failed; ++c) {
+    Result<net::BatchResultMsg> res = pair->client->CheckBatch(pair->handle, n, goals);
+    if (!res.ok()) {
+      pair->failed = true;
+      break;
     }
-  };
-  // Warm caches (witness/nonce/session) out of the measured region.
-  run_calls();
-  row.implied = 0;
-  double best = 1e100;
-  for (int t = 0; t < trials && !failed; ++t) {
-    row.implied = 0;
-    best = std::min(best, MeasureMs(run_calls));
+    implied += res->stats.implied;
   }
-  if (failed) {
-    std::fprintf(stderr, "CHECK_BATCH failed at rate %.2f\n", rate);
-    return row;
-  }
-  row.ms = best;
-  row.stored = obs::GlobalTraceStore().total() - stored_before;
-  (void)server.Shutdown();  // Drain before the next rate's server binds.
-  return row;
+  return implied;
 }
 
 void RunTracingExperiment() {
   const int n = 16;
-  const int kCalls = 200;
-  const int kTrials = 7;
+  const int kCalls = 100;
+  const int kTrials = 101;
   std::printf("=== E8: tracing overhead on the loopback CHECK_BATCH path "
-              "(n=%d, %d calls/trial, best of %d) ===\n", n, kCalls, kTrials);
+              "(n=%d, %d calls/trial, median of %d interleaved trials) ===\n",
+              n, kCalls, kTrials);
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
 
-  const RateRow off = RunRate(0.0, kCalls, kTrials, n, premises, goals);
-  const RateRow def = RunRate(0.01, kCalls, kTrials, n, premises, goals);
-  const RateRow full = RunRate(1.0, kCalls, kTrials, n, premises, goals);
-  if (off.ms <= 0 || def.ms <= 0 || full.ms <= 0) {
-    std::fprintf(stderr, "E8 run failed; no BENCH_E8.json written\n");
-    return;
+  // off, default, full. Trials interleave them — trial t runs the pairs in
+  // the order rotated by t — after one warm-up pass each, so machine drift
+  // and warm-up land on every rate alike instead of on whichever ran first.
+  std::vector<RatePair> pairs(3);
+  const double rates[3] = {0.0, 0.01, 1.0};
+  for (int p = 0; p < 3; ++p) {
+    if (Status s = StartPair(rates[p], n, premises, &pairs[p]); !s.ok()) {
+      std::fprintf(stderr, "E8 set-up failed at rate %.2f: %s\n", rates[p],
+                   s.ToString().c_str());
+      return;
+    }
+    RunCalls(&pairs[p], kCalls, n, goals);
   }
-
-  const double overhead_default_pct = (def.ms / off.ms - 1.0) * 100.0;
-  const double overhead_full_pct = (full.ms / off.ms - 1.0) * 100.0;
+  for (int t = 0; t < kTrials; ++t) {
+    for (int i = 0; i < 3; ++i) {
+      RatePair& pair = pairs[(t + i) % 3];
+      const std::uint64_t stored_before = obs::GlobalTraceStore().total();
+      pair.trial_ms.push_back(
+          MeasureMs([&] { pair.implied += RunCalls(&pair, kCalls, n, goals); }));
+      pair.stored += obs::GlobalTraceStore().total() - stored_before;
+    }
+  }
+  for (RatePair& pair : pairs) (void)pair.server->Shutdown();  // Best effort.
+  for (const RatePair& pair : pairs) {
+    if (pair.failed) {
+      std::fprintf(stderr, "CHECK_BATCH failed at rate %.2f; no BENCH_E8.json written\n",
+                   pair.rate);
+      return;
+    }
+  }
+  const RatePair& off = pairs[0];
+  const RatePair& def = pairs[1];
+  const RatePair& full = pairs[2];
+  const double off_ms = Median(off.trial_ms);
+  const double def_ms = Median(def.trial_ms);
+  const double full_ms = Median(full.trial_ms);
+  // The three runs of one trial are adjacent in time; compare within it.
+  auto overhead_pct = [&](const RatePair& pair) {
+    std::vector<double> ratios;
+    for (int t = 0; t < kTrials; ++t) ratios.push_back(pair.trial_ms[t] / off.trial_ms[t]);
+    return (Median(std::move(ratios)) - 1.0) * 100.0;
+  };
+  const double overhead_default_pct = overhead_pct(def);
+  const double overhead_full_pct = overhead_pct(full);
   const bool verdicts_agree = off.implied == def.implied && off.implied == full.implied;
   std::printf("%10s %12s %12s %10s\n", "rate", "batch(ms)", "overhead", "stored");
-  std::printf("%10s %12.3f %12s %10llu\n", "0.00", off.ms, "-",
+  std::printf("%10s %12.3f %12s %10llu\n", "0.00", off_ms, "-",
               static_cast<unsigned long long>(off.stored));
-  std::printf("%10s %12.3f %10.2f%% %10llu\n", "0.01", def.ms, overhead_default_pct,
+  std::printf("%10s %12.3f %10.2f%% %10llu\n", "0.01", def_ms, overhead_default_pct,
               static_cast<unsigned long long>(def.stored));
-  std::printf("%10s %12.3f %10.2f%% %10llu\n", "1.00", full.ms, overhead_full_pct,
+  std::printf("%10s %12.3f %10.2f%% %10llu\n", "1.00", full_ms, overhead_full_pct,
               static_cast<unsigned long long>(full.stored));
   std::printf("verdicts agree across rates: %s\n", verdicts_agree ? "yes" : "NO");
 
@@ -171,9 +199,9 @@ void RunTracingExperiment() {
   json << "  \"calls_per_trial\": " << kCalls << ",\n";
   json << "  \"goals_per_call\": " << goals.size() << ",\n";
   json << "  \"trials\": " << kTrials << ",\n";
-  json << "  \"off_ms\": " << off.ms << ",\n";
-  json << "  \"default_ms\": " << def.ms << ",\n";
-  json << "  \"full_ms\": " << full.ms << ",\n";
+  json << "  \"off_ms\": " << off_ms << ",\n";
+  json << "  \"default_ms\": " << def_ms << ",\n";
+  json << "  \"full_ms\": " << full_ms << ",\n";
   json << "  \"default_sample_rate\": 0.01,\n";
   json << "  \"overhead_default_pct\": " << overhead_default_pct << ",\n";
   json << "  \"overhead_full_pct\": " << overhead_full_pct << ",\n";

@@ -67,15 +67,10 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats) {
-  return CheckImplicationSatTranslated(n, TranslatePremises(n, premises), goal, stats);
-}
-
-Result<ImplicationOutcome> CheckImplicationSatTranslated(
-    int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
-    prop::SolverStats* stats, std::uint64_t max_decisions, StopCheck* stop) {
   if (DIFFC_FAILPOINT("cnf/translate")) {
     return Status::Internal("failpoint cnf/translate: CNF translation failed");
   }
+  PremiseTranslation translation = TranslatePremises(n, premises);
   prop::Cnf cnf;
   cnf.num_vars = translation.num_vars;
 
@@ -88,12 +83,11 @@ Result<ImplicationOutcome> CheckImplicationSatTranslated(
     ForEachBit(member.bits(), [&](int y) { clause.push_back(-(y + 1)); });
     cnf.AddClause(std::move(clause));
   }
-  // The (shared) premise clauses of Proposition 5.4.
-  cnf.clauses.insert(cnf.clauses.end(), translation.clauses.begin(),
-                     translation.clauses.end());
+  // The premise clauses of Proposition 5.4.
+  cnf.clauses.insert(cnf.clauses.end(), std::make_move_iterator(translation.clauses.begin()),
+                     std::make_move_iterator(translation.clauses.end()));
 
-  prop::DpllSolver solver(max_decisions);
-  solver.set_stop(stop);
+  prop::DpllSolver solver;
   Result<prop::SatResult> sat = solver.Solve(cnf);
   if (stats != nullptr) *stats = solver.stats();
   if (!sat.ok()) return sat.status();

@@ -71,8 +71,9 @@ Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet
 /// Variables 1..n are the attribute variables `u_a`; variables n+1..num_vars
 /// are the auxiliary member variables. Goal clauses mention only attribute
 /// variables, so the (dominant) premise clauses can be built once per
-/// `ConstraintSet` and shared by every query against it — the implication
-/// engine caches exactly this object.
+/// `ConstraintSet` and shared by every query against it. The implication
+/// engine does not use it: its `sat` procedure searches premise masks
+/// directly (`engine/sat_kernel.h`).
 struct PremiseTranslation {
   /// Total variable count: `n` attribute variables plus one auxiliary per
   /// premise right-hand member.
@@ -96,22 +97,12 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises);
 ///
 /// is satisfiable. One variable per attribute plus one auxiliary variable
 /// per premise member; no universe-size restriction beyond 64 attributes.
-/// `stats`, when non-null, receives the solver counters.
+/// `stats`, when non-null, receives the solver counters. The reference
+/// procedure of the Prop. 5.4/5.5 reproduction and the tests' oracle; the
+/// engine's `sat` procedure searches premise masks instead.
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats = nullptr);
-
-/// `CheckImplicationSat` with a prebuilt (typically cached) premise
-/// translation. `translation` must have been produced by
-/// `TranslatePremises(n, premises)` for the same `n`; the result is
-/// identical to `CheckImplicationSat(n, premises, goal, stats)`.
-/// `max_decisions` bounds the DPLL search (ResourceExhausted beyond it);
-/// `stop`, when non-null, is handed to the solver as a cooperative stop
-/// condition (DeadlineExceeded / Cancelled when it fires mid-search).
-Result<ImplicationOutcome> CheckImplicationSatTranslated(
-    int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
-    prop::SolverStats* stats = nullptr, std::uint64_t max_decisions = 50'000'000,
-    StopCheck* stop = nullptr);
 
 /// True iff every premise and the goal have a single right-hand member —
 /// the subclass the paper's conclusion identifies with functional

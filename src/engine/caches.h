@@ -223,11 +223,9 @@ class WitnessSetCache {
 /// keyed on the raw (universe size, constraint set) pair — the bridge that
 /// lets the unprepared engine API (`CheckBatch(n, premises, goals)`)
 /// amortize compilation exactly like an explicit `Prepare()` call: the
-/// canonical form, the Proposition 5.4 CNF translation, and the FD closure
+/// canonical form, the `sat` procedure's mask arena, and the FD closure
 /// index are built once per distinct premise set and shared read-only by
-/// every query, batch, and engine instance. Replaces the former
-/// premise-translation cache (the translation now lives inside the
-/// artifact).
+/// every query, batch, and engine instance.
 ///
 /// Thread-safe, with the same duplicate-miss policy as `WitnessSetCache`.
 class PreparedPremisesCache {

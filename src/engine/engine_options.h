@@ -73,7 +73,9 @@ struct EngineOptions {
   /// Families whose transversal search exceeds it are cached negatively
   /// and handled by SAT.
   std::size_t witness_max_results = 4096;
-  /// DPLL decision budget per query (ResourceExhausted beyond it).
+  /// Node budget of the `sat` procedure's counterexample search per query
+  /// attempt (ResourceExhausted beyond it, which arms the exhaustive
+  /// fallback); doubled per `kEscalate` retry.
   std::uint64_t max_solver_decisions = 50'000'000;
   /// Free-attribute bound for the exhaustive fallback used when the SAT
   /// budget is exhausted.
@@ -112,7 +114,7 @@ enum class DecisionProcedure {
   kTrivial,         // Goal trivial (Definition 3.1): implied outright.
   kFdSubclass,      // Polynomial closure check (singleton-RHS subclass).
   kIntervalCover,   // Witness-set interval cover was conclusive.
-  kSat,             // Proposition 5.4 CNF refuted / satisfied by DPLL.
+  kSat,             // Prop. 5.4 counterexample search over premise masks.
   kExhaustive,      // Exhaustive lattice containment (SAT-budget fallback).
 };
 
@@ -141,11 +143,13 @@ struct QueryStats {
   bool witness_cache_used = false;
   bool witness_cache_hit = false;
   /// Premise-compilation cache hit/lookup flags (SAT queries only): whether
-  /// the prepared artifact whose translation the SAT procedure used came
+  /// the prepared artifact whose mask arena the SAT procedure used came
   /// out of the process-wide prepared-premises cache.
   bool premise_cache_used = false;
   bool premise_cache_hit = false;
-  /// DPLL counters (zero off the SAT path; last attempt only).
+  /// `sat` search counters: nodes in `decisions`, attributes placed by unit
+  /// rules in `propagations`, dead ends in `conflicts` (zero off the SAT
+  /// path; last attempt only).
   prop::SolverStats solver;
   /// Wall time of this query across all attempts, nanoseconds.
   std::uint64_t wall_ns = 0;

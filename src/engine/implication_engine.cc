@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "core/counterexample.h"
+#include "engine/sat_kernel.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -165,6 +167,16 @@ void RecordQueryMetrics(const EngineQueryResult& r) {
 }
 
 }  // namespace
+
+Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
+                         const ImplicationOutcome& outcome) {
+  if (outcome.counterexample.has_value() &&
+      IsValidCounterexample(prepared.n(), prepared.constraints(), goal,
+                            *outcome.counterexample)) {
+    return Status::Ok();
+  }
+  return Status::Internal("not-implied verdict without a valid counterexample U ∈ L(X, Y) ∖ L(C)");
+}
 
 const char* ExhaustionPolicyName(ExhaustionPolicy p) {
   switch (p) {
@@ -393,13 +405,13 @@ EngineQueryResult ImplicationEngine::RunLadderOnce(const PreparedPremises& prepa
     // inconclusive: fall through to the complete SAT procedure.
   }
 
-  // 4. SAT (Proposition 5.4), premise clauses from the prepared artifact.
+  // 4. SAT: the counterexample search over the prepared mask arena.
   {
     obs::SpanGuard sat_span(tracer, "sat");
     r.stats.premise_cache_used = true;
     r.stats.premise_cache_hit = prepared_from_cache;
-    Result<ImplicationOutcome> sat = CheckImplicationSatTranslated(
-        n, prepared.translation(), goal, &r.stats.solver, budgets.max_decisions, stop);
+    Result<ImplicationOutcome> sat = SearchCounterexample(
+        n, prepared.masks(), goal, budgets.max_decisions, stop, &r.stats.solver);
     if (sat.ok()) {
       r.outcome = *sat;
       r.stats.procedure = DecisionProcedure::kSat;
@@ -469,6 +481,12 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
       obs::SpanGuard attempt_span(&tracer,
                                   attempt == 1 ? "attempt" : "attempt-retry");
       r = RunQueryOnce(prepared, goal, &stop, budgets, &tracer, prepared_from_cache);
+    }
+    if (r.status.ok() && r.outcome.verdict == ImplicationOutcome::kNotImplied) {
+      if (Status s = CertifyNotImplied(prepared, goal, r.outcome); !s.ok()) {
+        r.status = std::move(s);
+        r.outcome = ImplicationOutcome();
+      }
     }
     r.stats.attempts = attempt;
     if (r.status.ok() || !IsExhaustion(r.status)) break;

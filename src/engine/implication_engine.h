@@ -63,7 +63,7 @@ struct BatchStats {
   std::size_t witness_cache_misses = 0;
   std::size_t premise_cache_hits = 0;
   std::size_t premise_cache_misses = 0;
-  /// Summed DPLL counters.
+  /// Summed `sat` search counters (nodes in `solver_decisions`).
   std::uint64_t solver_decisions = 0;
   std::uint64_t solver_propagations = 0;
   std::uint64_t solver_conflicts = 0;
@@ -82,12 +82,22 @@ struct BatchOutcome {
   BatchStats stats;
 };
 
+/// Checks the certificate of a not-implied verdict in O(|C|)
+/// (`IsValidCounterexample`): the counterexample `U` is present, lies in
+/// the universe, `U ⊇ X`, no goal member lies inside `U`, and `U ∉ L(C)`
+/// for the prepared (canonical) premises, whose `L(C)` is the raw set's.
+/// Internal when any check fails. The engine runs it on every kNotImplied
+/// answer, on both dispatch paths, and returns its failure instead of the
+/// verdict.
+Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
+                         const ImplicationOutcome& outcome);
+
 /// A batched, multi-threaded front door to the implication checkers, built
 /// as a prepare/plan/execute pipeline:
 ///
 ///   - **Prepare**: `Prepare(n, premises)` compiles the premise set into
 ///     an immutable, shared `PreparedPremises` artifact (canonical
-///     constraints, Proposition 5.4 CNF translation, FD closure index).
+///     constraints, the `sat` procedure's mask arena, FD closure index).
 ///     Callers answering many queries against one premise set prepare once
 ///     and pass the artifact to every batch; the unprepared entry points
 ///     prepare on the caller's behalf through the process-wide

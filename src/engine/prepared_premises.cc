@@ -125,11 +125,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
   prepared->constraints_ = std::move(canonical);
   stats.canonicalize_ns = NowNs() - start;
 
-  const std::uint64_t translate_start = NowNs();
-  prepared->translation_ = TranslatePremises(n, prepared->constraints_);
-  stats.translation_vars = prepared->translation_.num_vars;
-  stats.translation_clauses = prepared->translation_.clauses.size();
-  stats.translate_ns = NowNs() - translate_start;
+  prepared->masks_ = PremiseMasks::Compile(prepared->constraints_);
 
   const std::uint64_t fd_start = NowNs();
   prepared->fd_index_ = BuildFdPremiseIndex(prepared->constraints_);

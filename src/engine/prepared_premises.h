@@ -9,6 +9,7 @@
 
 #include "core/constraint.h"
 #include "core/implication.h"
+#include "engine/sat_kernel.h"
 #include "util/status.h"
 
 namespace diffc {
@@ -71,14 +72,10 @@ struct PrepareStats {
   /// (rule name, edit count) per rule the rewriter ran, in application
   /// order; empty on the inline path.
   std::vector<std::pair<std::string, std::size_t>> rewrite_rule_applied;
-  /// Size of the Proposition 5.4 premise translation.
-  int translation_vars = 0;
-  std::size_t translation_clauses = 0;
   /// True iff the canonical set is in the polynomial FD subclass.
   bool fd_eligible = false;
   /// Wall time per compilation stage and end-to-end, nanoseconds.
   std::uint64_t canonicalize_ns = 0;
-  std::uint64_t translate_ns = 0;
   std::uint64_t fd_index_ns = 0;
   std::uint64_t total_ns = 0;
 };
@@ -92,7 +89,8 @@ struct PrepareStats {
 ///     families minimized (`SetFamily::Minimized`, which preserves the
 ///     witness structure `SomeMemberSubsetOf` and hence `L(C)` exactly),
 ///     then sorted and deduplicated;
-///   - the Proposition 5.4 premise CNF translation over the canonical set;
+///   - the canonical set flattened into the mask arena the `sat`
+///     procedure's counterexample search reads (`PremiseMasks`);
 ///   - the FD-subclass closure index (`FdPremiseIndex`), when eligible;
 ///   - the per-stage build stats.
 ///
@@ -124,8 +122,8 @@ class PreparedPremises {
   /// The canonical constraint set (see class comment for the invariants).
   const ConstraintSet& constraints() const { return constraints_; }
 
-  /// The Proposition 5.4 premise clauses over the canonical set.
-  const PremiseTranslation& translation() const { return translation_; }
+  /// The canonical set as the `sat` procedure's mask arena.
+  const PremiseMasks& masks() const { return masks_; }
 
   /// The FD view of the canonical set (`eligible` false when some premise
   /// has a non-singleton right-hand family).
@@ -144,7 +142,7 @@ class PreparedPremises {
   PrepareOptions options_;
   std::uint64_t id_ = 0;
   ConstraintSet constraints_;
-  PremiseTranslation translation_;
+  PremiseMasks masks_;
   FdPremiseIndex fd_index_;
   PrepareStats stats_;
 };

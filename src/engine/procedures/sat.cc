@@ -1,13 +1,14 @@
 #include <memory>
 
 #include "engine/procedures/procedure.h"
+#include "engine/sat_kernel.h"
 
 namespace diffc {
 
-/// The complete procedure: Proposition 5.4 CNF refuted / satisfied by
-/// DPLL, using the premise clauses compiled into the prepared artifact.
-/// Returns ResourceExhausted past the decision budget, which is what
-/// arms the exhaustive fallback.
+/// The complete procedure: the mask-native counterexample search
+/// (`SearchCounterexample`) over the premise arena compiled into the
+/// prepared artifact. Returns ResourceExhausted past the node budget
+/// (`max_solver_decisions`), which is what arms the exhaustive fallback.
 class SatProcedure : public DecisionProcedureImpl {
  public:
   DecisionProcedure id() const override { return DecisionProcedure::kSat; }
@@ -21,8 +22,9 @@ class SatProcedure : public DecisionProcedureImpl {
   double EstimateCost(const PreparedPremises& premises,
                       const ProcedureQuery& query) const override {
     // Worst-case exponential; the base constant pins the tier (after every
-    // polynomial procedure), the size term tracks the CNF monotonically.
-    return 1e4 + 1e-2 * (10.0 * static_cast<double>(premises.translation().clauses.size()) +
+    // polynomial procedure), the size term tracks the arena monotonically.
+    const PremiseMasks& masks = premises.masks();
+    return 1e4 + 1e-2 * (10.0 * static_cast<double>(masks.size() + masks.members.size()) +
                          static_cast<double>(query.goal->rhs().size()));
   }
 
@@ -31,9 +33,8 @@ class SatProcedure : public DecisionProcedureImpl {
                                     ProcedureContext* ctx) const override {
     ctx->stats->premise_cache_used = true;
     ctx->stats->premise_cache_hit = ctx->prepared_from_cache;
-    return CheckImplicationSatTranslated(query.n, premises.translation(), *query.goal,
-                                         &ctx->stats->solver, ctx->budgets.max_decisions,
-                                         ctx->stop);
+    return SearchCounterexample(query.n, premises.masks(), *query.goal,
+                                ctx->budgets.max_decisions, ctx->stop, &ctx->stats->solver);
   }
 };
 

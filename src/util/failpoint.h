@@ -9,10 +9,10 @@
 namespace diffc::failpoint {
 
 /// Fail points: named fault-injection sites wired into the library's
-/// failure paths (witness enumeration, the engine caches, the Prop. 5.4
-/// CNF translation, `Rational` arithmetic, basket IO), so every `Status`
-/// error a production deployment might see can be driven deterministically
-/// in tests.
+/// failure paths (witness enumeration, the engine caches, the `sat`
+/// search, the Prop. 5.4 CNF translation, `Rational` arithmetic, basket
+/// IO), so every `Status` error a production deployment might see can be
+/// driven deterministically in tests.
 ///
 /// A site is written as
 ///

@@ -18,6 +18,7 @@
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
 #include "engine/worker_pool.h"
+#include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
@@ -166,7 +167,7 @@ TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
   }
 }
 
-TEST(ImplicationEngineTest, PremiseTranslationSharedAcrossBatch) {
+TEST(ImplicationEngineTest, PreparedPremisesSharedAcrossBatch) {
   const int n = 16;
   Rng rng(5);
   ConstraintSet premises = testing::RandomConstraintSet(rng, n, 5);
@@ -174,12 +175,12 @@ TEST(ImplicationEngineTest, PremiseTranslationSharedAcrossBatch) {
   for (int i = 0; i < 24; ++i) goals.push_back(testing::RandomConstraint(rng, n));
 
   // Fast path off: every nontrivial goal goes through SAT and the shared
-  // premise translation.
+  // prepared artifact's mask arena.
   EngineOptions opts;
   opts.use_interval_cover_fast_path = false;
   ImplicationEngine engine(opts);
   // First batch warms the cache (its miss count can exceed 1 when several
-  // workers miss concurrently; both build the same translation).
+  // workers miss concurrently; both build the same artifact).
   ASSERT_TRUE(engine.CheckBatch(n, premises, goals).ok());
   // The second batch must be all hits.
   Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
@@ -382,6 +383,46 @@ TEST(ImplicationEngineTest, HugeWitnessFamilyFallsBackToSat) {
   EXPECT_EQ(r.outcome.implied, seq->implied);
 }
 
+TEST(ImplicationEngineTest, CertificateCheckRejectsForgedCounterexamples) {
+  const int n = 4;
+  // L(C) = {U : 0 ∈ U, 1 ∉ U}.
+  const ConstraintSet premises{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
+  Result<std::shared_ptr<const PreparedPremises>> prepared =
+      PreparedPremises::Build(n, premises);
+  ASSERT_TRUE(prepared.ok());
+  const DifferentialConstraint goal(ItemSet{2}, SetFamily({ItemSet{3}}));
+  auto claim = [](const ItemSet& u) {
+    ImplicationOutcome out;
+    out.SetNotImplied(u);
+    return out;
+  };
+  // {2} contains X, avoids the goal member {3}, and lies outside L(C).
+  EXPECT_TRUE(CertifyNotImplied(**prepared, goal, claim(ItemSet{2})).ok());
+  // Forgeries: X not inside U, a goal member inside U, U inside L(C), U
+  // leaving the universe, and a not-implied verdict with no counterexample.
+  EXPECT_EQ(CertifyNotImplied(**prepared, goal, claim(ItemSet{1})).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(CertifyNotImplied(**prepared, goal, claim(ItemSet{2, 5})).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(CertifyNotImplied(**prepared, goal, claim(ItemSet{2, 3})).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(CertifyNotImplied(**prepared, goal, claim(ItemSet{0, 2})).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(CertifyNotImplied(**prepared, goal, ImplicationOutcome()).code(),
+            StatusCode::kInternal);
+  // The engine's own answers carry genuine certificates, on both
+  // dispatch paths.
+  for (bool use_planner : {true, false}) {
+    EngineOptions opts;
+    opts.use_planner = use_planner;
+    ImplicationEngine engine(opts);
+    EngineQueryResult r = engine.CheckOne(*prepared, goal);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_FALSE(r.outcome.implied);
+    EXPECT_TRUE(CertifyNotImplied(**prepared, goal, r.outcome).ok());
+  }
+}
+
 TEST(ImplicationEngineTest, BatchStatsToStringMentionsCaches) {
   MixedBatch b = MakeMixedBatch(10, 8, 1);
   ImplicationEngine engine;
@@ -524,33 +565,15 @@ TEST(CacheTest, PreparedCacheEvictsAndDedupes) {
 // Reliability layer: deadlines, exhaustion policies, cancellation.
 //
 // The adversarial instance is the pigeonhole DNF tautology PHP(holes+1,
-// holes) pushed through the Proposition 5.5 reduction: the interval-cover
-// fast path is provably inconclusive on it (the empty right-hand family's
-// only witness interval is not covered), so every query is pinned to DPLL,
-// whose cost scales steeply (holes=6 ≈ 6.5k decisions, holes=7 ≈ 65k
-// decisions ≈ hundreds of milliseconds) — and with 42+ free attributes the
-// exhaustive fallback is out of range, so exhaustion is genuine.
-
-prop::DnfFormula PigeonholeDnf(int holes) {
-  prop::DnfFormula f;
-  f.num_vars = (holes + 1) * holes;
-  auto var = [&](int pigeon, int hole) { return pigeon * holes + hole; };
-  // Pigeon i sits nowhere...
-  for (int i = 0; i <= holes; ++i) {
-    prop::DnfConjunct c;
-    for (int k = 0; k < holes; ++k) c.neg |= Mask{1} << var(i, k);
-    f.conjuncts.push_back(c);
-  }
-  // ...or pigeons i and j share hole k: a tautology by pigeonhole.
-  for (int i = 0; i <= holes; ++i)
-    for (int j = i + 1; j <= holes; ++j)
-      for (int k = 0; k < holes; ++k) {
-        prop::DnfConjunct c;
-        c.pos = (Mask{1} << var(i, k)) | (Mask{1} << var(j, k));
-        f.conjuncts.push_back(c);
-      }
-  return f;
-}
+// holes) pushed through the Proposition 5.5 reduction
+// (`testing::PigeonholeDnf`): every query is pinned to the sat search, and
+// with 42+ free attributes the exhaustive fallback is out of range, so
+// exhaustion is genuine. Budget tests count nodes (1439 for holes=6), so
+// they do not depend on the machine. Wall-clock tests use
+// `MakeStalledPigeonhole`: PHP(5,4) behind 22 pads (n = 64) needs about
+// 2·10^8 nodes — over a minute in a release build — so a 5–30 ms deadline
+// or cancel fires inside the search with a margin of more than 1000×,
+// whatever the machine speed.
 
 struct PigeonholeProblem {
   int n = 0;
@@ -558,16 +581,19 @@ struct PigeonholeProblem {
   DifferentialConstraint goal = TautologyGoal();
 };
 
-PigeonholeProblem MakePigeonhole(int holes) {
+PigeonholeProblem MakePigeonhole(int holes, int pads = 0) {
   PigeonholeProblem p;
-  prop::DnfFormula f = PigeonholeDnf(holes);
+  prop::DnfFormula f = testing::PigeonholeDnf(holes, pads);
   p.n = f.num_vars;
   p.premises = DnfTautologyReduction(f);
   return p;
 }
 
+// An instance the search cannot finish within any test's lifetime.
+PigeonholeProblem MakeStalledPigeonhole() { return MakePigeonhole(4, 22); }
+
 TEST(EngineReliabilityTest, DegradePolicyYieldsUnknownWithEvidence) {
-  PigeonholeProblem p = MakePigeonhole(7);
+  PigeonholeProblem p = MakeStalledPigeonhole();
   EngineOptions opts;
   opts.per_query_deadline = std::chrono::milliseconds(10);
   opts.exhaustion_policy = ExhaustionPolicy::kDegrade;
@@ -585,7 +611,7 @@ TEST(EngineReliabilityTest, DegradePolicyYieldsUnknownWithEvidence) {
 }
 
 TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
-  PigeonholeProblem p = MakePigeonhole(7);
+  PigeonholeProblem p = MakeStalledPigeonhole();
   EngineOptions opts;
   opts.per_query_deadline = std::chrono::milliseconds(5);
   ImplicationEngine engine(opts);  // Default policy: kFail.
@@ -596,12 +622,12 @@ TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
 }
 
 TEST(EngineReliabilityTest, EscalatePolicyRetriesUntilTheBudgetFits) {
-  // PHP(7,6) needs ~6.5k DPLL decisions: a budget of 2000 fails, its
-  // doublings 4000 and 8000 fail and succeed respectively, so the query
+  // PHP(7,6) needs 1439 search nodes: a budget of 500 fails, its
+  // doublings 1000 and 2000 fail and succeed respectively, so the query
   // lands on attempt 3 with two observable escalations.
   PigeonholeProblem p = MakePigeonhole(6);
   EngineOptions opts;
-  opts.max_solver_decisions = 2000;
+  opts.max_solver_decisions = 500;
   opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
   opts.max_retries = 2;
   opts.escalate_backoff = std::chrono::nanoseconds(0);
@@ -632,14 +658,26 @@ TEST(EngineReliabilityTest, ExhaustedRetriesDegrade) {
 }
 
 TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
-  PigeonholeProblem p = MakePigeonhole(7);
+  PigeonholeProblem p = MakeStalledPigeonhole();
   std::vector<DifferentialConstraint> goals(6, p.goal);
   EngineOptions opts;
   opts.num_threads = 2;
+  // Traced queries log their plan when they start: the canceller's signal
+  // that a worker is inside a query.
+  opts.trace = true;
   ImplicationEngine engine(opts);
   CancelToken cancel;
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const std::uint64_t events0 = obs::GlobalEventLog().total();
+  auto query_started = [events0] {
+    for (const obs::Event& e : obs::GlobalEventLog().Snapshot()) {
+      if (e.seq >= events0 && e.type == "query_plan") return true;
+    }
+    return false;
+  };
+  std::thread canceller([&cancel, &query_started] {
+    for (int spin = 0; spin < 30'000 && !query_started(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     cancel.Cancel();
   });
   Result<BatchOutcome> out = engine.CheckBatch(p.n, p.premises, goals, cancel);
@@ -656,17 +694,17 @@ TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
   }
   EXPECT_EQ(out->stats.cancelled, goals.size());
   EXPECT_EQ(out->stats.failed, goals.size());
-  // Two workers were mid-solve when the token fired (each query alone runs
-  // far past 30ms); the queued queries drained without starting.
+  // A worker was mid-solve when the token fired (no query finishes on its
+  // own); the queued queries drained without starting.
   EXPECT_GE(stopped_while_running, 1u);
   EXPECT_GE(drained_from_queue, 1u);
 }
 
 TEST(EngineReliabilityTest, AdversarialDeadlineBatchFinishesPromptly) {
-  // 1000 queries that each want ~26ms of DPLL, under a ~10ms per-query
-  // deadline and a 1s batch deadline: the batch must come in well under
-  // twice its deadline, every query OK (degraded), none failed.
-  PigeonholeProblem p = MakePigeonhole(6);
+  // 1000 queries that each want over a minute of search, under a ~10ms
+  // per-query deadline and a 1s batch deadline: the batch must come in well
+  // under twice its deadline, every query OK (degraded), none failed.
+  PigeonholeProblem p = MakeStalledPigeonhole();
   const std::size_t kQueries = 1000;
   std::vector<DifferentialConstraint> goals(kQueries, p.goal);
   EngineOptions opts;

@@ -1,9 +1,9 @@
 // Fail-point framework: registry/trigger semantics (compiled in every
 // configuration) and, under -DDIFFC_FAILPOINTS=ON, end-to-end fault
 // injection through every wired failure path — witness truncation, cache
-// insertion, CNF translation, Rational overflow, basket IO, and a query
-// task that throws — checking that each failure lands in the right
-// per-query Status while unrelated verdicts stay correct.
+// insertion, the sat search, CNF translation, Rational overflow, basket IO,
+// and a query task that throws — checking that each failure lands in the
+// right per-query Status while unrelated verdicts stay correct.
 
 #include <gtest/gtest.h>
 
@@ -168,18 +168,25 @@ TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
   EXPECT_EQ(GlobalPreparedPremisesCache().size(), 0u);
 }
 
-TEST_F(FailpointTest, CnfTranslationFailureIsPerQuery) {
+TEST_F(FailpointTest, SatKernelFailureIsPerQuery) {
   const int n = 6;
-  // Disable the fast path so the query must reach the SAT translation.
+  // Disable the fast path so the query must reach the sat search.
   EngineOptions opts;
   opts.use_interval_cover_fast_path = false;
   ImplicationEngine engine(opts);
-  failpoint::Arm("cnf/translate", failpoint::Spec::Always());
+  failpoint::Arm("sat/kernel", failpoint::Spec::Always());
 
   EngineQueryResult sat_query = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
   EXPECT_EQ(sat_query.status.code(), StatusCode::kInternal);
 
-  // Queries that never reach the translation are untouched.
+  // The legacy ladder's SAT step runs the same search.
+  EngineOptions ladder_opts = opts;
+  ladder_opts.use_planner = false;
+  ImplicationEngine ladder(ladder_opts);
+  EXPECT_EQ(ladder.CheckOne(n, CoveringPremises(), TwoMemberGoal()).status.code(),
+            StatusCode::kInternal);
+
+  // Queries that never reach the search are untouched.
   EngineQueryResult fd_query = engine.CheckOne(
       n, CoveringPremises(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})));
   ASSERT_TRUE(fd_query.status.ok());
@@ -194,6 +201,17 @@ TEST_F(FailpointTest, CnfTranslationFailureIsPerQuery) {
   EXPECT_EQ(batch->results[0].status.code(), StatusCode::kInternal);
   EXPECT_TRUE(batch->results[1].status.ok());
   EXPECT_EQ(batch->stats.failed, 1u);
+
+  // The engine no longer translates to CNF: the core procedure is the only
+  // site left behind `cnf/translate`, and the engine ignores it.
+  failpoint::DisarmAll();
+  failpoint::Arm("cnf/translate", failpoint::Spec::Always());
+  EXPECT_EQ(CheckImplicationSat(n, CoveringPremises(), TwoMemberGoal()).status().code(),
+            StatusCode::kInternal);
+  EngineQueryResult untouched = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  ASSERT_TRUE(untouched.status.ok()) << untouched.status.ToString();
+  EXPECT_TRUE(untouched.outcome.implied);
+  EXPECT_EQ(untouched.stats.procedure, DecisionProcedure::kSat);
 }
 
 TEST_F(FailpointTest, RationalOverflowInjection) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/constraint.h"
+#include "prop/tautology.h"
 #include "util/random.h"
 
 namespace diffc::testing {
@@ -36,6 +37,41 @@ inline ConstraintSet RandomConstraintSet(Rng& rng, int n, int count,
     out.push_back(RandomConstraint(rng, n, lhs_density, members, member_density));
   }
   return out;
+}
+
+/// PHP(holes+1, holes) as a DNF tautology (Proposition 5.5): pigeon i sits
+/// in no hole, or pigeons i and j share hole k. Through
+/// `DnfTautologyReduction` the interval cover is inconclusive on it (the
+/// empty goal family's one witness interval is not covered), so the query
+/// reaches the `sat` search, which refutes it in exactly 2·holes! − 1
+/// nodes. Each of the `pads` extra conjuncts ¬a ∧ ¬b on two fresh variables
+/// becomes a premise ∅ -> {{a}, {b}}; the search branches on those before
+/// the pigeonhole core (two live members beat a pigeon's `holes`), so
+/// every pad doubles its work. Requires (holes + 1) · holes + 2 · pads ≤ 64.
+inline prop::DnfFormula PigeonholeDnf(int holes, int pads = 0) {
+  prop::DnfFormula f;
+  f.num_vars = (holes + 1) * holes + 2 * pads;
+  auto var = [&](int pigeon, int hole) { return pigeon * holes + hole; };
+  for (int i = 0; i <= holes; ++i) {
+    prop::DnfConjunct c;
+    for (int k = 0; k < holes; ++k) c.neg |= Mask{1} << var(i, k);
+    f.conjuncts.push_back(c);
+  }
+  for (int i = 0; i <= holes; ++i) {
+    for (int j = i + 1; j <= holes; ++j) {
+      for (int k = 0; k < holes; ++k) {
+        prop::DnfConjunct c;
+        c.pos = (Mask{1} << var(i, k)) | (Mask{1} << var(j, k));
+        f.conjuncts.push_back(c);
+      }
+    }
+  }
+  for (int p = 0; p < pads; ++p) {
+    prop::DnfConjunct c;
+    c.neg = Mask{3} << ((holes + 1) * holes + 2 * p);
+    f.conjuncts.push_back(c);
+  }
+  return f;
 }
 
 }  // namespace diffc::testing

@@ -695,28 +695,6 @@ TEST(DiffcdServiceTest, MetricsEndpointServesPrometheusAndJson) {
 
 // ---------------------------------------------------------- tracing (PR 8)
 
-// The PHP(holes+1, holes) tautology via the Proposition 5.5 reduction: a
-// query guaranteed to spend real time in the SAT procedure (see
-// test_engine.cc), used here to cross the slow-query threshold.
-prop::DnfFormula PigeonholeDnf(int holes) {
-  prop::DnfFormula f;
-  f.num_vars = (holes + 1) * holes;
-  auto var = [&](int pigeon, int hole) { return pigeon * holes + hole; };
-  for (int i = 0; i <= holes; ++i) {
-    prop::DnfConjunct c;
-    for (int k = 0; k < holes; ++k) c.neg |= Mask{1} << var(i, k);
-    f.conjuncts.push_back(c);
-  }
-  for (int i = 0; i <= holes; ++i)
-    for (int j = i + 1; j <= holes; ++j)
-      for (int k = 0; k < holes; ++k) {
-        prop::DnfConjunct c;
-        c.pos = (Mask{1} << var(i, k)) | (Mask{1} << var(j, k));
-        f.conjuncts.push_back(c);
-      }
-  return f;
-}
-
 TEST(DiffcdServiceTest, TracezServesOneJoinedClientServerEngineTrace) {
   obs::GlobalTraceStore().Clear();
   ServerOptions options = LoopbackOptions();
@@ -854,10 +832,9 @@ TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
   DiffcdServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  // PHP(8,7) pins the query in the SAT procedure for far longer than the
-  // 1 ms threshold (test_engine measures ~10^5 decisions), regardless of
-  // whether it finishes or degrades.
-  prop::DnfFormula php = PigeonholeDnf(7);
+  // PHP(8,7) behind 2 pads pins the query in the SAT procedure for about
+  // 4·10^4 search nodes, ~40 ms in a release build: 40× the 1 ms threshold.
+  prop::DnfFormula php = testing::PigeonholeDnf(7, 2);
   ConstraintSet premises = DnfTautologyReduction(php);
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
   ASSERT_TRUE(client.ok());

@@ -21,6 +21,7 @@
 #include "obs/trace.h"
 #include "obs/trace_store.h"
 #include "prop/tautology.h"
+#include "test_helpers.h"
 
 namespace diffc {
 namespace {
@@ -566,27 +567,6 @@ TEST(EventLogTest, ConcurrentRecordersNeverLoseCounts) {
 // ---------------------------------------------------------------------------
 // End-to-end: engine instrumentation.
 
-// The PHP(holes+1, holes) tautology via the Proposition 5.5 reduction pins
-// queries to the SAT procedure (see test_engine.cc for the reasoning).
-prop::DnfFormula PigeonholeDnf(int holes) {
-  prop::DnfFormula f;
-  f.num_vars = (holes + 1) * holes;
-  auto var = [&](int pigeon, int hole) { return pigeon * holes + hole; };
-  for (int i = 0; i <= holes; ++i) {
-    prop::DnfConjunct c;
-    for (int k = 0; k < holes; ++k) c.neg |= Mask{1} << var(i, k);
-    f.conjuncts.push_back(c);
-  }
-  for (int i = 0; i <= holes; ++i)
-    for (int j = i + 1; j <= holes; ++j)
-      for (int k = 0; k < holes; ++k) {
-        prop::DnfConjunct c;
-        c.pos = (Mask{1} << var(i, k)) | (Mask{1} << var(j, k));
-        f.conjuncts.push_back(c);
-      }
-  return f;
-}
-
 // Handles into the global registry for delta assertions. Help strings must
 // not conflict with the library's registrations — re-registration returns
 // the existing handle regardless of help text.
@@ -633,7 +613,9 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   const std::uint64_t unknown0 = unknown->Value();
   const std::uint64_t events0 = obs::GlobalEventLog().total();
 
-  prop::DnfFormula f = PigeonholeDnf(7);
+  // PHP(5,4) behind 22 pads needs about 2·10^8 search nodes, over a minute:
+  // the 10 ms deadline fires inside the search with a margin of >1000×.
+  prop::DnfFormula f = testing::PigeonholeDnf(4, 22);
   ConstraintSet premises = DnfTautologyReduction(f);
   EngineOptions opts;
   opts.per_query_deadline = std::chrono::milliseconds(10);
@@ -645,7 +627,7 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   EXPECT_EQ(r.outcome.verdict, ImplicationOutcome::kUnknown);
 
   // The acceptance criterion: the trace names the phase that consumed the
-  // budget. PHP(8,7) dies inside DPLL, so the hottest leaf is "sat".
+  // budget. The query dies inside the search, so the hottest leaf is "sat".
   ASSERT_NE(r.trace, nullptr);
   ASSERT_FALSE(r.trace->spans.empty());
   int hottest = r.trace->HottestLeaf();
@@ -671,10 +653,10 @@ TEST(EngineObservabilityTest, EscalationsAreCountedPerRetry) {
       Registry::Global().GetCounter("diffc_engine_escalations_total", "");
   const std::uint64_t escalations0 = escalations->Value();
 
-  prop::DnfFormula f = PigeonholeDnf(6);
+  prop::DnfFormula f = testing::PigeonholeDnf(6);
   ConstraintSet premises = DnfTautologyReduction(f);
   EngineOptions opts;
-  opts.max_solver_decisions = 2000;  // PHP(7,6) needs ~6.5k: two doublings.
+  opts.max_solver_decisions = 500;  // PHP(7,6) needs 1439 nodes: two doublings.
   opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
   opts.max_retries = 2;
   opts.escalate_backoff = std::chrono::nanoseconds(0);

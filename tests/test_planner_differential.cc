@@ -122,9 +122,9 @@ TEST(PlannerDifferentialTest, PlannerMatchesLadderOn500PlusInstances) {
 }
 
 TEST(PlannerDifferentialTest, PlannerMatchesLadderUnderTinySolverBudget) {
-  // A 1-decision SAT budget with the interval-cover fast path off and a
-  // 2-bit exhaustive gate forces ResourceExhausted on every instance unit
-  // propagation can't settle: the planner's pending-failure/fallback
+  // A 1-node SAT budget with the interval-cover fast path off and a 2-bit
+  // exhaustive gate forces ResourceExhausted on every instance the root's
+  // unit propagation can't settle: the planner's pending-failure/fallback
   // machinery must surface exactly the ladder's status and stopped_in.
   std::vector<Instance> instances = MakeInstances(99);
   EngineOptions planner_opts;

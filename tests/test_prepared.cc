@@ -1,8 +1,8 @@
 // PreparedPremises: the compiled premise artifact behind the engine's
 // prepare/plan/execute pipeline. Canonicalization invariants (trivial
 // premises dropped, right-hand families minimized, duplicates removed —
-// all without changing L(C)), translation equivalence against the
-// per-query path, the FD closure index, build stats, and id uniqueness.
+// all without changing L(C)), the mask arena against the canonical set,
+// the FD closure index, build stats, and id uniqueness.
 
 #include <gtest/gtest.h>
 
@@ -82,19 +82,28 @@ TEST(PreparedPremisesTest, CanonicalizationPreservesVerdicts) {
   }
 }
 
-TEST(PreparedPremisesTest, TranslationMatchesDirectTranslation) {
+TEST(PreparedPremisesTest, MaskArenaMatchesCanonicalConstraints) {
   const int n = 10;
   Rng rng(88);
   ConstraintSet premises = testing::RandomConstraintSet(rng, n, 6);
   Result<std::shared_ptr<const PreparedPremises>> built =
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
-  // The artifact's translation is TranslatePremises of the canonical set.
-  PremiseTranslation direct = TranslatePremises(n, (*built)->constraints());
-  EXPECT_EQ((*built)->translation().num_vars, direct.num_vars);
-  EXPECT_EQ((*built)->translation().clauses, direct.clauses);
-  EXPECT_EQ((*built)->stats().translation_vars, direct.num_vars);
-  EXPECT_EQ((*built)->stats().translation_clauses, direct.clauses.size());
+  // The arena is the canonical set, premise by premise and member by member.
+  const ConstraintSet& canonical = (*built)->constraints();
+  const PremiseMasks& masks = (*built)->masks();
+  ASSERT_EQ(masks.size(), canonical.size());
+  ASSERT_EQ(masks.first.size(), canonical.size() + 1);
+  EXPECT_EQ(masks.first.front(), 0u);
+  EXPECT_EQ(masks.first.back(), masks.members.size());
+  for (std::size_t p = 0; p < canonical.size(); ++p) {
+    EXPECT_EQ(masks.lhs[p], canonical[p].lhs().bits());
+    const std::vector<ItemSet>& members = canonical[p].rhs().members();
+    ASSERT_EQ(masks.first[p + 1] - masks.first[p], members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      EXPECT_EQ(masks.members[masks.first[p] + k], members[k].bits());
+    }
+  }
 }
 
 TEST(PreparedPremisesTest, FdIndexMatchesEligibility) {
@@ -143,11 +152,9 @@ TEST(PreparedPremisesTest, BuildStatsAreCoherent) {
   EXPECT_EQ(s.input_constraints, premises.size());
   EXPECT_EQ(s.canonical_constraints, s.input_constraints - s.dropped_trivial -
                                          s.dropped_duplicates - s.merged_constraints);
-  EXPECT_GE(s.translation_vars, n);
-  EXPECT_GT(s.translation_clauses, 0u);
+  EXPECT_EQ((*built)->masks().size(), s.canonical_constraints);
   EXPECT_GT(s.total_ns, 0u);
   EXPECT_LE(s.canonicalize_ns, s.total_ns);
-  EXPECT_LE(s.translate_ns, s.total_ns);
   EXPECT_LE(s.fd_index_ns, s.total_ns);
 }
 

@@ -23,7 +23,7 @@ layer honest:
                     ``<root>/DESIGN.md`` or ``<root>/../DESIGN.md``; the
                     rule is silent when neither exists (fixture subsets).
   solver-atomic     No atomics and no metric mutations inside solver inner
-                    loops (DPLL / CDCL / transversal): counters accumulate
+                    loops (sat search / DPLL / CDCL / transversal): counters accumulate
                     thread-locally and flush at procedure exit (DESIGN.md
                     s8 "flush at boundary").
   include-guard     Header guards are ``DIFFC_<RELATIVE_PATH>_H_``.
@@ -105,6 +105,7 @@ SOLVER_LOOP_FILES = {
     "prop/dpll.cc",
     "prop/cdcl.cc",
     "lattice/hitting_set.cc",
+    "engine/sat_kernel.cc",
 }
 
 # Files that decode untrusted bytes: every raw read must go through the
