@@ -1,19 +1,23 @@
-// Experiment E10 — the rewrite canonicalizer vs the legacy inline path:
+// Experiment E10 — the rewrite canonicalizer vs the old inline path:
 // one revalidation-style workload (a premise set with the redundancy shapes
 // real mining loops accumulate: augmented copies of existing constraints,
 // non-minimal witness families, members overlapping their left-hand side,
-// and split same-lhs constraints) compiled two ways:
+// and split same-lhs constraints) canonicalized two ways:
 //
-//   raw        — `PrepareOptions::use_rewriter = false`: the PR 5 inline
-//                canonicalization (drop trivial, minimize families, dedupe).
+//   raw        — `InlineCanonicalize` below: the inline canonicalization
+//                prepare ran before the rewriter (drop trivial, minimize
+//                families, dedupe), kept here as the baseline now that
+//                prepare always rewrites.
 //   simplified — the rule-driven simplifier at level 2 (DESIGN.md §14).
 //
 // The headline number is the artifact shrink attributable to the rewriter
 // beyond the inline path: member_reduction = 1 − members(simplified) /
 // members(raw). The acceptance bar is >= 10%, encoded in
-// bench/BENCH_E10.schema.json and checked in CI; repeated-query speedup on
-// the smaller artifact is reported alongside, and verdict agreement across
-// the two compilations is pinned. Results land in BENCH_E10.json.
+// bench/BENCH_E10.schema.json and checked in CI. The repeated-query rows
+// time the `sat` kernel (`SearchCounterexample`) over each set's mask
+// arena, so the speedup is the smaller artifact's effect on the search
+// alone; verdict agreement across the two sets is pinned. Results land in
+// BENCH_E10.json.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "engine/implication_engine.h"
+#include "engine/sat_kernel.h"
 #include "rewrite/rewrite_rule.h"
 #include "rewrite/simplifier.h"
 #include "util/random.h"
@@ -103,6 +108,22 @@ void MakeWorkload(int n, ConstraintSet* premises,
   }
 }
 
+// The old inline canonicalization: drop trivial premises (they exclude no
+// set from L(C)), minimize each right-hand family (SomeMemberSubsetOf — and
+// so L(X, Y) — is invariant under dropping non-minimal members), then sort
+// and dedupe.
+ConstraintSet InlineCanonicalize(const ConstraintSet& premises) {
+  ConstraintSet out;
+  out.reserve(premises.size());
+  for (const DifferentialConstraint& p : premises) {
+    if (p.IsTrivial()) continue;
+    out.push_back(DifferentialConstraint(p.lhs(), p.rhs().Minimized()));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 double MeasureMs(const std::function<void()>& fn) {
   auto start = std::chrono::steady_clock::now();
   fn();
@@ -119,20 +140,13 @@ void RunRewriteExperiment() {
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
 
-  PrepareOptions raw_opts;
-  raw_opts.use_rewriter = false;
-  Result<std::shared_ptr<const PreparedPremises>> raw =
-      PreparedPremises::Build(n, premises, raw_opts);
-  Result<std::shared_ptr<const PreparedPremises>> simplified =
-      PreparedPremises::Build(n, premises);  // Rewriter at level 2.
-  if (!raw.ok() || !simplified.ok()) {
-    std::fprintf(stderr, "Build failed\n");
-    return;
-  }
+  const ConstraintSet raw = InlineCanonicalize(premises);
+  rewrite::SimplifyStats ss;
+  const ConstraintSet simplified =
+      rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &ss);  // Level 2.
 
-  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of((*raw)->constraints());
-  const rewrite::RewriteCost simplified_cost =
-      rewrite::RewriteCost::Of((*simplified)->constraints());
+  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of(raw);
+  const rewrite::RewriteCost simplified_cost = rewrite::RewriteCost::Of(simplified);
   const double member_reduction =
       raw_cost.members == 0
           ? 0.0
@@ -149,28 +163,21 @@ void RunRewriteExperiment() {
           : 1.0 - static_cast<double>(simplified_cost.member_items) /
                       static_cast<double>(raw_cost.member_items);
 
-  EngineOptions opts;
-  opts.num_threads = 1;
-  ImplicationEngine engine(opts);
-
-  // Warm the witness cache so both rows measure steady-state query cost on
-  // their artifact, not first-touch witness enumeration.
-  for (const DifferentialConstraint& g : goals) {
-    (void)engine.CheckOne(*raw, g);
-    (void)engine.CheckOne(*simplified, g);
-  }
-
-  bool verdicts_agree = true;
-  auto run_row = [&](const std::shared_ptr<const PreparedPremises>& artifact,
-                     std::vector<bool>* verdicts) {
+  // Both rows run the engine's `sat` kernel, under its default node budget,
+  // over the mask arena of their set; a failed search counts as a
+  // disagreement.
+  const std::uint64_t max_nodes = EngineOptions().max_solver_decisions;
+  auto run_row = [&](const ConstraintSet& set, std::vector<int>* verdicts) {
+    const PremiseMasks masks = PremiseMasks::Compile(set);
     double best = 1e100;
     for (int t = 0; t < kTrials; ++t) {
-      std::vector<bool> got;
+      std::vector<int> got;
       got.reserve(goals.size());
       best = std::min(best, MeasureMs([&] {
         for (const DifferentialConstraint& g : goals) {
-          EngineQueryResult r = engine.CheckOne(artifact, g);
-          got.push_back(r.status.ok() && r.outcome.implied);
+          Result<ImplicationOutcome> r =
+              SearchCounterexample(n, masks, g, max_nodes, nullptr, nullptr);
+          got.push_back(r.ok() ? static_cast<int>(r->implied) : -1);
         }
       }));
       *verdicts = std::move(got);
@@ -178,14 +185,15 @@ void RunRewriteExperiment() {
     return best;
   };
 
-  std::vector<bool> raw_verdicts;
-  std::vector<bool> simplified_verdicts;
-  const double raw_ms = run_row(*raw, &raw_verdicts);
-  const double simplified_ms = run_row(*simplified, &simplified_verdicts);
-  verdicts_agree = raw_verdicts == simplified_verdicts;
+  std::vector<int> raw_verdicts;
+  std::vector<int> simplified_verdicts;
+  const double raw_ms = run_row(raw, &raw_verdicts);
+  const double simplified_ms = run_row(simplified, &simplified_verdicts);
+  const bool verdicts_agree =
+      raw_verdicts == simplified_verdicts &&
+      std::find(raw_verdicts.begin(), raw_verdicts.end(), -1) == raw_verdicts.end();
   const double query_speedup = simplified_ms > 0 ? raw_ms / simplified_ms : 0.0;
 
-  const PrepareStats& ss = (*simplified)->stats();
   std::printf("%22s %12s %10s %10s\n", "", "constraints", "members", "items");
   std::printf("%22s %12zu %10zu %10zu\n", "input",
               rewrite::RewriteCost::Of(premises).constraints,
@@ -198,11 +206,11 @@ void RunRewriteExperiment() {
               simplified_cost.member_items);
   std::printf("reduction vs inline: %.1f%% constraints, %.1f%% members, %.1f%% items\n",
               100 * constraint_reduction, 100 * member_reduction, 100 * item_reduction);
-  std::printf("rewriter: %zu passes, %zu edits", ss.rewrite_passes, ss.rewrite_applied);
-  for (const auto& [rule, edits] : ss.rewrite_rule_applied) {
+  std::printf("rewriter: %zu passes, %zu edits", ss.passes, ss.applied_total);
+  for (const auto& [rule, edits] : ss.applied_by_rule) {
     std::printf("  %s=%zu", rule.c_str(), edits);
   }
-  std::printf("\nqueries: raw %.3fms, simplified %.3fms (%.2fx), verdicts %s\n\n",
+  std::printf("\nsat kernel: raw %.3fms, simplified %.3fms (%.2fx), verdicts %s\n\n",
               raw_ms, simplified_ms, query_speedup, verdicts_agree ? "agree" : "DISAGREE");
 
   // Machine-readable record, shape-checked against BENCH_E10.schema.json
@@ -223,8 +231,8 @@ void RunRewriteExperiment() {
   json << "  \"member_reduction\": " << member_reduction << ",\n";
   json << "  \"constraint_reduction\": " << constraint_reduction << ",\n";
   json << "  \"item_reduction\": " << item_reduction << ",\n";
-  json << "  \"rewrite_passes\": " << ss.rewrite_passes << ",\n";
-  json << "  \"rewrite_applied\": " << ss.rewrite_applied << ",\n";
+  json << "  \"rewrite_passes\": " << ss.passes << ",\n";
+  json << "  \"rewrite_applied\": " << ss.applied_total << ",\n";
   json << "  \"raw_ms\": " << raw_ms << ",\n";
   json << "  \"simplified_ms\": " << simplified_ms << ",\n";
   json << "  \"query_speedup\": " << query_speedup << ",\n";
@@ -252,14 +260,12 @@ void BM_PrepareWithRewriter(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
-  PrepareOptions opts;
-  opts.use_rewriter = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PreparedPremises::Build(n, premises, opts));
+    benchmark::DoNotOptimize(PreparedPremises::Build(n, premises));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PrepareWithRewriter)->Arg(0)->Arg(1);
+BENCHMARK(BM_PrepareWithRewriter);
 
 }  // namespace
 }  // namespace diffc

@@ -27,7 +27,7 @@ constexpr std::size_t kMaxStream = 64 * 1024;
 void DecodeByType(const Frame& f) {
   switch (f.type) {
     case static_cast<std::uint8_t>(WireRequest::kPing):
-      fuzz::CheckRoundTrip(f, DecodePing, fuzz::IgnoreVersion(EncodePing));
+      fuzz::CheckRoundTrip(f, DecodePing, EncodePing);
       break;
     case static_cast<std::uint8_t>(WireRequest::kRegisterPremises):
       fuzz::CheckRoundTrip(f, DecodeRegisterPremises, EncodeRegisterPremises);
@@ -36,10 +36,10 @@ void DecodeByType(const Frame& f) {
       fuzz::CheckRoundTrip(f, DecodeCheckBatch, EncodeCheckBatch);
       break;
     case static_cast<std::uint8_t>(WireRequest::kRelease):
-      fuzz::CheckRoundTrip(f, DecodeRelease, fuzz::IgnoreVersion(EncodeRelease));
+      fuzz::CheckRoundTrip(f, DecodeRelease, EncodeRelease);
       break;
     case static_cast<std::uint8_t>(WireResponse::kPong):
-      fuzz::CheckRoundTrip(f, DecodePong, fuzz::IgnoreVersion(EncodePong));
+      fuzz::CheckRoundTrip(f, DecodePong, EncodePong);
       break;
     case static_cast<std::uint8_t>(WireResponse::kRegisterOk):
       fuzz::CheckRoundTrip(f, DecodeRegisterOk, EncodeRegisterOk);
@@ -48,10 +48,10 @@ void DecodeByType(const Frame& f) {
       fuzz::CheckRoundTrip(f, DecodeBatchResult, EncodeBatchResult);
       break;
     case static_cast<std::uint8_t>(WireResponse::kOverloaded):
-      fuzz::CheckRoundTrip(f, DecodeOverloaded, fuzz::IgnoreVersion(EncodeOverloaded));
+      fuzz::CheckRoundTrip(f, DecodeOverloaded, EncodeOverloaded);
       break;
     case static_cast<std::uint8_t>(WireResponse::kError):
-      fuzz::CheckRoundTrip(f, DecodeError, fuzz::IgnoreVersion(EncodeError));
+      fuzz::CheckRoundTrip(f, DecodeError, EncodeError);
       break;
     default:
       break;  // Unknown type: the session loop answers with an error frame.

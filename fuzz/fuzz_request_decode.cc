@@ -1,6 +1,7 @@
 // Structure-aware fuzzing of the request decoders the server trusts least:
-// REGISTER_PREMISES and CHECK_BATCH. The first input byte selects the
-// (type, version) combination and the rest becomes the payload verbatim —
+// REGISTER_PREMISES and CHECK_BATCH. Bit 0 of the first input byte selects
+// the type (bit 1 once picked a wire version and is now ignored, so the
+// seed layout is unchanged) and the rest becomes the payload verbatim —
 // the frame header is always well-formed, so coverage spends its budget
 // past the header checks, inside the constraint-list and trace-context
 // parsing where the interesting bounds live.
@@ -22,7 +23,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   f.type = (selector & 1) != 0
                ? static_cast<std::uint8_t>(WireRequest::kCheckBatch)
                : static_cast<std::uint8_t>(WireRequest::kRegisterPremises);
-  f.version = (selector & 2) != 0 ? kWireVersion : kMinWireVersion;
   f.payload.assign(data + 1, data + size);
 
   if (f.type == static_cast<std::uint8_t>(WireRequest::kCheckBatch)) {

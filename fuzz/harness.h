@@ -33,7 +33,7 @@ namespace diffc::fuzz {
 }
 
 /// Asserts the decode-then-encode idempotence property for one codec pair.
-/// `decode(Frame) -> Result<Msg>`, `encode(Msg, version) -> Frame`.
+/// `decode(Frame) -> Result<Msg>`, `encode(Msg) -> Frame`.
 template <typename Decode, typename Encode>
 void CheckRoundTrip(const net::Frame& f, Decode decode, Encode encode) {
   auto m1 = decode(f);
@@ -43,25 +43,18 @@ void CheckRoundTrip(const net::Frame& f, Decode decode, Encode encode) {
     }
     return;  // Rejected with a typed error: property holds.
   }
-  net::Frame e1 = encode(*m1, f.version);
+  net::Frame e1 = encode(*m1);
   auto m2 = decode(e1);
   if (!m2.ok()) {
     FuzzFail("re-decode", "decoder rejected its own encoder's output: " +
                               m2.status().ToString());
   }
-  net::Frame e2 = encode(*m2, e1.version);
-  if (e1.type != e2.type || e1.version != e2.version || e1.payload != e2.payload) {
+  net::Frame e2 = encode(*m2);
+  if (e1.type != e2.type || e1.payload != e2.payload) {
     FuzzFail("idempotence", "second encoding differs from first (payload " +
                                 std::to_string(e1.payload.size()) + " vs " +
                                 std::to_string(e2.payload.size()) + " bytes)");
   }
-}
-
-/// Wraps a version-independent encoder in the (msg, version) shape
-/// `CheckRoundTrip` expects.
-template <typename Encode>
-auto IgnoreVersion(Encode encode) {
-  return [encode](const auto& msg, std::uint8_t) { return encode(msg); };
 }
 
 }  // namespace diffc::fuzz

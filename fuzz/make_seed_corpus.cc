@@ -115,8 +115,6 @@ int main(int argc, char** argv) {
   // ---- read_frame: whole serialized frames (and adversarial cut-downs).
   WriteSeed("read_frame", "ping", SerializeFrame(EncodePing(ping)));
   WriteSeed("read_frame", "register_v3", SerializeFrame(EncodeRegisterPremises(reg)));
-  WriteSeed("read_frame", "register_v2",
-            SerializeFrame(EncodeRegisterPremises(reg, kMinWireVersion)));
   WriteSeed("read_frame", "check_batch_v3", SerializeFrame(EncodeCheckBatch(batch)));
   WriteSeed("read_frame", "batch_result_v3", SerializeFrame(EncodeBatchResult(result)));
   WriteSeed("read_frame", "error", SerializeFrame(EncodeError(error)));
@@ -131,19 +129,21 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> cut = SerializeFrame(EncodeRegisterPremises(reg));
     cut.resize(cut.size() - 3);
     WriteSeed("read_frame", "truncated_payload", cut);
+    // A frame labelled with a version this build does not speak: must be
+    // rejected at the header.
+    Frame stale = EncodeRegisterPremises(reg);
+    stale.version = kWireVersion - 1;
+    WriteSeed("read_frame", "wrong_version", SerializeFrame(stale));
   }
 
-  // ---- request_decode: selector byte (type | version<<1) + raw payload.
-  WriteSeed("request_decode", "register_v2", WithSelector(0, EncodeRegisterPremises(reg, 2)));
+  // ---- request_decode: selector byte (bit 0 picks the type; bit 1 is
+  // ignored) + raw payload.
   WriteSeed("request_decode", "register_v3", WithSelector(2, EncodeRegisterPremises(reg)));
-  WriteSeed("request_decode", "check_batch_v2", WithSelector(1, EncodeCheckBatch(batch, 2)));
   WriteSeed("request_decode", "check_batch_v3", WithSelector(3, EncodeCheckBatch(batch)));
 
-  // ---- reply_decode: selector % 5 picks the codec; bit 3 picks v3.
+  // ---- reply_decode: selector % 5 picks the codec; bit 3 is ignored.
   WriteSeed("reply_decode", "pong", WithSelector(0, EncodePong(ping)));
-  WriteSeed("reply_decode", "register_ok_v2", WithSelector(1, EncodeRegisterOk(reg_ok, 2)));
   WriteSeed("reply_decode", "register_ok_v3", WithSelector(9, EncodeRegisterOk(reg_ok)));
-  WriteSeed("reply_decode", "batch_result_v2", WithSelector(2, EncodeBatchResult(result, 2)));
   WriteSeed("reply_decode", "batch_result_v3", WithSelector(10, EncodeBatchResult(result)));
   WriteSeed("reply_decode", "overloaded", WithSelector(3, EncodeOverloaded(overloaded)));
   WriteSeed("reply_decode", "error", WithSelector(4, EncodeError(error)));

@@ -50,7 +50,6 @@
 #include "lattice/mobius.h"
 #include "lattice/set_family.h"
 #include "lattice/universe.h"
-#include "prop/cdcl.h"
 #include "prop/cnf.h"
 #include "prop/dpll.h"
 #include "prop/formula.h"

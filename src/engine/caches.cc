@@ -139,8 +139,6 @@ std::size_t WitnessSetCache::size() const {
 
 std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(k.n);
-  h ^= (k.options.use_rewriter ? 0x85ebca6bull : 0xc2b2ae35ull) +
-       static_cast<std::uint64_t>(k.options.simplify_level) + (h << 6) + (h >> 2);
   for (const DifferentialConstraint& c : k.premises) {
     h ^= c.lhs().bits() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     h ^= static_cast<std::uint64_t>(c.rhs().Hash()) + 0x9e3779b97f4a7c15ull + (h << 6) +
@@ -151,13 +149,8 @@ std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
     int n, const ConstraintSet& premises, bool* hit) {
-  return Get(n, premises, PrepareOptions(), hit);
-}
-
-Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
-    int n, const ConstraintSet& premises, const PrepareOptions& options, bool* hit) {
   const bool obs_on = obs::MetricsEnabled();
-  Key key{n, options, premises};
+  Key key{n, premises};
   {
     MutexLock lock(&mu_);
     if (const auto* found = lru_.Find(key)) {
@@ -171,7 +164,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
 
   // Compile outside the lock; only a valid artifact is cacheable.
   Result<std::shared_ptr<const PreparedPremises>> built =
-      PreparedPremises::Build(n, premises, options);
+      PreparedPremises::Build(n, premises);
   if (!built.ok()) return built.status();
 
   if (DIFFC_FAILPOINT("cache/premise-insert")) return built;  // Served uncached.

@@ -233,18 +233,10 @@ class PreparedPremisesCache {
   /// A cache holding at most `capacity` entries (segmented-LRU eviction).
   explicit PreparedPremisesCache(std::size_t capacity = 256) : lru_(capacity) {}
 
-  /// The prepared artifact for `premises` over `n` attributes under
-  /// default `PrepareOptions`, built on miss. `hit`, when non-null,
-  /// receives whether the entry was cached. Fails only on invalid `n`
-  /// (InvalidArgument, never cached).
+  /// The prepared artifact for `premises` over `n` attributes, built on
+  /// miss. `hit`, when non-null, receives whether the entry was cached.
+  /// Fails only on invalid `n` (InvalidArgument, never cached).
   Result<std::shared_ptr<const PreparedPremises>> Get(int n, const ConstraintSet& premises,
-                                                      bool* hit = nullptr) EXCLUDES(mu_);
-
-  /// As above with explicit canonicalization options — part of the cache
-  /// key, so artifacts built at different simplify levels (or on the
-  /// legacy inline path) never alias.
-  Result<std::shared_ptr<const PreparedPremises>> Get(int n, const ConstraintSet& premises,
-                                                      const PrepareOptions& options,
                                                       bool* hit = nullptr) EXCLUDES(mu_);
 
   /// Drops every entry (counters are kept).
@@ -259,11 +251,8 @@ class PreparedPremisesCache {
  private:
   struct Key {
     int n;
-    PrepareOptions options;
     ConstraintSet premises;
-    bool operator==(const Key& o) const {
-      return n == o.n && options == o.options && premises == o.premises;
-    }
+    bool operator==(const Key& o) const { return n == o.n && premises == o.premises; }
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const;

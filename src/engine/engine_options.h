@@ -44,26 +44,12 @@ const char* ExhaustionPolicyName(ExhaustionPolicy p);
 struct EngineOptions {
   /// Worker threads for `CheckBatch` (clamped to at least 1).
   int num_threads = 4;
-  /// Dispatch through the `QueryPlanner` over the registered decision
-  /// procedures (the default). When false, queries run the legacy inline
-  /// ladder (trivial → FD-subclass → interval-cover → SAT → exhaustive) on
-  /// the raw premise set — kept as the reference implementation for the
-  /// planner/ladder differential suite.
-  bool use_planner = true;
   /// Serve `Prepare()` (and the unprepared `CheckBatch` / `CheckOne`
   /// entry points, which prepare on the caller's behalf) from the
   /// process-wide `PreparedPremisesCache`. When false every call compiles
   /// the premises from scratch — the per-query baseline that
   /// `bench_engine_prepared` measures `Prepare()` against.
   bool use_prepared_cache = true;
-  /// Canonicalization level of premise compilation (`PrepareOptions`,
-  /// DESIGN.md §14): 0 runs the legacy PR 5 inline path
-  /// (`use_rewriter=false`) as a differential reference; 1 runs the
-  /// structural rewrite rules (drop-trivial, minimize-rhs,
-  /// absorb-subsumed); 2 (the default) adds narrow-members and
-  /// merge-same-lhs. Every level preserves L(C) — and so every verdict —
-  /// exactly.
-  int simplify_level = 2;
   /// Enables the interval-cover fast path: answer a query from the cached
   /// minimal witness sets of its right-hand family when the cover is
   /// conclusive, skipping the SAT solver entirely. Sound in both verdicts;
@@ -130,8 +116,7 @@ struct QueryStats {
   /// a kUnknown verdict.
   DecisionProcedure stopped_in = DecisionProcedure::kNone;
   /// The plan the `QueryPlanner` chose for the final attempt: the
-  /// applicable procedures in execution order. Empty on the legacy ladder
-  /// path (`EngineOptions::use_planner` false).
+  /// applicable procedures in execution order.
   std::vector<DecisionProcedure> plan;
   /// Attempts run (1 + escalation retries).
   int attempts = 1;

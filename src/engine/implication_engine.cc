@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/counterexample.h"
-#include "engine/sat_kernel.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -30,12 +29,6 @@ std::uint64_t NowNs() {
 bool IsExhaustion(const Status& s) {
   return s.code() == StatusCode::kDeadlineExceeded ||
          s.code() == StatusCode::kResourceExhausted;
-}
-
-// True iff `s` came from a fired StopCheck (as opposed to a solver budget
-// or any other per-stage failure).
-bool IsStopStatus(const Status& s) {
-  return s.code() == StatusCode::kDeadlineExceeded || s.code() == StatusCode::kCancelled;
 }
 
 // Sleeps a jittered exponential backoff before escalation attempt
@@ -240,22 +233,18 @@ ImplicationEngine::ImplicationEngine(EngineOptions options)
   options_.num_threads = pool_.size();
 }
 
-// Maps the engine's simplify level onto premise-compilation options:
-// level 0 selects the legacy inline canonicalizer (the differential
-// reference), any higher level runs the rewrite simplifier at that level.
-static PrepareOptions PrepareOptionsFrom(const EngineOptions& o) {
-  PrepareOptions p;
-  p.use_rewriter = o.simplify_level > 0;
-  if (o.simplify_level > 0) p.simplify_level = o.simplify_level;
-  return p;
-}
-
 Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::Prepare(
     int n, const ConstraintSet& premises) const {
+  return PrepareOrFetch(n, premises, /*from_cache=*/nullptr);
+}
+
+Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::PrepareOrFetch(
+    int n, const ConstraintSet& premises, bool* from_cache) const {
   if (options_.use_prepared_cache) {
-    return GlobalPreparedPremisesCache().Get(n, premises, PrepareOptionsFrom(options_));
+    return GlobalPreparedPremisesCache().Get(n, premises, from_cache);
   }
-  return PreparedPremises::Build(n, premises, PrepareOptionsFrom(options_));
+  if (from_cache != nullptr) *from_cache = false;
+  return PreparedPremises::Build(n, premises);
 }
 
 EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepared,
@@ -264,10 +253,6 @@ EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepar
                                                   const ProcedureBudgets& budgets,
                                                   obs::Tracer* tracer,
                                                   bool prepared_from_cache) {
-  if (!options_.use_planner) {
-    return RunLadderOnce(prepared, goal, stop, budgets, tracer, prepared_from_cache);
-  }
-
   EngineQueryResult r;
   const std::uint64_t start = NowNs();
 
@@ -292,163 +277,6 @@ EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepar
   PlanOutcome out = ExecutePlan(plan, prepared, query, &ctx);
   r.status = std::move(out.status);
   r.outcome = out.outcome;
-  r.stats.wall_ns = NowNs() - start;
-  return r;
-}
-
-EngineQueryResult ImplicationEngine::RunLadderOnce(const PreparedPremises& prepared,
-                                                   const DifferentialConstraint& goal,
-                                                   StopCheck* stop,
-                                                   const ProcedureBudgets& budgets,
-                                                   obs::Tracer* tracer,
-                                                   bool prepared_from_cache) {
-  EngineQueryResult r;
-  const std::uint64_t start = NowNs();
-  const int n = prepared.n();
-  const ConstraintSet& premises = prepared.constraints();
-
-  // 1. Triviality: L(X, Y) = ∅, every function satisfies the goal. Runs
-  // before the first stop sample on purpose: an O(1) certain answer beats a
-  // DeadlineExceeded even when the batch is already over budget.
-  if (goal.IsTrivial()) {
-    r.outcome.SetImplied();
-    r.stats.procedure = DecisionProcedure::kTrivial;
-    r.stats.wall_ns = NowNs() - start;
-    return r;
-  }
-
-  // Fail fast on a deadline that expired before this query started (the
-  // degrade path of an over-budget batch).
-  if (Status s = stop->CheckNow(); !s.ok()) {
-    r.status = std::move(s);
-    r.stats.wall_ns = NowNs() - start;
-    return r;
-  }
-
-  // 2. The polynomial FD subclass (singleton right-hand sides), off the
-  // precomputed closure index.
-  if (prepared.fd_index().eligible && goal.rhs().size() == 1) {
-    obs::SpanGuard span(tracer, "fd-subclass");
-    Result<ImplicationOutcome> fd = CheckImplicationFdIndexed(n, prepared.fd_index(), goal);
-    if (fd.ok()) {
-      r.outcome = *fd;
-      r.stats.procedure = DecisionProcedure::kFdSubclass;
-    } else {
-      r.status = fd.status();
-    }
-    r.stats.wall_ns = NowNs() - start;
-    return r;
-  }
-
-  // 3. Interval-cover fast path over the cached minimal witness sets of the
-  // goal's right-hand family: L(X, Y) = ∪_{W minimal} [X, S∖W]
-  // (Definition 2.6). Sound in both directions when conclusive:
-  //   - an interval top S∖W outside L(C) is itself a counterexample;
-  //   - if every nonempty interval is covered by a single premise's
-  //     lattice, then L(X, Y) ⊆ L(C) and the goal is implied (Thm. 3.5).
-  // Inconclusive covers (an interval needs several premises) go to SAT.
-  if (options_.use_interval_cover_fast_path) {
-    obs::SpanGuard cover_span(tracer, "interval-cover");
-    r.stats.witness_cache_used = true;
-    std::shared_ptr<const WitnessSetCache::Entry> entry;
-    {
-      obs::SpanGuard probe_span(tracer, "witness-cache-probe");
-      entry = GlobalWitnessSetCache().Get(goal.rhs(), budgets.witness_max_results,
-                                          &r.stats.witness_cache_hit, stop);
-    }
-    if (IsStopStatus(entry->status)) {
-      r.status = entry->status;
-      r.stats.stopped_in = DecisionProcedure::kIntervalCover;
-      r.stats.wall_ns = NowNs() - start;
-      return r;
-    }
-    if (entry->status.ok()) {
-      bool every_interval_covered = true;
-      for (const ItemSet& w : entry->witnesses) {
-        if (Status s = stop->Check(); !s.ok()) {
-          r.status = std::move(s);
-          r.stats.stopped_in = DecisionProcedure::kIntervalCover;
-          r.stats.wall_ns = NowNs() - start;
-          return r;
-        }
-        if (!goal.lhs().Intersect(w).empty()) continue;  // Empty interval.
-        const ItemSet top = w.ComplementIn(n);
-        // `top` ∈ L(X, Y): X ⊆ top, and no goal member fits inside top
-        // because W hits every member. If no premise excludes it, it is a
-        // counterexample and the goal is not implied.
-        if (!InConstraintLattice(premises, top)) {
-          r.outcome.SetNotImplied(top);
-          r.stats.procedure = DecisionProcedure::kIntervalCover;
-          r.stats.wall_ns = NowNs() - start;
-          return r;
-        }
-        // Single-premise coverage of the whole interval [X, top]:
-        // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
-        // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs.
-        bool covered = false;
-        for (const DifferentialConstraint& p : premises) {
-          if (p.lhs().IsSubsetOf(goal.lhs()) && !p.rhs().SomeMemberSubsetOf(top)) {
-            covered = true;
-            break;
-          }
-        }
-        if (!covered) every_interval_covered = false;
-      }
-      if (every_interval_covered) {
-        r.outcome.SetImplied();
-        r.stats.procedure = DecisionProcedure::kIntervalCover;
-        r.stats.wall_ns = NowNs() - start;
-        return r;
-      }
-    }
-    // Witness enumeration exhausted its budget, or the cover was
-    // inconclusive: fall through to the complete SAT procedure.
-  }
-
-  // 4. SAT: the counterexample search over the prepared mask arena.
-  {
-    obs::SpanGuard sat_span(tracer, "sat");
-    r.stats.premise_cache_used = true;
-    r.stats.premise_cache_hit = prepared_from_cache;
-    Result<ImplicationOutcome> sat = SearchCounterexample(
-        n, prepared.masks(), goal, budgets.max_decisions, stop, &r.stats.solver);
-    if (sat.ok()) {
-      r.outcome = *sat;
-      r.stats.procedure = DecisionProcedure::kSat;
-      r.stats.wall_ns = NowNs() - start;
-      return r;
-    }
-    if (IsStopStatus(sat.status())) {
-      r.status = sat.status();
-      r.stats.stopped_in = DecisionProcedure::kSat;
-      r.stats.wall_ns = NowNs() - start;
-      return r;
-    }
-
-    // 5. Exhaustive lattice containment as a last resort when the SAT budget
-    // ran out and the free-attribute count admits enumeration.
-    if (sat.status().code() == StatusCode::kResourceExhausted &&
-        n - goal.lhs().size() <= options_.exhaustive_max_free_bits) {
-      obs::SpanGuard ex_span(tracer, "exhaustive");
-      Result<ImplicationOutcome> ex = CheckImplicationExhaustive(
-          n, premises, goal, options_.exhaustive_max_free_bits, stop);
-      if (ex.ok()) {
-        r.outcome = *ex;
-        r.stats.procedure = DecisionProcedure::kExhaustive;
-        r.stats.wall_ns = NowNs() - start;
-        return r;
-      }
-      if (IsStopStatus(ex.status())) {
-        r.status = ex.status();
-        r.stats.stopped_in = DecisionProcedure::kExhaustive;
-        r.stats.wall_ns = NowNs() - start;
-        return r;
-      }
-    }
-
-    r.status = sat.status();
-    if (IsExhaustion(r.status)) r.stats.stopped_in = DecisionProcedure::kSat;
-  }
   r.stats.wall_ns = NowNs() - start;
   return r;
 }
@@ -566,31 +394,15 @@ EngineQueryResult ImplicationEngine::GuardedRunQuery(const PreparedPremises& pre
 
 EngineQueryResult ImplicationEngine::CheckOne(int n, const ConstraintSet& premises,
                                               const DifferentialConstraint& goal) {
-  EngineQueryResult r;
   bool from_cache = false;
-  std::shared_ptr<const PreparedPremises> prepared;
-  if (options_.use_prepared_cache) {
-    Result<std::shared_ptr<const PreparedPremises>> p =
-        GlobalPreparedPremisesCache().Get(n, premises, PrepareOptionsFrom(options_),
-                                          &from_cache);
-    if (!p.ok()) {
-      r.status = p.status();
-      return r;
-    }
-    prepared = *std::move(p);
-  } else {
-    Result<std::shared_ptr<const PreparedPremises>> p =
-        PreparedPremises::Build(n, premises, PrepareOptionsFrom(options_));
-    if (!p.ok()) {
-      r.status = p.status();
-      return r;
-    }
-    prepared = *std::move(p);
+  Result<std::shared_ptr<const PreparedPremises>> prepared =
+      PrepareOrFetch(n, premises, &from_cache);
+  if (!prepared.ok()) {
+    EngineQueryResult r;
+    r.status = prepared.status();
+    return r;
   }
-  Deadline batch_deadline = options_.batch_deadline.count() > 0
-                                ? Deadline::After(options_.batch_deadline)
-                                : Deadline::Never();
-  return GuardedRunQuery(*prepared, goal, batch_deadline, CancelToken(), from_cache);
+  return GuardedRunQuery(**prepared, goal, OptionsBatchDeadline(), CancelToken(), from_cache);
 }
 
 EngineQueryResult ImplicationEngine::CheckOne(
@@ -601,12 +413,9 @@ EngineQueryResult ImplicationEngine::CheckOne(
     r.status = Status::InvalidArgument("prepared premises must be non-null");
     return r;
   }
-  Deadline batch_deadline = options_.batch_deadline.count() > 0
-                                ? Deadline::After(options_.batch_deadline)
-                                : Deadline::Never();
   // An explicitly prepared artifact is amortized by construction; queries
   // report it as a premise-compilation cache hit.
-  return GuardedRunQuery(*prepared, goal, batch_deadline, CancelToken(),
+  return GuardedRunQuery(*prepared, goal, OptionsBatchDeadline(), CancelToken(),
                          /*prepared_from_cache=*/true);
 }
 
@@ -614,20 +423,10 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
     int n, const ConstraintSet& premises, const std::vector<DifferentialConstraint>& goals,
     CancelToken cancel) {
   bool from_cache = false;
-  std::shared_ptr<const PreparedPremises> prepared;
-  if (options_.use_prepared_cache) {
-    Result<std::shared_ptr<const PreparedPremises>> p =
-        GlobalPreparedPremisesCache().Get(n, premises, PrepareOptionsFrom(options_),
-                                          &from_cache);
-    if (!p.ok()) return p.status();
-    prepared = *std::move(p);
-  } else {
-    Result<std::shared_ptr<const PreparedPremises>> p =
-        PreparedPremises::Build(n, premises, PrepareOptionsFrom(options_));
-    if (!p.ok()) return p.status();
-    prepared = *std::move(p);
-  }
-  return RunBatch(std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
+  Result<std::shared_ptr<const PreparedPremises>> prepared =
+      PrepareOrFetch(n, premises, &from_cache);
+  if (!prepared.ok()) return prepared.status();
+  return RunBatch(*std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
                   from_cache);
 }
 

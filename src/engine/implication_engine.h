@@ -87,8 +87,7 @@ struct BatchOutcome {
 /// the universe, `U ⊇ X`, no goal member lies inside `U`, and `U ∉ L(C)`
 /// for the prepared (canonical) premises, whose `L(C)` is the raw set's.
 /// Internal when any check fails. The engine runs it on every kNotImplied
-/// answer, on both dispatch paths, and returns its failure instead of the
-/// verdict.
+/// answer and returns its failure instead of the verdict.
 Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
                          const ImplicationOutcome& outcome);
 
@@ -173,22 +172,22 @@ class ImplicationEngine {
                              const DifferentialConstraint& goal);
 
  private:
-  /// One dispatch pass under `stop` (may end early with its status):
-  /// plan-and-execute over `prepared`, or the legacy inline ladder over
-  /// the raw premises when `EngineOptions::use_planner` is off. `tracer`
-  /// (never null; disabled when tracing is off) receives the per-phase
-  /// spans; `prepared_from_cache` feeds the premise-cache stat flags.
+  /// The one prepare path behind `Prepare` and the unprepared entry
+  /// points: the process-wide `PreparedPremisesCache` when
+  /// `EngineOptions::use_prepared_cache` is on, a fresh build otherwise.
+  /// `from_cache`, when non-null, receives whether the artifact came out of
+  /// the cache.
+  Result<std::shared_ptr<const PreparedPremises>> PrepareOrFetch(int n,
+                                                                 const ConstraintSet& premises,
+                                                                 bool* from_cache) const;
+  /// One plan-and-execute pass over `prepared` under `stop` (may end early
+  /// with its status). `tracer` (never null; disabled when tracing is off)
+  /// receives the per-phase spans; `prepared_from_cache` feeds the
+  /// premise-cache stat flags.
   EngineQueryResult RunQueryOnce(const PreparedPremises& prepared,
                                  const DifferentialConstraint& goal, StopCheck* stop,
                                  const ProcedureBudgets& budgets, obs::Tracer* tracer,
                                  bool prepared_from_cache);
-  /// The legacy inline ladder (the reference control flow the differential
-  /// suite pins the planner against). Shares the compiled artifacts inside
-  /// `prepared` — only the dispatch logic differs from the planner path.
-  EngineQueryResult RunLadderOnce(const PreparedPremises& prepared,
-                                  const DifferentialConstraint& goal, StopCheck* stop,
-                                  const ProcedureBudgets& budgets, obs::Tracer* tracer,
-                                  bool prepared_from_cache);
   /// The exhaustion-policy loop around `RunQueryOnce`.
   EngineQueryResult RunQuery(const PreparedPremises& prepared,
                              const DifferentialConstraint& goal, const Deadline& batch_deadline,

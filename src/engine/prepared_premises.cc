@@ -1,6 +1,5 @@
 #include "engine/prepared_premises.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
@@ -47,11 +46,6 @@ PrepareMetrics& Metrics() {
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
     int n, const ConstraintSet& premises) {
-  return Build(n, premises, PrepareOptions());
-}
-
-Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
-    int n, const ConstraintSet& premises, const PrepareOptions& options) {
   if (n < 0 || n > 64) {
     return Status::InvalidArgument("universe size must be in [0, 64]");
   }
@@ -59,67 +53,31 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
 
   auto prepared = std::shared_ptr<PreparedPremises>(new PreparedPremises());
   prepared->n_ = n;
-  prepared->options_ = options;
   prepared->id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   PrepareStats& stats = prepared->stats_;
   stats.input_constraints = premises.size();
   const std::uint64_t start = NowNs();
 
-  ConstraintSet canonical;
-  if (options.use_rewriter) {
-    // Canonicalize through the rule-driven rewrite simplifier (DESIGN.md
-    // §14): every rule preserves L(C) exactly, so verdicts against the
-    // artifact are valid against the original set.
-    rewrite::SimplifyOptions sopts;
-    sopts.level = options.simplify_level < 1 ? 1 : options.simplify_level;
-    rewrite::SimplifyStats sstats;
-    canonical = rewrite::Simplify(n, premises, sopts, &sstats);
-    stats.used_rewriter = true;
-    stats.simplify_level = sopts.level;
-    stats.rewrite_passes = sstats.passes;
-    stats.rewrite_applied = sstats.applied_total;
-    stats.cost_constraints_before = sstats.before.constraints;
-    stats.cost_members_before = sstats.before.members;
-    stats.cost_items_before = sstats.before.member_items;
-    stats.cost_constraints_after = sstats.after.constraints;
-    stats.cost_members_after = sstats.after.members;
-    stats.cost_items_after = sstats.after.member_items;
-    stats.rewrite_rule_applied = std::move(sstats.applied_by_rule);
-    for (const auto& [rule, edits] : stats.rewrite_rule_applied) {
-      if (rule == "drop-trivial") stats.dropped_trivial = edits;
-      if (rule == "minimize-rhs") stats.minimized_members = edits;
-      if (rule == "absorb-subsumed") stats.dropped_duplicates = edits;
-      if (rule == "merge-same-lhs") stats.merged_constraints = edits;
-      if (rule == "narrow-members") stats.narrowed_items = edits;
-    }
-  } else {
-    // Legacy inline path (PR 5), kept as a differential reference: drop
-    // trivial premises (they exclude no set from L(C)), minimize each
-    // right-hand family (SomeMemberSubsetOf — and so L(X, Y) — is
-    // invariant under dropping non-minimal members), then sort and dedupe.
-    const rewrite::RewriteCost before = rewrite::RewriteCost::Of(premises);
-    stats.cost_constraints_before = before.constraints;
-    stats.cost_members_before = before.members;
-    stats.cost_items_before = before.member_items;
-    canonical.reserve(premises.size());
-    for (const DifferentialConstraint& p : premises) {
-      if (p.IsTrivial()) {
-        ++stats.dropped_trivial;
-        continue;
-      }
-      SetFamily minimized = p.rhs().Minimized();
-      stats.minimized_members +=
-          static_cast<std::size_t>(p.rhs().size() - minimized.size());
-      canonical.push_back(DifferentialConstraint(p.lhs(), std::move(minimized)));
-    }
-    std::sort(canonical.begin(), canonical.end());
-    auto last = std::unique(canonical.begin(), canonical.end());
-    stats.dropped_duplicates = static_cast<std::size_t>(canonical.end() - last);
-    canonical.erase(last, canonical.end());
-    const rewrite::RewriteCost after = rewrite::RewriteCost::Of(canonical);
-    stats.cost_constraints_after = after.constraints;
-    stats.cost_members_after = after.members;
-    stats.cost_items_after = after.member_items;
+  // Canonicalize through the rule-driven rewrite simplifier (DESIGN.md
+  // §14): every rule preserves L(C) exactly, so verdicts against the
+  // artifact are valid against the original set.
+  rewrite::SimplifyStats sstats;
+  ConstraintSet canonical = rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &sstats);
+  stats.rewrite_passes = sstats.passes;
+  stats.rewrite_applied = sstats.applied_total;
+  stats.cost_constraints_before = sstats.before.constraints;
+  stats.cost_members_before = sstats.before.members;
+  stats.cost_items_before = sstats.before.member_items;
+  stats.cost_constraints_after = sstats.after.constraints;
+  stats.cost_members_after = sstats.after.members;
+  stats.cost_items_after = sstats.after.member_items;
+  stats.rewrite_rule_applied = std::move(sstats.applied_by_rule);
+  for (const auto& [rule, edits] : stats.rewrite_rule_applied) {
+    if (rule == "drop-trivial") stats.dropped_trivial = edits;
+    if (rule == "minimize-rhs") stats.minimized_members = edits;
+    if (rule == "absorb-subsumed") stats.dropped_duplicates = edits;
+    if (rule == "merge-same-lhs") stats.merged_constraints = edits;
+    if (rule == "narrow-members") stats.narrowed_items = edits;
   }
   stats.canonical_constraints = canonical.size();
   prepared->constraints_ = std::move(canonical);

@@ -14,55 +14,28 @@
 
 namespace diffc {
 
-/// How `PreparedPremises::Build` canonicalizes the premise set.
-struct PrepareOptions {
-  /// Canonicalize through the rule-driven rewrite simplifier
-  /// (`src/rewrite/`, DESIGN.md §14). When false the PR 5 inline path
-  /// (drop trivial, minimize right-hand families, sort + dedupe) runs
-  /// instead — kept as a differential reference, mirroring the
-  /// planner/ladder split.
-  bool use_rewriter = true;
-  /// `rewrite::SimplifyOptions::level` when the rewriter runs: 1 =
-  /// structural rules only, 2 = full rule set. Clamped to >= 1.
-  int simplify_level = 2;
-
-  friend bool operator==(const PrepareOptions& a, const PrepareOptions& b) {
-    return a.use_rewriter == b.use_rewriter && a.simplify_level == b.simplify_level;
-  }
-  friend bool operator!=(const PrepareOptions& a, const PrepareOptions& b) {
-    return !(a == b);
-  }
-};
-
 /// Per-artifact build counters of a `PreparedPremises` compilation.
 struct PrepareStats {
   /// Constraints in the input set / surviving canonicalization.
   std::size_t input_constraints = 0;
   std::size_t canonical_constraints = 0;
-  /// Trivial premises dropped (`L(X, Y) = ∅` constrains nothing). On the
-  /// rewriter path this is the `drop-trivial` edit count.
+  /// Trivial premises dropped (`L(X, Y) = ∅` constrains nothing): the
+  /// `drop-trivial` edit count.
   std::size_t dropped_trivial = 0;
-  /// Inline path: duplicates removed after sorting the canonical forms.
-  /// Rewriter path: constraints dropped by `absorb-subsumed`, which
-  /// subsumes exact duplicates (DESIGN.md §14).
+  /// Constraints dropped by `absorb-subsumed`, which subsumes exact
+  /// duplicates (DESIGN.md §14).
   std::size_t dropped_duplicates = 0;
-  /// Right-hand members removed by witness-family minimization
-  /// (`minimize-rhs` on the rewriter path).
+  /// Right-hand members removed by `minimize-rhs`.
   std::size_t minimized_members = 0;
-  /// Constraints removed by `merge-same-lhs` (rewriter path only).
+  /// Constraints removed by `merge-same-lhs`.
   std::size_t merged_constraints = 0;
-  /// Member items removed by `narrow-members` (rewriter path only).
+  /// Member items removed by `narrow-members`.
   std::size_t narrowed_items = 0;
-  /// True when the rule-driven simplifier canonicalized the set.
-  bool used_rewriter = false;
-  /// The level the rewriter ran at; 0 on the legacy inline path.
-  int simplify_level = 0;
-  /// Rewriter fixpoint passes / total rule edits (zero on the inline path).
+  /// Rewriter fixpoint passes / total rule edits.
   std::size_t rewrite_passes = 0;
   std::size_t rewrite_applied = 0;
   /// The simplifier cost triple — (constraints, witness-family members,
-  /// total member sizes) — before and after canonicalization. Populated on
-  /// both paths, so artifact-shrink is comparable across them.
+  /// total member sizes) — before and after canonicalization.
   std::size_t cost_constraints_before = 0;
   std::size_t cost_members_before = 0;
   std::size_t cost_items_before = 0;
@@ -70,7 +43,7 @@ struct PrepareStats {
   std::size_t cost_members_after = 0;
   std::size_t cost_items_after = 0;
   /// (rule name, edit count) per rule the rewriter ran, in application
-  /// order; empty on the inline path.
+  /// order.
   std::vector<std::pair<std::string, std::size_t>> rewrite_rule_applied;
   /// True iff the canonical set is in the polynomial FD subclass.
   bool fd_eligible = false;
@@ -85,10 +58,9 @@ struct PrepareStats {
 /// instances — the prepare side of the engine's prepare/plan/execute
 /// pipeline. Holds:
 ///
-///   - the canonical constraints: trivial premises dropped, right-hand
-///     families minimized (`SetFamily::Minimized`, which preserves the
-///     witness structure `SomeMemberSubsetOf` and hence `L(C)` exactly),
-///     then sorted and deduplicated;
+///   - the canonical constraints: the premise set rewritten to a fixpoint
+///     by `rewrite::Simplify` (DESIGN.md §14), whose every rule preserves
+///     `L(C)` exactly;
 ///   - the canonical set flattened into the mask arena the `sat`
 ///     procedure's counterexample search reads (`PremiseMasks`);
 ///   - the FD-subclass closure index (`FdPremiseIndex`), when eligible;
@@ -100,16 +72,11 @@ struct PrepareStats {
 /// read of state fixed at `Build` time.
 class PreparedPremises {
  public:
-  /// Compiles `premises` over an `n`-attribute universe with default
-  /// options (rewrite simplifier at level 2). Returns InvalidArgument for
-  /// `n` outside [0, 64]; never fails otherwise.
+  /// Compiles `premises` over an `n`-attribute universe, canonicalizing
+  /// with the rewrite simplifier under default `rewrite::SimplifyOptions`.
+  /// Returns InvalidArgument for `n` outside [0, 64]; never fails otherwise.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n,
                                                                const ConstraintSet& premises);
-
-  /// As above, with explicit canonicalization options.
-  static Result<std::shared_ptr<const PreparedPremises>> Build(int n,
-                                                               const ConstraintSet& premises,
-                                                               const PrepareOptions& options);
 
   /// The universe size the artifact was compiled for.
   int n() const { return n_; }
@@ -132,14 +99,10 @@ class PreparedPremises {
   /// The build counters.
   const PrepareStats& stats() const { return stats_; }
 
-  /// The canonicalization options the artifact was built with.
-  const PrepareOptions& options() const { return options_; }
-
  private:
   PreparedPremises() = default;
 
   int n_ = 0;
-  PrepareOptions options_;
   std::uint64_t id_ = 0;
   ConstraintSet constraints_;
   PremiseMasks masks_;

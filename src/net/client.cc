@@ -57,11 +57,7 @@ DiffcClient::DiffcClient(std::string address, ClientOptions options)
     : address_(std::move(address)),
       options_(options),
       breaker_(options.breaker),
-      rng_(options.seed != 0 ? options.seed : std::random_device{}()) {
-  wire_version_ = options.wire_version;
-  if (wire_version_ < kMinWireVersion) wire_version_ = kMinWireVersion;
-  if (wire_version_ > kWireVersion) wire_version_ = kWireVersion;
-}
+      rng_(options.seed != 0 ? options.seed : std::random_device{}()) {}
 
 DiffcClient DiffcClient::Create(const std::string& address, ClientOptions options) {
   return DiffcClient(address, options);
@@ -212,7 +208,7 @@ Status DiffcClient::EnsureReady(FailureClass* cls) {
       msg.n = rec.n;
       msg.premises = rec.premises;
       std::chrono::milliseconds hint{0};
-      Result<Frame> reply = RoundTripRaw(EncodeRegisterPremises(msg, wire_version_),
+      Result<Frame> reply = RoundTripRaw(EncodeRegisterPremises(msg),
                                          WireResponse::kRegisterOk, cls, &hint);
       if (!reply.ok()) return reply.status();
       Result<RegisterOkMsg> ok = DecodeRegisterOk(*reply);
@@ -230,9 +226,7 @@ Status DiffcClient::EnsureReady(FailureClass* cls) {
     PingMsg probe;
     probe.nonce = NextNonce();
     std::chrono::milliseconds hint{0};
-    Frame probe_frame = EncodePing(probe);
-    probe_frame.version = wire_version_;  // Pings have no versioned payload.
-    Result<Frame> pong = RoundTripRaw(probe_frame, WireResponse::kPong, cls, &hint);
+    Result<Frame> pong = RoundTripRaw(EncodePing(probe), WireResponse::kPong, cls, &hint);
     if (!pong.ok()) return pong.status();
     OnServerReply();
   }
@@ -321,21 +315,6 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
     bool server_shed = false;
     const CircuitBreaker::State iter_breaker_before = breaker_.state();
 
-    // An old server rejects v3 frames with a typed InvalidArgument and
-    // closes the connection. Recognizing that reply downgrades this client
-    // to the floor version for good and retries transport-class on a fresh
-    // connection (re-registration then also runs at v2).
-    const auto downgrade_on_version_reject = [&](const Status& s) {
-      if (wire_version_ <= kMinWireVersion) return false;
-      if (s.code() != StatusCode::kInvalidArgument) return false;
-      if (s.message().find("unsupported wire version") == std::string::npos) return false;
-      wire_version_ = kMinWireVersion;
-      dead_ = true;
-      arm_tail();
-      tracer.Note("wire-downgrade", "v" + std::to_string(int{kMinWireVersion}));
-      return true;
-    };
-
     const CircuitBreaker::State gate_before = breaker_.state();
     Status gate = breaker_.Allow();
     NoteBreakerTransition(gate_before);
@@ -354,10 +333,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
       if (stats_.reconnects > reconnects_before) tracer.Note("reconnect", address_);
       if (!ready.ok()) {
         last = ready;
-        if (downgrade_on_version_reject(ready)) {
-          cls = FailureClass::kTransport;
-          OnServerReply();
-        } else if (cls == FailureClass::kTransport) {
+        if (cls == FailureClass::kTransport) {
           arm_tail();
           tracer.Note("connect-failed", ready.message());
           OnTransportFailure();
@@ -382,10 +358,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
           OnTransportFailure();
         } else {
           last = reply.status();
-          if (downgrade_on_version_reject(last)) {
-            cls = FailureClass::kTransport;
-            OnServerReply();  // The rejection is a framed reply: endpoint alive.
-          } else if (cls == FailureClass::kTransport) {
+          if (cls == FailureClass::kTransport) {
             arm_tail();
             tracer.Note("transport-error", last.message());
             OnTransportFailure();
@@ -436,11 +409,7 @@ Result<std::uint64_t> DiffcClient::Ping(std::uint64_t nonce) {
   msg.nonce = nonce;
   Result<PingMsg> pong = CallDecoded<PingMsg>(
       "ping", nullptr, WireResponse::kPong, Deadline::Never(),
-      [&] {
-        Frame f = EncodePing(msg);
-        f.version = wire_version_;  // No versioned payload; label only.
-        return f;
-      },
+      [&] { return EncodePing(msg); },
       [](const Frame& f) { return DecodePong(f); });
   if (!pong.ok()) return pong.status();
   return pong->nonce;
@@ -452,7 +421,7 @@ Result<RegisterOkMsg> DiffcClient::RegisterPremises(int n, const ConstraintSet& 
   msg.premises = premises;
   Result<RegisterOkMsg> ok = CallDecoded<RegisterOkMsg>(
       "register-premises", &msg.trace, WireResponse::kRegisterOk, Deadline::Never(),
-      [&] { return EncodeRegisterPremises(msg, wire_version_); },
+      [&] { return EncodeRegisterPremises(msg); },
       [](const Frame& f) { return DecodeRegisterOk(f); });
   if (!ok.ok()) return ok;
   if (ok->trace.valid()) last_trace_ = ok->trace;
@@ -494,7 +463,7 @@ Result<BatchResultMsg> DiffcClient::CheckBatch(std::uint64_t handle, int n,
         // Re-resolved per attempt: a reconnect re-registers and changes
         // the server-side handle.
         msg.handle = it->second.server_handle;
-        return EncodeCheckBatch(msg, wire_version_);
+        return EncodeCheckBatch(msg);
       },
       [](const Frame& f) { return DecodeBatchResult(f); });
   if (res.ok() && res->trace.valid()) last_trace_ = res->trace;
@@ -511,9 +480,7 @@ Status DiffcClient::Release(std::uint64_t handle) {
       "release", nullptr, WireResponse::kReleaseOk, Deadline::Never(),
       [&] {
         msg.handle = it->second.server_handle;
-        Frame f = EncodeRelease(msg);
-        f.version = wire_version_;  // No versioned payload; label only.
-        return f;
+        return EncodeRelease(msg);
       },
       [](const Frame&) { return Result<bool>(true); });
   // Forget the record either way: on failure the server-side handle dies

@@ -45,9 +45,6 @@ struct ClientOptions {
   /// Unsampled calls that hit a non-fatal failure tail-arm their tracer,
   /// so a retried call's chain is captured from the first failure on.
   double trace_sample_rate = 0.0;
-  /// Wire version to speak, clamped to [kMinWireVersion, kWireVersion].
-  /// The client auto-downgrades to v2 when the server rejects v3 frames.
-  std::uint8_t wire_version = kWireVersion;
 };
 
 /// Client-side resilience counters (monotonic over the client's life);
@@ -133,9 +130,6 @@ class DiffcClient {
   /// `IdHex()` is the id to look up in the server's /tracez.
   const TraceContext& last_trace() const { return last_trace_; }
 
-  /// The wire version currently spoken (changes only via auto-downgrade).
-  std::uint8_t wire_version() const { return wire_version_; }
-
  private:
   /// A recorded registration: enough to re-establish the server-side
   /// handle on a fresh connection.
@@ -202,9 +196,6 @@ class DiffcClient {
   std::unordered_map<std::uint64_t, HandleRecord> handles_;
   std::uint64_t next_handle_ = 1;
   ClientStats stats_;
-  /// Negotiated wire version: starts at the clamped option, drops to
-  /// kMinWireVersion when the server rejects v3 frames.
-  std::uint8_t wire_version_ = kWireVersion;
   TraceContext last_trace_;
 };
 

@@ -182,7 +182,7 @@ class RegisterPremisesHandler final : public WireHandlerImpl {
     ok.canonical_constraints =
         static_cast<std::uint32_t>((*prepared)->constraints().size());
     ok.trace = DiffcdServer::ReplyTraceContext(*ctx);
-    return EncodeRegisterOk(ok, ctx->wire_version);
+    return EncodeRegisterOk(ok);
   }
 };
 
@@ -237,14 +237,6 @@ class CheckBatchHandler final : public WireHandlerImpl {
     if (seen.state == NonceCache::State::kDone) {
       Metrics().nonce_replays->Inc();
       ctx->tracer->Note("nonce-replay");
-      // The cached reply was framed at the original request's version; a
-      // retry arriving at a different version gets it re-encoded so the
-      // payload matches the frame label.
-      if (seen.reply.version != ctx->wire_version &&
-          seen.reply.type == static_cast<std::uint8_t>(WireResponse::kBatchResult)) {
-        Result<BatchResultMsg> cached = DecodeBatchResult(seen.reply);
-        if (cached.ok()) return EncodeBatchResult(*cached, ctx->wire_version);
-      }
       return seen.reply;
     }
     if (seen.state == NonceCache::State::kInFlight) {
@@ -335,7 +327,7 @@ class CheckBatchHandler final : public WireHandlerImpl {
     reply.stats.cancelled = s.cancelled;
     reply.stats.batch_wall_ns = s.batch_wall_ns;
     reply.trace = DiffcdServer::ReplyTraceContext(*ctx);
-    Frame out = EncodeBatchResult(reply, ctx->wire_version);
+    Frame out = EncodeBatchResult(reply);
     // Only successful results are replayable; failures above Abandon the
     // claim via RAII so a retry re-executes.
     claim.Publish(out);
@@ -527,19 +519,6 @@ void DiffcdServer::SessionLoop(Session* session) {
                            "server draining; connection accepts no new requests")));
       break;
     }
-    if (frame.version > options_.max_wire_version) {
-      // Old-server emulation (tests pin max_wire_version below the build's
-      // kWireVersion): answer with the same error a genuinely old build's
-      // ReadFrame produces, framed at the old version so the peer can
-      // parse it — DiffcClient keys its auto-downgrade off this message.
-      m.frame_errors->Inc();
-      Frame err = ErrFrame(Status::InvalidArgument(
-          "unsupported wire version " + std::to_string(int{frame.version}) +
-          " (expected " + std::to_string(int{options_.max_wire_version}) + ")"));
-      err.version = options_.max_wire_version;
-      (void)WriteFrame(session->sock, err);  // Courtesy; connection closes.
-      break;
-    }
     if (!IsKnownRequest(frame.type)) {
       m.frame_errors->Inc();
       // As above: unknown type bytes poison the stream's framing trust.
@@ -552,14 +531,8 @@ void DiffcdServer::SessionLoop(Session* session) {
     RequestTrace rt;
     ctx.trace = &rt;
     ctx.tracer = &rt.tracer;
-    ctx.wire_version = frame.version;
     const auto started = std::chrono::steady_clock::now();
     Frame reply = Dispatch(&ctx, frame);
-    // Replies never carry a version above the request's: a v2 peer must be
-    // able to parse every frame it is sent. The trace-carrying replies are
-    // already encoded at ctx.wire_version; this relabels only the
-    // version-independent ones (pong, release-ok, overloaded, error).
-    if (reply.version > frame.version) reply.version = frame.version;
     const auto elapsed_steady = std::chrono::steady_clock::now() - started;
     const double elapsed = std::chrono::duration<double>(elapsed_steady).count();
     m.request_seconds->Observe(elapsed);
@@ -648,8 +621,8 @@ void DiffcdServer::ArmRequestTrace(SessionContext* ctx, const TraceContext& wire
   rt->name = name;
   rt->wire = wire_tc;
   if (!rt->wire.valid()) {
-    // The client sent no context (v2 peer, or ping/release): mint a trace
-    // id server-side so the request is still addressable in /tracez.
+    // The client sent no context (a zero trace id, or ping/release): mint
+    // a trace id server-side so the request is still addressable in /tracez.
     rt->wire.trace_id_hi = obs::RandomTraceBits();
     rt->wire.trace_id_lo = obs::RandomTraceBits();
     rt->wire.parent_span_id = 0;
@@ -1027,7 +1000,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"failpoints\": false";
 #endif
   b += ", \"wire_version\": " + std::to_string(int{kWireVersion});
-  b += ", \"min_wire_version\": " + std::to_string(int{kMinWireVersion});
   b += "}";
 
   b += ", \"uptime_ms\": " + std::to_string(uptime_ms);
@@ -1054,8 +1026,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"trace_requests\": " + std::string(options_.trace_requests ? "true" : "false");
   b += ", \"trace_sample_rate\": " + obs::FormatDouble(options_.trace_sample_rate);
   b += ", \"trace_store_capacity\": " + std::to_string(options_.trace_store_capacity);
-  b += ", \"max_wire_version\": " + std::to_string(int{options_.max_wire_version});
-  b += ", \"simplify_level\": " + std::to_string(options_.engine.simplify_level);
   b += "}";
 
   // Admission: configured watermarks plus the live controller state.

@@ -82,11 +82,6 @@ struct ServerOptions {
   double trace_sample_rate = 0.01;
   /// Retained traces in the process-wide store behind /tracez.
   std::size_t trace_store_capacity = 256;
-  /// Highest wire version this server accepts/speaks. Defaults to
-  /// `kWireVersion`; tests pin it to an older version to emulate an
-  /// old server against a new client (the client auto-downgrades on the
-  /// version-mismatch error frame).
-  std::uint8_t max_wire_version = kWireVersion;
 };
 
 /// `diffcd` — the networked implication service. One process-embedded
@@ -162,7 +157,7 @@ class DiffcdServer {
   /// `ctx->tracer` when sampled. Idempotent per request.
   void ArmRequestTrace(SessionContext* ctx, const TraceContext& wire_tc, const char* name);
 
-  /// The trace context a handler echoes in a v3 reply: the request's trace
+  /// The trace context a handler echoes in its reply: the request's trace
   /// id, this request's server span id, and the sampling flag. Zero-id
   /// (invalid) before `ArmRequestTrace`.
   static TraceContext ReplyTraceContext(const SessionContext& ctx);
@@ -267,9 +262,6 @@ struct SessionContext {
   /// Per-request tracer (never null; disabled unless the request is
   /// sampled — see `RequestTrace`).
   obs::Tracer* tracer = nullptr;
-  /// Wire version of the request frame being handled; replies are encoded
-  /// at this version so a v2 peer never sees v3 fields.
-  std::uint8_t wire_version = kWireVersion;
   /// This request's trace state (never null during dispatch).
   RequestTrace* trace = nullptr;
 };

@@ -118,7 +118,7 @@ Status DecodeFrameHeader(const std::uint8_t* data, std::size_t size, FrameHeader
   if (!cur.TryU32(&len) || !cur.TryU8(&version) || !cur.TryU8(&type)) {
     return Status::InvalidArgument("truncated frame header");
   }
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version " + std::to_string(int{version}) +
                                    " (expected " + std::to_string(int{kWireVersion}) + ")");
   }
@@ -212,11 +212,11 @@ void EncodeConstraintList(WireWriter* w, int n,
   for (const DifferentialConstraint& c : list) EncodeConstraint(w, c);
 }
 
-Frame MakeFrame(std::uint8_t type, WireWriter&& w, std::uint8_t version = kWireVersion) {
-  return Frame{type, version, std::move(w).Take()};
+Frame MakeFrame(std::uint8_t type, WireWriter&& w) {
+  return Frame{type, kWireVersion, std::move(w).Take()};
 }
 
-// v3 trace context: 25 bytes — trace id hi/lo, parent span id, sampled flag.
+// Trace context: 25 bytes — trace id hi/lo, parent span id, sampled flag.
 constexpr std::size_t kTraceContextBytes = 25;
 
 void EncodeTraceContext(WireWriter* w, const TraceContext& tc) {
@@ -248,12 +248,11 @@ Status DecodeTraceContext(WireReader* r, TraceContext* tc) {
 
 }  // namespace
 
-Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg, std::uint8_t version) {
+Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg) {
   WireWriter w;
   EncodeConstraintList(&w, msg.n, msg.premises);
-  if (version >= 3) EncodeTraceContext(&w, msg.trace);
-  return MakeFrame(static_cast<std::uint8_t>(WireRequest::kRegisterPremises), std::move(w),
-                   version);
+  EncodeTraceContext(&w, msg.trace);
+  return MakeFrame(static_cast<std::uint8_t>(WireRequest::kRegisterPremises), std::move(w));
 }
 
 Result<RegisterPremisesMsg> DecodeRegisterPremises(const Frame& f) {
@@ -264,22 +263,19 @@ Result<RegisterPremisesMsg> DecodeRegisterPremises(const Frame& f) {
   RegisterPremisesMsg msg;
   Status s = DecodeConstraintList(&r, &msg.n, &msg.premises);
   if (!s.ok()) return s;
-  if (f.version >= 3) {
-    s = DecodeTraceContext(&r, &msg.trace);
-    if (!s.ok()) return s;
-  }
+  s = DecodeTraceContext(&r, &msg.trace);
+  if (!s.ok()) return s;
   s = r.Finish();
   if (!s.ok()) return s;
   return msg;
 }
 
-Frame EncodeRegisterOk(const RegisterOkMsg& msg, std::uint8_t version) {
+Frame EncodeRegisterOk(const RegisterOkMsg& msg) {
   WireWriter w;
   w.U64(msg.handle);
   w.U32(msg.canonical_constraints);
-  if (version >= 3) EncodeTraceContext(&w, msg.trace);
-  return MakeFrame(static_cast<std::uint8_t>(WireResponse::kRegisterOk), std::move(w),
-                   version);
+  EncodeTraceContext(&w, msg.trace);
+  return MakeFrame(static_cast<std::uint8_t>(WireResponse::kRegisterOk), std::move(w));
 }
 
 Result<RegisterOkMsg> DecodeRegisterOk(const Frame& f) {
@@ -297,24 +293,21 @@ Result<RegisterOkMsg> DecodeRegisterOk(const Frame& f) {
   Result<std::uint32_t> canonical = r.U32();
   if (!canonical.ok()) return canonical.status();
   msg.canonical_constraints = *canonical;
-  if (f.version >= 3) {
-    Status ds = DecodeTraceContext(&r, &msg.trace);
-    if (!ds.ok()) return ds;
-  }
-  Status s = r.Finish();
+  Status s = DecodeTraceContext(&r, &msg.trace);
+  if (!s.ok()) return s;
+  s = r.Finish();
   if (!s.ok()) return s;
   return msg;
 }
 
-Frame EncodeCheckBatch(const CheckBatchMsg& msg, std::uint8_t version) {
+Frame EncodeCheckBatch(const CheckBatchMsg& msg) {
   WireWriter w;
   w.U64(msg.handle);
   w.U64(msg.deadline_ms);
   w.U64(msg.nonce);
   EncodeConstraintList(&w, msg.n, msg.goals);
-  if (version >= 3) EncodeTraceContext(&w, msg.trace);
-  return MakeFrame(static_cast<std::uint8_t>(WireRequest::kCheckBatch), std::move(w),
-                   version);
+  EncodeTraceContext(&w, msg.trace);
+  return MakeFrame(static_cast<std::uint8_t>(WireRequest::kCheckBatch), std::move(w));
 }
 
 Result<CheckBatchMsg> DecodeCheckBatch(const Frame& f) {
@@ -334,27 +327,24 @@ Result<CheckBatchMsg> DecodeCheckBatch(const Frame& f) {
   msg.nonce = *nonce;
   Status s = DecodeConstraintList(&r, &msg.n, &msg.goals);
   if (!s.ok()) return s;
-  if (f.version >= 3) {
-    s = DecodeTraceContext(&r, &msg.trace);
-    if (!s.ok()) return s;
-  }
+  s = DecodeTraceContext(&r, &msg.trace);
+  if (!s.ok()) return s;
   s = r.Finish();
   if (!s.ok()) return s;
   return msg;
 }
 
-Frame EncodeBatchResult(const BatchResultMsg& msg, std::uint8_t version) {
+Frame EncodeBatchResult(const BatchResultMsg& msg) {
   // The reply must decode under the peer's own caps: each status_message
   // is truncated to kMaxErrorMessageBytes (mirroring EncodeError), and
   // the per-message cap shrinks further whenever full-length messages
   // could push the frame past kMaxFramePayload — so the reply provably
   // fits for any result count DecodeBatchResult accepts. Fixed bytes per
   // result: code(1) + length(4) + verdict(1) + has_cx(1) + cx(8) = 15;
-  // plus the count(4), the 8 u64 stats, and (v3) the trace-context echo.
+  // plus the count(4), the 8 u64 stats, and the trace-context echo.
   std::size_t message_cap = kMaxErrorMessageBytes;
   if (!msg.results.empty()) {
-    const std::size_t fixed =
-        4 + 15 * msg.results.size() + 8 * 8 + (version >= 3 ? kTraceContextBytes : 0);
+    const std::size_t fixed = 4 + 15 * msg.results.size() + 8 * 8 + kTraceContextBytes;
     const std::size_t budget = fixed < kMaxFramePayload ? kMaxFramePayload - fixed : 0;
     message_cap = std::min<std::size_t>(message_cap, budget / msg.results.size());
   }
@@ -377,9 +367,8 @@ Frame EncodeBatchResult(const BatchResultMsg& msg, std::uint8_t version) {
   w.U64(msg.stats.timed_out);
   w.U64(msg.stats.cancelled);
   w.U64(msg.stats.batch_wall_ns);
-  if (version >= 3) EncodeTraceContext(&w, msg.trace);
-  return MakeFrame(static_cast<std::uint8_t>(WireResponse::kBatchResult), std::move(w),
-                   version);
+  EncodeTraceContext(&w, msg.trace);
+  return MakeFrame(static_cast<std::uint8_t>(WireResponse::kBatchResult), std::move(w));
 }
 
 Result<BatchResultMsg> DecodeBatchResult(const Frame& f) {
@@ -427,11 +416,9 @@ Result<BatchResultMsg> DecodeBatchResult(const Frame& f) {
     if (!v.ok()) return v.status();
     *field = *v;
   }
-  if (f.version >= 3) {
-    Status ds = DecodeTraceContext(&r, &msg.trace);
-    if (!ds.ok()) return ds;
-  }
-  Status s = r.Finish();
+  Status s = DecodeTraceContext(&r, &msg.trace);
+  if (!s.ok()) return s;
+  s = r.Finish();
   if (!s.ok()) return s;
   return msg;
 }

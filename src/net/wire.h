@@ -33,18 +33,13 @@ namespace diffc::net {
 /// size before any `ItemSet` is constructed — out-of-range attribute
 /// indices are rejected at the boundary (see DESIGN.md §11).
 
-/// Protocol version carried by every frame. v2 added the CHECK_BATCH
-/// idempotency nonce and the OVERLOADED reply. v3 added the trace context
-/// (16-byte trace id + 8-byte parent span id + sampling flag) to
-/// REGISTER_PREMISES / CHECK_BATCH requests and its echo (trace id + server
-/// span id + flag) to their replies.
+/// Protocol version carried by every frame, and the only one this build
+/// speaks: `ReadFrame` rejects any other version byte. v2 added the
+/// CHECK_BATCH idempotency nonce and the OVERLOADED reply. v3 added the
+/// trace context (16-byte trace id + 8-byte parent span id + sampling flag)
+/// to REGISTER_PREMISES / CHECK_BATCH requests and its echo (trace id +
+/// server span id + flag) to their replies.
 inline constexpr std::uint8_t kWireVersion = 3;
-
-/// Oldest version this build still speaks. `ReadFrame` accepts any frame in
-/// [kMinWireVersion, kWireVersion] and records the version on the `Frame`;
-/// codecs for the trace-carrying messages encode/decode the trace fields
-/// only at v3+, so a v2 peer round-trips bit-for-bit against a v3 process.
-inline constexpr std::uint8_t kMinWireVersion = 2;
 
 /// Hard cap on a frame payload, checked before allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 4u << 20;  // 4 MiB
@@ -83,8 +78,9 @@ const char* WireResponseName(WireResponse t);
 /// True iff `t` is a declared `WireRequest` enumerator.
 bool IsKnownRequest(std::uint8_t t);
 
-/// One decoded frame: the type byte, the wire version it was (or will be)
-/// framed with, and the raw payload.
+/// One decoded frame: the type byte, the version byte it was (or will be)
+/// framed with — always `kWireVersion` on a frame `ReadFrame` returns —
+/// and the raw payload.
 struct Frame {
   std::uint8_t type = 0;
   std::uint8_t version = kWireVersion;
@@ -102,15 +98,15 @@ struct FrameHeader {
 };
 
 /// Decodes the 6-byte frame header out of `data` and enforces the header
-/// contract before anything is allocated: the version byte must fall in
-/// [kMinWireVersion, kWireVersion] and the declared payload length under
-/// `kMaxFramePayload`. InvalidArgument on a short buffer, a version
-/// outside the window, or an oversized declaration — the same Status
+/// contract before anything is allocated: the version byte must equal
+/// `kWireVersion` and the declared payload length stay under
+/// `kMaxFramePayload`. InvalidArgument on a short buffer, any other
+/// version, or an oversized declaration — the same Status
 /// `ReadFrame` surfaces, shared so the fuzz harness exercises the exact
 /// production path.
 Status DecodeFrameHeader(const std::uint8_t* data, std::size_t size, FrameHeader* out);
 
-/// The trace context carried by v3 REGISTER_PREMISES / CHECK_BATCH frames
+/// The trace context carried by REGISTER_PREMISES / CHECK_BATCH frames
 /// and echoed (with the responder's span id as `parent_span_id`) in their
 /// replies. A zero trace id means "no context"; the server then mints one.
 struct TraceContext {
@@ -175,7 +171,7 @@ class WireReader {
 struct RegisterPremisesMsg {
   int n = 0;
   ConstraintSet premises;
-  /// v3+: the caller's trace context (ignored by v2 encodes).
+  /// The caller's trace context.
   TraceContext trace;
 };
 
@@ -183,7 +179,7 @@ struct RegisterPremisesMsg {
 struct RegisterOkMsg {
   std::uint64_t handle = 0;
   std::uint32_t canonical_constraints = 0;
-  /// v3+: trace id echo; `parent_span_id` is the server span id.
+  /// Trace id echo; `parent_span_id` is the server span id.
   TraceContext trace;
 };
 
@@ -200,7 +196,7 @@ struct CheckBatchMsg {
   std::uint64_t nonce = 0;
   int n = 0;
   std::vector<DifferentialConstraint> goals;
-  /// v3+: the caller's trace context (ignored by v2 encodes).
+  /// The caller's trace context.
   TraceContext trace;
 };
 
@@ -230,7 +226,7 @@ struct WireBatchStats {
 struct BatchResultMsg {
   std::vector<WireQueryResult> results;
   WireBatchStats stats;
-  /// v3+: trace id echo; `parent_span_id` is the server span id.
+  /// Trace id echo; `parent_span_id` is the server span id.
   TraceContext trace;
 };
 
@@ -274,15 +270,12 @@ struct ErrorMsg {
 
 // ----------------------------------------------------------- frame codecs
 
-/// The four trace-carrying codecs take the wire version to frame at:
-/// v2 omits the trace fields (bit-for-bit the PR 7 encoding), v3 appends
-/// them. The remaining codecs are version-independent and default to
-/// `kWireVersion` on the frame.
-Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg,
-                             std::uint8_t version = kWireVersion);
-Frame EncodeRegisterOk(const RegisterOkMsg& msg, std::uint8_t version = kWireVersion);
-Frame EncodeCheckBatch(const CheckBatchMsg& msg, std::uint8_t version = kWireVersion);
-Frame EncodeBatchResult(const BatchResultMsg& msg, std::uint8_t version = kWireVersion);
+/// Encoders frame at `kWireVersion`; the four trace-carrying messages end
+/// with the 25-byte trace context.
+Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg);
+Frame EncodeRegisterOk(const RegisterOkMsg& msg);
+Frame EncodeCheckBatch(const CheckBatchMsg& msg);
+Frame EncodeBatchResult(const BatchResultMsg& msg);
 Frame EncodeRelease(const ReleaseMsg& msg);
 Frame EncodeReleaseOk();
 Frame EncodePing(const PingMsg& msg);

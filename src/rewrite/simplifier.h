@@ -20,8 +20,8 @@ namespace rewrite {
 ///       canonicalization (drop + minimize + dedupe);
 ///   2 — adds the rewriting rules (`narrow-members`, `merge-same-lhs`).
 ///
-/// "Level 0" is not a simplifier mode: `PrepareOptions::use_rewriter=false`
-/// keeps the old inline path as a differential reference instead.
+/// Premise compilation (`PreparedPremises::Build`) always runs the
+/// defaults; level 1 exists for the rewrite library's own tests and fuzzer.
 struct SimplifyOptions {
   int level = 2;
   /// 0 derives the pass cap from the input cost (`SimplifyPassBound`); a

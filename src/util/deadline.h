@@ -90,8 +90,8 @@ class CancelToken {
 };
 
 /// The cooperative stop condition threaded through long-running search
-/// loops (DPLL, CDCL, the transversal search, the exhaustive implication
-/// checker): a deadline plus a cancel token, checked amortized.
+/// loops (the `sat` kernel, DPLL, the transversal search, the exhaustive
+/// implication checker): a deadline plus a cancel token, checked amortized.
 ///
 /// `Check()` is designed to sit on a hot path: it consults the clock and
 /// the token only on the first call and then every `stride` calls (default

@@ -19,7 +19,7 @@
 #include "fis/io.h"
 #include "fis/ndi.h"
 #include "fis/support.h"
-#include "prop/cdcl.h"
+#include "prop/dpll.h"
 #include "prop/minterm.h"
 #include "relational/simpson.h"
 #include "relational/boolean_dependency.h"
@@ -301,7 +301,7 @@ TEST(DeepDs, CommonalitySatisfactionMatchesBasketAnalogy) {
 
 // ------------------------------------------------------------ prop solvers
 
-TEST(DeepProp, TseitinEquisatisfiableUnderCdcl) {
+TEST(DeepProp, TseitinEquisatisfiableUnderDpll) {
   Rng rng(61);
   const int n = 5;
   for (int iter = 0; iter < 25; ++iter) {
@@ -321,7 +321,7 @@ TEST(DeepProp, TseitinEquisatisfiableUnderCdcl) {
         rng.Bernoulli(0.5) ? prop::Formula::And(parts) : prop::Formula::Or(parts);
     bool truth_sat = !prop::Minset(*f, n)->empty();
     prop::Cnf cnf = prop::TseitinTransform(*f, n);
-    Result<prop::SatResult> r = prop::CdclSolver().Solve(cnf);
+    Result<prop::SatResult> r = prop::DpllSolver().Solve(cnf);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->satisfiable, truth_sat);
   }

@@ -333,31 +333,6 @@ TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
   ASSERT_NE(pos(DecisionProcedure::kExhaustive), static_cast<std::ptrdiff_t>(plan.size()));
   EXPECT_LT(pos(DecisionProcedure::kIntervalCover), pos(DecisionProcedure::kSat));
   EXPECT_LT(pos(DecisionProcedure::kSat), pos(DecisionProcedure::kExhaustive));
-
-  // The legacy ladder path records no plan.
-  EngineOptions ladder_opts;
-  ladder_opts.use_planner = false;
-  ImplicationEngine ladder(ladder_opts);
-  Result<BatchOutcome> lout = ladder.CheckBatch(n, premises, goals);
-  ASSERT_TRUE(lout.ok());
-  EXPECT_EQ(lout->results[0].outcome.verdict, out->results[0].outcome.verdict);
-  EXPECT_EQ(lout->results[1].outcome.verdict, out->results[1].outcome.verdict);
-  EXPECT_TRUE(lout->results[1].stats.plan.empty());
-}
-
-TEST(ImplicationEngineTest, PlannerOffStillMatchesSequentialCheckers) {
-  MixedBatch b = MakeMixedBatch(12, 32, 58);
-  EngineOptions opts;
-  opts.use_planner = false;
-  ImplicationEngine engine(opts);
-  Result<BatchOutcome> out = engine.CheckBatch(b.n, b.premises, b.goals);
-  ASSERT_TRUE(out.ok());
-  for (std::size_t i = 0; i < b.goals.size(); ++i) {
-    Result<ImplicationOutcome> seq = CheckImplication(b.n, b.premises, b.goals[i]);
-    ASSERT_TRUE(seq.ok());
-    ASSERT_TRUE(out->results[i].status.ok()) << out->results[i].status.ToString();
-    EXPECT_EQ(out->results[i].outcome.implied, seq->implied);
-  }
 }
 
 TEST(ImplicationEngineTest, HugeWitnessFamilyFallsBackToSat) {
@@ -410,17 +385,12 @@ TEST(ImplicationEngineTest, CertificateCheckRejectsForgedCounterexamples) {
             StatusCode::kInternal);
   EXPECT_EQ(CertifyNotImplied(**prepared, goal, ImplicationOutcome()).code(),
             StatusCode::kInternal);
-  // The engine's own answers carry genuine certificates, on both
-  // dispatch paths.
-  for (bool use_planner : {true, false}) {
-    EngineOptions opts;
-    opts.use_planner = use_planner;
-    ImplicationEngine engine(opts);
-    EngineQueryResult r = engine.CheckOne(*prepared, goal);
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    ASSERT_FALSE(r.outcome.implied);
-    EXPECT_TRUE(CertifyNotImplied(**prepared, goal, r.outcome).ok());
-  }
+  // The engine's own answers carry genuine certificates.
+  ImplicationEngine engine;
+  EngineQueryResult r = engine.CheckOne(*prepared, goal);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_FALSE(r.outcome.implied);
+  EXPECT_TRUE(CertifyNotImplied(**prepared, goal, r.outcome).ok());
 }
 
 TEST(ImplicationEngineTest, BatchStatsToStringMentionsCaches) {

@@ -179,13 +179,6 @@ TEST_F(FailpointTest, SatKernelFailureIsPerQuery) {
   EngineQueryResult sat_query = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
   EXPECT_EQ(sat_query.status.code(), StatusCode::kInternal);
 
-  // The legacy ladder's SAT step runs the same search.
-  EngineOptions ladder_opts = opts;
-  ladder_opts.use_planner = false;
-  ImplicationEngine ladder(ladder_opts);
-  EXPECT_EQ(ladder.CheckOne(n, CoveringPremises(), TwoMemberGoal()).status.code(),
-            StatusCode::kInternal);
-
   // Queries that never reach the search are untouched.
   EngineQueryResult fd_query = engine.CheckOne(
       n, CoveringPremises(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})));

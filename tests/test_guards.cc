@@ -12,7 +12,6 @@
 #include "lattice/decomposition.h"
 #include "lattice/hitting_set.h"
 #include "lattice/mobius.h"
-#include "prop/cdcl.h"
 #include "prop/dpll.h"
 #include "prop/minterm.h"
 #include "test_helpers.h"
@@ -81,29 +80,6 @@ TEST(GuardTest, DpllDecisionBudget) {
   if (!r.ok()) {
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
-}
-
-TEST(GuardTest, CdclConflictBudget) {
-  // Pigeonhole needs many conflicts; a 3-conflict budget must exhaust.
-  const int holes = 5;
-  const int pigeons = holes + 1;
-  prop::Cnf cnf;
-  cnf.num_vars = pigeons * holes;
-  auto var = [&](int p, int h) { return p * holes + h + 1; };
-  for (int p = 0; p < pigeons; ++p) {
-    prop::Clause clause;
-    for (int h = 0; h < holes; ++h) clause.push_back(var(p, h));
-    cnf.AddClause(std::move(clause));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        cnf.AddClause({-var(p1, h), -var(p2, h)});
-      }
-    }
-  }
-  prop::CdclSolver tiny(/*max_conflicts=*/3);
-  EXPECT_EQ(tiny.Solve(cnf).status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(GuardTest, DisjunctiveItemsetSize) {

@@ -73,6 +73,13 @@ std::string UniqueUnixAddress(const char* tag) {
          ".sock";
 }
 
+// Default server options listening on `address`.
+ServerOptions ListeningOn(const std::string& address) {
+  ServerOptions options;
+  options.listen_address = address;
+  return options;
+}
+
 // -------------------------------------------------------- unit: retry loop
 
 TEST(RetryScheduleTest, BacksOffExponentiallyAndExhausts) {
@@ -245,7 +252,7 @@ TEST(NetChaosTest, ServerRestartReconnectsAndReRegistersHandles) {
   ASSERT_TRUE(expected.ok());
 
   const std::string address = UniqueUnixAddress("restart");
-  auto server = std::make_unique<DiffcdServer>(ServerOptions{.listen_address = address});
+  auto server = std::make_unique<DiffcdServer>(ListeningOn(address));
   ASSERT_TRUE(server->Start().ok());
 
   ClientOptions copts;
@@ -261,7 +268,7 @@ TEST(NetChaosTest, ServerRestartReconnectsAndReRegistersHandles) {
   // Kill the server and bring up a brand new one on the same address: a
   // fresh handle table, a fresh nonce cache, fresh everything.
   ASSERT_TRUE(server->Shutdown().ok());
-  server = std::make_unique<DiffcdServer>(ServerOptions{.listen_address = address});
+  server = std::make_unique<DiffcdServer>(ListeningOn(address));
   ASSERT_TRUE(server->Start().ok());
 
   Result<BatchResultMsg> after = client->CheckBatch(registered->handle, n, goals);
@@ -301,7 +308,7 @@ TEST(NetChaosTest, BreakerOpensOnDeadEndpointAndRecoversViaHalfOpenProbe) {
 
   // Endpoint comes back; after the cooldown the half-open Ping probe runs
   // and the breaker closes.
-  DiffcdServer server(ServerOptions{.listen_address = address});
+  DiffcdServer server(ListeningOn(address));
   ASSERT_TRUE(server.Start().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   Result<std::uint64_t> echoed = client.Ping(3);
@@ -338,7 +345,7 @@ TEST(NetChaosTest, MidReplyResetReplaysTheBatchFromTheNonceCache) {
   Result<BatchOutcome> expected = local.CheckBatch(*prepared, goals);
   ASSERT_TRUE(expected.ok());
 
-  DiffcdServer server(ServerOptions{.listen_address = "127.0.0.1:0"});
+  DiffcdServer server(ListeningOn("127.0.0.1:0"));
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
   copts.retry.initial_backoff = std::chrono::milliseconds(2);
@@ -372,7 +379,7 @@ TEST(NetChaosTest, MidReplyResetReplaysTheBatchFromTheNonceCache) {
 
 TEST(NetChaosTest, InjectedShedIsRetriedAfterTheHint) {
   SKIP_WITHOUT_FAILPOINTS();
-  DiffcdServer server(ServerOptions{.listen_address = "127.0.0.1:0"});
+  DiffcdServer server(ListeningOn("127.0.0.1:0"));
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
   copts.retry.initial_backoff = std::chrono::milliseconds(2);
@@ -401,7 +408,7 @@ TEST(NetChaosTest, ShedRequestsLandInTraceStoreWithRetryChainIntact) {
   // id — the shed server record, the successful server record, and the
   // client record whose span carries the shed/backoff events between them.
   obs::GlobalTraceStore().Clear();
-  DiffcdServer server(ServerOptions{.listen_address = "127.0.0.1:0"});
+  DiffcdServer server(ListeningOn("127.0.0.1:0"));
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
   copts.retry.initial_backoff = std::chrono::milliseconds(2);
@@ -466,7 +473,7 @@ TEST(NetChaosTest, ShedRequestsLandInTraceStoreWithRetryChainIntact) {
 
 TEST(NetChaosTest, TornWriteAndRecvResetAreRiddenOut) {
   SKIP_WITHOUT_FAILPOINTS();
-  DiffcdServer server(ServerOptions{.listen_address = "127.0.0.1:0"});
+  DiffcdServer server(ListeningOn("127.0.0.1:0"));
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
   copts.retry.max_attempts = 6;
@@ -521,7 +528,7 @@ TEST(NetChaosTest, RandomizedFailpointScheduleNeverHangsOrLies) {
     expected.push_back(std::move(*out));
   }
 
-  DiffcdServer server(ServerOptions{.listen_address = "127.0.0.1:0"});
+  DiffcdServer server(ListeningOn("127.0.0.1:0"));
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
   copts.retry.max_attempts = 8;

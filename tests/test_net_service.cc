@@ -588,17 +588,23 @@ TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
 }
 
 TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
+  // The in-flight time comes from the per-query deadline, not from CPU
+  // work: PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes,
+  // so each query runs until its 200 ms deadline and degrades to kUnknown.
+  // Six queries on two workers keep the batch in flight for ~600 ms on any
+  // machine, well inside the 30 s drain deadline.
   ServerOptions options = LoopbackOptions();
   options.engine.num_threads = 2;
+  options.engine.per_query_deadline = std::chrono::milliseconds(200);
+  options.engine.exhaustion_policy = ExhaustionPolicy::kDegrade;
   options.drain_deadline = std::chrono::seconds(30);
   DiffcdServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  const int n = 12;
-  Rng rng(11);
-  ConstraintSet premises = testing::RandomConstraintSet(rng, n, 30);
-  std::vector<DifferentialConstraint> goals;
-  for (int i = 0; i < 20000; ++i) goals.push_back(testing::RandomConstraint(rng, n));
+  const prop::DnfFormula php = testing::PigeonholeDnf(4, 22);
+  const int n = php.num_vars;
+  const ConstraintSet premises = DnfTautologyReduction(php);
+  const std::vector<DifferentialConstraint> goals(6, TautologyGoal());
 
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
   ASSERT_TRUE(client.ok());
@@ -618,6 +624,10 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
   EXPECT_TRUE(drained.ok()) << drained.ToString();
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->results.size(), goals.size());
+  for (const WireQueryResult& r : batch->results) {
+    EXPECT_EQ(r.status_code, StatusCode::kOk) << r.status_message;
+    EXPECT_EQ(r.verdict, static_cast<std::uint8_t>(ImplicationOutcome::kUnknown));
+  }
   EXPECT_EQ(server.sessions_active(), 0u);
 
   // Stopped means stopped: new requests fail, repeat shutdowns are no-ops.
@@ -708,7 +718,6 @@ TEST(DiffcdServiceTest, TracezServesOneJoinedClientServerEngineTrace) {
   copts.seed = 20260809;
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address(), copts);
   ASSERT_TRUE(client.ok());
-  EXPECT_EQ(client->wire_version(), kWireVersion);
 
   Result<RegisterOkMsg> registered = client->RegisterPremises(
       4, {DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))});
@@ -798,9 +807,8 @@ TEST(DiffcdServiceTest, StatuszReportsBuildOptionsAdmissionAndStoreHealth) {
 
   const std::string statusz = HttpGet(server.metrics_bound_address(), "/statusz");
   EXPECT_NE(statusz.find("HTTP/1.1 200 OK"), std::string::npos);
-  // Build block: protocol window and build mode are pinned.
+  // Build block: protocol version and build mode are pinned.
   EXPECT_NE(statusz.find("\"wire_version\": 3"), std::string::npos);
-  EXPECT_NE(statusz.find("\"min_wire_version\": 2"), std::string::npos);
   EXPECT_NE(statusz.find("\"compiler\": \""), std::string::npos);
   EXPECT_NE(statusz.find("\"uptime_ms\": "), std::string::npos);
   EXPECT_NE(statusz.find("\"start_wall_unix_ns\": "), std::string::npos);
@@ -809,7 +817,6 @@ TEST(DiffcdServiceTest, StatuszReportsBuildOptionsAdmissionAndStoreHealth) {
   EXPECT_NE(statusz.find("\"slow_query_ms\": 750"), std::string::npos);
   EXPECT_NE(statusz.find("\"trace_sample_rate\": 0.25"), std::string::npos);
   EXPECT_NE(statusz.find("\"trace_store_capacity\": 256"), std::string::npos);
-  EXPECT_NE(statusz.find("\"max_wire_version\": 3"), std::string::npos);
   // Live admission and session state.
   EXPECT_NE(statusz.find("\"admission\": {\"inflight\": 0"), std::string::npos);
   EXPECT_NE(statusz.find("\"shed_watermark\": "), std::string::npos);
@@ -874,98 +881,6 @@ TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
   EXPECT_NE(slowz.find("\"slow_queries\": [{\"slow_query\": "), std::string::npos);
   EXPECT_NE(slowz.find("\"kind\": \"check-batch\""), std::string::npos);
 
-  EXPECT_TRUE(server.Shutdown().ok());
-}
-
-// ------------------------------------------------- wire-version interop
-
-TEST(DiffcdServiceTest, V2ClientAgainstV3ServerPassesTheDifferentialSuite) {
-  // Compat half 1: an old client (wire v2, no trace bytes) against the
-  // current server must produce bit-for-bit the verdicts of the in-process
-  // engine — the same bar the v3 path clears.
-  const int n = 10;
-  Rng rng(20260810);
-  ConstraintSet premises = testing::RandomConstraintSet(rng, n, 40);
-  std::vector<DifferentialConstraint> goals;
-  for (int i = 0; i < 60; ++i) goals.push_back(testing::RandomConstraint(rng, n));
-
-  ImplicationEngine local;
-  Result<std::shared_ptr<const PreparedPremises>> prepared = local.Prepare(n, premises);
-  ASSERT_TRUE(prepared.ok());
-  Result<BatchOutcome> expected = local.CheckBatch(*prepared, goals);
-  ASSERT_TRUE(expected.ok());
-
-  DiffcdServer server(LoopbackOptions());
-  ASSERT_TRUE(server.Start().ok());
-  ClientOptions copts;
-  copts.wire_version = kMinWireVersion;
-  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address(), copts);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Ping(5).ok());
-  Result<RegisterOkMsg> registered = client->RegisterPremises(n, premises);
-  ASSERT_TRUE(registered.ok());
-  // A v2 reply carries no trace echo.
-  EXPECT_FALSE(registered->trace.valid());
-  Result<BatchResultMsg> wire = client->CheckBatch(registered->handle, n, goals);
-  ASSERT_TRUE(wire.ok());
-  EXPECT_EQ(client->wire_version(), kMinWireVersion);
-
-  ASSERT_EQ(wire->results.size(), goals.size());
-  for (std::size_t i = 0; i < goals.size(); ++i) {
-    EXPECT_EQ(wire->results[i].verdict,
-              static_cast<std::uint8_t>(expected->results[i].outcome.verdict))
-        << "goal " << i;
-    EXPECT_EQ(wire->results[i].has_counterexample,
-              expected->results[i].outcome.counterexample.has_value())
-        << "goal " << i;
-  }
-  EXPECT_EQ(wire->stats.implied, expected->stats.implied);
-  EXPECT_EQ(wire->stats.not_implied, expected->stats.not_implied);
-  EXPECT_TRUE(client->Release(registered->handle).ok());
-  EXPECT_TRUE(server.Shutdown().ok());
-}
-
-TEST(DiffcdServiceTest, V3ClientAutoDowngradesAgainstV2ServerAndStillMatches) {
-  // Compat half 2: the current client against an old server (emulated via
-  // max_wire_version) sees its first v3 frame rejected, downgrades to v2
-  // transparently, and the differential suite still passes.
-  const int n = 10;
-  Rng rng(20260811);
-  ConstraintSet premises = testing::RandomConstraintSet(rng, n, 40);
-  std::vector<DifferentialConstraint> goals;
-  for (int i = 0; i < 60; ++i) goals.push_back(testing::RandomConstraint(rng, n));
-
-  ImplicationEngine local;
-  Result<std::shared_ptr<const PreparedPremises>> prepared = local.Prepare(n, premises);
-  ASSERT_TRUE(prepared.ok());
-  Result<BatchOutcome> expected = local.CheckBatch(*prepared, goals);
-  ASSERT_TRUE(expected.ok());
-
-  ServerOptions options = LoopbackOptions();
-  options.max_wire_version = kMinWireVersion;  // Old-server emulation.
-  DiffcdServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
-  ASSERT_TRUE(client.ok());
-  EXPECT_EQ(client->wire_version(), kWireVersion);
-
-  // The downgrade happens inside the first call's retry loop.
-  ASSERT_TRUE(client->Ping(9).ok());
-  EXPECT_EQ(client->wire_version(), kMinWireVersion);
-  EXPECT_GE(client->stats().retries, 1u);
-
-  Result<RegisterOkMsg> registered = client->RegisterPremises(n, premises);
-  ASSERT_TRUE(registered.ok());
-  Result<BatchResultMsg> wire = client->CheckBatch(registered->handle, n, goals);
-  ASSERT_TRUE(wire.ok());
-  ASSERT_EQ(wire->results.size(), goals.size());
-  for (std::size_t i = 0; i < goals.size(); ++i) {
-    EXPECT_EQ(wire->results[i].verdict,
-              static_cast<std::uint8_t>(expected->results[i].outcome.verdict))
-        << "goal " << i;
-  }
-  EXPECT_EQ(wire->stats.implied, expected->stats.implied);
-  EXPECT_TRUE(client->Release(registered->handle).ok());
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

@@ -227,38 +227,6 @@ TEST(WireCodecTest, TraceContextRoundTripsAtV3) {
   EXPECT_EQ(res_decoded->trace.trace_id_hi, tc.trace_id_hi);
 }
 
-TEST(WireCodecTest, V2FramesAreBitForBitFreeOfTraceBytes) {
-  // Compat contract: a trace-carrying message encoded at v2 must be byte
-  // identical to the same message with no trace at all — the context may
-  // only ever ride on v3 frames.
-  CheckBatchMsg with_trace;
-  with_trace.handle = 9;
-  with_trace.n = 4;
-  with_trace.goals = {MakeConstraint({0}, {ItemSet{1}})};
-  with_trace.trace.trace_id_hi = 1;
-  with_trace.trace.trace_id_lo = 2;
-  with_trace.trace.parent_span_id = 3;
-  with_trace.trace.sampled = true;
-  CheckBatchMsg without = with_trace;
-  without.trace = TraceContext{};
-
-  Frame v2_traced = EncodeCheckBatch(with_trace, kMinWireVersion);
-  Frame v2_plain = EncodeCheckBatch(without, kMinWireVersion);
-  EXPECT_EQ(v2_traced.version, kMinWireVersion);
-  EXPECT_EQ(v2_traced.payload, v2_plain.payload);
-  // And shorter than v3 by exactly the 25 trace-context bytes.
-  EXPECT_EQ(EncodeCheckBatch(with_trace).payload.size(), v2_traced.payload.size() + 25);
-
-  // A v2 frame decodes with an empty (invalid) context...
-  Result<CheckBatchMsg> decoded = DecodeCheckBatch(v2_traced);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded->trace.valid());
-  // ...and a v2 frame with trailing trace bytes is malformed, not lenient.
-  Frame mislabeled = EncodeCheckBatch(with_trace, kWireVersion);
-  mislabeled.version = kMinWireVersion;
-  EXPECT_FALSE(DecodeCheckBatch(mislabeled).ok());
-}
-
 TEST(WireCodecTest, CorruptSampledByteRejected) {
   CheckBatchMsg msg;
   msg.handle = 1;
@@ -415,7 +383,7 @@ TEST(CapSymmetryTest, BatchResultStatusMessageAtExactCapAcceptedOneOverRejected)
   w.U8(0);   // no counterexample
   w.U64(0);
   for (int i = 0; i < 8; ++i) w.U64(0);  // stats
-  Frame f{static_cast<std::uint8_t>(WireResponse::kBatchResult), kMinWireVersion,
+  Frame f{static_cast<std::uint8_t>(WireResponse::kBatchResult), kWireVersion,
           std::move(w).Take()};
   Result<BatchResultMsg> rejected = DecodeBatchResult(f);
   ASSERT_FALSE(rejected.ok());
@@ -445,8 +413,9 @@ TEST(FrameHeaderTest, ShortBufferIsTruncated) {
 }
 
 TEST(FrameHeaderTest, VersionWindowIsClosedOnBothSides) {
+  // The window is the one version this build speaks.
   FrameHeader head;
-  std::uint8_t low[kFrameHeaderBytes] = {0, 0, 0, 0, kMinWireVersion - 1, 0};
+  std::uint8_t low[kFrameHeaderBytes] = {0, 0, 0, 0, kWireVersion - 1, 0};
   Status s = DecodeFrameHeader(low, sizeof(low), &head);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos);
@@ -483,11 +452,13 @@ TEST(FrameHeaderTest, PayloadCapBoundary) {
 
 // --------------------------------------- trace-context truncation matrix
 //
-// A v3 frame carries exactly kTraceContextBytes (25) of trace context at
-// the payload tail. Cutting the frame at every point inside those 25
-// bytes must be InvalidArgument — for the request codecs the server runs
-// and the reply codecs the client runs alike. (Leaving all 25 intact is
-// the round-trip case, pinned here too so the loop bounds are honest.)
+// A trace-carrying frame carries exactly kTraceContextBytes (25) of trace
+// context at the payload tail. Cutting the frame at every point inside
+// those 25 bytes must be InvalidArgument — for the request codecs the
+// server runs and the reply codecs the client runs alike. Keeping none of
+// them is the pre-v3 payload layout, which is malformed, not lenient.
+// (Leaving all 25 intact is the round-trip case, pinned here too so the
+// loop bounds are honest.)
 
 void ExpectTraceCutPointsRejected(
     const Frame& v3, const std::function<Status(const Frame&)>& decode) {
@@ -615,31 +586,32 @@ TEST(FramingTest, OversizedDeclaredLengthRejectedBeforeAllocation) {
   EXPECT_NE(s.message().find("cap"), std::string::npos);
 }
 
-TEST(FramingTest, BothSupportedVersionsAreAcceptedAndRecorded) {
-  // v3 servers keep talking to v2 clients: ReadFrame accepts the whole
-  // [kMinWireVersion, kWireVersion] window and reports which version the
-  // peer spoke so codecs can gate the trace-context bytes.
-  for (std::uint8_t v = kMinWireVersion; v <= kWireVersion; ++v) {
+TEST(FramingTest, OnlyTheWireVersionIsAccepted) {
+  // ReadFrame accepts exactly kWireVersion and records it on the frame;
+  // the versions on either side of it are rejected with a typed error.
+  {
+    SocketPair pair;
+    Frame sent = EncodePing(PingMsg{77});
+    ASSERT_TRUE(WriteFrame(pair.a, sent).ok());
+    Frame got;
+    bool clean_eof = true;
+    ASSERT_TRUE(ReadFrame(pair.b, &got, &clean_eof).ok());
+    EXPECT_EQ(got.version, kWireVersion);
+    EXPECT_EQ(got.payload, sent.payload);
+  }
+  for (std::uint8_t v : {static_cast<std::uint8_t>(kWireVersion - 1),
+                         static_cast<std::uint8_t>(kWireVersion + 1)}) {
     SocketPair pair;
     Frame sent = EncodePing(PingMsg{77});
     sent.version = v;
     ASSERT_TRUE(WriteFrame(pair.a, sent).ok());
     Frame got;
-    bool clean_eof = true;
-    ASSERT_TRUE(ReadFrame(pair.b, &got, &clean_eof).ok());
-    EXPECT_EQ(got.version, v);
-    EXPECT_EQ(got.payload, sent.payload);
+    bool clean_eof = false;
+    Status s = ReadFrame(pair.b, &got, &clean_eof);
+    ASSERT_FALSE(s.ok()) << "version " << int{v};
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("version"), std::string::npos);
   }
-  // Below the window is as dead as above it.
-  SocketPair pair;
-  std::uint8_t header[6] = {0, 0, 0, 0, static_cast<std::uint8_t>(kMinWireVersion - 1),
-                            static_cast<std::uint8_t>(WireRequest::kPing)};
-  ASSERT_TRUE(pair.a.SendAll(header, sizeof(header)).ok());
-  Frame got;
-  bool clean_eof = false;
-  Status s = ReadFrame(pair.b, &got, &clean_eof);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("version"), std::string::npos);
 }
 
 TEST(FramingTest, VersionMismatchRejected) {

@@ -3,8 +3,7 @@
 // instances by materializing L(C) on small universes before and after and
 // asserting set equality; plus fixpoint-driver properties (termination
 // within the pass bound, idempotence at fixpoint, cost monotonicity),
-// registry invariants, the n=64 boundary, and prepare/cache integration of
-// `PrepareOptions`.
+// registry invariants, the n=64 boundary, and prepare/cache integration.
 
 #include <gtest/gtest.h>
 
@@ -290,7 +289,7 @@ TEST(SimplifierTest, HandlesN64Boundary) {
 }
 
 // ---------------------------------------------------------------------------
-// Prepare/cache integration of PrepareOptions.
+// Prepare/cache integration.
 
 TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
   const int n = 8;
@@ -300,8 +299,6 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
       PreparedPremises::Build(n, premises);  // Default: rewriter at level 2.
   ASSERT_TRUE(built.ok());
   const PrepareStats& s = (*built)->stats();
-  EXPECT_TRUE(s.used_rewriter);
-  EXPECT_EQ(s.simplify_level, 2);
   EXPECT_GE(s.rewrite_passes, 1u);
   EXPECT_EQ(s.rewrite_rule_applied.size(), 5u);
   EXPECT_EQ(s.cost_constraints_before, premises.size());
@@ -317,62 +314,26 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
   EXPECT_TRUE(*same);
 }
 
-TEST(PrepareRewriteTest, LegacyInlinePathIsPreserved) {
-  const int n = 8;
-  Rng rng(5151);
-  ConstraintSet premises = RedundantInstance(rng, n);
-  PrepareOptions legacy;
-  legacy.use_rewriter = false;
-  Result<std::shared_ptr<const PreparedPremises>> built =
-      PreparedPremises::Build(n, premises, legacy);
-  ASSERT_TRUE(built.ok());
-  const PrepareStats& s = (*built)->stats();
-  EXPECT_FALSE(s.used_rewriter);
-  EXPECT_EQ(s.simplify_level, 0);
-  EXPECT_EQ(s.rewrite_passes, 0u);
-  EXPECT_TRUE(s.rewrite_rule_applied.empty());
-  EXPECT_EQ(s.canonical_constraints,
-            s.input_constraints - s.dropped_trivial - s.dropped_duplicates);
-  // Both canonicalizers preserve L(C), so they agree with each other.
-  Result<std::shared_ptr<const PreparedPremises>> rewritten =
-      PreparedPremises::Build(n, premises);
-  ASSERT_TRUE(rewritten.ok());
-  Result<bool> same = LcEquivalent(n, (*built)->constraints(), (*rewritten)->constraints());
-  ASSERT_TRUE(same.ok());
-  EXPECT_TRUE(*same);
-  // The rewriter never produces a larger artifact than the inline path.
-  EXPECT_LE((*rewritten)->constraints().size(), (*built)->constraints().size());
-}
-
-TEST(PrepareRewriteTest, CacheKeysIncludeOptions) {
+TEST(PrepareRewriteTest, CacheServesTheSameArtifactForTheSameKey) {
   const int n = 9;
   Rng rng(986);  // Unique premise set so other tests cannot pre-warm the key.
   ConstraintSet premises = RedundantInstance(rng, n);
-  PrepareOptions rewrite_opts;
-  PrepareOptions legacy;
-  legacy.use_rewriter = false;
   bool hit = false;
   Result<std::shared_ptr<const PreparedPremises>> a =
-      GlobalPreparedPremisesCache().Get(n, premises, rewrite_opts, &hit);
+      GlobalPreparedPremisesCache().Get(n, premises, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_FALSE(hit);
   // Same key: a hit returning the identical artifact.
   Result<std::shared_ptr<const PreparedPremises>> b =
-      GlobalPreparedPremisesCache().Get(n, premises, rewrite_opts, &hit);
+      GlobalPreparedPremisesCache().Get(n, premises, &hit);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ((*a)->id(), (*b)->id());
-  // Different options: a distinct artifact, never aliased.
-  Result<std::shared_ptr<const PreparedPremises>> c =
-      GlobalPreparedPremisesCache().Get(n, premises, legacy, &hit);
-  ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(hit);
-  EXPECT_NE((*a)->id(), (*c)->id());
-  EXPECT_FALSE((*c)->options().use_rewriter);
 }
 
-TEST(PrepareRewriteTest, EngineSimplifyLevelsAgreeOnVerdictsAtN64) {
-  // FD-style chain at the boundary, decidable polynomially at any level.
+TEST(PrepareRewriteTest, EngineVerdictsAtN64) {
+  // FD-style chain at the boundary, with a duplicate premise for the
+  // rewriter to absorb; decidable polynomially.
   const int n = 64;
   ConstraintSet premises{
       DifferentialConstraint(ItemSet::Singleton(0), SetFamily({ItemSet::Singleton(62)})),
@@ -381,18 +342,15 @@ TEST(PrepareRewriteTest, EngineSimplifyLevelsAgreeOnVerdictsAtN64) {
   };
   DifferentialConstraint goal(ItemSet::Singleton(0), SetFamily({ItemSet::Singleton(63)}));
   DifferentialConstraint bad_goal(ItemSet::Singleton(63), SetFamily({ItemSet::Singleton(0)}));
-  for (int level = 0; level <= 2; ++level) {
-    EngineOptions opts;
-    opts.simplify_level = level;
-    opts.use_prepared_cache = false;
-    ImplicationEngine engine(opts);
-    EngineQueryResult yes = engine.CheckOne(n, premises, goal);
-    ASSERT_TRUE(yes.status.ok()) << "level " << level;
-    EXPECT_TRUE(yes.outcome.implied) << "level " << level;
-    EngineQueryResult no = engine.CheckOne(n, premises, bad_goal);
-    ASSERT_TRUE(no.status.ok()) << "level " << level;
-    EXPECT_FALSE(no.outcome.implied) << "level " << level;
-  }
+  EngineOptions opts;
+  opts.use_prepared_cache = false;
+  ImplicationEngine engine(opts);
+  EngineQueryResult yes = engine.CheckOne(n, premises, goal);
+  ASSERT_TRUE(yes.status.ok()) << yes.status.ToString();
+  EXPECT_TRUE(yes.outcome.implied);
+  EngineQueryResult no = engine.CheckOne(n, premises, bad_goal);
+  ASSERT_TRUE(no.status.ok()) << no.status.ToString();
+  EXPECT_FALSE(no.outcome.implied);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // diffc_client — command-line client for a running diffcd.
 //
 //   diffc_client --server=127.0.0.1:7411 ping
-//   diffc_client --server=unix:/tmp/diffcd.sock check --n=4 \
-//       --premises="A -> {B}; B -> {C}" --goals="A -> {C}; C -> {A}" \
-//       [--deadline-ms=500]
+//   diffc_client --server=unix:/tmp/diffcd.sock check --n=4
+//       --premises="A -> {B}; B -> {C}" --goals="A -> {C}; C -> {A}"
+//       [--deadline-ms=500]   (one command line)
 //
 // `check` registers the premises, runs one CHECK_BATCH over the goals,
 // prints one verdict per goal, releases the handle, and exits 0 when the

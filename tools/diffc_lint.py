@@ -23,7 +23,7 @@ layer honest:
                     ``<root>/DESIGN.md`` or ``<root>/../DESIGN.md``; the
                     rule is silent when neither exists (fixture subsets).
   solver-atomic     No atomics and no metric mutations inside solver inner
-                    loops (sat search / DPLL / CDCL / transversal): counters accumulate
+                    loops (sat search / DPLL / transversal): counters accumulate
                     thread-locally and flush at procedure exit (DESIGN.md
                     s8 "flush at boundary").
   include-guard     Header guards are ``DIFFC_<RELATIVE_PATH>_H_``.
@@ -103,7 +103,6 @@ import sys
 # rule applies here. Paths are relative to --root.
 SOLVER_LOOP_FILES = {
     "prop/dpll.cc",
-    "prop/cdcl.cc",
     "lattice/hitting_set.cc",
     "engine/sat_kernel.cc",
 }

@@ -4,8 +4,8 @@
 // cancelled at the drain deadline), sessions close, and the process exits
 // 0 on a clean drain, 1 on a forced one.
 //
-//   diffcd --listen=127.0.0.1:7411 --metrics=127.0.0.1:9095 \
-//          --threads=8 --max-inflight=16 --drain-ms=5000
+//   diffcd --listen=127.0.0.1:7411 --metrics=127.0.0.1:9095
+//          --threads=8 --max-inflight=16 --drain-ms=5000   (one command line)
 
 #include <csignal>
 #include <cstdio>
@@ -25,7 +25,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen=HOST:PORT|unix:/path] [--metrics=HOST:PORT]\n"
                "          [--threads=N] [--max-inflight=N] [--max-handles=N]\n"
-               "          [--drain-ms=N] [--simplify=N] [--trace]\n"
+               "          [--drain-ms=N] [--trace]\n"
                "          [--trace_sample_rate=P] [--slow_query_ms=N]\n"
                "          [--trace_store_capacity=N]\n",
                argv0);
@@ -73,14 +73,6 @@ int main(int argc, char** argv) {
       options.max_handles_per_session = static_cast<std::size_t>(value);
     } else if (ParseIntFlag(arg, "drain-ms", &value)) {
       options.drain_deadline = std::chrono::milliseconds(value);
-    } else if (ParseIntFlag(arg, "simplify", &value)) {
-      // Premise canonicalization level: 0 = legacy inline path,
-      // 1 = structural rewrite rules, 2 = full rule set.
-      if (value > 2) {
-        std::fprintf(stderr, "diffcd: --simplify must be 0, 1, or 2, got %ld\n", value);
-        return 2;
-      }
-      options.engine.simplify_level = static_cast<int>(value);
     } else if (ParseFlag(arg, "trace_sample_rate", &text)) {
       char* end = nullptr;
       double rate = std::strtod(text.c_str(), &end);
