@@ -22,7 +22,7 @@ struct QueryPlan {
   std::string ToString() const;
 };
 
-/// Orders the registered decision procedures for one query: filters by
+/// Orders the built-in decision procedures for one query: filters by
 /// `CanDecide` and the `EngineOptions` toggles (a disabled interval-cover
 /// fast path drops that procedure from every plan), then sorts primaries
 /// by `EstimateCost` ahead of fallbacks (a fallback only ever runs after a

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <memory>
 
 #include "engine/procedures/procedure.h"
 
@@ -39,6 +38,7 @@ class ExhaustiveProcedure : public DecisionProcedureImpl {
   }
 };
 
-DIFFC_REGISTER_PROCEDURE(kExhaustive, ExhaustiveProcedure)
+constinit const ExhaustiveProcedure kExhaustiveProcedureInstance{};
+constinit const DecisionProcedureImpl& kExhaustiveProcedure = kExhaustiveProcedureInstance;
 
 }  // namespace diffc

@@ -1,5 +1,3 @@
-#include <memory>
-
 #include "engine/procedures/procedure.h"
 
 namespace diffc {
@@ -36,6 +34,7 @@ class FdSubclassProcedure : public DecisionProcedureImpl {
   }
 };
 
-DIFFC_REGISTER_PROCEDURE(kFdSubclass, FdSubclassProcedure)
+constinit const FdSubclassProcedure kFdSubclassProcedureInstance{};
+constinit const DecisionProcedureImpl& kFdSubclassProcedure = kFdSubclassProcedureInstance;
 
 }  // namespace diffc

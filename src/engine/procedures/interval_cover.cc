@@ -94,6 +94,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
   }
 };
 
-DIFFC_REGISTER_PROCEDURE(kIntervalCover, IntervalCoverProcedure)
+constinit const IntervalCoverProcedure kIntervalCoverProcedureInstance{};
+constinit const DecisionProcedureImpl& kIntervalCoverProcedure = kIntervalCoverProcedureInstance;
 
 }  // namespace diffc

@@ -2,7 +2,6 @@
 #define DIFFC_ENGINE_PROCEDURES_PROCEDURE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/constraint.h"
@@ -11,9 +10,7 @@
 #include "engine/prepared_premises.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace diffc {
 
@@ -57,8 +54,8 @@ struct ProcedureContext {
   bool prepared_from_cache = false;
 };
 
-/// A first-class decision procedure: one strategy for deciding
-/// `premises |= goal`, pluggable into the `QueryPlanner`.
+/// A decision procedure: one strategy for deciding `premises |= goal`,
+/// scheduled by the `QueryPlanner`.
 ///
 /// Contract for `Decide`:
 ///   - a conclusive answer returns OK with verdict kImplied / kNotImplied;
@@ -99,54 +96,27 @@ class DecisionProcedureImpl {
                                             ProcedureContext* ctx) const = 0;
 };
 
-/// The process-wide procedure registry. Registration happens during static
-/// initialization (via `DIFFC_REGISTER_PROCEDURE`); lookups snapshot the
-/// table, so engines take no lock per query.
+/// The built-in procedures: one stateless singleton per unit under
+/// engine/procedures/.
+extern const DecisionProcedureImpl& kTrivialProcedure;
+extern const DecisionProcedureImpl& kFdSubclassProcedure;
+extern const DecisionProcedureImpl& kIntervalCoverProcedure;
+extern const DecisionProcedureImpl& kSatProcedure;
+extern const DecisionProcedureImpl& kExhaustiveProcedure;
+
+/// The fixed procedure table: every `DecisionProcedure` except `kNone`
+/// has exactly one entry (checked by `ProcedureTableTest`).
 class ProcedureRegistry {
  public:
   static ProcedureRegistry& Global();
 
-  /// Registers `impl` for `id`. Called by the registration macro; safe
-  /// during static initialization.
-  void Register(DecisionProcedure id, std::unique_ptr<const DecisionProcedureImpl> impl)
-      EXCLUDES(mu_);
-
-  /// The registered procedures, in registration order (unspecified across
-  /// translation units; the planner orders by cost, not registration).
-  std::vector<const DecisionProcedureImpl*> Snapshot() const EXCLUDES(mu_);
-
-  /// The procedure registered for `id`, or null.
-  const DecisionProcedureImpl* Find(DecisionProcedure id) const EXCLUDES(mu_);
+  /// The five built-in procedures, in enum order (the planner orders by
+  /// cost, not by table position).
+  std::vector<const DecisionProcedureImpl*> Snapshot() const;
 
  private:
   ProcedureRegistry() = default;
-
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<const DecisionProcedureImpl>> procedures_ GUARDED_BY(mu_);
 };
-
-/// Registration hook behind `DIFFC_REGISTER_PROCEDURE`; returns true so it
-/// can initialize a namespace-scope constant.
-bool RegisterDecisionProcedure(DecisionProcedure id,
-                               std::unique_ptr<const DecisionProcedureImpl> impl);
-
-/// Forces the linker to keep the built-in procedure translation units (a
-/// static library drops unreferenced objects, self-registering statics
-/// included); referenced by `ProcedureRegistry::Global`. Returns the
-/// number of anchored units.
-int ForceLinkBuiltinProcedures();
-
-/// Self-registers a `DecisionProcedureImpl` for `enum_value` (a bare
-/// `DecisionProcedure` enumerator, e.g. `kSat` — spelled out so the
-/// project linter can check enum/registration drift) and emits the
-/// force-link anchor `registry.cc` references for built-in units. Use at
-/// namespace `diffc` scope.
-#define DIFFC_REGISTER_PROCEDURE(enum_value, ClassName)                            \
-  int ForceLinkProcedure_##ClassName() { return 0; }                               \
-  namespace {                                                                      \
-  [[maybe_unused]] const bool registered_##ClassName = RegisterDecisionProcedure(  \
-      DecisionProcedure::enum_value, std::make_unique<ClassName>());               \
-  }
 
 }  // namespace diffc
 

@@ -1,64 +1,15 @@
-#include <utility>
-
 #include "engine/procedures/procedure.h"
 
 namespace diffc {
 
-// Anchors defined by DIFFC_REGISTER_PROCEDURE in each built-in unit.
-int ForceLinkProcedure_TrivialProcedure();
-int ForceLinkProcedure_FdSubclassProcedure();
-int ForceLinkProcedure_IntervalCoverProcedure();
-int ForceLinkProcedure_SatProcedure();
-int ForceLinkProcedure_ExhaustiveProcedure();
-
-int ForceLinkBuiltinProcedures() {
-  return ForceLinkProcedure_TrivialProcedure() + ForceLinkProcedure_FdSubclassProcedure() +
-         ForceLinkProcedure_IntervalCoverProcedure() + ForceLinkProcedure_SatProcedure() +
-         ForceLinkProcedure_ExhaustiveProcedure() + 5;
-}
-
 ProcedureRegistry& ProcedureRegistry::Global() {
-  // The anchor call keeps the built-in translation units (and so their
-  // self-registering statics) in any binary that reaches the registry.
-  static ProcedureRegistry* registry = [] {
-    (void)ForceLinkBuiltinProcedures();  // Link-time effect only.
-    return new ProcedureRegistry();
-  }();
-  return *registry;
-}
-
-void ProcedureRegistry::Register(DecisionProcedure id,
-                                 std::unique_ptr<const DecisionProcedureImpl> impl) {
-  // `id` is redundant with `impl->id()` at runtime; the macro spells it out
-  // for the linter's enum/registration drift check. Keep them honest here.
-  if (impl == nullptr || impl->id() != id) return;
-  MutexLock lock(&mu_);
-  for (const auto& p : procedures_) {
-    if (p->id() == id) return;  // First registration wins.
-  }
-  procedures_.push_back(std::move(impl));
+  static ProcedureRegistry registry;
+  return registry;
 }
 
 std::vector<const DecisionProcedureImpl*> ProcedureRegistry::Snapshot() const {
-  MutexLock lock(&mu_);
-  std::vector<const DecisionProcedureImpl*> out;
-  out.reserve(procedures_.size());
-  for (const auto& p : procedures_) out.push_back(p.get());
-  return out;
-}
-
-const DecisionProcedureImpl* ProcedureRegistry::Find(DecisionProcedure id) const {
-  MutexLock lock(&mu_);
-  for (const auto& p : procedures_) {
-    if (p->id() == id) return p.get();
-  }
-  return nullptr;
-}
-
-bool RegisterDecisionProcedure(DecisionProcedure id,
-                               std::unique_ptr<const DecisionProcedureImpl> impl) {
-  ProcedureRegistry::Global().Register(id, std::move(impl));
-  return true;
+  return {&kTrivialProcedure, &kFdSubclassProcedure, &kIntervalCoverProcedure, &kSatProcedure,
+          &kExhaustiveProcedure};
 }
 
 }  // namespace diffc

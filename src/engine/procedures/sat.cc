@@ -1,5 +1,3 @@
-#include <memory>
-
 #include "engine/procedures/procedure.h"
 #include "engine/sat_kernel.h"
 
@@ -38,6 +36,7 @@ class SatProcedure : public DecisionProcedureImpl {
   }
 };
 
-DIFFC_REGISTER_PROCEDURE(kSat, SatProcedure)
+constinit const SatProcedure kSatProcedureInstance{};
+constinit const DecisionProcedureImpl& kSatProcedure = kSatProcedureInstance;
 
 }  // namespace diffc

@@ -1,5 +1,3 @@
-#include <memory>
-
 #include "engine/procedures/procedure.h"
 
 namespace diffc {
@@ -32,6 +30,7 @@ class TrivialProcedure : public DecisionProcedureImpl {
   }
 };
 
-DIFFC_REGISTER_PROCEDURE(kTrivial, TrivialProcedure)
+constinit const TrivialProcedure kTrivialProcedureInstance{};
+constinit const DecisionProcedureImpl& kTrivialProcedure = kTrivialProcedureInstance;
 
 }  // namespace diffc

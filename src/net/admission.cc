@@ -38,12 +38,7 @@ Result<AdmissionController::Slot> AdmissionController::Admit() {
 
 bool AdmissionController::ShouldShed() const {
   MutexLock lock(&mu_);
-  if (options_.shed_watermark > 0 && inflight_ >= options_.shed_watermark) return true;
-  if (options_.latency_watermark.count() > 0 &&
-      ewma_latency_ms_ > static_cast<double>(options_.latency_watermark.count())) {
-    return true;
-  }
-  return false;
+  return options_.shed_watermark > 0 && inflight_ >= options_.shed_watermark;
 }
 
 std::chrono::milliseconds AdmissionController::RetryAfterHint() const {

@@ -18,10 +18,10 @@ namespace diffc::net {
 /// construction (queues are where overload hides).
 ///
 /// On top of the hard cap sits load-based shedding: an optional soft
-/// watermark on the in-flight count and an EWMA watermark on batch
-/// latency. Either trips `ShouldShed()`, and `RetryAfterHint()` turns the
-/// observed latency into the backoff the shed reply advertises — a loaded
-/// server tells clients how long its batches are actually taking.
+/// watermark on the in-flight count trips `ShouldShed()`, and
+/// `RetryAfterHint()` turns the EWMA batch latency into the backoff the
+/// shed reply advertises — a loaded server tells clients how long its
+/// batches are actually taking.
 ///
 /// Handle quotas — the other admission axis — live in
 /// `PreparedHandleTable`, enforced at registration.
@@ -32,9 +32,6 @@ class AdmissionController {
     /// Soft shed watermark on in-flight batches: `ShouldShed()` trips at
     /// or above it. 0 disables (only the hard cap sheds).
     std::size_t shed_watermark = 0;
-    /// Latency watermark: `ShouldShed()` trips while the EWMA batch
-    /// latency exceeds this. Zero disables.
-    std::chrono::milliseconds latency_watermark{0};
     /// Clamp on `RetryAfterHint()`.
     std::chrono::milliseconds min_retry_after{10};
     std::chrono::milliseconds max_retry_after{2000};
@@ -85,8 +82,7 @@ class AdmissionController {
   Result<Slot> Admit() EXCLUDES(mu_);
 
   /// True when load shedding should bounce a new batch *before* admission:
-  /// the in-flight count is at/above the soft watermark, or the EWMA batch
-  /// latency is above the latency watermark.
+  /// the in-flight count is at/above the soft watermark.
   bool ShouldShed() const EXCLUDES(mu_);
 
   /// The retry-after hint for a shed/rejected request: the EWMA batch
@@ -99,7 +95,7 @@ class AdmissionController {
 
   std::size_t capacity() const { return options_.max_inflight_batches; }
 
-  /// The configured watermarks and bounds, for /statusz.
+  /// The configured watermark and bounds, for /statusz.
   const Options& options() const { return options_; }
 
   /// The EWMA batch latency in milliseconds (0 until a batch finishes);

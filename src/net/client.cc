@@ -265,8 +265,9 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
   tc.trace_id_lo = RandomBits();
   const std::uint64_t client_span_id = RandomBits();
   tc.parent_span_id = client_span_id;
+  const bool forced = options_.trace_sample_rate >= 1.0;
   const bool head_sampled =
-      options_.trace ||
+      forced ||
       (options_.trace_sample_rate > 0 &&
        std::uniform_real_distribution<double>(0.0, 1.0)(rng_) < options_.trace_sample_rate);
   tc.sampled = head_sampled;
@@ -295,7 +296,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
     st.name = op;
     st.status = status;
     st.sampled = head_sampled;
-    st.forced = options_.trace;
+    st.forced = forced;
     st.shed = any_shed;
     st.errored = errored;
     st.record = tracer.Finish();

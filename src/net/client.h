@@ -37,11 +37,10 @@ struct ClientOptions {
   /// Seed for retry jitter and request nonces; 0 draws one from
   /// std::random_device (tests pin it for reproducibility).
   std::uint64_t seed = 0;
-  /// Force-sample every call's trace (the diffc_client --trace flag): the
-  /// client records its span (with every retry/backoff/reconnect event)
-  /// into the global trace store and asks the server to sample too.
-  bool trace = false;
-  /// Head-sampling probability in [0, 1] for calls when `trace` is off.
+  /// Head-sampling probability in [0, 1] for calls: a sampled call records
+  /// its span (with every retry/backoff/reconnect event) into the global
+  /// trace store and asks the server to sample too. A rate of 1 (the
+  /// diffc_client --trace flag) forces sampling without an rng draw.
   /// Unsampled calls that hit a non-fatal failure tail-arm their tracer,
   /// so a retried call's chain is captured from the first failure on.
   double trace_sample_rate = 0.0;

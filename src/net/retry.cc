@@ -74,7 +74,6 @@ void CircuitBreaker::TransitionTo(State next) {
   } else {
     cooldown_ = Deadline::Never();
   }
-  if (next == State::kHalfOpen) half_open_successes_ = 0;
   if (next == State::kClosed) consecutive_failures_ = 0;
 }
 
@@ -107,9 +106,8 @@ void CircuitBreaker::RecordSuccess() {
       consecutive_failures_ = 0;
       break;
     case State::kHalfOpen:
-      if (++half_open_successes_ >= options_.half_open_successes) {
-        TransitionTo(State::kClosed);
-      }
+      // One successful probe closes the breaker.
+      TransitionTo(State::kClosed);
       break;
     case State::kOpen:
       // A success cannot originate while open (Allow refuses I/O); ignore.

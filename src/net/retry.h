@@ -66,8 +66,6 @@ struct CircuitBreakerOptions {
   /// How long an open breaker short-circuits before admitting a half-open
   /// probe.
   std::chrono::milliseconds open_duration{1000};
-  /// Successful probes required to close again from half-open.
-  int half_open_successes = 1;
 };
 
 /// A closed/open/half-open circuit breaker over one endpoint. Closed
@@ -108,7 +106,6 @@ class CircuitBreaker {
   const CircuitBreakerOptions options_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   std::uint64_t opens_ = 0;
   Deadline cooldown_ = Deadline::Never();
 };

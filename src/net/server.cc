@@ -11,16 +11,53 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "net/handler_registry.h"
 #include "net/http.h"
 #include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "obs/trace_store.h"
 #include "rewrite/simplifier.h"
 #include "util/failpoint.h"
 
 namespace diffc::net {
+
+/// The server-side trace state of one in-flight request. Armed by the
+/// handler once the wire trace context is decoded (`ArmRequestTrace`),
+/// finished by the session loop after the reply frame is chosen
+/// (`FinishRequestTrace`), which decides storage: sampled requests always,
+/// unsampled ones when slow/shed/errored (as single-span skeletons).
+struct RequestTrace {
+  /// Trace identity: from the wire when the client sent one, minted
+  /// server-side otherwise.
+  TraceContext wire;
+  /// This request's server span id (minted at arm time; echoed in the
+  /// reply's trace context).
+  std::uint64_t server_span_id = 0;
+  /// Span sink; enabled iff `sampled`.
+  obs::Tracer tracer;
+  bool armed = false;
+  bool sampled = false;
+  /// True when sampling was forced by the wire flag or a sample rate of 1
+  /// rather than drawn from `trace_sample_rate`.
+  bool forced = false;
+  /// Operation name ("check-batch", ...) once known.
+  std::string name;
+  /// Engine trace records collected by the handler (capped at 4), joined
+  /// under the request's "execute" span at finish time.
+  std::vector<std::shared_ptr<const obs::TraceRecord>> engine_traces;
+};
+
+/// Per-request context handed to the wire handlers.
+struct SessionContext {
+  /// The owning session — the handle-table owner id.
+  std::uint64_t session_id = 0;
+  /// Per-request tracer (never null; disabled unless the request is
+  /// sampled — see `RequestTrace`).
+  obs::Tracer* tracer = nullptr;
+  /// This request's trace state (never null during dispatch).
+  RequestTrace* trace = nullptr;
+};
 
 namespace {
 
@@ -48,20 +85,6 @@ struct ServiceMetrics {
   obs::Counter* nonce_replays;
   obs::Counter* nonce_inflight_dups;
   obs::Counter* accept_failures;
-
-  obs::Counter* ForRequest(WireRequest t) const {
-    switch (t) {
-      case WireRequest::kPing:
-        return requests_ping;
-      case WireRequest::kRegisterPremises:
-        return requests_register;
-      case WireRequest::kCheckBatch:
-        return requests_check_batch;
-      case WireRequest::kRelease:
-        return requests_release;
-    }
-    return nullptr;
-  }
 };
 
 ServiceMetrics& Metrics() {
@@ -126,65 +149,18 @@ Frame ErrFrame(const Status& s) {
   return EncodeError(ErrorMsg::FromStatus(s));
 }
 
-// ----------------------------------------------------------- wire handlers
-//
-// One `WireHandlerImpl` per request type, self-registered like decision
-// procedures; the wire-registry lint rule keeps this list in sync with the
-// `WireRequest` enum. Handlers answer every failure with a typed error
-// frame — connection teardown is the session loop's call, not theirs.
-
-class PingHandler final : public WireHandlerImpl {
- public:
-  WireRequest id() const override { return WireRequest::kPing; }
-  const char* name() const override { return WireRequestName(WireRequest::kPing); }
-
-  Frame Handle(SessionContext* ctx, const Frame& frame) const override {
-    Result<PingMsg> msg = DecodePing(frame);
-    if (!msg.ok()) return ErrFrame(msg.status());
-    // Ping carries no wire trace context; the server still mints a trace
-    // so slow/errored pings land in the store like any request.
-    ctx->server->ArmRequestTrace(ctx, TraceContext{}, "ping");
-    return EncodePong(*msg);
-  }
-};
-
-class RegisterPremisesHandler final : public WireHandlerImpl {
- public:
-  WireRequest id() const override { return WireRequest::kRegisterPremises; }
-  const char* name() const override {
-    return WireRequestName(WireRequest::kRegisterPremises);
-  }
-
-  Frame Handle(SessionContext* ctx, const Frame& frame) const override {
-    Result<RegisterPremisesMsg> msg = DecodeRegisterPremises(frame);
-    if (!msg.ok()) return ErrFrame(msg.status());
-    ctx->server->ArmRequestTrace(ctx, msg->trace, "register-premises");
-
-    Result<std::shared_ptr<const PreparedPremises>> prepared = [&] {
-      obs::SpanGuard prepare_span(ctx->tracer, "prepare");
-      return ctx->server->engine().Prepare(msg->n, msg->premises);
-    }();
-    if (!prepared.ok()) return ErrFrame(prepared.status());
-
-    obs::SpanGuard register_span(ctx->tracer, "handle-register");
-    Result<std::uint64_t> handle =
-        ctx->server->handles().Register(ctx->session_id, *prepared);
-    if (!handle.ok()) {
-      if (handle.status().code() == StatusCode::kResourceExhausted) {
-        Metrics().admission_rejected->Inc();
-      }
-      return ErrFrame(handle.status());
-    }
-    Metrics().handles_active->Set(static_cast<double>(ctx->server->handles().size()));
-
-    RegisterOkMsg ok;
-    ok.handle = *handle;
-    ok.canonical_constraints =
-        static_cast<std::uint32_t>((*prepared)->constraints().size());
-    ok.trace = DiffcdServer::ReplyTraceContext(*ctx);
-    return EncodeRegisterOk(ok);
-  }
-};
+/// The trace context a handler echoes in its reply: the request's trace
+/// id, this request's server span id, and the sampling flag. Zero-id
+/// (invalid) before `ArmRequestTrace`.
+TraceContext ReplyTraceContext(const RequestTrace& rt) {
+  TraceContext tc;
+  if (!rt.armed) return tc;
+  tc.trace_id_hi = rt.wire.trace_id_hi;
+  tc.trace_id_lo = rt.wire.trace_id_lo;
+  tc.parent_span_id = rt.server_span_id;
+  tc.sampled = rt.sampled;
+  return tc;
+}
 
 /// RAII over an in-flight nonce claim: `Abandon`s on destruction unless
 /// the reply was published with `Publish` — error replies must not be
@@ -209,154 +185,14 @@ class NonceClaim {
 };
 
 /// The OVERLOADED shed reply, hinting the server's EWMA batch latency.
-Frame ShedFrame(SessionContext* ctx) {
+Frame ShedFrame(const AdmissionController& admission) {
   Metrics().shed->Inc();
   OverloadedMsg shed;
-  shed.retry_after_ms =
-      static_cast<std::uint32_t>(ctx->server->admission().RetryAfterHint().count());
+  shed.retry_after_ms = static_cast<std::uint32_t>(admission.RetryAfterHint().count());
   return EncodeOverloaded(shed);
 }
 
-class CheckBatchHandler final : public WireHandlerImpl {
- public:
-  WireRequest id() const override { return WireRequest::kCheckBatch; }
-  const char* name() const override { return WireRequestName(WireRequest::kCheckBatch); }
-
-  Frame Handle(SessionContext* ctx, const Frame& frame) const override {
-    Result<CheckBatchMsg> msg = DecodeCheckBatch(frame);
-    if (!msg.ok()) return ErrFrame(msg.status());
-    ctx->server->ArmRequestTrace(ctx, msg->trace, "check-batch");
-
-    // Idempotency first: a retry of an already-answered batch replays the
-    // original reply (no second execution, no second admission charge); a
-    // retry racing the original execution is shed rather than run twice.
-    NonceCache::Lookup seen = [&] {
-      obs::SpanGuard nonce_span(ctx->tracer, "nonce-lookup");
-      return ctx->server->nonces().Begin(msg->nonce);
-    }();
-    if (seen.state == NonceCache::State::kDone) {
-      Metrics().nonce_replays->Inc();
-      ctx->tracer->Note("nonce-replay");
-      return seen.reply;
-    }
-    if (seen.state == NonceCache::State::kInFlight) {
-      Metrics().nonce_inflight_dups->Inc();
-      ctx->tracer->Note("nonce-inflight-dup");
-      return ShedFrame(ctx);
-    }
-    NonceClaim claim(&ctx->server->nonces(), msg->nonce);
-
-    Result<std::shared_ptr<const PreparedPremises>> prepared =
-        ctx->server->handles().Lookup(msg->handle);
-    if (!prepared.ok()) return ErrFrame(prepared.status());
-    if (msg->n != (*prepared)->n()) {
-      return ErrFrame(Status::InvalidArgument(
-          "batch universe n=" + std::to_string(msg->n) + " does not match handle " +
-          std::to_string(msg->handle) + " (n=" + std::to_string((*prepared)->n()) + ")"));
-    }
-
-    // Load shedding before admission: past the soft watermarks (or under
-    // the injected-overload failpoint) the server answers OVERLOADED
-    // while it still has headroom to say so.
-    bool watermark_shed = false;
-    Result<AdmissionController::Slot> slot = [&]() -> Result<AdmissionController::Slot> {
-      obs::SpanGuard admit_span(ctx->tracer, "admission");
-      if (DIFFC_FAILPOINT("server/shed") || ctx->server->admission().ShouldShed()) {
-        watermark_shed = true;
-        ctx->tracer->Note("shed", "watermark");
-        return Status::ResourceExhausted("shed at watermark");
-      }
-      return ctx->server->admission().Admit();
-    }();
-    if (!slot.ok()) {
-      if (!watermark_shed) {
-        Metrics().admission_rejected->Inc();
-        ctx->tracer->Note("shed", "admission-cap");
-      }
-      return ShedFrame(ctx);
-    }
-    Metrics().inflight_batches->Set(
-        static_cast<double>(ctx->server->admission().inflight()));
-
-    // The request's own wall-clock budget; the server-wide drain cancel
-    // token rides along so an expired drain stops this batch cooperatively.
-    Deadline deadline = msg->deadline_ms > 0
-                            ? Deadline::After(std::chrono::milliseconds(msg->deadline_ms))
-                            : Deadline::Never();
-    Result<BatchOutcome> outcome = [&]() -> Result<BatchOutcome> {
-      obs::SpanGuard execute_span(ctx->tracer, "execute");
-      return ctx->server->engine().CheckBatch(*prepared, msg->goals, deadline,
-                                              ctx->server->drain_cancel());
-    }();
-    slot->Reset();
-    Metrics().inflight_batches->Set(
-        static_cast<double>(ctx->server->admission().inflight()));
-    if (!outcome.ok()) return ErrFrame(outcome.status());
-    Metrics().batch_queries->Inc(msg->goals.size());
-
-    // Keep up to 4 engine span trees (present when EngineOptions::trace is
-    // on) to join under this request's "execute" span at finish time.
-    if (ctx->trace != nullptr && ctx->trace->sampled) {
-      for (const EngineQueryResult& r : outcome->results) {
-        if (ctx->trace->engine_traces.size() >= 4) break;
-        if (r.trace != nullptr) ctx->trace->engine_traces.push_back(r.trace);
-      }
-    }
-
-    obs::SpanGuard encode_span(ctx->tracer, "encode");
-    BatchResultMsg reply;
-    reply.results.reserve(outcome->results.size());
-    for (const EngineQueryResult& r : outcome->results) {
-      WireQueryResult q;
-      q.status_code = r.status.code();
-      q.status_message = r.status.message();
-      q.verdict = static_cast<std::uint8_t>(r.outcome.verdict);
-      if (r.outcome.counterexample.has_value()) {
-        q.has_counterexample = true;
-        q.counterexample = r.outcome.counterexample->bits();
-      }
-      reply.results.push_back(std::move(q));
-    }
-    const BatchStats& s = outcome->stats;
-    reply.stats.queries = s.queries;
-    reply.stats.implied = s.implied;
-    reply.stats.not_implied = s.not_implied;
-    reply.stats.failed = s.failed;
-    reply.stats.degraded = s.degraded;
-    reply.stats.timed_out = s.timed_out;
-    reply.stats.cancelled = s.cancelled;
-    reply.stats.batch_wall_ns = s.batch_wall_ns;
-    reply.trace = DiffcdServer::ReplyTraceContext(*ctx);
-    Frame out = EncodeBatchResult(reply);
-    // Only successful results are replayable; failures above Abandon the
-    // claim via RAII so a retry re-executes.
-    claim.Publish(out);
-    return out;
-  }
-};
-
-class ReleaseHandler final : public WireHandlerImpl {
- public:
-  WireRequest id() const override { return WireRequest::kRelease; }
-  const char* name() const override { return WireRequestName(WireRequest::kRelease); }
-
-  Frame Handle(SessionContext* ctx, const Frame& frame) const override {
-    Result<ReleaseMsg> msg = DecodeRelease(frame);
-    if (!msg.ok()) return ErrFrame(msg.status());
-    ctx->server->ArmRequestTrace(ctx, TraceContext{}, "release");
-    Status s = ctx->server->handles().Release(msg->handle, ctx->session_id);
-    if (!s.ok()) return ErrFrame(s);
-    Metrics().handles_active->Set(static_cast<double>(ctx->server->handles().size()));
-    return EncodeReleaseOk();
-  }
-};
-
 }  // namespace
-
-DIFFC_REGISTER_WIRE_HANDLER(kPing, PingHandler)
-DIFFC_REGISTER_WIRE_HANDLER(kRegisterPremises, RegisterPremisesHandler)
-DIFFC_REGISTER_WIRE_HANDLER(kCheckBatch, CheckBatchHandler)
-DIFFC_REGISTER_WIRE_HANDLER(kRelease, ReleaseHandler)
 
 // ------------------------------------------------------------ server proper
 
@@ -366,9 +202,8 @@ DiffcdServer::DiffcdServer(ServerOptions options)
       handles_(PreparedHandleTable::Options{options_.max_handles_per_session,
                                             options_.max_total_handles}),
       admission_(AdmissionController::Options{options_.max_inflight_batches,
-                                              options_.shed_watermark,
-                                              options_.shed_latency_watermark}),
-      nonces_(NonceCache::Options{options_.nonce_cache_capacity}) {}
+                                              options_.shed_watermark}),
+      nonces_(NonceCache::Options{}) {}
 
 DiffcdServer::~DiffcdServer() {
   // Destructor drain: the outcome is whatever Shutdown reports; a caller
@@ -489,7 +324,6 @@ void DiffcdServer::AcceptLoop() {
 void DiffcdServer::SessionLoop(Session* session) {
   ServiceMetrics& m = Metrics();
   SessionContext ctx;
-  ctx.server = this;
   ctx.session_id = session->id;
   while (true) {
     Frame frame;
@@ -538,9 +372,8 @@ void DiffcdServer::SessionLoop(Session* session) {
     m.request_seconds->Observe(elapsed);
     if (options_.slow_request_threshold.count() > 0 &&
         elapsed >= std::chrono::duration<double>(options_.slow_request_threshold).count()) {
-      const WireHandlerImpl* h = WireHandlerRegistry::Global().Find(frame.type);
       std::vector<std::pair<std::string, std::string>> fields = {
-          {"type", h != nullptr ? h->name() : "unknown"},
+          {"type", WireRequestName(static_cast<WireRequest>(frame.type))},
           {"seconds", std::to_string(elapsed)},
           {"session", std::to_string(session->id)},
       };
@@ -597,18 +430,184 @@ void DiffcdServer::SessionLoop(Session* session) {
 }
 
 Frame DiffcdServer::Dispatch(SessionContext* ctx, const Frame& frame) {
-  const WireHandlerImpl* handler = WireHandlerRegistry::Global().Find(frame.type);
-  if (handler == nullptr) {
-    // IsKnownRequest passed but no handler registered — exactly the drift
-    // the wire-registry lint rule exists to prevent.
-    return ErrFrame(Status::Internal("no handler registered for request type byte " +
-                                     std::to_string(int{frame.type})));
-  }
+  // SessionLoop has rejected unknown type bytes, so the cast names a
+  // declared enumerator; -Werror=switch keeps the switch exhaustive.
+  const auto type = static_cast<WireRequest>(frame.type);
   ServiceMetrics& m = Metrics();
-  obs::Counter* by_type = m.ForRequest(static_cast<WireRequest>(frame.type));
-  if (by_type != nullptr) by_type->Inc();
-  obs::SpanGuard span(ctx->tracer, handler->name());
-  return handler->Handle(ctx, frame);
+  obs::SpanGuard span(ctx->tracer, WireRequestName(type));
+  switch (type) {
+    case WireRequest::kPing:
+      m.requests_ping->Inc();
+      return HandlePing(ctx, frame);
+    case WireRequest::kRegisterPremises:
+      m.requests_register->Inc();
+      return HandleRegisterPremises(ctx, frame);
+    case WireRequest::kCheckBatch:
+      m.requests_check_batch->Inc();
+      return HandleCheckBatch(ctx, frame);
+    case WireRequest::kRelease:
+      m.requests_release->Inc();
+      return HandleRelease(ctx, frame);
+  }
+  return ErrFrame(Status::InvalidArgument("unknown request type byte " +
+                                          std::to_string(int{frame.type})));
+}
+
+// ----------------------------------------------------------- wire handlers
+
+Frame DiffcdServer::HandlePing(SessionContext* ctx, const Frame& frame) {
+  Result<PingMsg> msg = DecodePing(frame);
+  if (!msg.ok()) return ErrFrame(msg.status());
+  // Ping carries no wire trace context; the server still mints a trace
+  // so slow/errored pings land in the store like any request.
+  ArmRequestTrace(ctx, TraceContext{}, "ping");
+  return EncodePong(*msg);
+}
+
+Frame DiffcdServer::HandleRegisterPremises(SessionContext* ctx, const Frame& frame) {
+  Result<RegisterPremisesMsg> msg = DecodeRegisterPremises(frame);
+  if (!msg.ok()) return ErrFrame(msg.status());
+  ArmRequestTrace(ctx, msg->trace, "register-premises");
+
+  Result<std::shared_ptr<const PreparedPremises>> prepared = [&] {
+    obs::SpanGuard prepare_span(ctx->tracer, "prepare");
+    return engine_.Prepare(msg->n, msg->premises);
+  }();
+  if (!prepared.ok()) return ErrFrame(prepared.status());
+
+  obs::SpanGuard register_span(ctx->tracer, "handle-register");
+  Result<std::uint64_t> handle = handles_.Register(ctx->session_id, *prepared);
+  if (!handle.ok()) {
+    if (handle.status().code() == StatusCode::kResourceExhausted) {
+      Metrics().admission_rejected->Inc();
+    }
+    return ErrFrame(handle.status());
+  }
+  Metrics().handles_active->Set(static_cast<double>(handles_.size()));
+
+  RegisterOkMsg ok;
+  ok.handle = *handle;
+  ok.canonical_constraints = static_cast<std::uint32_t>((*prepared)->constraints().size());
+  ok.trace = ReplyTraceContext(*ctx->trace);
+  return EncodeRegisterOk(ok);
+}
+
+Frame DiffcdServer::HandleCheckBatch(SessionContext* ctx, const Frame& frame) {
+  Result<CheckBatchMsg> msg = DecodeCheckBatch(frame);
+  if (!msg.ok()) return ErrFrame(msg.status());
+  ArmRequestTrace(ctx, msg->trace, "check-batch");
+
+  // Idempotency first: a retry of an already-answered batch replays the
+  // original reply (no second execution, no second admission charge); a
+  // retry racing the original execution is shed rather than run twice.
+  NonceCache::Lookup seen = [&] {
+    obs::SpanGuard nonce_span(ctx->tracer, "nonce-lookup");
+    return nonces_.Begin(msg->nonce);
+  }();
+  if (seen.state == NonceCache::State::kDone) {
+    Metrics().nonce_replays->Inc();
+    ctx->tracer->Note("nonce-replay");
+    return seen.reply;
+  }
+  if (seen.state == NonceCache::State::kInFlight) {
+    Metrics().nonce_inflight_dups->Inc();
+    ctx->tracer->Note("nonce-inflight-dup");
+    return ShedFrame(admission_);
+  }
+  NonceClaim claim(&nonces_, msg->nonce);
+
+  Result<std::shared_ptr<const PreparedPremises>> prepared = handles_.Lookup(msg->handle);
+  if (!prepared.ok()) return ErrFrame(prepared.status());
+  if (msg->n != (*prepared)->n()) {
+    return ErrFrame(Status::InvalidArgument(
+        "batch universe n=" + std::to_string(msg->n) + " does not match handle " +
+        std::to_string(msg->handle) + " (n=" + std::to_string((*prepared)->n()) + ")"));
+  }
+
+  // Load shedding before admission: past the soft watermark (or under the
+  // injected-overload failpoint) the server answers OVERLOADED while it
+  // still has headroom to say so.
+  bool watermark_shed = false;
+  Result<AdmissionController::Slot> slot = [&]() -> Result<AdmissionController::Slot> {
+    obs::SpanGuard admit_span(ctx->tracer, "admission");
+    if (DIFFC_FAILPOINT("server/shed") || admission_.ShouldShed()) {
+      watermark_shed = true;
+      ctx->tracer->Note("shed", "watermark");
+      return Status::ResourceExhausted("shed at watermark");
+    }
+    return admission_.Admit();
+  }();
+  if (!slot.ok()) {
+    if (!watermark_shed) {
+      Metrics().admission_rejected->Inc();
+      ctx->tracer->Note("shed", "admission-cap");
+    }
+    return ShedFrame(admission_);
+  }
+  Metrics().inflight_batches->Set(static_cast<double>(admission_.inflight()));
+
+  // The request's own wall-clock budget; the server-wide drain cancel
+  // token rides along so an expired drain stops this batch cooperatively.
+  Deadline deadline = msg->deadline_ms > 0
+                          ? Deadline::After(std::chrono::milliseconds(msg->deadline_ms))
+                          : Deadline::Never();
+  Result<BatchOutcome> outcome = [&]() -> Result<BatchOutcome> {
+    obs::SpanGuard execute_span(ctx->tracer, "execute");
+    return engine_.CheckBatch(*prepared, msg->goals, deadline, drain_cancel_);
+  }();
+  slot->Reset();
+  Metrics().inflight_batches->Set(static_cast<double>(admission_.inflight()));
+  if (!outcome.ok()) return ErrFrame(outcome.status());
+  Metrics().batch_queries->Inc(msg->goals.size());
+
+  // Keep up to 4 engine span trees (present when EngineOptions::trace is
+  // on) to join under this request's "execute" span at finish time.
+  if (ctx->trace->sampled) {
+    for (const EngineQueryResult& r : outcome->results) {
+      if (ctx->trace->engine_traces.size() >= 4) break;
+      if (r.trace != nullptr) ctx->trace->engine_traces.push_back(r.trace);
+    }
+  }
+
+  obs::SpanGuard encode_span(ctx->tracer, "encode");
+  BatchResultMsg reply;
+  reply.results.reserve(outcome->results.size());
+  for (const EngineQueryResult& r : outcome->results) {
+    WireQueryResult q;
+    q.status_code = r.status.code();
+    q.status_message = r.status.message();
+    q.verdict = static_cast<std::uint8_t>(r.outcome.verdict);
+    if (r.outcome.counterexample.has_value()) {
+      q.has_counterexample = true;
+      q.counterexample = r.outcome.counterexample->bits();
+    }
+    reply.results.push_back(std::move(q));
+  }
+  const BatchStats& s = outcome->stats;
+  reply.stats.queries = s.queries;
+  reply.stats.implied = s.implied;
+  reply.stats.not_implied = s.not_implied;
+  reply.stats.failed = s.failed;
+  reply.stats.degraded = s.degraded;
+  reply.stats.timed_out = s.timed_out;
+  reply.stats.cancelled = s.cancelled;
+  reply.stats.batch_wall_ns = s.batch_wall_ns;
+  reply.trace = ReplyTraceContext(*ctx->trace);
+  Frame out = EncodeBatchResult(reply);
+  // Only successful results are replayable; failures above Abandon the
+  // claim via RAII so a retry re-executes.
+  claim.Publish(out);
+  return out;
+}
+
+Frame DiffcdServer::HandleRelease(SessionContext* ctx, const Frame& frame) {
+  Result<ReleaseMsg> msg = DecodeRelease(frame);
+  if (!msg.ok()) return ErrFrame(msg.status());
+  ArmRequestTrace(ctx, TraceContext{}, "release");
+  Status s = handles_.Release(msg->handle, ctx->session_id);
+  if (!s.ok()) return ErrFrame(s);
+  Metrics().handles_active->Set(static_cast<double>(handles_.size()));
+  return EncodeReleaseOk();
 }
 
 // ---------------------------------------------------------- request tracing
@@ -616,7 +615,7 @@ Frame DiffcdServer::Dispatch(SessionContext* ctx, const Frame& frame) {
 void DiffcdServer::ArmRequestTrace(SessionContext* ctx, const TraceContext& wire_tc,
                                    const char* name) {
   RequestTrace* rt = ctx->trace;
-  if (rt == nullptr || rt->armed) return;
+  if (rt->armed) return;
   rt->armed = true;
   rt->name = name;
   rt->wire = wire_tc;
@@ -629,9 +628,9 @@ void DiffcdServer::ArmRequestTrace(SessionContext* ctx, const TraceContext& wire
     rt->wire.sampled = false;
   }
   rt->server_span_id = obs::RandomTraceBits();
-  // Head sampling: the wire flag and trace_requests force it; otherwise
-  // one probability draw per request decides.
-  rt->forced = wire_tc.sampled || options_.trace_requests;
+  // Head sampling: the wire flag and a rate of 1 force it; otherwise one
+  // probability draw per request decides.
+  rt->forced = wire_tc.sampled || options_.trace_sample_rate >= 1.0;
   rt->sampled = rt->forced || (options_.trace_sample_rate > 0.0 &&
                                obs::SamplingDraw() < options_.trace_sample_rate);
   rt->wire.sampled = rt->sampled;
@@ -643,20 +642,10 @@ void DiffcdServer::ArmRequestTrace(SessionContext* ctx, const TraceContext& wire
   }
 }
 
-TraceContext DiffcdServer::ReplyTraceContext(const SessionContext& ctx) {
-  TraceContext tc;
-  if (ctx.trace == nullptr || !ctx.trace->armed) return tc;
-  tc.trace_id_hi = ctx.trace->wire.trace_id_hi;
-  tc.trace_id_lo = ctx.trace->wire.trace_id_lo;
-  tc.parent_span_id = ctx.trace->server_span_id;
-  tc.sampled = ctx.trace->sampled;
-  return tc;
-}
-
 void DiffcdServer::FinishRequestTrace(SessionContext* ctx, std::uint8_t reply_type,
                                       std::uint64_t elapsed_ns) {
   RequestTrace* rt = ctx->trace;
-  if (rt == nullptr || !rt->armed) return;
+  if (!rt->armed) return;
 
   std::string status = "ok";
   bool shed = false;
@@ -763,12 +752,15 @@ Status DiffcdServer::Shutdown() {
       "diffcd-drain-begin",
       {{"address", bound_address_}, {"sessions", std::to_string(sessions_active())}});
 
-  // 1. Stop accepting: close the listeners (Close wakes a blocked accept)
-  //    and retire the listener threads.
-  listener_.Close();
-  metrics_listener_.Close();
+  // 1. Stop accepting: shut the listeners down (waking a blocked accept),
+  //    retire the listener threads, and only then close the fds the
+  //    threads were reading.
+  listener_.Shutdown();
+  metrics_listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_thread_.joinable()) metrics_thread_.join();
+  listener_.Close();
+  metrics_listener_.Close();
 
   // 2. Half-close every session's read side: a session blocked in
   //    ReadFrame wakes with clean EOF and exits; a session mid-request
@@ -1012,9 +1004,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"metrics_address\": \"" + JsonEscape(options_.metrics_address) + "\"";
   b += ", \"max_inflight_batches\": " + std::to_string(options_.max_inflight_batches);
   b += ", \"shed_watermark\": " + std::to_string(options_.shed_watermark);
-  b += ", \"shed_latency_watermark_ms\": " +
-       std::to_string(options_.shed_latency_watermark.count());
-  b += ", \"nonce_cache_capacity\": " + std::to_string(options_.nonce_cache_capacity);
   b += ", \"session_stall_budget_ms\": " +
        std::to_string(options_.session_stall_budget.count());
   b += ", \"max_handles_per_session\": " +
@@ -1023,7 +1012,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"drain_deadline_ms\": " + std::to_string(options_.drain_deadline.count());
   b += ", \"metrics_timeout_ms\": " + std::to_string(options_.metrics_timeout.count());
   b += ", \"slow_query_ms\": " + std::to_string(options_.slow_request_threshold.count());
-  b += ", \"trace_requests\": " + std::string(options_.trace_requests ? "true" : "false");
   b += ", \"trace_sample_rate\": " + obs::FormatDouble(options_.trace_sample_rate);
   b += ", \"trace_store_capacity\": " + std::to_string(options_.trace_store_capacity);
   b += "}";
@@ -1034,7 +1022,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += "\"inflight\": " + std::to_string(admission_.inflight());
   b += ", \"capacity\": " + std::to_string(admission_.capacity());
   b += ", \"shed_watermark\": " + std::to_string(adm.shed_watermark);
-  b += ", \"latency_watermark_ms\": " + std::to_string(adm.latency_watermark.count());
   b += ", \"ewma_latency_ms\": " + obs::FormatDouble(admission_.ewma_latency_ms());
   b += "}";
 

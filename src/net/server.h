@@ -15,8 +15,6 @@
 #include "net/nonce_cache.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "obs/trace.h"
-#include "obs/trace_store.h"
 #include "util/deadline.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -25,7 +23,6 @@
 namespace diffc::net {
 
 struct SessionContext;
-struct RequestTrace;
 
 /// Tuning knobs of a `DiffcdServer`.
 struct ServerOptions {
@@ -43,10 +40,6 @@ struct ServerOptions {
   /// new CHECK_BATCH gets an OVERLOADED reply (with a retry-after hint)
   /// *before* admission. 0 disables the soft watermark.
   std::size_t shed_watermark = 0;
-  /// Shed while the EWMA batch latency exceeds this. Zero disables.
-  std::chrono::milliseconds shed_latency_watermark{0};
-  /// Retained replies for CHECK_BATCH idempotency nonces (retry dedup).
-  std::size_t nonce_cache_capacity = 64;
   /// Per-frame stall budget: once a session has sent the first byte of a
   /// frame, the rest must arrive within this budget or the watchdog kills
   /// the session (a stuck-mid-frame peer otherwise pins its thread until
@@ -66,19 +59,16 @@ struct ServerOptions {
   /// before waiting out the drain). Zero disables the bound.
   std::chrono::milliseconds metrics_timeout{5000};
   /// Requests slower than this are recorded (with their span tree, when
-  /// `trace_requests` is on) in the global event log, the slow-query log
-  /// (/slowz + one JSON line to stderr), and the trace store; zero
-  /// disables. diffcd exposes this as --slow_query_ms.
+  /// sampled) in the global event log, the slow-query log (/slowz + one
+  /// JSON line to stderr), and the trace store; zero disables. diffcd
+  /// exposes this as --slow_query_ms.
   std::chrono::milliseconds slow_request_threshold{250};
-  /// Record a per-request span tree (read/decode/execute/encode) for the
-  /// slow-request event log entries. Forces head-sampling of every request
-  /// (equivalent to trace_sample_rate = 1).
-  bool trace_requests = false;
   /// Head-sampling probability for request traces in [0, 1]: a sampled
   /// request records its full span tree (admission wait, nonce lookup,
   /// engine execution) into the trace store for /tracez. Unsampled
   /// requests pay one branch; slow/shed/errored ones still land in the
-  /// store as single-span skeletons (tail always-sample).
+  /// store as single-span skeletons (tail always-sample). A rate of 1
+  /// (diffcd --trace) forces sampling of every request without a draw.
   double trace_sample_rate = 0.01;
   /// Retained traces in the process-wide store behind /tracez.
   std::size_t trace_store_capacity = 256;
@@ -88,7 +78,7 @@ struct ServerOptions {
 /// instance owns:
 ///
 ///   - a wire listener (TCP or Unix) with one session thread per
-///     connection, dispatching frames through the `WireHandlerRegistry`;
+///     connection, dispatching each frame to its request type's handler;
 ///   - an `ImplicationEngine` (shared worker pool) answering CHECK_BATCH
 ///     requests, with per-request deadlines mapped onto `Deadline` and the
 ///     drain path onto a server-wide `CancelToken`;
@@ -140,27 +130,12 @@ class DiffcdServer {
   /// completed connections do not accumulate.
   std::size_t sessions_tracked() const EXCLUDES(mu_);
 
-  // --- shared state for the registered wire handlers -------------------
+  // --- the request path's shared state (tests and the load benchmark) ---
 
   ImplicationEngine& engine() { return engine_; }
   PreparedHandleTable& handles() { return handles_; }
   AdmissionController& admission() { return admission_; }
   NonceCache& nonces() { return nonces_; }
-  const ServerOptions& options() const { return options_; }
-  /// The server-wide cancel token threaded into every batch; fired when
-  /// the drain deadline expires.
-  CancelToken drain_cancel() const { return drain_cancel_; }
-
-  /// Called by a handler once it has decoded the request's trace context:
-  /// adopts the wire identity (or mints one when absent), draws the
-  /// head-sampling decision, mints the server span id, and enables
-  /// `ctx->tracer` when sampled. Idempotent per request.
-  void ArmRequestTrace(SessionContext* ctx, const TraceContext& wire_tc, const char* name);
-
-  /// The trace context a handler echoes in its reply: the request's trace
-  /// id, this request's server span id, and the sampling flag. Zero-id
-  /// (invalid) before `ArmRequestTrace`.
-  static TraceContext ReplyTraceContext(const SessionContext& ctx);
 
  private:
   struct Session {
@@ -183,8 +158,21 @@ class DiffcdServer {
   std::string RenderTracez(const std::string& query) const;
   std::string RenderStatusz() const;
   std::string RenderSlowz() const;
-  /// Dispatches one request frame, returning the response frame.
+  /// Dispatches one request frame to its type's handler, returning the
+  /// response frame.
   Frame Dispatch(SessionContext* ctx, const Frame& frame);
+  /// The wire handlers, one per `WireRequest`. Each answers every failure
+  /// with a typed error frame; connection teardown is the session loop's
+  /// call, not theirs.
+  Frame HandlePing(SessionContext* ctx, const Frame& frame);
+  Frame HandleRegisterPremises(SessionContext* ctx, const Frame& frame);
+  Frame HandleCheckBatch(SessionContext* ctx, const Frame& frame);
+  Frame HandleRelease(SessionContext* ctx, const Frame& frame);
+  /// Called by a handler once it has decoded the request's trace context:
+  /// adopts the wire identity (or mints one when absent), draws the
+  /// head-sampling decision, mints the server span id, and enables
+  /// `ctx->tracer` when sampled. Idempotent per request.
+  void ArmRequestTrace(SessionContext* ctx, const TraceContext& wire_tc, const char* name);
   /// Closes the request's trace after the reply frame is chosen: joins the
   /// collected engine traces, classifies the outcome from the reply type,
   /// and stores into the trace store / slow-query log per the sampling and
@@ -203,8 +191,8 @@ class DiffcdServer {
   // `Start` (before any server thread exists) and torn down once in the
   // single `Shutdown` transition; the in-between reads (blocking `Accept`
   // from the listener threads, address getters) are lock-free on purpose —
-  // a blocking accept cannot hold a mutex, and `Listener::Close` is the
-  // documented cross-thread unblock mechanism.
+  // a blocking accept cannot hold a mutex. `Listener::Shutdown` is the
+  // cross-thread unblock; `Close` runs only after the threads are joined.
   Listener listener_;
   Listener metrics_listener_;
   std::string bound_address_;
@@ -226,44 +214,6 @@ class DiffcdServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_ GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Session>> finished_sessions_ GUARDED_BY(mu_);
   std::size_t active_sessions_ GUARDED_BY(mu_) = 0;
-};
-
-/// The server-side trace state of one in-flight request. Armed by the
-/// handler once the wire trace context is decoded (`ArmRequestTrace`),
-/// finished by the session loop after the reply frame is chosen
-/// (`FinishRequestTrace`), which decides storage: sampled requests always,
-/// unsampled ones when slow/shed/errored (as single-span skeletons).
-struct RequestTrace {
-  /// Trace identity: from the wire when the client sent one, minted
-  /// server-side otherwise.
-  TraceContext wire;
-  /// This request's server span id (minted at arm time; echoed in the
-  /// reply's trace context).
-  std::uint64_t server_span_id = 0;
-  /// Span sink; enabled iff `sampled`.
-  obs::Tracer tracer;
-  bool armed = false;
-  bool sampled = false;
-  /// True when sampling was forced by the wire flag or `trace_requests`
-  /// rather than drawn from `trace_sample_rate`.
-  bool forced = false;
-  /// Operation name ("check-batch", ...) once known.
-  std::string name;
-  /// Engine trace records collected by the handler (capped at 4), joined
-  /// under the request's "execute" span at finish time.
-  std::vector<std::shared_ptr<const obs::TraceRecord>> engine_traces;
-};
-
-/// Per-request context handed to `WireHandlerImpl::Handle`.
-struct SessionContext {
-  DiffcdServer* server = nullptr;
-  /// The owning session — the handle-table owner id.
-  std::uint64_t session_id = 0;
-  /// Per-request tracer (never null; disabled unless the request is
-  /// sampled — see `RequestTrace`).
-  obs::Tracer* tracer = nullptr;
-  /// This request's trace state (never null during dispatch).
-  RequestTrace* trace = nullptr;
 };
 
 }  // namespace diffc::net

@@ -442,18 +442,20 @@ Result<Socket> Listener::Accept() const {
       return Socket(fd);
     }
     if (errno == EINTR) continue;
-    // EBADF / EINVAL: Close() raced with or preceded this Accept — the
-    // orderly shutdown path, not an error worth surfacing loudly.
+    // EINVAL / EBADF: Shutdown() or Close() preceded this Accept — the
+    // orderly stop path, not an error worth surfacing loudly.
     if (errno == EBADF || errno == EINVAL) return Status::Cancelled("listener closed");
     return Errno("accept");
   }
 }
 
+void Listener::Shutdown() const {
+  // close() alone does not unblock accept() on Linux; shutdown() does.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
-    // Shutdown wakes a concurrent blocking accept() before close
-    // invalidates the fd (close alone does not unblock accept on Linux).
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

@@ -113,11 +113,17 @@ class Listener {
   /// The bound address, with the kernel-assigned port for TCP port 0.
   const std::string& bound_address() const { return bound_address_; }
 
-  /// Blocks for the next connection. After `Close`, returns Cancelled.
+  /// Blocks for the next connection. After `Shutdown` or `Close`, returns
+  /// Cancelled.
   Result<Socket> Accept() const;
 
-  /// Closes the listening socket: concurrent and future `Accept` calls
-  /// fail. For a Unix listener, unlinks the socket path.
+  /// Wakes every blocked `Accept` and fails later ones, keeping the fd:
+  /// the thread-safe half of stopping a listener another thread accepts on.
+  void Shutdown() const;
+
+  /// Closes the listening socket; for a Unix listener, unlinks the socket
+  /// path. Writes the fd, so it must not race an `Accept`: `Shutdown`,
+  /// join the accepting thread, then `Close`.
   void Close();
 
  private:

@@ -50,9 +50,9 @@ inline constexpr std::uint32_t kMaxConstraintsPerMessage = 1u << 16;
 inline constexpr std::uint32_t kMaxFamilyMembers = 1u << 12;
 inline constexpr std::uint32_t kMaxErrorMessageBytes = 1u << 12;
 
-/// Client-to-server message types. Every enumerator must have a
-/// `WireRequestName` case and a `DIFFC_REGISTER_WIRE_HANDLER` site
-/// (enforced by the `wire-registry` rule of tools/diffc_lint.py).
+/// Client-to-server message types. Every enumerator has a
+/// `WireRequestName` case and a `DiffcdServer::Dispatch` case (both
+/// enforced by -Werror=switch).
 enum class WireRequest : std::uint8_t {
   kPing = 0x01,              // liveness probe; echoes a nonce
   kRegisterPremises = 0x02,  // compile a premise set into a server handle

@@ -1,9 +1,5 @@
 #include "rewrite/rewrite_rule.h"
 
-#include <cassert>
-#include <cstring>
-#include <utility>
-
 namespace diffc {
 namespace rewrite {
 
@@ -31,37 +27,6 @@ RuleProbe Probe(const RewriteRule& rule, int n, const ConstraintSet& c) {
   probe.edits = rule.Apply(n, &probe.result);
   probe.after = RewriteCost::Of(probe.result);
   return probe;
-}
-
-RewriteRuleRegistry& RewriteRuleRegistry::Instance() {
-  static RewriteRuleRegistry* registry = new RewriteRuleRegistry();
-  return *registry;
-}
-
-RewriteRuleRegistry& RewriteRuleRegistry::Global() {
-  // Referencing the anchor forces rules.cc out of the static library, so
-  // the builtin rules are registered before anyone reads the catalog.
-  (void)ForceLinkBuiltinRewriteRules();  // Link anchor; value unused.
-  return Instance();
-}
-
-const RewriteRule* RewriteRuleRegistry::Find(const std::string& name) const {
-  for (const RewriteRule* rule : rules_) {
-    if (name == rule->name()) return rule;
-  }
-  return nullptr;
-}
-
-bool RegisterRewriteRule(const char* rule_name, std::unique_ptr<RewriteRule> rule) {
-  assert(rule != nullptr);
-  assert(std::strcmp(rule_name, rule->name()) == 0 &&
-         "registration name must match RewriteRule::name()");
-  (void)rule_name;  // Only consumed by the assert in release builds.
-  RewriteRuleRegistry& registry = RewriteRuleRegistry::Instance();
-  assert(registry.Find(rule->name()) == nullptr && "duplicate rewrite rule name");
-  registry.rules_.push_back(rule.get());
-  registry.owned_.push_back(std::move(rule));
-  return true;
 }
 
 }  // namespace rewrite

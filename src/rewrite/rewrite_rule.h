@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,47 +88,13 @@ struct RuleProbe {
 };
 RuleProbe Probe(const RewriteRule& rule, int n, const ConstraintSet& c);
 
-/// Registers a rule under the name it reports; `rule_name` must equal
-/// `rule->name()` (checked). Returns true, for static-init registration.
-bool RegisterRewriteRule(const char* rule_name, std::unique_ptr<RewriteRule> rule);
+/// The builtin rules (rules.cc), in driver application order:
+/// drop-trivial, minimize-rhs, narrow-members, absorb-subsumed,
+/// merge-same-lhs.
+const std::vector<const RewriteRule*>& BuiltinRules();
 
-/// The process-wide rule catalog, populated by static registration in
-/// rules.cc (same self-registration idiom as the decision-procedure
-/// registry, including the force-link anchors for static libraries).
-class RewriteRuleRegistry {
- public:
-  /// The global registry; forces the builtin rules to link.
-  static RewriteRuleRegistry& Global();
-
-  /// All rules, in registration (= driver application) order.
-  const std::vector<const RewriteRule*>& rules() const { return rules_; }
-
-  /// The rule with the given name, or nullptr.
-  const RewriteRule* Find(const std::string& name) const;
-
- private:
-  friend bool RegisterRewriteRule(const char* rule_name, std::unique_ptr<RewriteRule> rule);
-  static RewriteRuleRegistry& Instance();
-
-  std::vector<std::unique_ptr<RewriteRule>> owned_;
-  std::vector<const RewriteRule*> rules_;
-};
-
-/// Anchor that forces the builtin-rule translation unit (rules.cc) to be
-/// pulled out of the static library; called by `Global()`.
-int ForceLinkBuiltinRewriteRules();
-
-/// Defines the force-link anchor and registers `ClassName` at static-init
-/// time under `rule_name` (which must match `ClassName::name()`). The
-/// `rewrite-catalog` lint rule keys on this macro: every registration site
-/// must be cataloged in DESIGN.md §14 and exercised in test_rewrite.cc.
-#define DIFFC_REGISTER_REWRITE_RULE(rule_name, ClassName)              \
-  int ForceLinkRewriteRule_##ClassName() { return 0; }                 \
-  namespace {                                                          \
-  [[maybe_unused]] const bool registered_##ClassName =                 \
-      ::diffc::rewrite::RegisterRewriteRule(rule_name,                 \
-                                            std::make_unique<ClassName>()); \
-  }
+/// The builtin rule named `name`, or nullptr.
+const RewriteRule* FindRule(const std::string& name);
 
 }  // namespace rewrite
 }  // namespace diffc

@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -178,17 +178,22 @@ class MergeSameLhsRule : public RewriteRule {
 
 }  // namespace
 
-DIFFC_REGISTER_REWRITE_RULE("drop-trivial", DropTrivialRule)
-DIFFC_REGISTER_REWRITE_RULE("minimize-rhs", MinimizeRhsRule)
-DIFFC_REGISTER_REWRITE_RULE("narrow-members", NarrowMembersRule)
-DIFFC_REGISTER_REWRITE_RULE("absorb-subsumed", AbsorbSubsumedRule)
-DIFFC_REGISTER_REWRITE_RULE("merge-same-lhs", MergeSameLhsRule)
+const std::vector<const RewriteRule*>& BuiltinRules() {
+  static const DropTrivialRule drop_trivial;
+  static const MinimizeRhsRule minimize_rhs;
+  static const NarrowMembersRule narrow_members;
+  static const AbsorbSubsumedRule absorb_subsumed;
+  static const MergeSameLhsRule merge_same_lhs;
+  static const std::vector<const RewriteRule*> rules = {
+      &drop_trivial, &minimize_rhs, &narrow_members, &absorb_subsumed, &merge_same_lhs};
+  return rules;
+}
 
-int ForceLinkBuiltinRewriteRules() {
-  return ForceLinkRewriteRule_DropTrivialRule() + ForceLinkRewriteRule_MinimizeRhsRule() +
-         ForceLinkRewriteRule_NarrowMembersRule() +
-         ForceLinkRewriteRule_AbsorbSubsumedRule() +
-         ForceLinkRewriteRule_MergeSameLhsRule();
+const RewriteRule* FindRule(const std::string& name) {
+  for (const RewriteRule* rule : BuiltinRules()) {
+    if (name == rule->name()) return rule;
+  }
+  return nullptr;
 }
 
 }  // namespace rewrite

@@ -21,7 +21,7 @@ std::atomic<std::uint64_t> g_constraints_removed{0};
 
 // Registry handles of the simplifier (`diffc_rewrite_*`), looked up once.
 // The per-rule counters share one metric name with a `rule` label, in
-// registry order.
+// driver order.
 struct RewriteMetrics {
   obs::Counter* simplify_calls;
   obs::Counter* passes;
@@ -33,7 +33,7 @@ struct RewriteMetrics {
                                   "Simplifier fixpoint-driver invocations.");
     passes = r.GetCounter("diffc_rewrite_passes_total",
                           "Fixpoint passes across all simplifier invocations.");
-    for (const RewriteRule* rule : RewriteRuleRegistry::Global().rules()) {
+    for (const RewriteRule* rule : BuiltinRules()) {
       applied.emplace_back(
           rule, r.GetCounter("diffc_rewrite_applied_total",
                              "Rewrite-rule edits performed, labeled by rule.",
@@ -62,7 +62,7 @@ ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
 
   const int level = options.level < 1 ? 1 : options.level;
   std::vector<const RewriteRule*> active;
-  for (const RewriteRule* rule : RewriteRuleRegistry::Global().rules()) {
+  for (const RewriteRule* rule : BuiltinRules()) {
     if (rule->min_level() <= level) active.push_back(rule);
   }
   std::vector<std::size_t> applied(active.size(), 0);

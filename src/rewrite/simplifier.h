@@ -13,7 +13,7 @@
 namespace diffc {
 namespace rewrite {
 
-/// Driver configuration. Level selects which registered rules run:
+/// Driver configuration. Level selects which builtin rules run:
 ///
 ///   1 — structural rules only (`drop-trivial`, `minimize-rhs`,
 ///       `absorb-subsumed`): a strict superset of the PR 5 inline
@@ -53,7 +53,7 @@ struct SimplifyStats {
 /// always confirmed strictly inside this bound.
 std::size_t SimplifyPassBound(const RewriteCost& before);
 
-/// Runs the registered rules at `options.level` over `c` to fixpoint and
+/// Runs the builtin rules at `options.level` over `c` to fixpoint and
 /// returns the simplified, sorted set. L(C) — and therefore every
 /// implication verdict — is preserved exactly. Idempotent: re-running on
 /// the result applies nothing. `stats`, when non-null, is overwritten.

@@ -17,6 +17,7 @@
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
+#include "engine/procedures/procedure.h"
 #include "engine/worker_pool.h"
 #include "obs/event_log.h"
 #include "obs/exposition.h"
@@ -333,6 +334,30 @@ TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
   ASSERT_NE(pos(DecisionProcedure::kExhaustive), static_cast<std::ptrdiff_t>(plan.size()));
   EXPECT_LT(pos(DecisionProcedure::kIntervalCover), pos(DecisionProcedure::kSat));
   EXPECT_LT(pos(DecisionProcedure::kSat), pos(DecisionProcedure::kExhaustive));
+}
+
+TEST(ProcedureTableTest, EveryProcedureHasExactlyOneEntry) {
+  // DecisionProcedureName's switch is exhaustive under -Werror=switch, so
+  // walking the contiguous enumerators until it answers "unknown" visits
+  // every declared procedure.
+  const std::vector<const DecisionProcedureImpl*> table = ProcedureRegistry::Global().Snapshot();
+  EXPECT_STREQ(DecisionProcedureName(DecisionProcedure::kNone), "none");
+  std::size_t declared = 0;
+  for (int i = static_cast<int>(DecisionProcedure::kNone) + 1;; ++i) {
+    const auto p = static_cast<DecisionProcedure>(i);
+    const std::string name = DecisionProcedureName(p);
+    if (name == "unknown") break;
+    ++declared;
+    int entries = 0;
+    for (const DecisionProcedureImpl* impl : table) {
+      if (impl->id() != p) continue;
+      ++entries;
+      EXPECT_EQ(impl->name(), name);
+    }
+    EXPECT_EQ(entries, 1) << name;
+  }
+  EXPECT_EQ(declared, 5u);
+  EXPECT_EQ(table.size(), declared);  // The table holds nothing else.
 }
 
 TEST(ImplicationEngineTest, HugeWitnessFamilyFallsBackToSat) {

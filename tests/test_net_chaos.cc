@@ -413,7 +413,7 @@ TEST(NetChaosTest, ShedRequestsLandInTraceStoreWithRetryChainIntact) {
   ClientOptions copts;
   copts.retry.initial_backoff = std::chrono::milliseconds(2);
   copts.seed = ChaosSeed() + 11;
-  copts.trace = true;  // Force-sample the whole chain.
+  copts.trace_sample_rate = 1.0;  // Force-sample the whole chain.
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address(), copts);
   ASSERT_TRUE(client.ok());
   Result<RegisterOkMsg> registered = client->RegisterPremises(

@@ -621,6 +621,9 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   opts.per_query_deadline = std::chrono::milliseconds(10);
   opts.exhaustion_policy = ExhaustionPolicy::kDegrade;
   opts.trace = true;
+  // No interval-cover step: its witness probe could spend the 10 ms on a
+  // slow machine before the search starts. `sat` is the only costed step.
+  opts.use_interval_cover_fast_path = false;
   ImplicationEngine engine(opts);
   EngineQueryResult r = engine.CheckOne(f.num_vars, premises, TautologyGoal());
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();

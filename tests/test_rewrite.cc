@@ -24,11 +24,12 @@
 namespace diffc {
 namespace {
 
+using rewrite::BuiltinRules;
+using rewrite::FindRule;
 using rewrite::LcEquivalent;
 using rewrite::Probe;
 using rewrite::RewriteCost;
 using rewrite::RewriteRule;
-using rewrite::RewriteRuleRegistry;
 using rewrite::RuleProbe;
 using rewrite::Simplify;
 using rewrite::SimplifyOptions;
@@ -99,8 +100,8 @@ ConstraintSet BaseSet(Rng& rng, int n) {
 
 void TestRule(const std::string& name, int min_applied,
               const std::function<ConstraintSet(Rng&, int)>& make_instance) {
-  const RewriteRule* rule = RewriteRuleRegistry::Global().Find(name);
-  ASSERT_NE(rule, nullptr) << "rule not registered: " << name;
+  const RewriteRule* rule = FindRule(name);
+  ASSERT_NE(rule, nullptr) << "no builtin rule named " << name;
   Rng rng(0xD1FFC + static_cast<std::uint64_t>(name.size()) * 131 +
           static_cast<std::uint64_t>(name[0]));
   int applied = 0;
@@ -185,10 +186,10 @@ TEST(RewriteRuleTester, MergeSameLhs) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry invariants.
+// Rule-list invariants.
 
 TEST(RewriteRegistryTest, CatalogsTheFiveBuiltinRules) {
-  const std::vector<const RewriteRule*>& rules = RewriteRuleRegistry::Global().rules();
+  const std::vector<const RewriteRule*>& rules = BuiltinRules();
   ASSERT_EQ(rules.size(), 5u);
   EXPECT_STREQ(rules[0]->name(), "drop-trivial");
   EXPECT_STREQ(rules[1]->name(), "minimize-rhs");
@@ -201,7 +202,7 @@ TEST(RewriteRegistryTest, CatalogsTheFiveBuiltinRules) {
   EXPECT_EQ(rules[2]->min_level(), 2);
   EXPECT_EQ(rules[3]->min_level(), 1);
   EXPECT_EQ(rules[4]->min_level(), 2);
-  EXPECT_EQ(RewriteRuleRegistry::Global().Find("no-such-rule"), nullptr);
+  EXPECT_EQ(FindRule("no-such-rule"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-reconnect") {
       client_options.reconnect = false;
     } else if (arg == "--trace") {
-      client_options.trace = true;
+      client_options.trace_sample_rate = 1.0;
     } else if (arg == "ping" || arg == "check") {
       command = arg;
     } else if (arg == "--help" || arg == "-h") {
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("pong nonce=%llu\n", static_cast<unsigned long long>(*echoed));
-    if (client_options.trace) {
+    if (client_options.trace_sample_rate >= 1.0) {
       std::printf("trace_id=%s\n", client->last_trace().IdHex().c_str());
     }
     return 0;
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(batch->stats.not_implied),
               static_cast<unsigned long long>(batch->stats.degraded),
               static_cast<unsigned long long>(batch->stats.failed));
-  if (client_options.trace) {
+  if (client_options.trace_sample_rate >= 1.0) {
     // The id of the CHECK_BATCH call (the server echoes it in the reply):
     // feed it to diffcd's /tracez?trace_id=... for the joined span tree.
     std::printf("# trace_id=%s\n", client->last_trace().IdHex().c_str());

@@ -38,19 +38,6 @@ layer honest:
                     previous line) saying why the value cannot matter;
                     this is the audited escape hatch for ``[[nodiscard]]``
                     ``Status``.
-  procedure-registry  Every ``DecisionProcedure`` enumerator (except
-                    ``kNone``) has a ``case DecisionProcedure::kX`` entry
-                    in the name table AND a ``DIFFC_REGISTER_PROCEDURE(kX,
-                    ...)`` site — a value without both is a procedure the
-                    planner can never run or report. Silent when the tree
-                    declares no ``enum class DecisionProcedure``.
-  wire-registry     Every ``WireRequest`` enumerator has a
-                    ``case WireRequest::kX`` entry in the name table AND a
-                    ``DIFFC_REGISTER_WIRE_HANDLER(kX, ...)`` site — a wire
-                    message type without both is a frame the server
-                    advertises but can never dispatch (or names as
-                    garbage in metrics and traces). Silent when the tree
-                    declares no ``enum class WireRequest``.
   wire-doc          Every wire opcode (``WireRequest`` / ``WireResponse``
                     enumerator in a ``*wire*.h`` header) and every field
                     of a ``*Msg`` wire struct is documented in the
@@ -74,14 +61,16 @@ layer honest:
                     failpoint-catalog: the set of harnesses a developer
                     can run must be complete in the docs. Silent when no
                     fuzz directory or no DESIGN.md exists.
-  rewrite-catalog   Every ``DIFFC_REGISTER_REWRITE_RULE("name", ...)``
-                    site is documented (backtick-quoted) in the DESIGN.md
-                    s14 rewrite-rule catalog AND exercised (quoted) in
-                    ``tests/test_rewrite.cc`` — an L(C) rewrite without a
-                    soundness argument in the docs or a seeded property
-                    test is a correctness hazard. Same two-level DESIGN.md
-                    lookup as failpoint-catalog; the test half is silent
-                    when no test_rewrite.cc exists (fixture subsets).
+  rewrite-catalog   Every rewrite rule name — the literal of a
+                    ``name() const override { return "name"; }`` under
+                    ``rewrite/`` — is documented (backtick-quoted) in the
+                    DESIGN.md s14 rewrite-rule catalog AND exercised
+                    (quoted) in ``tests/test_rewrite.cc`` — an L(C)
+                    rewrite without a soundness argument in the docs or a
+                    seeded property test is a correctness hazard. Same
+                    two-level DESIGN.md lookup as failpoint-catalog; the
+                    test half is silent when no test_rewrite.cc exists
+                    (fixture subsets).
 
 Findings print as ``path:line: rule: message`` (or ``--format=json``).
 A committed baseline (``--baseline``) grandfathers known findings by
@@ -122,8 +111,7 @@ DECODER_PATH_FILES = {
 ALL_RULES = (
     "metric-name", "metric-dup", "failpoint-name", "failpoint-dup",
     "failpoint-catalog", "solver-atomic", "include-guard",
-    "mutex-guarded-by", "naked-lock", "void-discard",
-    "procedure-registry", "wire-registry", "wire-doc",
+    "mutex-guarded-by", "naked-lock", "void-discard", "wire-doc",
     "decoder-discipline", "fuzzer-catalog", "rewrite-catalog",
 )
 
@@ -167,23 +155,14 @@ SOLVER_ATOMIC_RE = re.compile(
     r"std::atomic\b|\.fetch_add\s*\(|\.fetch_sub\s*\(|"
     r"->Inc\s*\(|->Add\s*\(|->Sub\s*\(|->Set\s*\(|->Observe\s*\("
 )
-PROCEDURE_ENUM_RE = re.compile(
-    r"\benum\s+class\s+DecisionProcedure\s*(?::[^{]*)?\{([^}]*)\}"
-)
-PROCEDURE_ENUMERATOR_RE = re.compile(r"\b(k\w+)\b")
-PROCEDURE_CASE_RE = re.compile(r"\bcase\s+DecisionProcedure::(k\w+)")
-PROCEDURE_REGISTER_RE = re.compile(r"\bDIFFC_REGISTER_PROCEDURE\s*\(\s*(k\w+)\s*,")
-WIRE_ENUM_RE = re.compile(
-    r"\benum\s+class\s+WireRequest\s*(?::[^{]*)?\{([^}]*)\}"
-)
-WIRE_CASE_RE = re.compile(r"\bcase\s+WireRequest::(k\w+)")
-WIRE_REGISTER_RE = re.compile(r"\bDIFFC_REGISTER_WIRE_HANDLER\s*\(\s*(k\w+)\s*,")
 WIRE_OPCODE_ENUM_RE = re.compile(
     r"\benum\s+class\s+(WireRequest|WireResponse)\s*(?::[^{]*)?\{([^}]*)\}"
 )
 WIRE_OPCODE_RE = re.compile(r"\b(k\w+)\s*=\s*(0x[0-9A-Fa-f]+)")
 WIRE_MSG_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Msg)\s*\{")
-REWRITE_REGISTER_RE = re.compile(r"\bDIFFC_REGISTER_REWRITE_RULE\s*\(\s*\"([^\"]+)\"")
+REWRITE_NAME_RE = re.compile(
+    r"\bname\s*\(\s*\)\s*const\s+override\s*\{\s*return\s+\"([^\"]+)\"\s*;\s*\}"
+)
 WIRE_FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s]*[\s>]\s*(\w+)\s*(?:=[^;]*)?;")
 
 
@@ -414,82 +393,6 @@ def report_duplicates(table, rule, what, findings):
             )
 
 
-# ------------------------------------------------------ procedure registry
-
-
-def scan_procedure_registry(rel, text, procedures):
-    """Collects enum declarations, name-table cases, and registrations."""
-    for m in PROCEDURE_ENUM_RE.finditer(text):
-        names = PROCEDURE_ENUMERATOR_RE.findall(m.group(1))
-        procedures["enums"].append((rel, line_of(text, m.start()), names))
-    for m in PROCEDURE_CASE_RE.finditer(text):
-        procedures["cases"].setdefault(m.group(1), []).append(
-            (rel, line_of(text, m.start())))
-    for m in PROCEDURE_REGISTER_RE.finditer(text):
-        procedures["registrations"].setdefault(m.group(1), []).append(
-            (rel, line_of(text, m.start())))
-
-
-def report_procedure_registry(procedures, findings):
-    """Every enumerator except kNone needs a name case and a registration."""
-    for rel, line, names in procedures["enums"]:
-        for name in names:
-            if name == "kNone":
-                continue
-            if name not in procedures["cases"]:
-                findings.append(
-                    Finding(rel, line, "procedure-registry",
-                            f"DecisionProcedure enumerator '{name}' has no "
-                            f"'case DecisionProcedure::{name}' name-table entry; "
-                            "stats and traces would print it as garbage")
-                )
-            if name not in procedures["registrations"]:
-                findings.append(
-                    Finding(rel, line, "procedure-registry",
-                            f"DecisionProcedure enumerator '{name}' has no "
-                            f"DIFFC_REGISTER_PROCEDURE({name}, ...) site; the "
-                            "planner can never run a procedure that is not "
-                            "registered")
-                )
-
-
-# ----------------------------------------------------------- wire registry
-
-
-def scan_wire_registry(rel, text, wire):
-    """Collects WireRequest declarations, name-table cases, registrations."""
-    for m in WIRE_ENUM_RE.finditer(text):
-        names = PROCEDURE_ENUMERATOR_RE.findall(m.group(1))
-        wire["enums"].append((rel, line_of(text, m.start()), names))
-    for m in WIRE_CASE_RE.finditer(text):
-        wire["cases"].setdefault(m.group(1), []).append(
-            (rel, line_of(text, m.start())))
-    for m in WIRE_REGISTER_RE.finditer(text):
-        wire["registrations"].setdefault(m.group(1), []).append(
-            (rel, line_of(text, m.start())))
-
-
-def report_wire_registry(wire, findings):
-    """Every WireRequest enumerator needs a name case and a handler."""
-    for rel, line, names in wire["enums"]:
-        for name in names:
-            if name not in wire["cases"]:
-                findings.append(
-                    Finding(rel, line, "wire-registry",
-                            f"WireRequest enumerator '{name}' has no "
-                            f"'case WireRequest::{name}' name-table entry; "
-                            "metrics and traces would print it as garbage")
-                )
-            if name not in wire["registrations"]:
-                findings.append(
-                    Finding(rel, line, "wire-registry",
-                            f"WireRequest enumerator '{name}' has no "
-                            f"DIFFC_REGISTER_WIRE_HANDLER({name}, ...) site; "
-                            "the server advertises a frame type it can never "
-                            "dispatch")
-                )
-
-
 # ------------------------------------------------------------ wire contract
 
 
@@ -621,7 +524,9 @@ def report_fuzzer_catalog(root, findings):
 
 
 def scan_rewrite_rules(rel, text, rewrite_sites):
-    for m in REWRITE_REGISTER_RE.finditer(text):
+    if not rel.startswith("rewrite/"):
+        return
+    for m in REWRITE_NAME_RE.finditer(text):
         rewrite_sites.setdefault(m.group(1), []).append(
             (rel, line_of(text, m.start())))
 
@@ -659,7 +564,7 @@ def report_rewrite_catalog(root, rewrite_sites, findings):
             findings.append(
                 Finding(file, line, "rewrite-catalog",
                         f"rewrite rule '{name}' is never exercised in "
-                        "tests/test_rewrite.cc; every registered rule must "
+                        "tests/test_rewrite.cc; every rewrite rule must "
                         "pass the seeded L(C)-equivalence rule tester")
             )
 
@@ -823,15 +728,13 @@ def scan_void_discards(rel, raw, findings):
 # ------------------------------------------------------------------ driver
 
 
-def lint_file(root, rel, registrations, failpoint_sites, procedures, wire,
-              wire_doc, rewrite_sites, findings):
+def lint_file(root, rel, registrations, failpoint_sites, wire_doc, rewrite_sites,
+              findings):
     with open(os.path.join(root, rel), encoding="utf-8") as f:
         raw = f.read()
     no_comments, code_only = strip_comments(raw)
     scan_metrics(rel, no_comments, registrations, findings)
     scan_failpoints(rel, no_comments, failpoint_sites, findings)
-    scan_procedure_registry(rel, no_comments, procedures)
-    scan_wire_registry(rel, no_comments, wire)
     scan_wire_doc(rel, no_comments, wire_doc)
     scan_rewrite_rules(rel, no_comments, rewrite_sites)
     if rel in SOLVER_LOOP_FILES:
@@ -849,8 +752,6 @@ def lint_tree(root):
     findings = []
     registrations = {}
     failpoint_sites = {}
-    procedures = {"enums": [], "cases": {}, "registrations": {}}
-    wire = {"enums": [], "cases": {}, "registrations": {}}
     wire_doc = {"opcodes": [], "fields": []}
     rewrite_sites = {}
     rels = []
@@ -860,9 +761,7 @@ def lint_tree(root):
                 rels.append(os.path.relpath(os.path.join(dirpath, name), root))
     for rel in sorted(rels):
         lint_file(root, rel.replace(os.sep, "/"), registrations, failpoint_sites,
-                  procedures, wire, wire_doc, rewrite_sites, findings)
-    report_procedure_registry(procedures, findings)
-    report_wire_registry(wire, findings)
+                  wire_doc, rewrite_sites, findings)
     report_wire_doc(root, wire_doc, findings)
     metric_display = {}
     for (name, labels), occurrences in registrations.items():

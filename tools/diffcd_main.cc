@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     } else if (ParseIntFlag(arg, "trace_store_capacity", &value)) {
       options.trace_store_capacity = static_cast<std::size_t>(value);
     } else if (arg == "--trace") {
-      options.trace_requests = true;
+      options.trace_sample_rate = 1.0;
       options.engine.trace = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);

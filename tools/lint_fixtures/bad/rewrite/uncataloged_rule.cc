@@ -2,5 +2,12 @@
 // missing from the bad tree's DESIGN.md rewrite-rule catalog;
 // "fixture-untested" is cataloged there but never quoted in the bad
 // tree's tests/test_rewrite.cc companion.
-DIFFC_REGISTER_REWRITE_RULE("fixture-uncataloged", FixtureUncatalogedRule)
-DIFFC_REGISTER_REWRITE_RULE("fixture-untested", FixtureUntestedRule)
+class FixtureUncatalogedRule : public RewriteRule {
+ public:
+  const char* name() const override { return "fixture-uncataloged"; }
+};
+
+class FixtureUntestedRule : public RewriteRule {
+ public:
+  const char* name() const override { return "fixture-untested"; }
+};

@@ -1,4 +1,7 @@
-// rewrite-catalog accepted pattern: the registered name is backticked in
-// the good tree's DESIGN.md rewrite-rule catalog and quoted in its
+// rewrite-catalog accepted pattern: the rule's name is backticked in the
+// good tree's DESIGN.md rewrite-rule catalog and quoted in its
 // tests/test_rewrite.cc.
-DIFFC_REGISTER_REWRITE_RULE("fixture-good-rule", FixtureGoodRule)
+class FixtureGoodRule : public RewriteRule {
+ public:
+  const char* name() const override { return "fixture-good-rule"; }
+};

@@ -1,3 +1,3 @@
-// Companion rule-tester stub for rewrite/good_rule.cc: every registered
-// rewrite rule must be exercised here by name.
+// Companion rule-tester stub for rewrite/good_rule.cc: every rewrite rule
+// must be exercised here by name.
 const char* kFixtureTestedRule = "fixture-good-rule";
