@@ -293,7 +293,7 @@ void PrintBatchEngineTable() {
   if (adv_out.ok()) {
     const BatchStats& s = adv_out->stats;
     json << ", \"degraded\": " << s.degraded << ", \"timed_out\": " << s.timed_out
-         << ", \"escalations\": " << s.escalations << ", \"cancelled\": " << s.cancelled
+         << ", \"cancelled\": " << s.cancelled
          << ", \"failed\": " << s.failed;
   }
   json << "}\n";

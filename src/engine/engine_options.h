@@ -30,26 +30,15 @@ enum class ExhaustionPolicy {
   /// and `degraded_from` the status code it ran out with; solver / cache
   /// counters describe the work done before giving up.
   kDegrade,
-  /// Retry with doubled solver budgets (decision budget and witness
-  /// candidate budget) and a fresh per-query deadline, after a jittered
-  /// exponential backoff, up to `EngineOptions::max_retries` times; then
-  /// degrade as above.
-  kEscalate,
 };
 
-/// Stable name of an `ExhaustionPolicy` ("fail", "degrade", "escalate").
+/// Stable name of an `ExhaustionPolicy` ("fail", "degrade").
 const char* ExhaustionPolicyName(ExhaustionPolicy p);
 
 /// Tuning knobs of the batched implication engine.
 struct EngineOptions {
   /// Worker threads for `CheckBatch` (clamped to at least 1).
   int num_threads = 4;
-  /// Serve `Prepare()` (and the unprepared `CheckBatch` / `CheckOne`
-  /// entry points, which prepare on the caller's behalf) from the
-  /// process-wide `PreparedPremisesCache`. When false every call compiles
-  /// the premises from scratch — the per-query baseline that
-  /// `bench_engine_prepared` measures `Prepare()` against.
-  bool use_prepared_cache = true;
   /// Enables the interval-cover fast path: answer a query from the cached
   /// minimal witness sets of its right-hand family when the cover is
   /// conclusive, skipping the SAT solver entirely. Sound in both verdicts;
@@ -60,37 +49,29 @@ struct EngineOptions {
   /// and handled by SAT.
   std::size_t witness_max_results = 4096;
   /// Node budget of the `sat` procedure's counterexample search per query
-  /// attempt (ResourceExhausted beyond it, which arms the exhaustive
-  /// fallback); doubled per `kEscalate` retry.
+  /// (ResourceExhausted beyond it, which arms the exhaustive fallback).
   std::uint64_t max_solver_decisions = 50'000'000;
   /// Free-attribute bound for the exhaustive fallback used when the SAT
   /// budget is exhausted.
   int exhaustive_max_free_bits = 24;
-  /// Wall-clock budget per query attempt; zero = unbounded. Checked
-  /// cooperatively (amortized every `stop_check_stride` steps) inside every
-  /// decision procedure, so a fired deadline surfaces at the next
-  /// check-point, not instantly.
+  /// Wall-clock budget per query; zero = unbounded. Checked cooperatively
+  /// (amortized every `stop_check_stride` steps) inside every decision
+  /// procedure, so a fired deadline surfaces at the next check-point, not
+  /// instantly.
   std::chrono::nanoseconds per_query_deadline{0};
   /// Wall-clock budget for a whole `CheckBatch` call; zero = unbounded.
   /// Each query runs under the earlier of this and its own deadline.
   std::chrono::nanoseconds batch_deadline{0};
   /// What to do when a query exhausts a deadline or solver budget.
   ExhaustionPolicy exhaustion_policy = ExhaustionPolicy::kFail;
-  /// Retries under `ExhaustionPolicy::kEscalate` (attempts beyond the
-  /// first); exhausted retries degrade.
-  int max_retries = 2;
-  /// Base backoff between escalation attempts (doubled per retry, jittered
-  /// by 0.5–1.5x, capped by the remaining batch deadline); zero disables
-  /// sleeping.
-  std::chrono::nanoseconds escalate_backoff{100'000};
   /// Steps between cooperative deadline / cancellation checks inside the
   /// solvers and enumerations.
   std::uint32_t stop_check_stride = StopCheck::kDefaultStride;
-  /// Records a per-query span tree (`EngineQueryResult::trace`): one span
-  /// per attempt with children for each decision-procedure phase (cache
-  /// probe, interval cover, SAT, exhaustive, escalation backoff). Latency
-  /// *histograms* are aggregated regardless of this flag; the flag only
-  /// controls the per-query record.
+  /// Records a per-query span tree (`EngineQueryResult::trace`): one
+  /// `attempt` span with children for each decision-procedure phase (cache
+  /// probe, interval cover, SAT, exhaustive). Latency *histograms* are
+  /// aggregated regardless of this flag; the flag only controls the
+  /// per-query record.
   bool trace = false;
 };
 
@@ -115,14 +96,12 @@ struct QueryStats {
   /// `ExhaustionPolicy::kDegrade` this is the partial evidence attached to
   /// a kUnknown verdict.
   DecisionProcedure stopped_in = DecisionProcedure::kNone;
-  /// The plan the `QueryPlanner` chose for the final attempt: the
-  /// applicable procedures in execution order.
+  /// The plan the `QueryPlanner` chose: the applicable procedures in
+  /// execution order.
   std::vector<DecisionProcedure> plan;
-  /// Attempts run (1 + escalation retries).
-  int attempts = 1;
   /// Under `ExhaustionPolicy::kDegrade`: the status code (DeadlineExceeded
-  /// or ResourceExhausted) the final attempt failed with before the engine
-  /// converted it to OK + kUnknown; kOk otherwise.
+  /// or ResourceExhausted) the query failed with before the engine converted
+  /// it to OK + kUnknown; kOk otherwise.
   StatusCode degraded_from = StatusCode::kOk;
   /// Witness-set cache hit/lookup flags (fast-path queries only).
   bool witness_cache_used = false;
@@ -134,9 +113,9 @@ struct QueryStats {
   bool premise_cache_hit = false;
   /// `sat` search counters: nodes in `decisions`, attributes placed by unit
   /// rules in `propagations`, dead ends in `conflicts` (zero off the SAT
-  /// path; last attempt only).
+  /// path).
   prop::SolverStats solver;
-  /// Wall time of this query across all attempts, nanoseconds.
+  /// Wall time of this query, nanoseconds.
   std::uint64_t wall_ns = 0;
 };
 

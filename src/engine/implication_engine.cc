@@ -3,9 +3,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <random>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/counterexample.h"
@@ -31,44 +29,24 @@ bool IsExhaustion(const Status& s) {
          s.code() == StatusCode::kResourceExhausted;
 }
 
-// Sleeps a jittered exponential backoff before escalation attempt
-// `attempt` (the one about to run, 2-based), capped by the remaining batch
-// deadline. A zero base disables sleeping entirely.
-void EscalationBackoff(std::chrono::nanoseconds base, int attempt,
-                       const Deadline& batch_deadline) {
-  if (base.count() <= 0) return;
-  thread_local std::mt19937_64 rng{std::random_device{}()};
-  const double jitter = std::uniform_real_distribution<double>(0.5, 1.5)(rng);
-  auto wait = std::chrono::nanoseconds(static_cast<std::int64_t>(
-      static_cast<double>(base.count()) * static_cast<double>(1 << (attempt - 2)) * jitter));
-  if (!batch_deadline.IsNever()) {
-    auto remaining = batch_deadline.Remaining();
-    if (remaining.count() <= 0) return;
-    wait = std::min(wait, std::chrono::duration_cast<std::chrono::nanoseconds>(remaining));
-  }
-  std::this_thread::sleep_for(wait);
-}
-
 // Registry handles of the engine subsystem (`diffc_engine_*` /
-// `diffc_deadline_*`), looked up once. Per-procedure families carry a
-// `procedure` label; the array is indexed by `DecisionProcedure`.
+// `diffc_deadline_*`), looked up once. The per-procedure latency family
+// carries a `procedure` label (its `_count` is the per-procedure query
+// count); the array is indexed by `DecisionProcedure`.
 struct EngineMetrics {
   static constexpr int kProcedures = 6;
 
-  obs::Counter* queries_by_proc[kProcedures];
   obs::Histogram* latency_by_proc[kProcedures];
   obs::Counter* implied;
   obs::Counter* not_implied;
   obs::Counter* unknown;
   obs::Counter* failed;
   obs::Counter* cancelled;
-  obs::Counter* escalations;
   obs::Counter* degraded_deadline;
   obs::Counter* degraded_resource;
   obs::Counter* deadline_exceeded;
   obs::Counter* unbounded_queries;
   obs::Histogram* deadline_slack;
-  obs::Counter* batches;
   obs::Histogram* batch_seconds;
 
   EngineMetrics() {
@@ -76,14 +54,10 @@ struct EngineMetrics {
     for (int p = 0; p < kProcedures; ++p) {
       obs::Labels labels{
           {"procedure", DecisionProcedureName(static_cast<DecisionProcedure>(p))}};
-      queries_by_proc[p] =
-          r.GetCounter("diffc_engine_queries_total",
-                       "Queries answered, by concluding decision procedure "
-                       "(procedure=none: failed before any procedure concluded).",
-                       labels);
       latency_by_proc[p] = r.GetHistogram(
           "diffc_engine_query_seconds",
-          "End-to-end per-query wall time across attempts, by procedure.",
+          "End-to-end per-query wall time, by concluding decision procedure "
+          "(procedure=none: failed before any procedure concluded).",
           obs::ExponentialBuckets(1e-6, 4.0, 14), labels);
     }
     implied = r.GetCounter("diffc_engine_outcomes_total", "Query verdicts.",
@@ -96,8 +70,6 @@ struct EngineMetrics {
                           {{"outcome", "failed"}});
     cancelled = r.GetCounter("diffc_engine_cancelled_total",
                              "Queries that returned Cancelled.");
-    escalations = r.GetCounter("diffc_engine_escalations_total",
-                               "Escalation retries run (attempts beyond the first).");
     degraded_deadline =
         r.GetCounter("diffc_engine_degraded_total",
                      "Queries degraded to kUnknown, by exhausted budget kind.",
@@ -117,7 +89,6 @@ struct EngineMetrics {
         "Wall-clock budget remaining at query completion (0 = finished at or "
         "past the deadline); one sample per query run under a finite deadline.",
         obs::ExponentialBuckets(1e-5, 4.0, 12));
-    batches = r.GetCounter("diffc_engine_batches_total", "CheckBatch calls.");
     batch_seconds =
         r.GetHistogram("diffc_engine_batch_seconds", "End-to-end CheckBatch wall time.",
                        obs::ExponentialBuckets(1e-5, 4.0, 12));
@@ -129,15 +100,14 @@ EngineMetrics& Metrics() {
   return *m;
 }
 
-// Flushes one settled query into the registry: procedure mix, verdict, and
-// latency. Called exactly once per query result, wherever it settles
+// Flushes one settled query into the registry: latency by procedure, and
+// verdict. Called exactly once per query result, wherever it settles
 // (normal run, exception guard, or queue drain).
 void RecordQueryMetrics(const EngineQueryResult& r) {
   if (!obs::MetricsEnabled()) return;
   EngineMetrics& m = Metrics();
   const int proc = static_cast<int>(r.stats.procedure);
   if (proc >= 0 && proc < EngineMetrics::kProcedures) {
-    m.queries_by_proc[proc]->Inc();
     m.latency_by_proc[proc]->Observe(r.stats.wall_ns / 1e9);
   }
   if (!r.status.ok()) {
@@ -177,8 +147,6 @@ const char* ExhaustionPolicyName(ExhaustionPolicy p) {
       return "fail";
     case ExhaustionPolicy::kDegrade:
       return "degrade";
-    case ExhaustionPolicy::kEscalate:
-      return "escalate";
   }
   return "unknown";
 }
@@ -209,7 +177,6 @@ std::string BatchStats::ToString() const {
   s += " degraded=" + std::to_string(degraded);
   s += " failed=" + std::to_string(failed);
   s += " | timed_out=" + std::to_string(timed_out);
-  s += " escalations=" + std::to_string(escalations);
   s += " cancelled=" + std::to_string(cancelled);
   s += " | trivial=" + std::to_string(by_trivial);
   s += " fd=" + std::to_string(by_fd);
@@ -235,50 +202,7 @@ ImplicationEngine::ImplicationEngine(EngineOptions options)
 
 Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::Prepare(
     int n, const ConstraintSet& premises) const {
-  return PrepareOrFetch(n, premises, /*from_cache=*/nullptr);
-}
-
-Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::PrepareOrFetch(
-    int n, const ConstraintSet& premises, bool* from_cache) const {
-  if (options_.use_prepared_cache) {
-    return GlobalPreparedPremisesCache().Get(n, premises, from_cache);
-  }
-  if (from_cache != nullptr) *from_cache = false;
-  return PreparedPremises::Build(n, premises);
-}
-
-EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepared,
-                                                  const DifferentialConstraint& goal,
-                                                  StopCheck* stop,
-                                                  const ProcedureBudgets& budgets,
-                                                  obs::Tracer* tracer,
-                                                  bool prepared_from_cache) {
-  EngineQueryResult r;
-  const std::uint64_t start = NowNs();
-
-  const ProcedureQuery query{prepared.n(), &goal};
-  QueryPlan plan = planner_.Plan(prepared, query, options_);
-  if (tracer->enabled()) {
-    // The chosen plan, as an instantaneous marker span and an event-log
-    // record (both gated on tracing: plans repeat per query and would
-    // drown the global event ring in large batches).
-    const std::string label = "plan:" + plan.ToString();
-    obs::SpanGuard plan_span(tracer, label);
-    obs::GlobalEventLog().Record("query_plan", {{"plan", plan.ToString()}});
-  }
-
-  ProcedureContext ctx;
-  ctx.options = &options_;
-  ctx.budgets = budgets;
-  ctx.stop = stop;
-  ctx.tracer = tracer;
-  ctx.stats = &r.stats;
-  ctx.prepared_from_cache = prepared_from_cache;
-  PlanOutcome out = ExecutePlan(plan, prepared, query, &ctx);
-  r.status = std::move(out.status);
-  r.outcome = out.outcome;
-  r.stats.wall_ns = NowNs() - start;
-  return r;
+  return GlobalPreparedPremisesCache().Get(n, premises);
 }
 
 EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
@@ -289,61 +213,47 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
   if (DIFFC_FAILPOINT("engine/throw")) {
     throw std::runtime_error("failpoint engine/throw: query task threw");
   }
-  ProcedureBudgets budgets{options_.max_solver_decisions, options_.witness_max_results};
   const std::uint64_t start = NowNs();
+  Deadline deadline = batch_deadline;
+  if (options_.per_query_deadline.count() > 0) {
+    deadline = Deadline::Earlier(Deadline::After(options_.per_query_deadline), deadline);
+  }
+  StopCheck stop(deadline, cancel, options_.stop_check_stride);
   obs::Tracer tracer(options_.trace);
   EngineQueryResult r;
-  int attempt = 1;
-  // The deadline of the attempt that settled the query, for the slack
-  // histogram below.
-  Deadline deadline = batch_deadline;
-  while (true) {
-    // Each attempt gets a fresh per-query deadline; the batch deadline is
-    // absolute and shared by every attempt.
-    deadline = batch_deadline;
-    if (options_.per_query_deadline.count() > 0) {
-      deadline = Deadline::Earlier(Deadline::After(options_.per_query_deadline), deadline);
+  {
+    obs::SpanGuard attempt_span(&tracer, "attempt");
+    const ProcedureQuery query{prepared.n(), &goal};
+    const QueryPlan plan = planner_.Plan(prepared, query, options_);
+    if (tracer.enabled()) {
+      // The chosen plan, as an instantaneous marker span and an event-log
+      // record (both gated on tracing: plans repeat per query and would
+      // drown the global event ring in large batches).
+      const std::string label = "plan:" + plan.ToString();
+      obs::SpanGuard plan_span(&tracer, label);
+      obs::GlobalEventLog().Record("query_plan", {{"plan", plan.ToString()}});
     }
-    StopCheck stop(deadline, cancel, options_.stop_check_stride);
-    {
-      obs::SpanGuard attempt_span(&tracer,
-                                  attempt == 1 ? "attempt" : "attempt-retry");
-      r = RunQueryOnce(prepared, goal, &stop, budgets, &tracer, prepared_from_cache);
+    const ProcedureBudgets budgets{options_.max_solver_decisions, options_.witness_max_results};
+    ProcedureContext ctx{&options_, budgets, &stop, &tracer, &r.stats, prepared_from_cache};
+    PlanOutcome out = ExecutePlan(plan, prepared, query, &ctx);
+    r.status = std::move(out.status);
+    r.outcome = out.outcome;
+  }
+  if (r.status.ok() && r.outcome.verdict == ImplicationOutcome::kNotImplied) {
+    if (Status s = CertifyNotImplied(prepared, goal, r.outcome); !s.ok()) {
+      r.status = std::move(s);
+      r.outcome = ImplicationOutcome();
     }
-    if (r.status.ok() && r.outcome.verdict == ImplicationOutcome::kNotImplied) {
-      if (Status s = CertifyNotImplied(prepared, goal, r.outcome); !s.ok()) {
-        r.status = std::move(s);
-        r.outcome = ImplicationOutcome();
-      }
-    }
-    r.stats.attempts = attempt;
-    if (r.status.ok() || !IsExhaustion(r.status)) break;
-
-    if (options_.exhaustion_policy == ExhaustionPolicy::kFail) break;
-    if (options_.exhaustion_policy == ExhaustionPolicy::kEscalate &&
-        attempt <= options_.max_retries) {
-      budgets.max_decisions *= 2;
-      budgets.witness_max_results *= 2;
-      ++attempt;
-      if (obs::MetricsEnabled()) Metrics().escalations->Inc();
-      obs::GlobalEventLog().Record(
-          "escalate", {{"attempt", std::to_string(attempt)},
-                       {"stopped_in", DecisionProcedureName(r.stats.stopped_in)},
-                       {"from", StatusCodeName(r.status.code())}});
-      obs::SpanGuard backoff_span(&tracer, "escalate-backoff");
-      EscalationBackoff(options_.escalate_backoff, attempt, batch_deadline);
-      continue;
-    }
-    // kDegrade, or escalation retries exhausted: answer OK + kUnknown and
-    // keep the partial evidence (stopped_in, counters) in the stats.
+  }
+  if (IsExhaustion(r.status) && options_.exhaustion_policy == ExhaustionPolicy::kDegrade) {
+    // Answer OK + kUnknown and keep the partial evidence (stopped_in,
+    // counters) in the stats.
     r.stats.degraded_from = r.status.code();
     obs::GlobalEventLog().Record(
         "degrade", {{"stopped_in", DecisionProcedureName(r.stats.stopped_in)},
-                    {"from", StatusCodeName(r.status.code())},
-                    {"attempts", std::to_string(attempt)}});
+                    {"from", StatusCodeName(r.status.code())}});
     r.status = Status::Ok();
     r.outcome.SetUnknown();
-    break;
   }
   r.stats.wall_ns = NowNs() - start;
   if (r.status.code() == StatusCode::kDeadlineExceeded ||
@@ -396,7 +306,7 @@ EngineQueryResult ImplicationEngine::CheckOne(int n, const ConstraintSet& premis
                                               const DifferentialConstraint& goal) {
   bool from_cache = false;
   Result<std::shared_ptr<const PreparedPremises>> prepared =
-      PrepareOrFetch(n, premises, &from_cache);
+      GlobalPreparedPremisesCache().Get(n, premises, &from_cache);
   if (!prepared.ok()) {
     EngineQueryResult r;
     r.status = prepared.status();
@@ -424,7 +334,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
     CancelToken cancel) {
   bool from_cache = false;
   Result<std::shared_ptr<const PreparedPremises>> prepared =
-      PrepareOrFetch(n, premises, &from_cache);
+      GlobalPreparedPremisesCache().Get(n, premises, &from_cache);
   if (!prepared.ok()) return prepared.status();
   return RunBatch(*std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
                   from_cache);
@@ -510,7 +420,6 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
         r.stats.degraded_from == StatusCode::kDeadlineExceeded) {
       ++s.timed_out;
     }
-    s.escalations += static_cast<std::size_t>(r.stats.attempts > 1 ? r.stats.attempts - 1 : 0);
     switch (r.stats.procedure) {
       case DecisionProcedure::kNone:
         break;
@@ -542,10 +451,7 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
     s.total_query_ns += r.stats.wall_ns;
   }
   s.batch_wall_ns = NowNs() - batch_start;
-  if (obs::MetricsEnabled()) {
-    Metrics().batches->Inc();
-    Metrics().batch_seconds->Observe(s.batch_wall_ns / 1e9);
-  }
+  if (obs::MetricsEnabled()) Metrics().batch_seconds->Observe(s.batch_wall_ns / 1e9);
   return out;
 }
 

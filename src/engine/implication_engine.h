@@ -34,8 +34,8 @@ struct EngineQueryResult {
 /// Aggregate counters of one `CheckBatch` call.
 ///
 /// `implied + not_implied + degraded + failed == queries`; `cancelled` and
-/// `timed_out` classify (subsets of) the other buckets and `escalations`
-/// counts retries, so those three are not part of the partition.
+/// `timed_out` classify (subsets of) the other buckets, so they are not
+/// part of the partition.
 struct BatchStats {
   std::size_t queries = 0;
   std::size_t implied = 0;
@@ -47,9 +47,6 @@ struct BatchStats {
   /// Queries that hit a deadline: final status DeadlineExceeded, or
   /// degraded from it.
   std::size_t timed_out = 0;
-  /// Escalation retries run across the batch (attempts beyond each query's
-  /// first).
-  std::size_t escalations = 0;
   /// Queries returned Cancelled (counted in `failed` as well).
   std::size_t cancelled = 0;
   /// Queries answered per procedure.
@@ -101,10 +98,10 @@ Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialCon
 ///     and pass the artifact to every batch; the unprepared entry points
 ///     prepare on the caller's behalf through the process-wide
 ///     `PreparedPremisesCache`.
-///   - **Plan**: per query, a `QueryPlanner` orders the registered
-///     decision procedures (trivial / FD-subclass closure / witness-set
-///     interval cover / SAT / exhaustive fallback) by estimated cost and
-///     the `EngineOptions` toggles; the plan lands in the query stats and
+///   - **Plan**: per query, a `QueryPlanner` filters the procedure table
+///     (trivial / FD-subclass closure / witness-set interval cover / SAT /
+///     exhaustive fallback, in that order) by applicability and the
+///     `EngineOptions` toggles; the plan lands in the query stats and
 ///     trace.
 ///   - **Execute**: the plan runs on a fixed-size `std::jthread` worker
 ///     pool, against the shared witness-set cache.
@@ -127,9 +124,8 @@ class ImplicationEngine {
   const EngineOptions& options() const { return options_; }
 
   /// Compiles `premises` into a shared artifact, served from the
-  /// process-wide `PreparedPremisesCache` (unless
-  /// `EngineOptions::use_prepared_cache` is off). Returns InvalidArgument
-  /// for an out-of-range universe size. The artifact is immutable and may
+  /// process-wide `PreparedPremisesCache`. Returns InvalidArgument for an
+  /// out-of-range universe size. The artifact is immutable and may
   /// be used concurrently, across batches, and by other engine instances.
   Result<std::shared_ptr<const PreparedPremises>> Prepare(int n,
                                                           const ConstraintSet& premises) const;
@@ -172,23 +168,10 @@ class ImplicationEngine {
                              const DifferentialConstraint& goal);
 
  private:
-  /// The one prepare path behind `Prepare` and the unprepared entry
-  /// points: the process-wide `PreparedPremisesCache` when
-  /// `EngineOptions::use_prepared_cache` is on, a fresh build otherwise.
-  /// `from_cache`, when non-null, receives whether the artifact came out of
-  /// the cache.
-  Result<std::shared_ptr<const PreparedPremises>> PrepareOrFetch(int n,
-                                                                 const ConstraintSet& premises,
-                                                                 bool* from_cache) const;
-  /// One plan-and-execute pass over `prepared` under `stop` (may end early
-  /// with its status). `tracer` (never null; disabled when tracing is off)
-  /// receives the per-phase spans; `prepared_from_cache` feeds the
-  /// premise-cache stat flags.
-  EngineQueryResult RunQueryOnce(const PreparedPremises& prepared,
-                                 const DifferentialConstraint& goal, StopCheck* stop,
-                                 const ProcedureBudgets& budgets, obs::Tracer* tracer,
-                                 bool prepared_from_cache);
-  /// The exhaustion-policy loop around `RunQueryOnce`.
+  /// One query: plan, execute under the earlier of `batch_deadline` and
+  /// the per-query deadline, certify a not-implied answer, then apply the
+  /// exhaustion policy. `prepared_from_cache` feeds the premise-cache stat
+  /// flags.
   EngineQueryResult RunQuery(const PreparedPremises& prepared,
                              const DifferentialConstraint& goal, const Deadline& batch_deadline,
                              const CancelToken& cancel, bool prepared_from_cache);

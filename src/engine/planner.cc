@@ -1,7 +1,5 @@
 #include "engine/planner.h"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 namespace diffc {
@@ -39,19 +37,8 @@ QueryPlan QueryPlanner::Plan(const PreparedPremises& premises, const ProcedureQu
     }
     const Applicability applicability = procedure->CanDecide(premises, query);
     if (applicability == Applicability::kNo) continue;
-    plan.steps.push_back(
-        {procedure, applicability, procedure->EstimateCost(premises, query)});
+    plan.steps.push_back({procedure, applicability});
   }
-  std::sort(plan.steps.begin(), plan.steps.end(),
-            [](const QueryPlan::Step& a, const QueryPlan::Step& b) {
-              const bool a_fallback = a.applicability == Applicability::kFallback;
-              const bool b_fallback = b.applicability == Applicability::kFallback;
-              if (a_fallback != b_fallback) return b_fallback;
-              if (a.estimated_cost != b.estimated_cost) {
-                return a.estimated_cost < b.estimated_cost;
-              }
-              return std::strcmp(a.procedure->name(), b.procedure->name()) < 0;
-            });
   return plan;
 }
 
@@ -73,10 +60,10 @@ PlanOutcome ExecutePlan(const QueryPlan& plan, const PreparedPremises& premises,
     // Fallbacks exist to rescue a blown budget; without one they are
     // skipped entirely (the complete primaries already had their say).
     if (is_fallback && !have_pending) continue;
-    if (!sampled_deadline && step.estimated_cost > 0) {
+    if (!sampled_deadline && step.procedure->id() != DecisionProcedure::kTrivial) {
       // Fail fast on a deadline that expired before this query started
-      // (the degrade path of an over-budget batch) — but only once a
-      // costed step is reached, so zero-cost certain answers still win.
+      // (the degrade path of an over-budget batch) — but only past the
+      // trivial step, so an O(1) certain answer still wins.
       sampled_deadline = true;
       if (Status s = ctx->stop->CheckNow(); !s.ok()) {
         out.status = std::move(s);

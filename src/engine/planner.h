@@ -9,12 +9,11 @@
 namespace diffc {
 
 /// The ordered execution plan of one query: every applicable procedure,
-/// primaries (by ascending cost estimate) before fallbacks (likewise).
+/// in procedure-table order.
 struct QueryPlan {
   struct Step {
     const DecisionProcedureImpl* procedure = nullptr;
     Applicability applicability = Applicability::kNo;
-    double estimated_cost = 0.0;
   };
   std::vector<Step> steps;
 
@@ -22,16 +21,16 @@ struct QueryPlan {
   std::string ToString() const;
 };
 
-/// Orders the built-in decision procedures for one query: filters by
-/// `CanDecide` and the `EngineOptions` toggles (a disabled interval-cover
-/// fast path drops that procedure from every plan), then sorts primaries
-/// by `EstimateCost` ahead of fallbacks (a fallback only ever runs after a
-/// primary exhausted a budget, so cost cannot promote it). Deterministic:
-/// equal-cost steps keep a stable name order.
+/// Plans one query: the procedure table, in order, filtered by `CanDecide`
+/// and the `EngineOptions` toggles (a disabled interval-cover fast path
+/// drops that procedure from every plan). The table order is the plan —
+/// trivial, fd-subclass, interval-cover, sat, then the exhaustive fallback
+/// — so planning is deterministic and never sorts.
 class QueryPlanner {
  public:
   /// Plans over `procedures` (typically `ProcedureRegistry::Global().
-  /// Snapshot()`, taken once per engine).
+  /// Snapshot()`, taken once per engine), which must list every
+  /// `Applicability::kFallback` procedure after the primaries.
   explicit QueryPlanner(std::vector<const DecisionProcedureImpl*> procedures);
 
   QueryPlan Plan(const PreparedPremises& premises, const ProcedureQuery& query,
@@ -49,9 +48,9 @@ struct PlanOutcome {
 
 /// Runs `plan` step by step (the execute stage):
 ///
-///   - zero-cost steps run before the first deadline sample; the sample
-///     (one `StopCheck::CheckNow`) precedes the first costed step, failing
-///     fast on a deadline that expired before the query started;
+///   - a `trivial` step runs before the deadline sample; the sample (one
+///     `StopCheck::CheckNow`) precedes the first other step, failing fast
+///     on a deadline that expired before the query started;
 ///   - a conclusive step (verdict kImplied / kNotImplied) is terminal and
 ///     names `QueryStats::procedure`;
 ///   - an inconclusive step (OK + kUnknown) passes to the next step;

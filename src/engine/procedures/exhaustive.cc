@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "engine/procedures/procedure.h"
 
 namespace diffc {
@@ -16,18 +14,9 @@ class ExhaustiveProcedure : public DecisionProcedureImpl {
 
   Applicability CanDecide(const PreparedPremises& /*premises*/,
                           const ProcedureQuery& /*query*/) const override {
-    // The free-attribute bound is an EngineOptions knob, applied by the
-    // planner (which owns the options); the procedure itself re-checks it
-    // inside CheckImplicationExhaustive.
+    // The free-attribute bound is an EngineOptions knob: `Decide` passes it
+    // to CheckImplicationExhaustive, which enforces it.
     return Applicability::kFallback;
-  }
-
-  double EstimateCost(const PreparedPremises& premises,
-                      const ProcedureQuery& query) const override {
-    const int free_bits =
-        std::min(query.n - query.goal->lhs().size(), 62);
-    return static_cast<double>(std::uint64_t{1} << std::max(free_bits, 0)) *
-           (1.0 + static_cast<double>(premises.constraints().size()));
   }
 
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,

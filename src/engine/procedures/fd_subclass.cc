@@ -17,16 +17,6 @@ class FdSubclassProcedure : public DecisionProcedureImpl {
                : Applicability::kNo;
   }
 
-  double EstimateCost(const PreparedPremises& premises,
-                      const ProcedureQuery& /*query*/) const override {
-    // Closure is at worst |C| passes over |C| premises. The base constant
-    // pins the cross-procedure tier (after trivial, before interval-cover)
-    // for any realistic premise count; the size term orders instances
-    // within the tier.
-    const double c = static_cast<double>(premises.constraints().size());
-    return 1.0 + 1e-6 * c * c;
-  }
-
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                     const ProcedureQuery& query,
                                     ProcedureContext* /*ctx*/) const override {

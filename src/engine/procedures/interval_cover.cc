@@ -36,16 +36,6 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
     return Applicability::kYes;
   }
 
-  double EstimateCost(const PreparedPremises& premises,
-                      const ProcedureQuery& query) const override {
-    // Witness enumeration grows with the right-hand family; the cover scan
-    // is |witnesses| * |C|. The base constant pins the tier (after
-    // FD-subclass, before SAT, so a conclusive cover skips the search); the
-    // size term orders instances within it.
-    return 100.0 + 1e-3 * (10.0 * static_cast<double>(query.goal->rhs().size()) +
-                           static_cast<double>(premises.constraints().size()));
-  }
-
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {

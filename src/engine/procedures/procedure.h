@@ -24,22 +24,22 @@ struct ProcedureQuery {
 enum class Applicability {
   /// The procedure cannot run on this (premises, query) pair.
   kNo = 0,
-  /// The procedure can run; the planner schedules it by estimated cost.
+  /// The procedure can run; the planner schedules it in table order.
   kYes,
-  /// The procedure can run, but only as a fallback: the planner schedules
-  /// it after every `kYes` procedure and runs it only when a prior
-  /// procedure exhausted a resource budget (the exhaustive enumerator
-  /// backing up a budget-stopped SAT search).
+  /// The procedure can run, but only as a fallback: it sits last in the
+  /// table, and the plan runs it only when a prior procedure exhausted a
+  /// resource budget (the exhaustive enumerator backing up a
+  /// budget-stopped SAT search).
   kFallback,
 };
 
-/// Solver budgets of one attempt, doubled per escalation retry.
+/// Solver budgets of one query.
 struct ProcedureBudgets {
   std::uint64_t max_decisions = 0;
   std::size_t witness_max_results = 0;
 };
 
-/// Mutable per-attempt state handed to `Decide`: the engine options and
+/// Mutable per-query state handed to `Decide`: the engine options and
 /// budgets in force, the cooperative stop handle, the tracer (never null;
 /// disabled when tracing is off), and the query stats the procedure
 /// annotates (cache flags, solver counters).
@@ -83,13 +83,6 @@ class DecisionProcedureImpl {
   virtual Applicability CanDecide(const PreparedPremises& premises,
                                   const ProcedureQuery& query) const = 0;
 
-  /// Estimated cost in abstract work units; the planner orders applicable
-  /// procedures by ascending estimate. Zero means "free" (the planner runs
-  /// zero-cost procedures before its first deadline sample, so an O(1)
-  /// certain answer beats a DeadlineExceeded).
-  virtual double EstimateCost(const PreparedPremises& premises,
-                              const ProcedureQuery& query) const = 0;
-
   /// Runs the procedure (see the class contract above).
   virtual Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                             const ProcedureQuery& query,
@@ -110,8 +103,9 @@ class ProcedureRegistry {
  public:
   static ProcedureRegistry& Global();
 
-  /// The five built-in procedures, in enum order (the planner orders by
-  /// cost, not by table position).
+  /// The five built-in procedures, in enum order: trivial, fd-subclass,
+  /// interval-cover, sat, exhaustive. The order is the plan: cheapest
+  /// certain answer first, the complete search next, the fallback last.
   std::vector<const DecisionProcedureImpl*> Snapshot() const;
 
  private:

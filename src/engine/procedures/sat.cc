@@ -17,15 +17,6 @@ class SatProcedure : public DecisionProcedureImpl {
     return Applicability::kYes;
   }
 
-  double EstimateCost(const PreparedPremises& premises,
-                      const ProcedureQuery& query) const override {
-    // Worst-case exponential; the base constant pins the tier (after every
-    // polynomial procedure), the size term tracks the arena monotonically.
-    const PremiseMasks& masks = premises.masks();
-    return 1e4 + 1e-2 * (10.0 * static_cast<double>(masks.size() + masks.members.size()) +
-                         static_cast<double>(query.goal->rhs().size()));
-  }
-
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lattice/itemset.h"
@@ -32,10 +33,14 @@ class SetFamily {
   int size() const { return static_cast<int>(members_.size()); }
   /// True iff there are no members.
   bool empty() const { return members_.empty(); }
-  /// The members in sorted order.
-  const std::vector<ItemSet>& members() const { return members_; }
-  /// Member `i`.
-  const ItemSet& member(int i) const { return members_[i]; }
+  /// The members in sorted order. On a temporary family they are returned
+  /// by value, so `for (const ItemSet& m : f.Minimized().members())` cannot
+  /// dangle.
+  const std::vector<ItemSet>& members() const& { return members_; }
+  std::vector<ItemSet> members() && { return std::move(members_); }
+  /// Member `i` (by value on a temporary family, as above).
+  const ItemSet& member(int i) const& { return members_[i]; }
+  ItemSet member(int i) && { return members_[i]; }
 
   /// True iff `s` is a member (not a subset-of-member).
   bool HasMember(const ItemSet& s) const;

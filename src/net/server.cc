@@ -67,10 +67,10 @@ namespace {
 struct ServiceMetrics {
   obs::Counter* connections;
   obs::Gauge* sessions_active;
-  obs::Counter* requests_ping;
-  obs::Counter* requests_register;
-  obs::Counter* requests_check_batch;
-  obs::Counter* requests_release;
+  obs::Histogram* request_seconds_ping;
+  obs::Histogram* request_seconds_register;
+  obs::Histogram* request_seconds_check_batch;
+  obs::Histogram* request_seconds_release;
   obs::Counter* frame_errors;
   obs::Counter* error_frames;
   obs::Counter* admission_rejected;
@@ -79,7 +79,6 @@ struct ServiceMetrics {
   obs::Gauge* inflight_batches;
   obs::Counter* drains;
   obs::Gauge* draining;
-  obs::Histogram* request_seconds;
   obs::Counter* shed;
   obs::Counter* watchdog_kills;
   obs::Counter* nonce_replays;
@@ -94,16 +93,21 @@ ServiceMetrics& Metrics() {
     m->connections =
         r.GetCounter("diffc_net_connections_total", "Wire connections accepted by diffcd");
     m->sessions_active = r.GetGauge("diffc_net_sessions_active", "Live diffcd sessions");
-    m->requests_ping = r.GetCounter("diffc_net_requests_total", "Requests dispatched by type",
-                                    {{"type", "ping"}});
-    m->requests_register = r.GetCounter("diffc_net_requests_total",
-                                        "Requests dispatched by type",
-                                        {{"type", "register-premises"}});
-    m->requests_check_batch = r.GetCounter("diffc_net_requests_total",
-                                           "Requests dispatched by type",
-                                           {{"type", "check-batch"}});
-    m->requests_release = r.GetCounter("diffc_net_requests_total",
-                                       "Requests dispatched by type", {{"type", "release"}});
+    // One latency histogram per `WireRequest`; its `_count` is the number
+    // of requests dispatched of that type.
+    m->request_seconds_ping =
+        r.GetHistogram("diffc_net_request_seconds", "Wire request wall time by type",
+                       obs::ExponentialBuckets(0.0001, 4.0, 12), {{"type", "ping"}});
+    m->request_seconds_register =
+        r.GetHistogram("diffc_net_request_seconds", "Wire request wall time by type",
+                       obs::ExponentialBuckets(0.0001, 4.0, 12),
+                       {{"type", "register-premises"}});
+    m->request_seconds_check_batch =
+        r.GetHistogram("diffc_net_request_seconds", "Wire request wall time by type",
+                       obs::ExponentialBuckets(0.0001, 4.0, 12), {{"type", "check-batch"}});
+    m->request_seconds_release =
+        r.GetHistogram("diffc_net_request_seconds", "Wire request wall time by type",
+                       obs::ExponentialBuckets(0.0001, 4.0, 12), {{"type", "release"}});
     m->frame_errors = r.GetCounter(
         "diffc_net_frame_errors_total",
         "Malformed wire input: bad version, oversized or truncated frames, unknown types");
@@ -120,9 +124,6 @@ ServiceMetrics& Metrics() {
         r.GetGauge("diffc_net_inflight_batches", "CHECK_BATCH requests currently executing");
     m->drains = r.GetCounter("diffc_net_drains_total", "Graceful drains begun");
     m->draining = r.GetGauge("diffc_net_draining", "1 while a drain is in progress");
-    m->request_seconds =
-        r.GetHistogram("diffc_net_request_seconds", "Wire request wall time by type",
-                       obs::ExponentialBuckets(0.0001, 4.0, 12));
     m->shed = r.GetCounter(
         "diffc_net_shed_total",
         "CHECK_BATCH requests shed with an OVERLOADED reply (watermarks, admission "
@@ -142,6 +143,21 @@ ServiceMetrics& Metrics() {
     return m;
   }();
   return *metrics;
+}
+
+/// The latency histogram of request type `t`.
+obs::Histogram* RequestSeconds(ServiceMetrics& m, WireRequest t) {
+  switch (t) {
+    case WireRequest::kPing:
+      return m.request_seconds_ping;
+    case WireRequest::kRegisterPremises:
+      return m.request_seconds_register;
+    case WireRequest::kCheckBatch:
+      return m.request_seconds_check_batch;
+    case WireRequest::kRelease:
+      return m.request_seconds_release;
+  }
+  return m.request_seconds_ping;  // Unreachable: SessionLoop admits known types only.
 }
 
 Frame ErrFrame(const Status& s) {
@@ -369,11 +385,12 @@ void DiffcdServer::SessionLoop(Session* session) {
     Frame reply = Dispatch(&ctx, frame);
     const auto elapsed_steady = std::chrono::steady_clock::now() - started;
     const double elapsed = std::chrono::duration<double>(elapsed_steady).count();
-    m.request_seconds->Observe(elapsed);
+    const auto type = static_cast<WireRequest>(frame.type);
+    RequestSeconds(m, type)->Observe(elapsed);
     if (options_.slow_request_threshold.count() > 0 &&
         elapsed >= std::chrono::duration<double>(options_.slow_request_threshold).count()) {
       std::vector<std::pair<std::string, std::string>> fields = {
-          {"type", WireRequestName(static_cast<WireRequest>(frame.type))},
+          {"type", WireRequestName(type)},
           {"seconds", std::to_string(elapsed)},
           {"session", std::to_string(session->id)},
       };
@@ -433,20 +450,15 @@ Frame DiffcdServer::Dispatch(SessionContext* ctx, const Frame& frame) {
   // SessionLoop has rejected unknown type bytes, so the cast names a
   // declared enumerator; -Werror=switch keeps the switch exhaustive.
   const auto type = static_cast<WireRequest>(frame.type);
-  ServiceMetrics& m = Metrics();
   obs::SpanGuard span(ctx->tracer, WireRequestName(type));
   switch (type) {
     case WireRequest::kPing:
-      m.requests_ping->Inc();
       return HandlePing(ctx, frame);
     case WireRequest::kRegisterPremises:
-      m.requests_register->Inc();
       return HandleRegisterPremises(ctx, frame);
     case WireRequest::kCheckBatch:
-      m.requests_check_batch->Inc();
       return HandleCheckBatch(ctx, frame);
     case WireRequest::kRelease:
-      m.requests_release->Inc();
       return HandleRelease(ctx, frame);
   }
   return ErrFrame(Status::InvalidArgument("unknown request type byte " +

@@ -12,8 +12,8 @@
 namespace diffc::obs {
 
 /// A discrete, structured occurrence worth keeping for a post-mortem:
-/// deadline exceeded, degrade, escalate attempt, cache eviction, fail-point
-/// fire, worker exception. Events are rare by construction — per-decision /
+/// deadline exceeded, degrade, cache eviction, fail-point fire, worker
+/// exception. Events are rare by construction — per-decision /
 /// per-propagation happenings belong in metrics, not here.
 struct Event {
   /// steady_clock nanoseconds at record time.

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -314,26 +313,46 @@ TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
   ConstraintSet premises{
       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2, 3}}))};
   std::vector<DifferentialConstraint> goals{
-      // Trivial goal: the zero-cost procedure must lead its plan.
+      // Trivial goal: the trivial procedure leads its plan.
       DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})),
       // General goal: interval cover is planned before SAT, exhaustive last.
       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{4}, ItemSet{5, 6}}))};
   ImplicationEngine engine;
   Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
   ASSERT_TRUE(out.ok());
-  ASSERT_FALSE(out->results[0].stats.plan.empty());
-  EXPECT_EQ(out->results[0].stats.plan.front(), DecisionProcedure::kTrivial);
-  EXPECT_EQ(out->results[0].stats.procedure, DecisionProcedure::kTrivial);
-  const std::vector<DecisionProcedure>& plan = out->results[1].stats.plan;
-  auto pos = [&](DecisionProcedure p) {
-    return std::find(plan.begin(), plan.end(), p) - plan.begin();
-  };
-  ASSERT_NE(pos(DecisionProcedure::kIntervalCover),
-            static_cast<std::ptrdiff_t>(plan.size()));
-  ASSERT_NE(pos(DecisionProcedure::kSat), static_cast<std::ptrdiff_t>(plan.size()));
-  ASSERT_NE(pos(DecisionProcedure::kExhaustive), static_cast<std::ptrdiff_t>(plan.size()));
-  EXPECT_LT(pos(DecisionProcedure::kIntervalCover), pos(DecisionProcedure::kSat));
-  EXPECT_LT(pos(DecisionProcedure::kSat), pos(DecisionProcedure::kExhaustive));
+  // The plan is the procedure table in order, filtered by applicability: the
+  // two-member premise family is outside the FD subclass, so fd-subclass is
+  // never planned.
+  using P = DecisionProcedure;
+  EXPECT_EQ(out->results[0].stats.plan,
+            (std::vector<P>{P::kTrivial, P::kIntervalCover, P::kSat, P::kExhaustive}));
+  EXPECT_EQ(out->results[0].stats.procedure, P::kTrivial);
+  EXPECT_EQ(out->results[1].stats.plan,
+            (std::vector<P>{P::kIntervalCover, P::kSat, P::kExhaustive}));
+}
+
+TEST(ImplicationEngineTest, ExpiredBatchDeadlineStillAnswersTrivialGoals) {
+  // The plan's one deadline sample comes after the trivial step: a batch
+  // that is over budget before it starts still answers a trivial goal, and
+  // fails every other goal fast.
+  const int n = 10;
+  ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2, 3}}))};
+  std::vector<DifferentialConstraint> goals{
+      DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})),
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{4}, ItemSet{5, 6}}))};
+  ImplicationEngine engine;
+  Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, premises);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Result<BatchOutcome> out =
+      engine.CheckBatch(*prepared, goals, Deadline::After(std::chrono::nanoseconds(0)), {});
+  ASSERT_TRUE(out.ok());
+  const EngineQueryResult& trivial = out->results[0];
+  ASSERT_TRUE(trivial.status.ok()) << trivial.status.ToString();
+  EXPECT_EQ(trivial.outcome.verdict, ImplicationOutcome::kImplied);
+  EXPECT_EQ(trivial.stats.procedure, DecisionProcedure::kTrivial);
+  EXPECT_EQ(out->results[1].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(out->results[1].stats.procedure, DecisionProcedure::kNone);
 }
 
 TEST(ProcedureTableTest, EveryProcedureHasExactlyOneEntry) {
@@ -559,16 +578,13 @@ TEST(CacheTest, PreparedCacheEvictsAndDedupes) {
 // ---------------------------------------------------------------------------
 // Reliability layer: deadlines, exhaustion policies, cancellation.
 //
-// The adversarial instance is the pigeonhole DNF tautology PHP(holes+1,
-// holes) pushed through the Proposition 5.5 reduction
+// The adversarial instance is the pigeonhole DNF tautology PHP(5,4) behind
+// 22 pads (n = 64) pushed through the Proposition 5.5 reduction
 // (`testing::PigeonholeDnf`): every query is pinned to the sat search, and
 // with 42+ free attributes the exhaustive fallback is out of range, so
-// exhaustion is genuine. Budget tests count nodes (1439 for holes=6), so
-// they do not depend on the machine. Wall-clock tests use
-// `MakeStalledPigeonhole`: PHP(5,4) behind 22 pads (n = 64) needs about
-// 2·10^8 nodes — over a minute in a release build — so a 5–30 ms deadline
-// or cancel fires inside the search with a margin of more than 1000×,
-// whatever the machine speed.
+// exhaustion is genuine. It needs about 2·10^8 nodes — over a minute in a
+// release build — so a 5–30 ms deadline or cancel fires inside the search
+// with a margin of more than 1000×, whatever the machine speed.
 
 struct PigeonholeProblem {
   int n = 0;
@@ -576,16 +592,14 @@ struct PigeonholeProblem {
   DifferentialConstraint goal = TautologyGoal();
 };
 
-PigeonholeProblem MakePigeonhole(int holes, int pads = 0) {
+// An instance the search cannot finish within any test's lifetime.
+PigeonholeProblem MakeStalledPigeonhole() {
   PigeonholeProblem p;
-  prop::DnfFormula f = testing::PigeonholeDnf(holes, pads);
+  prop::DnfFormula f = testing::PigeonholeDnf(4, 22);
   p.n = f.num_vars;
   p.premises = DnfTautologyReduction(f);
   return p;
 }
-
-// An instance the search cannot finish within any test's lifetime.
-PigeonholeProblem MakeStalledPigeonhole() { return MakePigeonhole(4, 22); }
 
 TEST(EngineReliabilityTest, DegradePolicyYieldsUnknownWithEvidence) {
   PigeonholeProblem p = MakeStalledPigeonhole();
@@ -613,43 +627,6 @@ TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
   EngineQueryResult r = engine.CheckOne(p.n, p.premises, p.goal);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.stats.stopped_in, DecisionProcedure::kSat);
-  EXPECT_EQ(r.stats.attempts, 1);
-}
-
-TEST(EngineReliabilityTest, EscalatePolicyRetriesUntilTheBudgetFits) {
-  // PHP(7,6) needs 1439 search nodes: a budget of 500 fails, its
-  // doublings 1000 and 2000 fail and succeed respectively, so the query
-  // lands on attempt 3 with two observable escalations.
-  PigeonholeProblem p = MakePigeonhole(6);
-  EngineOptions opts;
-  opts.max_solver_decisions = 500;
-  opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
-  opts.max_retries = 2;
-  opts.escalate_backoff = std::chrono::nanoseconds(0);
-  ImplicationEngine engine(opts);
-  Result<BatchOutcome> out = engine.CheckBatch(p.n, p.premises, {p.goal});
-  ASSERT_TRUE(out.ok());
-  const EngineQueryResult& r = out->results[0];
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.outcome.implied);
-  EXPECT_EQ(r.stats.attempts, 3);
-  EXPECT_EQ(out->stats.escalations, 2u);
-  EXPECT_EQ(out->stats.implied, 1u);
-}
-
-TEST(EngineReliabilityTest, ExhaustedRetriesDegrade) {
-  PigeonholeProblem p = MakePigeonhole(6);
-  EngineOptions opts;
-  opts.max_solver_decisions = 100;  // 100 then 200: both far short.
-  opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
-  opts.max_retries = 1;
-  opts.escalate_backoff = std::chrono::nanoseconds(0);
-  ImplicationEngine engine(opts);
-  EngineQueryResult r = engine.CheckOne(p.n, p.premises, p.goal);
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.outcome.verdict, ImplicationOutcome::kUnknown);
-  EXPECT_EQ(r.stats.attempts, 2);
-  EXPECT_EQ(r.stats.degraded_from, StatusCode::kResourceExhausted);
 }
 
 TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "lattice/interval.h"
 #include "lattice/itemset.h"
 #include "lattice/set_family.h"
@@ -112,6 +116,16 @@ TEST(ItemSetTest, ParseRoundTrip) {
 }
 
 // ---------------------------------------------------------------- SetFamily
+
+// An lvalue family hands out references; a temporary hands out values, so a
+// range-for over `f.Minimized().members()` cannot dangle.
+static_assert(std::is_same_v<decltype(std::declval<const SetFamily&>().members()),
+                             const std::vector<ItemSet>&>);
+static_assert(std::is_same_v<decltype(std::declval<SetFamily>().members()),
+                             std::vector<ItemSet>>);
+static_assert(std::is_same_v<decltype(std::declval<const SetFamily&>().member(0)),
+                             const ItemSet&>);
+static_assert(std::is_same_v<decltype(std::declval<SetFamily>().member(0)), ItemSet>);
 
 TEST(SetFamilyTest, SortsAndDedupes) {
   SetFamily f({ItemSet{2}, ItemSet{0}, ItemSet{2}});

@@ -589,6 +589,9 @@ TEST(DiffcdServiceTest, EveryRequestTypeReachesItsDecoder) {
 }
 
 TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
+  // PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes per
+  // query, so under the request's 1 ms deadline every query ends
+  // DeadlineExceeded, whatever the machine speed.
   ServerOptions options = LoopbackOptions();
   options.engine.num_threads = 1;
   DiffcdServer server(options);
@@ -596,21 +599,22 @@ TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
   ASSERT_TRUE(client.ok());
 
-  const int n = 12;
-  Rng rng(7);
-  ConstraintSet premises = testing::RandomConstraintSet(rng, n, 30);
-  std::vector<DifferentialConstraint> goals;
-  for (int i = 0; i < 20000; ++i) goals.push_back(testing::RandomConstraint(rng, n));
-  Result<RegisterOkMsg> registered = client->RegisterPremises(n, premises);
+  const prop::DnfFormula php = testing::PigeonholeDnf(4, 22);
+  const int n = php.num_vars;
+  const std::vector<DifferentialConstraint> goals(4, TautologyGoal());
+  Result<RegisterOkMsg> registered = client->RegisterPremises(n, DnfTautologyReduction(php));
   ASSERT_TRUE(registered.ok());
 
   Result<BatchResultMsg> batch = client->CheckBatch(registered->handle, n, goals,
                                                     std::chrono::milliseconds(1));
   ASSERT_TRUE(batch.ok());
+  // The deadline fired in every query, and every slot is still populated
+  // (index-aligned).
   ASSERT_EQ(batch->results.size(), goals.size());
-  // 20k queries on one worker cannot finish in 1 ms: the deadline must
-  // have fired, and every slot is still populated (index-aligned).
-  EXPECT_GT(batch->stats.timed_out, 0u);
+  for (const WireQueryResult& r : batch->results) {
+    EXPECT_EQ(r.status_code, StatusCode::kDeadlineExceeded) << r.status_message;
+  }
+  EXPECT_EQ(batch->stats.timed_out, goals.size());
   EXPECT_EQ(batch->stats.queries, goals.size());
   EXPECT_TRUE(server.Shutdown().ok());
 }
@@ -702,10 +706,11 @@ TEST(DiffcdServiceTest, MetricsEndpointServesPrometheusAndJson) {
   const std::string metrics = HttpGet(server.metrics_bound_address(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
   // Valid Prometheus exposition: HELP/TYPE blocks and the per-service
-  // counters, including the labeled per-type request family.
-  EXPECT_NE(metrics.find("# TYPE diffc_net_requests_total counter"), std::string::npos);
-  EXPECT_NE(metrics.find("diffc_net_requests_total{type=\"ping\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("diffc_net_requests_total{type=\"check-batch\"}"),
+  // metrics, including the labeled per-type request latency family.
+  EXPECT_NE(metrics.find("# TYPE diffc_net_request_seconds histogram"), std::string::npos);
+  EXPECT_NE(metrics.find("diffc_net_request_seconds_count{type=\"ping\"}"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("diffc_net_request_seconds_count{type=\"check-batch\"}"),
             std::string::npos);
   EXPECT_NE(metrics.find("# TYPE diffc_net_sessions_active gauge"), std::string::npos);
   EXPECT_NE(metrics.find("diffc_net_connections_total"), std::string::npos);

@@ -569,10 +569,17 @@ TEST(EventLogTest, ConcurrentRecordersNeverLoseCounts) {
 
 // Handles into the global registry for delta assertions. Help strings must
 // not conflict with the library's registrations — re-registration returns
-// the existing handle regardless of help text.
-obs::Counter* QueriesCounter(const char* procedure) {
-  return Registry::Global().GetCounter("diffc_engine_queries_total", "",
-                                       {{"procedure", procedure}});
+// the existing handle regardless of help text (and of buckets, so these pass
+// the library's own in case they register first).
+obs::Histogram* QueryLatency(const char* procedure) {
+  return Registry::Global().GetHistogram("diffc_engine_query_seconds", "",
+                                         obs::ExponentialBuckets(1e-6, 4.0, 14),
+                                         {{"procedure", procedure}});
+}
+
+obs::Histogram* BatchLatency() {
+  return Registry::Global().GetHistogram("diffc_engine_batch_seconds", "",
+                                         obs::ExponentialBuckets(1e-5, 4.0, 12));
 }
 
 obs::Counter* OutcomeCounter(const char* outcome) {
@@ -582,9 +589,8 @@ obs::Counter* OutcomeCounter(const char* outcome) {
 
 TEST(EngineObservabilityTest, CheckBatchFlushesQueryAndOutcomeCounters) {
   const std::uint64_t implied0 = OutcomeCounter("implied")->Value();
-  const std::uint64_t trivial0 = QueriesCounter("trivial")->Value();
-  const std::uint64_t batches0 =
-      Registry::Global().GetCounter("diffc_engine_batches_total", "")->Value();
+  const std::uint64_t trivial0 = QueryLatency("trivial")->Count();
+  const std::uint64_t batches0 = BatchLatency()->Count();
 
   ImplicationEngine engine(EngineOptions{});
   ConstraintSet premises;
@@ -597,9 +603,8 @@ TEST(EngineObservabilityTest, CheckBatchFlushesQueryAndOutcomeCounters) {
   EXPECT_EQ(out->stats.implied, 3u);
 
   EXPECT_EQ(OutcomeCounter("implied")->Value(), implied0 + 3);
-  EXPECT_EQ(QueriesCounter("trivial")->Value(), trivial0 + 3);
-  EXPECT_EQ(Registry::Global().GetCounter("diffc_engine_batches_total", "")->Value(),
-            batches0 + 1);
+  EXPECT_EQ(QueryLatency("trivial")->Count(), trivial0 + 3);
+  EXPECT_EQ(BatchLatency()->Count(), batches0 + 1);
 }
 
 TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
@@ -622,7 +627,7 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   opts.exhaustion_policy = ExhaustionPolicy::kDegrade;
   opts.trace = true;
   // No interval-cover step: its witness probe could spend the 10 ms on a
-  // slow machine before the search starts. `sat` is the only costed step.
+  // slow machine before the search starts. `sat` is the plan's first step.
   opts.use_interval_cover_fast_path = false;
   ImplicationEngine engine(opts);
   EngineQueryResult r = engine.CheckOne(f.num_vars, premises, TautologyGoal());
@@ -651,26 +656,6 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   EXPECT_TRUE(saw_degrade);
 }
 
-TEST(EngineObservabilityTest, EscalationsAreCountedPerRetry) {
-  obs::Counter* escalations =
-      Registry::Global().GetCounter("diffc_engine_escalations_total", "");
-  const std::uint64_t escalations0 = escalations->Value();
-
-  prop::DnfFormula f = testing::PigeonholeDnf(6);
-  ConstraintSet premises = DnfTautologyReduction(f);
-  EngineOptions opts;
-  opts.max_solver_decisions = 500;  // PHP(7,6) needs 1439 nodes: two doublings.
-  opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
-  opts.max_retries = 2;
-  opts.escalate_backoff = std::chrono::nanoseconds(0);
-  ImplicationEngine engine(opts);
-  EngineQueryResult r = engine.CheckOne(f.num_vars, premises, TautologyGoal());
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.outcome.implied);
-  EXPECT_EQ(r.stats.attempts, 3);
-  EXPECT_EQ(escalations->Value(), escalations0 + 2);
-}
-
 TEST(EngineObservabilityTest, UntracedQueriesCarryNoTraceRecord) {
   ImplicationEngine engine(EngineOptions{});  // trace defaults off.
   ConstraintSet premises;
@@ -682,26 +667,26 @@ TEST(EngineObservabilityTest, UntracedQueriesCarryNoTraceRecord) {
 }
 
 TEST(EngineObservabilityTest, MetricsDisabledFreezesLibraryCounters) {
-  obs::Counter* trivial = QueriesCounter("trivial");
+  obs::Histogram* trivial = QueryLatency("trivial");
   ConstraintSet premises;
   premises.push_back(DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})));
   DifferentialConstraint goal(ItemSet{0, 1}, SetFamily({ItemSet{1}}));
 
   obs::SetMetricsEnabled(false);
-  const std::uint64_t before = trivial->Value();
+  const std::uint64_t before = trivial->Count();
   {
     ImplicationEngine engine(EngineOptions{});
     EngineQueryResult r = engine.CheckOne(4, premises, goal);
     ASSERT_TRUE(r.status.ok());
   }
-  EXPECT_EQ(trivial->Value(), before);
+  EXPECT_EQ(trivial->Count(), before);
   obs::SetMetricsEnabled(true);
   {
     ImplicationEngine engine(EngineOptions{});
     EngineQueryResult r = engine.CheckOne(4, premises, goal);
     ASSERT_TRUE(r.status.ok());
   }
-  EXPECT_EQ(trivial->Value(), before + 1);
+  EXPECT_EQ(trivial->Count(), before + 1);
 }
 
 }  // namespace

@@ -126,20 +126,21 @@ TEST(PlannerDifferentialTest, EngineMatchesExhaustiveOracleOn500PlusInstances) {
 }
 
 TEST(PlannerDifferentialTest, CounterexamplesCertifyAgainstRawPremisesOn500PlusInstances) {
-  // A second pool, with the prepared cache off so every query compiles its
-  // own canonical set: the rewrite canonicalizer (DESIGN.md §14) must be
+  // A second pool, each query against its own freshly built canonical set
+  // (no prepared cache): the rewrite canonicalizer (DESIGN.md §14) must be
   // invisible to callers, so verdicts match the oracle on the raw set and
   // every counterexample — found over the canonical set — lies outside the
   // raw set's L(C).
   std::vector<Instance> instances = MakeInstances(20260809);
   ASSERT_GE(instances.size(), 500u);
-  EngineOptions opts;
-  opts.use_prepared_cache = false;
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   std::size_t certified = 0;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
-    EngineQueryResult r = engine.CheckOne(inst.n, inst.premises, inst.goal);
+    Result<std::shared_ptr<const PreparedPremises>> prepared =
+        PreparedPremises::Build(inst.n, inst.premises);
+    ASSERT_TRUE(prepared.ok()) << "instance " << i << ": " << prepared.status().ToString();
+    EngineQueryResult r = engine.CheckOne(*prepared, inst.goal);
     ExpectMatchesOracle(r, inst, i);
     if (r.outcome.verdict == ImplicationOutcome::kNotImplied) ++certified;
   }

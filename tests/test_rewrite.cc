@@ -343,13 +343,13 @@ TEST(PrepareRewriteTest, EngineVerdictsAtN64) {
   };
   DifferentialConstraint goal(ItemSet::Singleton(0), SetFamily({ItemSet::Singleton(63)}));
   DifferentialConstraint bad_goal(ItemSet::Singleton(63), SetFamily({ItemSet::Singleton(0)}));
-  EngineOptions opts;
-  opts.use_prepared_cache = false;
-  ImplicationEngine engine(opts);
-  EngineQueryResult yes = engine.CheckOne(n, premises, goal);
+  Result<std::shared_ptr<const PreparedPremises>> prepared = PreparedPremises::Build(n, premises);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ImplicationEngine engine;
+  EngineQueryResult yes = engine.CheckOne(*prepared, goal);
   ASSERT_TRUE(yes.status.ok()) << yes.status.ToString();
   EXPECT_TRUE(yes.outcome.implied);
-  EngineQueryResult no = engine.CheckOne(n, premises, bad_goal);
+  EngineQueryResult no = engine.CheckOne(*prepared, bad_goal);
   ASSERT_TRUE(no.status.ok()) << no.status.ToString();
   EXPECT_FALSE(no.outcome.implied);
 }
