@@ -11,23 +11,13 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/differential_semantics.h"
 #include "core/implication.h"
 #include "util/random.h"
 
 namespace diffc {
 namespace {
-
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 0.3));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 0.35);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
 
 void PrintSemanticsGapTable() {
   std::printf("=== E11: density vs differential semantics (Remark 3.6) ===\n");
@@ -39,8 +29,8 @@ void PrintSemanticsGapTable() {
       int agree = 0, density_only = 0, diff_only = 0, total = 0;
       for (int iter = 0; iter < 100; ++iter) {
         ConstraintSet premises;
-        for (int i = 0; i < count; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-        DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+        for (int i = 0; i < count; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.3, 0.35));
+        DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.3, 0.35);
         bool density = CheckImplicationSat(n, premises, goal)->implied;
         bool differential =
             CheckImplicationDifferentialSemantics(n, premises, goal)->implied;
@@ -69,8 +59,8 @@ void BM_DensityImplication(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(n);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.3, 0.35));
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.3, 0.35);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationSat(n, premises, goal)->implied);
   }
@@ -81,8 +71,8 @@ void BM_DifferentialImplication(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(n);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.3, 0.35));
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.3, 0.35);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         CheckImplicationDifferentialSemantics(n, premises, goal)->implied);

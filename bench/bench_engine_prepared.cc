@@ -19,15 +19,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
@@ -35,17 +34,6 @@
 
 namespace diffc {
 namespace {
-
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 2.0 / n));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 2.0 / n);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
 
 // The E5 workload: a premise set big enough that compiling it is real work
 // (with trivial and duplicate members for canonicalization to earn its
@@ -56,7 +44,7 @@ void MakeWorkload(int n, int premise_count, int num_queries, ConstraintSet* prem
   Rng rng(20260806);
   premises->clear();
   for (int i = 0; i < premise_count; ++i) {
-    premises->push_back(RandomConstraint(rng, n, 2));
+    premises->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
   }
   // Trivial premise (member inside the left-hand side) plus duplicates:
   // dropped at canonicalization.
@@ -71,7 +59,7 @@ void MakeWorkload(int n, int premise_count, int num_queries, ConstraintSet* prem
       goals->push_back(DifferentialConstraint(
           p.lhs().Union(ItemSet(rng.RandomMask(n, 2.0 / n))), p.rhs()));
     } else {
-      goals->push_back(RandomConstraint(rng, n, 2));
+      goals->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
     }
   }
 }
@@ -88,13 +76,6 @@ EngineQueryResult CheckOnePerQueryCompile(ImplicationEngine& engine, int n,
     return r;
   }
   return engine.CheckOne(*prepared, goal);
-}
-
-double MeasureMs(const std::function<void()>& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
 void RunPreparedExperiment() {
@@ -133,7 +114,7 @@ void RunPreparedExperiment() {
   auto run_row = [&](ImplicationEngine& e, auto&& check) {
     double best = 1e100;
     for (int t = 0; t < kTrials; ++t) {
-      best = std::min(best, MeasureMs([&] {
+      best = std::min(best, bench::MeasureMs([&] {
         for (std::size_t i = 0; i < goals.size(); ++i) {
           EngineQueryResult r = check(e, goals[i]);
           if (!r.status.ok() || r.outcome.implied != reference[i]) all_agree = false;
@@ -169,7 +150,8 @@ void RunPreparedExperiment() {
   const CacheCounters cache = GlobalPreparedPremisesCache().counters();
   // The engine no longer compiles the Proposition 5.4 CNF; its size is
   // still recorded, from the canonical set the artifact holds.
-  const PremiseTranslation translation = TranslatePremises(n, (*prepared)->constraints());
+  const PremiseTranslation translation =
+      TranslatePremises(n, (*prepared)->masks().Materialize());
   std::printf("prepare: %zu -> %zu constraints (%zu trivial, %zu duplicates dropped), "
               "%d vars, %zu clauses, %.3fms build\n",
               ps.input_constraints, ps.canonical_constraints, ps.dropped_trivial,

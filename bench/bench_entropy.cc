@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bench_util.h"
 #include "core/function_ops.h"
 #include "relational/boolean_dependency.h"
 #include "relational/entropy.h"
@@ -32,17 +33,6 @@ Relation RandomRelation(Rng& rng, int attrs, int tuples, int domain) {
   return *Relation::Make(attrs, rows);
 }
 
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 0.3));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 0.4);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
-
 void PrintOpenProblemTable() {
   const int n = 5;
   std::printf("=== E9: open-problem probe — Shannon vs boolean dependencies ===\n");
@@ -56,7 +46,7 @@ void PrintOpenProblemTable() {
       Distribution p = *Distribution::Uniform(r.size());
       SetFunction<double> density = Density(*ShannonComplementFunction(r, p));
       for (int c_iter = 0; c_iter < 20; ++c_iter) {
-        DifferentialConstraint c = RandomConstraint(rng, n, members);
+        DifferentialConstraint c = bench::RandomConstraint(rng, n, members, 0.3, 0.4);
         bool shannon = SatisfiesWithDensity(density, c, 1e-9);
         bool boolean = SatisfiesBooleanDependency(r, c);
         ++total;
@@ -83,7 +73,7 @@ void PrintOpenProblemTable() {
     Distribution p = *Distribution::Uniform(r.size());
     SetFunction<Rational> density = Density(*SimpsonFunction(r, p));
     for (int c_iter = 0; c_iter < 20; ++c_iter) {
-      DifferentialConstraint c = RandomConstraint(rng2, n, 3);
+      DifferentialConstraint c = bench::RandomConstraint(rng2, n, 3, 0.3, 0.4);
       ++total;
       if (SatisfiesWithDensity(density, c) == SatisfiesBooleanDependency(r, c)) ++agree;
     }

@@ -12,23 +12,13 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/implication.h"
 #include "core/inference.h"
 #include "util/random.h"
 
 namespace diffc {
 namespace {
-
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 0.25));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 0.3);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
 
 struct RuleStats {
   const char* rule;
@@ -53,21 +43,21 @@ void PrintFigure1Table() {
     }
     // Augmentation.
     {
-      DifferentialConstraint p = RandomConstraint(rng, n, 2);
+      DifferentialConstraint p = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
       DifferentialConstraint c(p.lhs().Union(ItemSet(rng.RandomMask(n, 0.3))), p.rhs());
       ++rows[1].instances;
       if (!CheckImplicationSat(n, {p}, c)->implied) ++rows[1].unsound;
     }
     // Addition.
     {
-      DifferentialConstraint p = RandomConstraint(rng, n, 2);
+      DifferentialConstraint p = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
       DifferentialConstraint c(p.lhs(), p.rhs().WithMember(ItemSet(rng.RandomMask(n, 0.3))));
       ++rows[2].instances;
       if (!CheckImplicationSat(n, {p}, c)->implied) ++rows[2].unsound;
     }
     // Elimination.
     {
-      DifferentialConstraint conclusion = RandomConstraint(rng, n, 2);
+      DifferentialConstraint conclusion = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
       ItemSet z(rng.RandomMask(n, 0.3));
       DifferentialConstraint p1(conclusion.lhs(), conclusion.rhs().WithMember(z));
       DifferentialConstraint p2(conclusion.lhs().Union(z), conclusion.rhs());
@@ -87,8 +77,8 @@ void PrintFigure1Table() {
   for (int i = 0; i < 150; ++i) {
     ConstraintSet premises;
     int count = static_cast<int>(rng.UniformInt(1, 3));
-    for (int j = 0; j < count; ++j) premises.push_back(RandomConstraint(rng, n, 2));
-    DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+    for (int j = 0; j < count; ++j) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
+    DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
     bool implied = CheckImplicationSat(n, premises, goal)->implied;
     Result<Derivation> d = DeriveImplied(n, premises, goal);
     bool derivable = d.ok() && ValidateDerivation(n, premises, *d).ok();
@@ -102,7 +92,7 @@ void PrintFigure1Table() {
 void BM_ValidateElimination(benchmark::State& state) {
   Rng rng(1);
   const int n = 8;
-  DifferentialConstraint conclusion = RandomConstraint(rng, n, 3);
+  DifferentialConstraint conclusion = bench::RandomConstraint(rng, n, 3, 0.25, 0.3);
   ItemSet z(rng.RandomMask(n, 0.3));
   DifferentialConstraint p1(conclusion.lhs(), conclusion.rhs().WithMember(z));
   DifferentialConstraint p2(conclusion.lhs().Union(z), conclusion.rhs());
@@ -115,7 +105,7 @@ BENCHMARK(BM_ValidateElimination);
 void BM_RuleSoundnessCheck(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(2);
-  DifferentialConstraint p = RandomConstraint(rng, n, 2);
+  DifferentialConstraint p = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
   DifferentialConstraint c(p.lhs().Union(ItemSet(rng.RandomMask(n, 0.3))), p.rhs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationSat(n, {p}, c)->implied);
@@ -126,12 +116,12 @@ BENCHMARK(BM_RuleSoundnessCheck)->Arg(8)->Arg(16)->Arg(32);
 void BM_ValidateFullDerivation(benchmark::State& state) {
   const int n = 5;
   Rng rng(3);
-  ConstraintSet premises{RandomConstraint(rng, n, 2), RandomConstraint(rng, n, 2)};
+  ConstraintSet premises{bench::RandomConstraint(rng, n, 2, 0.25, 0.3), bench::RandomConstraint(rng, n, 2, 0.25, 0.3)};
   Result<Derivation> d = Status::NotFound("");
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
   // Look for an implied goal with a non-degenerate proof.
   while (!d.ok() || d->size() < 4) {
-    goal = RandomConstraint(rng, n, 2);
+    goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
     d = DeriveImplied(n, premises, goal);
   }
   for (auto _ : state) {

@@ -24,11 +24,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
@@ -41,28 +41,10 @@
 namespace diffc {
 namespace {
 
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 2.0 / n));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 2.0 / n);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
-
 ConstraintSet RandomSet(Rng& rng, int n, int count) {
   ConstraintSet out;
-  for (int i = 0; i < count; ++i) out.push_back(RandomConstraint(rng, n, 2));
+  for (int i = 0; i < count; ++i) out.push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
   return out;
-}
-
-double MeasureMs(const std::function<void()>& fn, int reps) {
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count() / reps;
 }
 
 void PrintScalingTable() {
@@ -72,17 +54,17 @@ void PrintScalingTable() {
     Rng rng(n * 131);
     ConstraintSet premises = RandomSet(rng, n, 6);
     std::vector<DifferentialConstraint> goals;
-    for (int i = 0; i < 20; ++i) goals.push_back(RandomConstraint(rng, n, 2));
+    for (int i = 0; i < 20; ++i) goals.push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
 
     bool all_agree = true;
-    double ex_ms = MeasureMs(
+    double ex_ms = bench::MeasureMs(
         [&] {
           for (const DifferentialConstraint& g : goals) {
             (void)CheckImplicationExhaustive(n, premises, g);
           }
         },
         1);
-    double sat_ms = MeasureMs(
+    double sat_ms = bench::MeasureMs(
         [&] {
           for (const DifferentialConstraint& g : goals) {
             (void)CheckImplicationSat(n, premises, g);
@@ -103,8 +85,8 @@ void PrintScalingTable() {
     const int n = 32;
     ConstraintSet premises = RandomSet(rng, n, count);
     std::vector<DifferentialConstraint> goals;
-    for (int i = 0; i < 20; ++i) goals.push_back(RandomConstraint(rng, n, 2));
-    double sat_ms = MeasureMs(
+    for (int i = 0; i < 20; ++i) goals.push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
+    double sat_ms = bench::MeasureMs(
         [&] {
           for (const DifferentialConstraint& g : goals) {
             (void)CheckImplicationSat(n, premises, g);
@@ -131,7 +113,7 @@ void MakeBatchWorkload(int n, int num_queries, ConstraintSet* premises,
       goals->push_back(DifferentialConstraint(
           p.lhs().Union(ItemSet(rng.RandomMask(n, 2.0 / n))), p.rhs()));
     } else {
-      goals->push_back(RandomConstraint(rng, n, 2));
+      goals->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
     }
   }
 }
@@ -175,7 +157,7 @@ void PrintBatchEngineTable() {
   MakeBatchWorkload(n, 1000, &premises, &goals);
 
   std::vector<bool> sequential_verdicts;
-  double seq_ms = MeasureMs(
+  double seq_ms = bench::MeasureMs(
       [&] {
         sequential_verdicts.clear();
         for (const DifferentialConstraint& g : goals) {
@@ -191,7 +173,7 @@ void PrintBatchEngineTable() {
   opts.num_threads = 4;
   ImplicationEngine engine(opts);
   Result<BatchOutcome> batch = Status::InvalidArgument("not yet run");
-  double engine_ms = MeasureMs([&] { batch = engine.CheckBatch(n, premises, goals); }, 1);
+  double engine_ms = bench::MeasureMs([&] { batch = engine.CheckBatch(n, premises, goals); }, 1);
 
   bool all_agree = batch.ok();
   if (batch.ok()) {
@@ -228,10 +210,10 @@ void PrintBatchEngineTable() {
   for (int t = 0; t < kOverheadTrials; ++t) {
     no_deadline_ms = std::min(
         no_deadline_ms,
-        MeasureMs([&] { (void)plain->CheckBatch(n, premises, goals); }, kOverheadReps));
+        bench::MeasureMs([&] { (void)plain->CheckBatch(n, premises, goals); }, kOverheadReps));
     generous_ms = std::min(
         generous_ms,
-        MeasureMs([&] { (void)guarded->CheckBatch(n, premises, goals); }, kOverheadReps));
+        bench::MeasureMs([&] { (void)guarded->CheckBatch(n, premises, goals); }, kOverheadReps));
   }
   double overhead_pct =
       no_deadline_ms > 0 ? (generous_ms / no_deadline_ms - 1.0) * 100.0 : 0.0;
@@ -253,7 +235,7 @@ void PrintBatchEngineTable() {
   adv.exhaustion_policy = ExhaustionPolicy::kDegrade;
   ImplicationEngine adv_engine(adv);
   Result<BatchOutcome> adv_out = Status::InvalidArgument("not yet run");
-  double adv_ms = MeasureMs(
+  double adv_ms = bench::MeasureMs(
       [&] { adv_out = adv_engine.CheckBatch(php.num_vars, php_premises, php_goals); }, 1);
   if (adv_out.ok()) {
     std::printf("adversarial deadlines (PHP(%d,%d) + 8 pads, 10ms/query, degrade): %.1fms, %s\n",
@@ -348,14 +330,14 @@ void PrintObservabilityTable() {
     obs::SetMetricsEnabled(false);
     disabled_ms = std::min(
         disabled_ms,
-        MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
+        bench::MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
     obs::SetMetricsEnabled(true);
     enabled_ms = std::min(
         enabled_ms,
-        MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
+        bench::MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
     trace_ms = std::min(
         trace_ms,
-        MeasureMs([&] { (void)traced_engine.CheckBatch(n, premises, goals); }, kReps));
+        bench::MeasureMs([&] { (void)traced_engine.CheckBatch(n, premises, goals); }, kReps));
   }
   obs::SetMetricsEnabled(true);
   const double enabled_pct =
@@ -439,7 +421,7 @@ void BM_Exhaustive(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(n);
   ConstraintSet premises = RandomSet(rng, n, 6);
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationExhaustive(n, premises, goal)->implied);
   }
@@ -450,7 +432,7 @@ void BM_Sat(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(n);
   ConstraintSet premises = RandomSet(rng, n, 6);
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationSat(n, premises, goal)->implied);
   }
@@ -462,7 +444,7 @@ void BM_SatVsConstraintCount(benchmark::State& state) {
   const int n = 32;
   Rng rng(count);
   ConstraintSet premises = RandomSet(rng, n, count);
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationSat(n, premises, goal)->implied);
   }

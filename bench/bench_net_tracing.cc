@@ -21,16 +21,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/trace_store.h"
@@ -39,17 +38,6 @@
 namespace diffc {
 namespace {
 
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 2.0 / n));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 2.0 / n);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
-
 // The E8 workload: a small premise set and cheap goal batches, so the
 // wire + dispatch + tracing path dominates over engine time — the regime
 // where per-request tracing overhead is most visible.
@@ -57,16 +45,9 @@ void MakeWorkload(int n, ConstraintSet* premises,
                   std::vector<DifferentialConstraint>* goals) {
   Rng rng(20260809);
   premises->clear();
-  for (int i = 0; i < 12; ++i) premises->push_back(RandomConstraint(rng, n, 2));
+  for (int i = 0; i < 12; ++i) premises->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
   goals->clear();
-  for (int i = 0; i < 8; ++i) goals->push_back(RandomConstraint(rng, n, 2));
-}
-
-double MeasureMs(const std::function<void()>& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count();
+  for (int i = 0; i < 8; ++i) goals->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 2.0 / n));
 }
 
 double Median(std::vector<double> v) {
@@ -154,7 +135,7 @@ void RunTracingExperiment() {
       RatePair& pair = pairs[(t + i) % 3];
       const std::uint64_t stored_before = obs::GlobalTraceStore().total();
       pair.trial_ms.push_back(
-          MeasureMs([&] { pair.implied += RunCalls(&pair, kCalls, n, goals); }));
+          bench::MeasureMs([&] { pair.implied += RunCalls(&pair, kCalls, n, goals); }));
       pair.stored += obs::GlobalTraceStore().total() - stored_before;
     }
   }

@@ -22,15 +22,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/implication_engine.h"
 #include "engine/sat_kernel.h"
 #include "rewrite/rewrite_rule.h"
@@ -39,17 +38,6 @@
 
 namespace diffc {
 namespace {
-
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 2.0 / n));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 3.0 / n);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
 
 // The E10 workload: a base set plus the redundancy only the rewriter can
 // remove — the inline path keeps augmented (non-identical) copies and
@@ -60,7 +48,7 @@ void MakeWorkload(int n, ConstraintSet* premises,
   Rng rng(20260809);
   premises->clear();
   const int kBase = 48;
-  for (int i = 0; i < kBase; ++i) premises->push_back(RandomConstraint(rng, n, 2));
+  for (int i = 0; i < kBase; ++i) premises->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 3.0 / n));
   // Augmented copies (wider lhs, same family): absorbed by their base.
   for (int i = 0; i < 16; ++i) {
     const DifferentialConstraint& p = (*premises)[static_cast<std::size_t>(i * 3 % kBase)];
@@ -103,7 +91,7 @@ void MakeWorkload(int n, ConstraintSet* premises,
       goals->push_back(DifferentialConstraint(
           p.lhs().Union(ItemSet(rng.RandomMask(n, 2.0 / n))), p.rhs()));
     } else {
-      goals->push_back(RandomConstraint(rng, n, 2));
+      goals->push_back(bench::RandomConstraint(rng, n, 2, 2.0 / n, 3.0 / n));
     }
   }
 }
@@ -124,13 +112,6 @@ ConstraintSet InlineCanonicalize(const ConstraintSet& premises) {
   return out;
 }
 
-double MeasureMs(const std::function<void()>& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
 void RunRewriteExperiment() {
   std::printf("=== E10: rewrite canonicalizer vs inline path "
               "(n=16, planted redundancy, 400 queries) ===\n");
@@ -145,8 +126,11 @@ void RunRewriteExperiment() {
   const ConstraintSet simplified =
       rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &ss);  // Level 2.
 
-  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of(raw);
-  const rewrite::RewriteCost simplified_cost = rewrite::RewriteCost::Of(simplified);
+  const PremiseMasks raw_masks = PremiseMasks::Compile(raw);
+  const PremiseMasks simplified_masks = PremiseMasks::Compile(simplified);
+  const rewrite::RewriteCost input_cost = rewrite::RewriteCost::Of(PremiseMasks::Compile(premises));
+  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of(raw_masks);
+  const rewrite::RewriteCost simplified_cost = rewrite::RewriteCost::Of(simplified_masks);
   const double member_reduction =
       raw_cost.members == 0
           ? 0.0
@@ -167,13 +151,12 @@ void RunRewriteExperiment() {
   // over the mask arena of their set; a failed search counts as a
   // disagreement.
   const std::uint64_t max_nodes = EngineOptions().max_solver_decisions;
-  auto run_row = [&](const ConstraintSet& set, std::vector<int>* verdicts) {
-    const PremiseMasks masks = PremiseMasks::Compile(set);
+  auto run_row = [&](const PremiseMasks& masks, std::vector<int>* verdicts) {
     double best = 1e100;
     for (int t = 0; t < kTrials; ++t) {
       std::vector<int> got;
       got.reserve(goals.size());
-      best = std::min(best, MeasureMs([&] {
+      best = std::min(best, bench::MeasureMs([&] {
         for (const DifferentialConstraint& g : goals) {
           Result<ImplicationOutcome> r =
               SearchCounterexample(n, masks, g, max_nodes, nullptr, nullptr);
@@ -187,18 +170,16 @@ void RunRewriteExperiment() {
 
   std::vector<int> raw_verdicts;
   std::vector<int> simplified_verdicts;
-  const double raw_ms = run_row(raw, &raw_verdicts);
-  const double simplified_ms = run_row(simplified, &simplified_verdicts);
+  const double raw_ms = run_row(raw_masks, &raw_verdicts);
+  const double simplified_ms = run_row(simplified_masks, &simplified_verdicts);
   const bool verdicts_agree =
       raw_verdicts == simplified_verdicts &&
       std::find(raw_verdicts.begin(), raw_verdicts.end(), -1) == raw_verdicts.end();
   const double query_speedup = simplified_ms > 0 ? raw_ms / simplified_ms : 0.0;
 
   std::printf("%22s %12s %10s %10s\n", "", "constraints", "members", "items");
-  std::printf("%22s %12zu %10zu %10zu\n", "input",
-              rewrite::RewriteCost::Of(premises).constraints,
-              rewrite::RewriteCost::Of(premises).members,
-              rewrite::RewriteCost::Of(premises).member_items);
+  std::printf("%22s %12zu %10zu %10zu\n", "input", input_cost.constraints,
+              input_cost.members, input_cost.member_items);
   std::printf("%22s %12zu %10zu %10zu\n", "inline (raw)", raw_cost.constraints,
               raw_cost.members, raw_cost.member_items);
   std::printf("%22s %12zu %10zu %10zu\n", "rewriter (level 2)",
@@ -206,7 +187,8 @@ void RunRewriteExperiment() {
               simplified_cost.member_items);
   std::printf("reduction vs inline: %.1f%% constraints, %.1f%% members, %.1f%% items\n",
               100 * constraint_reduction, 100 * member_reduction, 100 * item_reduction);
-  std::printf("rewriter: %zu passes, %zu edits", ss.passes, ss.applied_total);
+  std::printf("rewriter: %zu passes, %zu edits, %llu budget steps", ss.passes,
+              ss.applied_total, static_cast<unsigned long long>(ss.steps));
   for (const auto& [rule, edits] : ss.applied_by_rule) {
     std::printf("  %s=%zu", rule.c_str(), edits);
   }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "bench_util.h"
 #include "core/closure.h"
 #include "core/implication.h"
 #include "fis/basket.h"
@@ -21,17 +22,6 @@
 
 namespace diffc {
 namespace {
-
-DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
-  ItemSet lhs(rng.RandomMask(n, 0.25));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < members; ++i) {
-    Mask m = rng.RandomMask(n, 0.3);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
 
 // Support-function semantics by exhaustive one-basket counterexample
 // search (the witness class from Proposition 6.4's proof).
@@ -67,9 +57,9 @@ void PrintSemanticsTable() {
               n, kQueries);
   Rng rng(81);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
   std::vector<DifferentialConstraint> goals;
-  for (int i = 0; i < kQueries; ++i) goals.push_back(RandomConstraint(rng, n, 2));
+  for (int i = 0; i < kQueries; ++i) goals.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
 
   struct Face {
     const char* name;
@@ -118,8 +108,8 @@ void BM_FaceSat(benchmark::State& state) {
   const int n = 10;
   Rng rng(82);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckImplicationSat(n, premises, goal)->implied);
   }
@@ -130,8 +120,8 @@ void BM_FaceSupport(benchmark::State& state) {
   const int n = 10;
   Rng rng(82);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SupportImplication(n, premises, goal));
   }
@@ -142,8 +132,8 @@ void BM_FacePropositional(benchmark::State& state) {
   const int n = 10;
   Rng rng(82);
   ConstraintSet premises;
-  for (int i = 0; i < 4; ++i) premises.push_back(RandomConstraint(rng, n, 2));
-  DifferentialConstraint goal = RandomConstraint(rng, n, 2);
+  for (int i = 0; i < 4; ++i) premises.push_back(bench::RandomConstraint(rng, n, 2, 0.25, 0.3));
+  DifferentialConstraint goal = bench::RandomConstraint(rng, n, 2, 0.25, 0.3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(PropositionalImplication(n, premises, goal));
   }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bench_util.h"
 #include "core/function_ops.h"
 #include "relational/boolean_dependency.h"
 #include "relational/distribution.h"
@@ -30,17 +31,6 @@ Relation RandomRelation(Rng& rng, int attrs, int tuples, int domain) {
   return *Relation::Make(attrs, rows);
 }
 
-DifferentialConstraint RandomConstraint(Rng& rng, int n) {
-  ItemSet lhs(rng.RandomMask(n, 0.3));
-  std::vector<ItemSet> family;
-  for (int i = 0; i < 2; ++i) {
-    Mask m = rng.RandomMask(n, 0.35);
-    if (m == 0) m = Mask{1} << rng.UniformInt(0, n - 1);
-    family.push_back(ItemSet(m));
-  }
-  return DifferentialConstraint(lhs, SetFamily(std::move(family)));
-}
-
 void PrintSimpsonTable() {
   std::printf("=== E8: Simpson functions & boolean dependencies ===\n");
   std::printf("%8s %8s %16s %16s %10s\n", "attrs", "tuples", "simpson(ms)",
@@ -57,7 +47,7 @@ void PrintSimpsonTable() {
       SetFunction<Rational> density = Density(simpson);
 
       std::vector<DifferentialConstraint> goals;
-      for (int i = 0; i < 40; ++i) goals.push_back(RandomConstraint(rng, attrs));
+      for (int i = 0; i < 40; ++i) goals.push_back(bench::RandomConstraint(rng, attrs, 2, 0.3, 0.35));
       auto t2 = std::chrono::steady_clock::now();
       for (const DifferentialConstraint& g : goals) {
         benchmark::DoNotOptimize(SatisfiesBooleanDependency(r, g));
@@ -108,7 +98,7 @@ void BM_BooleanDependency(benchmark::State& state) {
   const int tuples = static_cast<int>(state.range(0));
   Rng rng(tuples + 1);
   Relation r = RandomRelation(rng, attrs, tuples, 3);
-  DifferentialConstraint c = RandomConstraint(rng, attrs);
+  DifferentialConstraint c = bench::RandomConstraint(rng, attrs, 2, 0.3, 0.35);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SatisfiesBooleanDependency(r, c));
   }

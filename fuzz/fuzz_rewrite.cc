@@ -9,6 +9,8 @@
 //      the materialized-lattice oracle, not a weaker structural check.
 //   3. *Idempotence*: re-running on the output applies zero edits and
 //      returns the identical set.
+//   4. *Order independence*: a shuffle of the instance simplifies to the
+//      identical set, so the output depends on the set alone.
 //
 // Byte format (any byte string decodes; truncation just yields fewer
 // constraints): byte 0 picks n; then per constraint, one lhs byte followed
@@ -17,8 +19,10 @@
 // whose family holds ∅ is trivially satisfied everywhere (∅ ⊆ U for every
 // U), exactly the shape drop-trivial must handle.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -58,6 +62,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   int n = 0;
   const ConstraintSet instance = DecodeInstance(data, size, &n);
+  // A shuffle seeded by the input bytes, so a replay reproduces it.
+  ConstraintSet shuffled = instance;
+  std::uint64_t seed = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < size; ++i) seed = (seed ^ data[i]) * 0x100000001b3ull;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(seed));
 
   for (int level = 1; level <= 2; ++level) {
     rewrite::SimplifyOptions opts;
@@ -90,6 +99,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const ConstraintSet again = rewrite::Simplify(n, out, opts, &again_stats);
     if (again_stats.applied_total != 0 || again != out) {
       fuzz::FuzzFail("idempotence", "re-simplification edited an already-canonical set");
+    }
+
+    if (rewrite::Simplify(n, shuffled, opts) != out) {
+      fuzz::FuzzFail("order", "a shuffled instance simplified to a different set at level " +
+                                  std::to_string(level));
     }
   }
   return 0;

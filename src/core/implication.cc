@@ -16,6 +16,13 @@ bool InConstraintLattice(const ConstraintSet& premises, const ItemSet& u) {
   return false;
 }
 
+bool InConstraintLattice(const PremiseMasks& premises, Mask u) {
+  for (const PremiseMasks::Premise& p : premises.premises) {
+    if (IsSubset(p.lhs, u) && !premises.SomeMemberSubsetOf(p, u)) return true;
+  }
+  return false;
+}
+
 Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet& premises,
                                                       const DifferentialConstraint& goal,
                                                       int max_free_bits, StopCheck* stop) {
@@ -113,15 +120,15 @@ bool FdSubclassApplicable(const ConstraintSet& premises, const DifferentialConst
   return true;
 }
 
-FdPremiseIndex BuildFdPremiseIndex(const ConstraintSet& premises) {
+FdPremiseIndex BuildFdPremiseIndex(const PremiseMasks& premises) {
   FdPremiseIndex index;
-  for (const DifferentialConstraint& p : premises) {
-    if (p.rhs().size() != 1) return index;  // eligible stays false.
+  for (const PremiseMasks::Premise& p : premises.premises) {
+    if (p.size() != 1) return index;  // eligible stays false.
   }
   index.eligible = true;
   index.fds.reserve(premises.size());
-  for (const DifferentialConstraint& p : premises) {
-    index.fds.emplace_back(p.lhs(), p.rhs().member(0));
+  for (const PremiseMasks::Premise& p : premises.premises) {
+    index.fds.emplace_back(ItemSet(p.lhs), ItemSet(premises.members[p.begin]));
   }
   return index;
 }
@@ -168,7 +175,8 @@ Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premis
     return Status::FailedPrecondition(
         "FD subclass requires single-member right-hand sides");
   }
-  return CheckImplicationFdIndexed(n, BuildFdPremiseIndex(premises), goal);
+  return CheckImplicationFdIndexed(n, BuildFdPremiseIndex(PremiseMasks::Compile(premises)),
+                                   goal);
 }
 
 Result<ImplicationOutcome> CheckImplication(int n, const ConstraintSet& premises,

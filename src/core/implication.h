@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/constraint.h"
+#include "core/premise_masks.h"
 #include "prop/dpll.h"
 #include "prop/tautology.h"
 #include "util/status.h"
@@ -55,6 +56,8 @@ struct ImplicationOutcome {
 /// O(|C|) set operations; the building block of the engine's interval-cover
 /// fast path.
 bool InConstraintLattice(const ConstraintSet& premises, const ItemSet& u);
+/// `InConstraintLattice` over a premise arena: the engine's form.
+bool InConstraintLattice(const PremiseMasks& premises, Mask u);
 
 /// Decides `premises |= goal` by the syntactic criterion of Theorem 3.5,
 /// `L(C) ⊇ L(X, Y)`, checked by exhaustive enumeration of `L(X, Y)`.
@@ -124,7 +127,7 @@ struct FdPremiseIndex {
 
 /// Builds the FD view of `premises`; `eligible` is false (and `fds` empty)
 /// when some premise has a non-singleton right-hand family.
-FdPremiseIndex BuildFdPremiseIndex(const ConstraintSet& premises);
+FdPremiseIndex BuildFdPremiseIndex(const PremiseMasks& premises);
 
 /// The attribute-set closure of `x` under an eligible index (Armstrong),
 /// in O(|C|^2) set operations.

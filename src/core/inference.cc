@@ -28,7 +28,11 @@ std::string Derivation::ToString(const Universe& u) const {
   std::string out;
   for (int i = 0; i < size(); ++i) {
     const ProofStep& s = steps_[i];
-    out += "(" + std::to_string(i) + ") " + s.conclusion.ToString(u) + "  [";
+    out += '(';
+    out += std::to_string(i);
+    out += ") ";
+    out += s.conclusion.ToString(u);
+    out += "  [";
     out += InferenceRuleName(s.rule);
     if (s.rule == InferenceRule::kGiven) {
       out += " #" + std::to_string(s.given_index);

@@ -139,18 +139,22 @@ std::size_t WitnessSetCache::size() const {
 
 std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(k.n);
-  for (const DifferentialConstraint& c : k.premises) {
-    h ^= c.lhs().bits() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h ^= static_cast<std::uint64_t>(c.rhs().Hash()) + 0x9e3779b97f4a7c15ull + (h << 6) +
-         (h >> 2);
-  }
+  for (Mask m : k.premises) h ^= m + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return static_cast<std::size_t>(h);
 }
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
     int n, const ConstraintSet& premises, bool* hit) {
   const bool obs_on = obs::MetricsEnabled();
-  Key key{n, premises};
+  Key key{n, {}};
+  std::size_t words = 0;
+  for (const DifferentialConstraint& c : premises) words += 2 + c.rhs().members().size();
+  key.premises.reserve(words);
+  for (const DifferentialConstraint& c : premises) {
+    key.premises.push_back(c.lhs().bits());
+    key.premises.push_back(c.rhs().members().size());
+    for (const ItemSet& y : c.rhs().members()) key.premises.push_back(y.bits());
+  }
   {
     MutexLock lock(&mu_);
     if (const auto* found = lru_.Find(key)) {

@@ -223,9 +223,9 @@ class WitnessSetCache {
 /// keyed on the raw (universe size, constraint set) pair — the bridge that
 /// lets the unprepared engine API (`CheckBatch(n, premises, goals)`)
 /// amortize compilation exactly like an explicit `Prepare()` call: the
-/// canonical form, the `sat` procedure's mask arena, and the FD closure
-/// index are built once per distinct premise set and shared read-only by
-/// every query, batch, and engine instance.
+/// canonical arena and the FD closure index are built once per distinct
+/// premise set and shared read-only by every query, batch, and engine
+/// instance.
 ///
 /// Thread-safe, with the same duplicate-miss policy as `WitnessSetCache`.
 class PreparedPremisesCache {
@@ -249,9 +249,11 @@ class PreparedPremisesCache {
   std::size_t size() const EXCLUDES(mu_);
 
  private:
+  // The raw input, flattened into one allocation: per premise, its lhs,
+  // its member count and its members.
   struct Key {
     int n;
-    ConstraintSet premises;
+    std::vector<Mask> premises;
     bool operator==(const Key& o) const { return n == o.n && premises == o.premises; }
   };
   struct KeyHash {

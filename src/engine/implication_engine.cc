@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/counterexample.h"
+#include "lattice/decomposition.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -134,8 +134,8 @@ void RecordQueryMetrics(const EngineQueryResult& r) {
 Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
                          const ImplicationOutcome& outcome) {
   if (outcome.counterexample.has_value() &&
-      IsValidCounterexample(prepared.n(), prepared.constraints(), goal,
-                            *outcome.counterexample)) {
+      InDecomposition(prepared.n(), goal.lhs(), goal.rhs(), *outcome.counterexample) &&
+      !InConstraintLattice(prepared.masks(), outcome.counterexample->bits())) {
     return Status::Ok();
   }
   return Status::Internal("not-implied verdict without a valid counterexample U ∈ L(X, Y) ∖ L(C)");

@@ -79,10 +79,11 @@ struct BatchOutcome {
   BatchStats stats;
 };
 
-/// Checks the certificate of a not-implied verdict in O(|C|)
-/// (`IsValidCounterexample`): the counterexample `U` is present, lies in
-/// the universe, `U ⊇ X`, no goal member lies inside `U`, and `U ∉ L(C)`
-/// for the prepared (canonical) premises, whose `L(C)` is the raw set's.
+/// Checks the certificate of a not-implied verdict in O(|C|), the checks
+/// of core `IsValidCounterexample` over the prepared arena: the
+/// counterexample `U` is present, lies in the universe, `U ⊇ X`, no goal
+/// member lies inside `U`, and `U ∉ L(C)` for the prepared (canonical)
+/// premises, whose `L(C)` is the raw set's.
 /// Internal when any check fails. The engine runs it on every kNotImplied
 /// answer and returns its failure instead of the verdict.
 Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
@@ -92,8 +93,8 @@ Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialCon
 /// as a prepare/plan/execute pipeline:
 ///
 ///   - **Prepare**: `Prepare(n, premises)` compiles the premise set into
-///     an immutable, shared `PreparedPremises` artifact (canonical
-///     constraints, the `sat` procedure's mask arena, FD closure index).
+///     an immutable, shared `PreparedPremises` artifact (the canonical
+///     premises as one mask arena, FD closure index).
 ///     Callers answering many queries against one premise set prepare once
 ///     and pass the artifact to every batch; the unprepared entry points
 ///     prepare on the caller's behalf through the process-wide

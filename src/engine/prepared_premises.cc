@@ -58,13 +58,17 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
   stats.input_constraints = premises.size();
   const std::uint64_t start = NowNs();
 
-  // Canonicalize through the rule-driven rewrite simplifier (DESIGN.md
-  // §14): every rule preserves L(C) exactly, so verdicts against the
-  // artifact are valid against the original set.
+  // Canonicalize in place through the rule-driven rewrite simplifier
+  // (DESIGN.md §14): every rule preserves L(C) exactly, so verdicts against
+  // the artifact are valid against the original set.
+  PremiseMasks& masks = prepared->masks_;
+  masks = PremiseMasks::Compile(premises);
   rewrite::SimplifyStats sstats;
-  ConstraintSet canonical = rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &sstats);
+  rewrite::SimplifyInPlace(&masks, rewrite::SimplifyOptions(), &sstats);
   stats.rewrite_passes = sstats.passes;
   stats.rewrite_applied = sstats.applied_total;
+  stats.rewrite_reached_fixpoint = sstats.reached_fixpoint;
+  stats.rewrite_steps = sstats.steps;
   stats.cost_constraints_before = sstats.before.constraints;
   stats.cost_members_before = sstats.before.members;
   stats.cost_items_before = sstats.before.member_items;
@@ -79,14 +83,11 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
     if (rule == "merge-same-lhs") stats.merged_constraints = edits;
     if (rule == "narrow-members") stats.narrowed_items = edits;
   }
-  stats.canonical_constraints = canonical.size();
-  prepared->constraints_ = std::move(canonical);
+  stats.canonical_constraints = masks.size();
   stats.canonicalize_ns = NowNs() - start;
 
-  prepared->masks_ = PremiseMasks::Compile(prepared->constraints_);
-
   const std::uint64_t fd_start = NowNs();
-  prepared->fd_index_ = BuildFdPremiseIndex(prepared->constraints_);
+  prepared->fd_index_ = BuildFdPremiseIndex(masks);
   stats.fd_eligible = prepared->fd_index_.eligible;
   stats.fd_index_ns = NowNs() - fd_start;
 

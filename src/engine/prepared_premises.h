@@ -9,7 +9,7 @@
 
 #include "core/constraint.h"
 #include "core/implication.h"
-#include "engine/sat_kernel.h"
+#include "core/premise_masks.h"
 #include "util/status.h"
 
 namespace diffc {
@@ -34,6 +34,11 @@ struct PrepareStats {
   /// Rewriter fixpoint passes / total rule edits.
   std::size_t rewrite_passes = 0;
   std::size_t rewrite_applied = 0;
+  /// False when the rewriter's step budget ran out before a fixpoint: the
+  /// canonical set is then partly rewritten, with `L(C)` still exact.
+  bool rewrite_reached_fixpoint = false;
+  /// Steps the rewriter charged against `rewrite::kSimplifyStepBudget`.
+  std::uint64_t rewrite_steps = 0;
   /// The simplifier cost triple — (constraints, witness-family members,
   /// total member sizes) — before and after canonicalization.
   std::size_t cost_constraints_before = 0;
@@ -58,11 +63,11 @@ struct PrepareStats {
 /// instances — the prepare side of the engine's prepare/plan/execute
 /// pipeline. Holds:
 ///
-///   - the canonical constraints: the premise set rewritten to a fixpoint
-///     by `rewrite::Simplify` (DESIGN.md §14), whose every rule preserves
-///     `L(C)` exactly;
-///   - the canonical set flattened into the mask arena the `sat`
-///     procedure's counterexample search reads (`PremiseMasks`);
+///   - the canonical premises as one mask arena (`PremiseMasks`): the
+///     premise set flattened and rewritten in place to a fixpoint by
+///     `rewrite::SimplifyInPlace` (DESIGN.md §14), whose every rule
+///     preserves `L(C)` exactly. Interval cover, the `sat` search, the
+///     not-implied certificate and the server read it;
 ///   - the FD-subclass closure index (`FdPremiseIndex`), when eligible;
 ///   - the per-stage build stats.
 ///
@@ -86,10 +91,8 @@ class PreparedPremises {
   /// re-comparing constraint sets.
   std::uint64_t id() const { return id_; }
 
-  /// The canonical constraint set (see class comment for the invariants).
-  const ConstraintSet& constraints() const { return constraints_; }
-
-  /// The canonical set as the `sat` procedure's mask arena.
+  /// The canonical premises (see class comment for the invariants);
+  /// `masks().Materialize()` gives them as a `ConstraintSet`.
   const PremiseMasks& masks() const { return masks_; }
 
   /// The FD view of the canonical set (`eligible` false when some premise
@@ -104,7 +107,6 @@ class PreparedPremises {
 
   int n_ = 0;
   std::uint64_t id_ = 0;
-  ConstraintSet constraints_;
   PremiseMasks masks_;
   FdPremiseIndex fd_index_;
   PrepareStats stats_;

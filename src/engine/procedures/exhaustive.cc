@@ -22,7 +22,7 @@ class ExhaustiveProcedure : public DecisionProcedureImpl {
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {
-    return CheckImplicationExhaustive(query.n, premises.constraints(), *query.goal,
+    return CheckImplicationExhaustive(query.n, premises.masks().Materialize(), *query.goal,
                                       ctx->options->exhaustive_max_free_bits, ctx->stop);
   }
 };

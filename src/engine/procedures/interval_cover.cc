@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 
 #include "engine/caches.h"
@@ -55,28 +56,27 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
       // inconclusive here, complete SAT decides.
       return out;
     }
+    const PremiseMasks& masks = premises.masks();
+    const Mask x = goal.lhs().bits();
     bool every_interval_covered = true;
     for (const ItemSet& w : entry->witnesses) {
       if (Status s = ctx->stop->Check(); !s.ok()) return s;
-      if (!goal.lhs().Intersect(w).empty()) continue;  // Empty interval.
-      const ItemSet top = w.ComplementIn(query.n);
+      if ((x & w.bits()) != 0) continue;  // Empty interval.
+      const Mask top = FullMask(query.n) & ~w.bits();
       // `top` ∈ L(X, Y): X ⊆ top, and no goal member fits inside top
       // because W hits every member. If no premise excludes it, it is a
       // counterexample and the goal is not implied.
-      if (!InConstraintLattice(premises.constraints(), top)) {
-        out.SetNotImplied(top);
+      if (!InConstraintLattice(masks, top)) {
+        out.SetNotImplied(ItemSet(top));
         return out;
       }
       // Single-premise coverage of the whole interval [X, top]:
       // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
       // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs.
-      bool covered = false;
-      for (const DifferentialConstraint& p : premises.constraints()) {
-        if (p.lhs().IsSubsetOf(goal.lhs()) && !p.rhs().SomeMemberSubsetOf(top)) {
-          covered = true;
-          break;
-        }
-      }
+      const bool covered =
+          std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
+            return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
+          });
       if (!covered) every_interval_covered = false;
     }
     if (every_interval_covered) out.SetImplied();

@@ -103,13 +103,12 @@ class Search {
       std::size_t branch = premises_.size();
       int branch_live = 0;
       for (std::size_t p = 0; p < premises_.size(); ++p) {
-        const Mask x = premises_.lhs[p];
+        const Mask x = premises_.premises[p].lhs;
         if ((x & out) != 0) continue;
         int live = 0;
         Mask live_member = 0;
         bool satisfied = false;
-        for (std::uint32_t k = premises_.first[p]; k < premises_.first[p + 1]; ++k) {
-          const Mask y = premises_.members[k];
+        for (const Mask y : premises_.family(premises_.premises[p])) {
           if ((y & out) != 0) continue;
           if ((y & ~in) == 0) {
             satisfied = true;
@@ -148,8 +147,7 @@ class Search {
       *bit = 0;
       if (branch == premises_.size()) return true;
       Mask narrowest = 0;
-      for (std::uint32_t k = premises_.first[branch]; k < premises_.first[branch + 1]; ++k) {
-        const Mask y = premises_.members[k];
+      for (const Mask y : premises_.family(premises_.premises[branch])) {
         if ((y & out) != 0) continue;
         const Mask open = y & ~in;
         if (narrowest == 0 || Popcount(open) < Popcount(narrowest)) narrowest = open;
@@ -170,18 +168,6 @@ class Search {
 };
 
 }  // namespace
-
-PremiseMasks PremiseMasks::Compile(const ConstraintSet& premises) {
-  PremiseMasks out;
-  out.lhs.reserve(premises.size());
-  out.first.reserve(premises.size() + 1);
-  for (const DifferentialConstraint& p : premises) {
-    out.lhs.push_back(p.lhs().bits());
-    for (const ItemSet& member : p.rhs().members()) out.members.push_back(member.bits());
-    out.first.push_back(static_cast<std::uint32_t>(out.members.size()));
-  }
-  return out;
-}
 
 Result<ImplicationOutcome> SearchCounterexample(int n, const PremiseMasks& premises,
                                                 const DifferentialConstraint& goal,

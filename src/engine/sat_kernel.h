@@ -6,28 +6,13 @@
 
 #include "core/constraint.h"
 #include "core/implication.h"
+#include "core/premise_masks.h"
 #include "prop/dpll.h"
 #include "util/bitops.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
 namespace diffc {
-
-/// A premise set flattened into attribute masks: the arena the `sat`
-/// procedure's counterexample search reads. Premise `p` is
-/// `lhs[p] -> {members[first[p]], ..., members[first[p + 1] - 1]}`.
-struct PremiseMasks {
-  std::vector<Mask> lhs;
-  /// Offsets into `members`; `lhs.size() + 1` entries.
-  std::vector<std::uint32_t> first{0};
-  std::vector<Mask> members;
-
-  /// Flattens `premises`, keeping their order.
-  static PremiseMasks Compile(const ConstraintSet& premises);
-
-  /// Number of premises.
-  std::size_t size() const { return lhs.size(); }
-};
 
 /// Decides `premises |= goal` by searching for the Theorem 3.5
 /// counterexample directly over attribute masks: a set `U ⊇ X` that

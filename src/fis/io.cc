@@ -9,16 +9,17 @@
 namespace diffc {
 
 std::string BasketsToText(const BasketList& b) {
-  std::string out = "# diffc basket list\n";
-  out += "items " + std::to_string(b.num_items()) + "\n";
+  std::string out = "# diffc basket list\nitems ";
+  out += std::to_string(b.num_items());
+  out += '\n';
   for (Mask basket : b.baskets()) {
-    std::string line;
+    const std::size_t start = out.size();
     ForEachBit(basket, [&](int item) {
-      if (!line.empty()) line += " ";
-      line += std::to_string(item);
+      if (out.size() > start) out += ' ';
+      out += std::to_string(item);
     });
-    if (line.empty()) line = "-";  // Explicit marker for the empty basket.
-    out += line + "\n";
+    if (out.size() == start) out += '-';  // Explicit marker for the empty basket.
+    out += '\n';
   }
   return out;
 }

@@ -499,7 +499,7 @@ Frame DiffcdServer::HandleRegisterPremises(SessionContext* ctx, const Frame& fra
 
   RegisterOkMsg ok;
   ok.handle = *handle;
-  ok.canonical_constraints = static_cast<std::uint32_t>((*prepared)->constraints().size());
+  ok.canonical_constraints = static_cast<std::uint32_t>((*prepared)->masks().size());
   ok.trace = ReplyTraceContext(*ctx->trace);
   return EncodeRegisterOk(ok);
 }

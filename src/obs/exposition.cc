@@ -83,7 +83,11 @@ void AppendJsonLabels(std::string& out, const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
+    out += '"';
+    out += JsonEscape(k);
+    out += "\": \"";
+    out += JsonEscape(v);
+    out += '"';
   }
   out += "}";
 }

@@ -91,8 +91,11 @@ std::string Formula::ToString(const Universe& u) const {
       return const_value_ ? "true" : "false";
     case FormulaKind::kVar:
       return u.name(var_);
-    case FormulaKind::kNot:
-      return "!" + children_[0]->ToString(u);
+    case FormulaKind::kNot: {
+      std::string out = "!";
+      out += children_[0]->ToString(u);
+      return out;
+    }
     case FormulaKind::kAnd:
     case FormulaKind::kOr: {
       if (children_.empty()) return kind_ == FormulaKind::kAnd ? "true" : "false";

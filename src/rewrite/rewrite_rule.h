@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/constraint.h"
+#include "core/premise_masks.h"
 
 namespace diffc {
 namespace rewrite {
@@ -23,7 +24,7 @@ struct RewriteCost {
   std::size_t member_items = 0;
 
   /// The cost of `c`.
-  static RewriteCost Of(const ConstraintSet& c);
+  static RewriteCost Of(const PremiseMasks& c);
 
   /// Scalar potential 65·(constraints + members) + member_items. Because a
   /// member never holds more than 64 items, every rule edit decreases the
@@ -46,7 +47,84 @@ struct RewriteCost {
   }
 };
 
-/// One L(C)-preserving rewrite over a constraint set, derived from the
+/// The step budget of one `Simplify` call: a bound on the rewriter's work,
+/// so REGISTER, which has no deadline, cannot be made to run for hours
+/// (DESIGN.md §14). Rules charge it before the work they would do.
+inline constexpr std::uint64_t kSimplifyStepBudget = std::uint64_t{1} << 24;
+
+/// A premise arena under rewriting: the `PremiseMasks` the rules edit in
+/// place, kept sorted by lhs, plus the driver's bookkeeping.
+///
+///   - Change ticks. Each premise carries the tick of its last change, and
+///     each rule run starts at a new tick. A premise is *changed* for a run
+///     when its tick is at or after the tick at which the same rule last
+///     started, so a rule can skip what it already examined (§14).
+///   - The step budget. `Charge` spends it; once spent, every rule stops
+///     and the driver returns the set as rewritten so far.
+class RewriteArena {
+ public:
+  /// Takes `*masks` for rewriting; every premise starts out changed. The
+  /// rules need the premises sorted by lhs (`Sort`).
+  explicit RewriteArena(PremiseMasks* masks);
+
+  PremiseMasks& masks() { return *masks_; }
+
+  /// Starts a rule run. `*last_start` is the tick at which the rule last
+  /// started (0: never); it receives this run's tick. Charges one step per
+  /// premise, the run's scan.
+  void BeginRule(std::uint64_t* last_start);
+
+  /// True iff `p` changed since the running rule last started.
+  bool Changed(const PremiseMasks::Premise& p) const { return p.tick >= since_; }
+
+  /// Records that the running rule changed `p`.
+  void Touch(PremiseMasks::Premise* p) {
+    p->tick = now_;
+    runs_sorted_ = false;
+  }
+
+  /// Spends `steps` of the budget; false (and the budget is spent for
+  /// good) when fewer remain.
+  bool Charge(std::uint64_t steps) {
+    if (exhausted_ || steps > remaining_) {
+      exhausted_ = true;
+      return false;
+    }
+    remaining_ -= steps;
+    return true;
+  }
+  /// `Charge(k * k)`, without overflow.
+  bool ChargeSquare(std::uint64_t k);
+
+  /// True once a charge was refused.
+  bool exhausted() const { return exhausted_; }
+  /// Steps charged so far.
+  std::uint64_t steps() const { return kSimplifyStepBudget - remaining_; }
+
+  /// Sorts the premises by lhs, then by family, lexicographically.
+  void Sort();
+  /// `Sort` for an arena sorted by lhs: sorts each run of equal lhs by
+  /// family. Rules never edit a lhs, so these runs are all that can fall
+  /// out of order after the first `Sort`, and only when a family changed
+  /// since the last sort; otherwise this returns at once.
+  void SortRuns();
+
+  /// Scratch space for the rules.
+  std::vector<Mask>& scratch() { return scratch_; }
+
+ private:
+  PremiseMasks* masks_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t since_ = 0;
+  std::uint64_t now_ = 0;
+  std::uint64_t remaining_ = kSimplifyStepBudget;
+  bool exhausted_ = false;
+  // False until the first sort, and after a family changes.
+  bool runs_sorted_ = false;
+  std::vector<Mask> scratch_;
+};
+
+/// One L(C)-preserving rewrite over a premise arena, derived from the
 /// Figure 1/2 inference-rule schemas (`core/inference.h`). Implementations
 /// must uphold three contracts, property-tested in tests/test_rewrite.cc:
 ///
@@ -64,22 +142,25 @@ class RewriteRule {
   /// `diffc_rewrite_applied_total` and the DESIGN.md §14 catalog key.
   virtual const char* name() const = 0;
 
-  /// Exhaustively applies the rule to `*c` over an `n`-attribute universe,
-  /// returning the number of edits performed (0 = no match anywhere).
-  virtual std::size_t Apply(int n, ConstraintSet* c) const = 0;
+  /// Exhaustively applies the rule to the arena between `BeginRule` calls,
+  /// returning the number of edits performed (0 = no match anywhere). The
+  /// arena stays sorted by lhs; a premise the rule changes is `Touch`ed;
+  /// premises not `Changed` are skipped where §14 shows the outcome is
+  /// known. Stops early, with every edit so far applied, once a `Charge`
+  /// fails.
+  virtual std::size_t Apply(RewriteArena* arena) const = 0;
 
   /// The lowest `SimplifyOptions::level` that runs this rule: 1 for the
   /// structural rules (drop/minimize/absorb), 2 for the rewriting ones
   /// (narrow/merge).
   virtual int min_level() const { return 1; }
-
-  /// True iff the rule would edit `c` (applies to a copy).
-  bool Matches(int n, const ConstraintSet& c) const;
 };
 
-/// One probed application: the edit count, cost before/after (the cost
-/// delta of ISSUE terminology), and the rewritten set. The rule-tester and
-/// fuzz harness use this to check progress without mutating their input.
+/// One probed application: the edit count, cost before/after, and the
+/// rewritten set. It runs on a fresh arena, so every premise counts as
+/// changed and nothing is skipped. The rule tester uses this to check
+/// progress without mutating its input. `n` is the universe size of `c`;
+/// no rule reads it.
 struct RuleProbe {
   std::size_t edits = 0;
   RewriteCost before;

@@ -3,13 +3,13 @@
 // Figure 1 derives a new constraint from old ones, each rule here removes or
 // shrinks constraints that the rest of the set already accounts for, leaving
 // L(C) — and hence every implication verdict — exactly unchanged. Soundness
-// arguments live in DESIGN.md §14; every rule is property-tested against a
-// materialized L(C) in tests/test_rewrite.cc and fuzz/fuzz_rewrite.cc.
+// arguments and the exactness of the change-tick skips live in DESIGN.md
+// §14; every rule is property-tested against a materialized L(C) in
+// tests/test_rewrite.cc and fuzz/fuzz_rewrite.cc.
 
 #include <algorithm>
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rewrite/rewrite_rule.h"
@@ -18,43 +18,68 @@ namespace diffc {
 namespace rewrite {
 namespace {
 
+using Premise = PremiseMasks::Premise;
+
 // Σ_{Y ∈ f} |Y| — the member-item count a merge must not increase.
-std::size_t FamilyItems(const SetFamily& f) {
+std::size_t FamilyItems(std::span<const Mask> f) {
   std::size_t items = 0;
-  for (const ItemSet& y : f.members()) items += static_cast<std::size_t>(y.size());
+  for (Mask y : f) items += static_cast<std::size_t>(Popcount(y));
   return items;
 }
 
-// Triviality, read as deletion: `IsTrivial()` ⟺ some member Y ⊆ X ⟺
-// L(X, Y) = ∅, so the constraint excludes nothing from the union L(C).
+// Keeps the ⊆-minimal masks of the sorted, duplicate-free range
+// [first, last), in order, and returns the new end. A proper subset is
+// numerically smaller, so each mask is tested only against the minimal
+// masks kept before it — the `SetFamily::Minimized` set, in its order.
+Mask* KeepMinimal(Mask* first, Mask* last) {
+  Mask* kept = first;
+  for (Mask* y = first; y != last; ++y) {
+    const Mask m = *y;
+    if (std::none_of(first, kept, [m](Mask o) { return IsSubset(o, m); })) *kept++ = m;
+  }
+  return kept;
+}
+
+// Removes the premises whose flag is set, keeping the order of the rest.
+void RemoveFlagged(std::vector<Premise>* ps, const std::vector<char>& flags) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ps->size(); ++i) {
+    if (flags[i] == 0) (*ps)[kept++] = (*ps)[i];
+  }
+  ps->resize(kept);
+}
+
+// Triviality, read as deletion: some member Y ⊆ X ⟺ L(X, Y) = ∅, so the
+// constraint excludes nothing from the union L(C).
 class DropTrivialRule : public RewriteRule {
  public:
   const char* name() const override { return "drop-trivial"; }
-  std::size_t Apply(int n, ConstraintSet* c) const override {
-    (void)n;  // Triviality is universe-independent.
-    const std::size_t before = c->size();
-    c->erase(std::remove_if(
-                 c->begin(), c->end(),
-                 [](const DifferentialConstraint& dc) { return dc.IsTrivial(); }),
-             c->end());
-    return before - c->size();
+  std::size_t Apply(RewriteArena* arena) const override {
+    PremiseMasks& m = arena->masks();
+    return std::erase_if(m.premises, [&](const Premise& p) {
+      return arena->Changed(p) && arena->Charge(p.size()) && m.SomeMemberSubsetOf(p, p.lhs);
+    });
   }
 };
 
 // Member subsumption: L(X, Y) depends on Y only through SomeMemberSubsetOf,
-// which is invariant under dropping ⊆-non-minimal members
-// (`SetFamily::Minimized`).
+// which is invariant under dropping ⊆-non-minimal members.
 class MinimizeRhsRule : public RewriteRule {
  public:
   const char* name() const override { return "minimize-rhs"; }
-  std::size_t Apply(int n, ConstraintSet* c) const override {
-    (void)n;  // Minimization is universe-independent.
+  std::size_t Apply(RewriteArena* arena) const override {
+    PremiseMasks& m = arena->masks();
     std::size_t removed_members = 0;
-    for (DifferentialConstraint& dc : *c) {
-      SetFamily minimized = dc.rhs().Minimized();
-      if (minimized.size() == dc.rhs().size()) continue;
-      removed_members += static_cast<std::size_t>(dc.rhs().size() - minimized.size());
-      dc = DifferentialConstraint(dc.lhs(), std::move(minimized));
+    for (Premise& p : m.premises) {
+      if (!arena->Changed(p)) continue;
+      if (!arena->ChargeSquare(p.size())) break;
+      Mask* family = m.members.data() + p.begin;
+      const auto end = static_cast<std::uint32_t>(
+          p.begin + (KeepMinimal(family, family + p.size()) - family));
+      if (end == p.end) continue;
+      removed_members += p.end - end;
+      p.end = end;
+      arena->Touch(&p);
     }
     return removed_members;
   }
@@ -67,21 +92,22 @@ class NarrowMembersRule : public RewriteRule {
  public:
   const char* name() const override { return "narrow-members"; }
   int min_level() const override { return 2; }
-  std::size_t Apply(int n, ConstraintSet* c) const override {
-    (void)n;  // Narrowing is pointwise on (lhs, member) pairs; no universe use.
+  std::size_t Apply(RewriteArena* arena) const override {
+    PremiseMasks& m = arena->masks();
     std::size_t removed_items = 0;
-    for (DifferentialConstraint& dc : *c) {
-      if (dc.IsTrivial()) continue;  // drop-trivial's job; keeps members nonempty.
-      const ItemSet x = dc.lhs();
+    for (Premise& p : m.premises) {
+      if (!arena->Changed(p)) continue;
+      if (!arena->Charge(p.size())) break;
+      if (m.SomeMemberSubsetOf(p, p.lhs)) continue;  // drop-trivial's job; keeps members nonempty.
       std::size_t overlap = 0;
-      for (const ItemSet& y : dc.rhs().members()) {
-        overlap += static_cast<std::size_t>(y.Intersect(x).size());
-      }
+      for (Mask y : m.family(p)) overlap += static_cast<std::size_t>(Popcount(y & p.lhs));
       if (overlap == 0) continue;
-      std::vector<ItemSet> narrowed;
-      narrowed.reserve(static_cast<std::size_t>(dc.rhs().size()));
-      for (const ItemSet& y : dc.rhs().members()) narrowed.push_back(y.Minus(x));
-      dc = DifferentialConstraint(x, SetFamily(std::move(narrowed)));
+      Mask* first = m.members.data() + p.begin;
+      Mask* last = first + p.size();
+      for (Mask* y = first; y != last; ++y) *y &= ~p.lhs;
+      std::sort(first, last);
+      p.end = static_cast<std::uint32_t>(p.begin + (std::unique(first, last) - first));
+      arena->Touch(&p);
       removed_items += overlap;
     }
     return removed_items;
@@ -92,11 +118,11 @@ class NarrowMembersRule : public RewriteRule {
 // have a.lhs ⊆ b.lhs ⊆ U; and if some Y_a ⊆ U were possible, the condition
 // plants a member of b inside b.lhs ∪ Y_a ⊆ U, contradicting U ∈ L(b). The
 // condition generalizes Figure 1 augmentation (X -> Y absorbs X∪Z -> Y) and
-// addition (X -> Y absorbs X -> Y∪{Z}), and covers exact duplicates.
-bool Absorbs(const DifferentialConstraint& a, const DifferentialConstraint& b) {
-  if (!a.lhs().IsSubsetOf(b.lhs())) return false;
-  for (const ItemSet& ya : a.rhs().members()) {
-    if (!b.rhs().SomeMemberSubsetOf(b.lhs().Union(ya))) return false;
+// addition (X -> Y absorbs X -> Y∪{Z}), and covers exact duplicates. The
+// caller has checked a.lhs ⊆ b.lhs.
+bool FamilyAbsorbs(const PremiseMasks& m, const Premise& a, const Premise& b) {
+  for (Mask ya : m.family(a)) {
+    if (!m.SomeMemberSubsetOf(b, b.lhs | ya)) return false;
   }
   return true;
 }
@@ -107,28 +133,56 @@ bool Absorbs(const DifferentialConstraint& a, const DifferentialConstraint& b) {
 class AbsorbSubsumedRule : public RewriteRule {
  public:
   const char* name() const override { return "absorb-subsumed"; }
-  std::size_t Apply(int n, ConstraintSet* c) const override {
-    (void)n;  // Absorption compares constraints only; no universe use.
-    const std::size_t count = c->size();
+  std::size_t Apply(RewriteArena* arena) const override {
+    const PremiseMasks& m = arena->masks();
+    const std::vector<Premise>& ps = m.premises;
+    const std::size_t count = ps.size();
+    // The changed premises, ascending, are the only absorbers left to test:
+    // an unchanged one absorbed no survivor on the last run, and since an
+    // edit keeps or enlarges L(b), it absorbs none now (DESIGN.md §14).
+    // Their lhs masks lie back to back for the subset scans.
+    std::vector<std::uint32_t> changed;
+    std::vector<Mask> changed_lhs;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!arena->Changed(ps[i])) continue;
+      changed.push_back(static_cast<std::uint32_t>(i));
+      changed_lhs.push_back(ps[i].lhs);
+    }
+    std::vector<std::uint32_t> candidates(changed.size());
     std::vector<char> dropped(count, 0);
     std::size_t edits = 0;
     // Descending j keeps the earliest of mutually-absorbing constraints.
+    // Premises are sorted by lhs and a subset is never numerically larger,
+    // so the absorbers of j lie before the end of its lhs run.
+    std::size_t run_end = count;
+    std::size_t last = changed.size();
     for (std::size_t j = count; j-- > 0;) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (i == j || dropped[i] != 0) continue;
-        if (!Absorbs((*c)[i], (*c)[j])) continue;
-        dropped[j] = 1;
-        ++edits;
-        break;
+      const Premise& b = ps[j];
+      if (j + 1 < count && ps[j + 1].lhs != b.lhs) {
+        run_end = j + 1;
+        while (last > 0 && changed[last - 1] >= run_end) --last;
       }
+      if (!arena->Charge(last)) break;
+      // The absorbers with lhs ⊆ b.lhs, ascending, gathered without a
+      // branch per premise.
+      std::size_t k = 0;
+      for (std::size_t c = 0; c < last; ++c) {
+        candidates[k] = changed[c];
+        k += IsSubset(changed_lhs[c], b.lhs) ? 1 : 0;
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        const std::uint32_t i = candidates[c];
+        if (i == j || dropped[i] != 0) continue;
+        if (!arena->Charge(ps[i].size() * b.size())) break;
+        if (FamilyAbsorbs(m, ps[i], b)) {
+          dropped[j] = 1;
+          ++edits;
+          break;
+        }
+      }
+      if (arena->exhausted()) break;
     }
-    if (edits == 0) return 0;
-    ConstraintSet kept;
-    kept.reserve(count - edits);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (dropped[i] == 0) kept.push_back(std::move((*c)[i]));
-    }
-    *c = std::move(kept);
+    if (edits > 0) RemoveFlagged(&arena->masks().premises, dropped);
     return edits;
   }
 };
@@ -142,37 +196,65 @@ class MergeSameLhsRule : public RewriteRule {
  public:
   const char* name() const override { return "merge-same-lhs"; }
   int min_level() const override { return 2; }
-  std::size_t Apply(int n, ConstraintSet* c) const override {
-    (void)n;  // Merging unions members; no universe use.
-    // Equal-lhs constraints are adjacent once sorted (operator< orders by
-    // lhs first); the driver keeps the set sorted between rules.
-    std::sort(c->begin(), c->end());
+  std::size_t Apply(RewriteArena* arena) const override {
+    // Equal-lhs constraints are adjacent, and each run is scanned in
+    // family order.
+    arena->SortRuns();
+    PremiseMasks& m = arena->masks();
+    std::vector<Premise>& ps = m.premises;
+    std::vector<char> erased(ps.size(), 0);
     std::size_t merges = 0;
-    for (std::size_t i = 0; i + 1 < c->size();) {
+    for (std::size_t i = 0; i + 1 < ps.size() && !arena->exhausted();) {
       bool merged_here = false;
-      for (std::size_t j = i + 1; j < c->size() && (*c)[j].lhs() == (*c)[i].lhs(); ++j) {
-        const SetFamily& fy = (*c)[i].rhs();
-        const SetFamily& fz = (*c)[j].rhs();
-        std::vector<ItemSet> cross;
-        cross.reserve(static_cast<std::size_t>(fy.size()) *
-                      static_cast<std::size_t>(fz.size()));
-        for (const ItemSet& y : fy.members()) {
-          for (const ItemSet& z : fz.members()) cross.push_back(y.Union(z));
-        }
-        SetFamily merged = SetFamily(std::move(cross)).Minimized();
-        if (merged.size() > fy.size() + fz.size() ||
-            FamilyItems(merged) > FamilyItems(fy) + FamilyItems(fz)) {
-          continue;  // Would grow the artifact; leave the pair split.
-        }
-        (*c)[i] = DifferentialConstraint((*c)[i].lhs(), std::move(merged));
-        c->erase(c->begin() + static_cast<std::ptrdiff_t>(j));
+      for (std::size_t j = i + 1; erased[i] == 0 && j < ps.size() && ps[j].lhs == ps[i].lhs;
+           ++j) {
+        if (erased[j] != 0) continue;
+        if (!arena->Charge(1)) break;
+        // Both unchanged: the gate rejected this pair on the last run, and
+        // it reads only the two families.
+        if (!arena->Changed(ps[i]) && !arena->Changed(ps[j])) continue;
+        if (!Merge(arena, &ps[i], ps[j])) continue;
+        erased[j] = 1;
         ++merges;
         merged_here = true;
         break;  // Re-scan the group against the merged rhs.
       }
       if (!merged_here) ++i;
     }
+    if (merges > 0) RemoveFlagged(&ps, erased);
     return merges;
+  }
+
+ private:
+  // Replaces a's family by the minimized cross family of a and b when the
+  // gate passes; the budget is charged for the cross product and its
+  // minimization before either is built.
+  static bool Merge(RewriteArena* arena, Premise* a, const Premise& b) {
+    const std::uint64_t pairs = static_cast<std::uint64_t>(a->size()) * b.size();
+    if (!arena->ChargeSquare(pairs)) return false;
+    PremiseMasks& m = arena->masks();
+    std::vector<Mask>& cross = arena->scratch();
+    cross.clear();
+    for (Mask y : m.family(*a)) {
+      for (Mask z : m.family(b)) cross.push_back(y | z);
+    }
+    std::sort(cross.begin(), cross.end());
+    cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
+    cross.resize(static_cast<std::size_t>(
+        KeepMinimal(cross.data(), cross.data() + cross.size()) - cross.data()));
+    if (cross.size() > a->size() + b.size() ||
+        FamilyItems(cross) > FamilyItems(m.family(*a)) + FamilyItems(m.family(b))) {
+      return false;  // Would grow the artifact; leave the pair split.
+    }
+    if (cross.size() > a->size()) {
+      a->begin = static_cast<std::uint32_t>(m.members.size());
+      m.members.insert(m.members.end(), cross.begin(), cross.end());
+    } else {
+      std::copy(cross.begin(), cross.end(), m.members.begin() + a->begin);
+    }
+    a->end = static_cast<std::uint32_t>(a->begin + cross.size());
+    arena->Touch(a);
+    return true;
   }
 };
 

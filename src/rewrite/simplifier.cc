@@ -1,6 +1,5 @@
 #include "rewrite/simplifier.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <utility>
@@ -25,6 +24,7 @@ std::atomic<std::uint64_t> g_constraints_removed{0};
 struct RewriteMetrics {
   obs::Counter* simplify_calls;
   obs::Counter* passes;
+  obs::Counter* budget_exhausted;
   std::vector<std::pair<const RewriteRule*, obs::Counter*>> applied;
 
   RewriteMetrics() {
@@ -33,6 +33,9 @@ struct RewriteMetrics {
                                   "Simplifier fixpoint-driver invocations.");
     passes = r.GetCounter("diffc_rewrite_passes_total",
                           "Fixpoint passes across all simplifier invocations.");
+    budget_exhausted =
+        r.GetCounter("diffc_rewrite_budget_exhausted_total",
+                     "Simplifier invocations stopped by the step budget before a fixpoint.");
     for (const RewriteRule* rule : BuiltinRules()) {
       applied.emplace_back(
           rule, r.GetCounter("diffc_rewrite_applied_total",
@@ -53,12 +56,12 @@ std::size_t SimplifyPassBound(const RewriteCost& before) {
   return static_cast<std::size_t>(2 + before.Potential());
 }
 
-ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
-                       SimplifyStats* stats) {
+void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
+                     SimplifyStats* stats) {
   SimplifyStats local;
   SimplifyStats& s = stats != nullptr ? *stats : local;
   s = SimplifyStats();
-  s.before = RewriteCost::Of(c);
+  s.before = RewriteCost::Of(*premises);
 
   const int level = options.level < 1 ? 1 : options.level;
   std::vector<const RewriteRule*> active;
@@ -66,31 +69,40 @@ ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
     if (rule->min_level() <= level) active.push_back(rule);
   }
   std::vector<std::size_t> applied(active.size(), 0);
+  // The tick at which each active rule last started (0: never).
+  std::vector<std::uint64_t> last_start(active.size(), 0);
 
   const std::size_t pass_cap =
       options.max_passes > 0 ? options.max_passes : SimplifyPassBound(s.before);
 
-  std::sort(c.begin(), c.end());
-  RewriteCost cost = RewriteCost::Of(c);
+  RewriteArena arena(premises);
+  arena.Sort();
+  [[maybe_unused]] RewriteCost cost = s.before;
   while (s.passes < pass_cap) {
     ++s.passes;
     std::size_t edits = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const std::size_t k = active[i]->Apply(n, &c);
+    for (std::size_t i = 0; i < active.size() && !arena.exhausted(); ++i) {
+      arena.BeginRule(&last_start[i]);
+      const std::size_t k = active[i]->Apply(&arena);
       applied[i] += k;
       edits += k;
     }
-    std::sort(c.begin(), c.end());
+    arena.SortRuns();
+    s.applied_total += edits;
+    if (arena.exhausted()) break;
     if (edits == 0) {
       s.reached_fixpoint = true;
       break;
     }
-    s.applied_total += edits;
-    const RewriteCost next = RewriteCost::Of(c);
+#ifndef NDEBUG
+    const RewriteCost next = RewriteCost::Of(*premises);
     assert(next < cost && "a rewrite pass with edits must strictly decrease the cost");
     cost = next;
+#endif
   }
-  s.after = cost;
+  premises->Compact();
+  s.after = RewriteCost::Of(*premises);
+  s.steps = arena.steps();
   s.applied_by_rule.reserve(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
     s.applied_by_rule.emplace_back(active[i]->name(), applied[i]);
@@ -106,13 +118,21 @@ ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
     RewriteMetrics& m = Metrics();
     m.simplify_calls->Inc();
     if (s.passes > 0) m.passes->Inc(s.passes);
+    if (arena.exhausted()) m.budget_exhausted->Inc();
     for (const auto& [rule, counter] : m.applied) {
       for (std::size_t i = 0; i < active.size(); ++i) {
         if (active[i] == rule && applied[i] > 0) counter->Inc(applied[i]);
       }
     }
   }
-  return c;
+}
+
+ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
+                       SimplifyStats* stats) {
+  (void)n;  // No rule reads the universe size.
+  PremiseMasks premises = PremiseMasks::Compile(c);
+  SimplifyInPlace(&premises, options, stats);
+  return premises.Materialize();
 }
 
 RewriteTotals GlobalRewriteTotals() {

@@ -40,8 +40,11 @@ struct SimplifyStats {
   std::size_t passes = 0;
   /// Total rule edits across all passes.
   std::size_t applied_total = 0;
-  /// True iff a pass completed with zero edits within the pass cap.
+  /// True iff a pass completed with zero edits within the pass cap and
+  /// the step budget.
   bool reached_fixpoint = false;
+  /// Steps charged against `kSimplifyStepBudget`.
+  std::uint64_t steps = 0;
   /// (rule name, edit count) for every rule the level ran, in application
   /// order — the per-rule breakdown behind `diffc_rewrite_applied_total`.
   std::vector<std::pair<std::string, std::size_t>> applied_by_rule;
@@ -53,10 +56,18 @@ struct SimplifyStats {
 /// always confirmed strictly inside this bound.
 std::size_t SimplifyPassBound(const RewriteCost& before);
 
-/// Runs the builtin rules at `options.level` over `c` to fixpoint and
-/// returns the simplified, sorted set. L(C) — and therefore every
-/// implication verdict — is preserved exactly. Idempotent: re-running on
-/// the result applies nothing. `stats`, when non-null, is overwritten.
+/// Runs the builtin rules at `options.level` over `*premises` in place to
+/// fixpoint and leaves the simplified set sorted and compacted. L(C) — and
+/// therefore every implication verdict — is preserved exactly. Idempotent:
+/// re-running on the result applies nothing. When the step budget runs out
+/// first, the driver stops with `reached_fixpoint` false and leaves the set
+/// as rewritten so far, which preserves L(C) all the same. `stats`, when
+/// non-null, is overwritten.
+void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
+                     SimplifyStats* stats = nullptr);
+
+/// `SimplifyInPlace` over a `ConstraintSet`: flattens `c`, simplifies it
+/// and returns the result as a `ConstraintSet`. No rule reads `n`.
 ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
                        SimplifyStats* stats = nullptr);
 

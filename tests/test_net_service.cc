@@ -255,7 +255,7 @@ TEST(DiffcdServiceTest, HundredQueryRoundTripMatchesInProcessEngine) {
   ASSERT_TRUE(client.ok());
   Result<RegisterOkMsg> registered = client->RegisterPremises(n, premises);
   ASSERT_TRUE(registered.ok());
-  EXPECT_EQ(registered->canonical_constraints, (*prepared)->constraints().size());
+  EXPECT_EQ(registered->canonical_constraints, (*prepared)->masks().size());
   Result<BatchResultMsg> wire = client->CheckBatch(registered->handle, n, goals);
   ASSERT_TRUE(wire.ok());
 

@@ -12,6 +12,7 @@
 
 #include "core/implication.h"
 #include "engine/prepared_premises.h"
+#include "rewrite/simplifier.h"
 #include "test_helpers.h"
 #include "util/random.h"
 
@@ -28,8 +29,9 @@ TEST(PreparedPremisesTest, CanonicalizationDropsTrivialAndDuplicates) {
   ASSERT_TRUE(built.ok());
   const PreparedPremises& p = **built;
   EXPECT_EQ(p.n(), n);
-  ASSERT_EQ(p.constraints().size(), 1u);
-  EXPECT_EQ(p.constraints()[0], real);
+  const ConstraintSet canonical = p.masks().Materialize();
+  ASSERT_EQ(canonical.size(), 1u);
+  EXPECT_EQ(canonical[0], real);
   EXPECT_EQ(p.stats().input_constraints, 3u);
   EXPECT_EQ(p.stats().canonical_constraints, 1u);
   EXPECT_EQ(p.stats().dropped_trivial, 1u);
@@ -46,13 +48,14 @@ TEST(PreparedPremisesTest, CanonicalizationMinimizesWitnessFamilies) {
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
   const PreparedPremises& p = **built;
-  ASSERT_EQ(p.constraints().size(), 1u);
-  EXPECT_EQ(p.constraints()[0].rhs(), SetFamily({ItemSet{1}}));
+  const ConstraintSet canonical = p.masks().Materialize();
+  ASSERT_EQ(canonical.size(), 1u);
+  EXPECT_EQ(canonical[0].rhs(), SetFamily({ItemSet{1}}));
   EXPECT_EQ(p.stats().minimized_members, 1u);
   // The canonical set excludes exactly the same lattice points.
   for (Mask m = 0; m < (Mask{1} << n); ++m) {
     EXPECT_EQ(InConstraintLattice(premises, ItemSet(m)),
-              InConstraintLattice(p.constraints(), ItemSet(m)))
+              InConstraintLattice(canonical, ItemSet(m)))
         << "U=" << m;
   }
 }
@@ -74,7 +77,7 @@ TEST(PreparedPremisesTest, CanonicalizationPreservesVerdicts) {
       DifferentialConstraint goal = testing::RandomConstraint(rng, n);
       Result<ImplicationOutcome> original = CheckImplication(n, premises, goal);
       Result<ImplicationOutcome> canonical =
-          CheckImplication(n, (*built)->constraints(), goal);
+          CheckImplication(n, (*built)->masks().Materialize(), goal);
       ASSERT_TRUE(original.ok());
       ASSERT_TRUE(canonical.ok());
       EXPECT_EQ(original->implied, canonical->implied) << "round=" << round << " q=" << q;
@@ -89,19 +92,24 @@ TEST(PreparedPremisesTest, MaskArenaMatchesCanonicalConstraints) {
   Result<std::shared_ptr<const PreparedPremises>> built =
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
-  // The arena is the canonical set, premise by premise and member by member.
-  const ConstraintSet& canonical = (*built)->constraints();
+  // The arena is the canonical set `rewrite::Simplify` returns, premise by
+  // premise and member by member, with the families back to back.
+  const ConstraintSet canonical = rewrite::Simplify(n, premises, rewrite::SimplifyOptions());
   const PremiseMasks& masks = (*built)->masks();
   ASSERT_EQ(masks.size(), canonical.size());
-  ASSERT_EQ(masks.first.size(), canonical.size() + 1);
-  EXPECT_EQ(masks.first.front(), 0u);
-  EXPECT_EQ(masks.first.back(), masks.members.size());
+  ASSERT_FALSE(masks.premises.empty());
+  EXPECT_EQ(masks.premises.front().begin, 0u);
+  EXPECT_EQ(masks.premises.back().end, masks.members.size());
   for (std::size_t p = 0; p < canonical.size(); ++p) {
-    EXPECT_EQ(masks.lhs[p], canonical[p].lhs().bits());
+    const PremiseMasks::Premise& premise = masks.premises[p];
+    if (p > 0) {
+      EXPECT_EQ(premise.begin, masks.premises[p - 1].end);
+    }
+    EXPECT_EQ(premise.lhs, canonical[p].lhs().bits());
     const std::vector<ItemSet>& members = canonical[p].rhs().members();
-    ASSERT_EQ(masks.first[p + 1] - masks.first[p], members.size());
+    ASSERT_EQ(premise.size(), members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
-      EXPECT_EQ(masks.members[masks.first[p] + k], members[k].bits());
+      EXPECT_EQ(masks.members[premise.begin + k], members[k].bits());
     }
   }
 }
@@ -174,7 +182,7 @@ TEST(PreparedPremisesTest, InvalidUniverseSizeFails) {
   EXPECT_EQ(PreparedPremises::Build(65, {}).status().code(), StatusCode::kInvalidArgument);
   Result<std::shared_ptr<const PreparedPremises>> empty = PreparedPremises::Build(0, {});
   ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE((*empty)->constraints().empty());
+  EXPECT_TRUE((*empty)->masks().Materialize().empty());
 }
 
 }  // namespace

@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
 #include "engine/prepared_premises.h"
+#include "obs/metrics.h"
 #include "rewrite/lc_check.h"
 #include "rewrite/rewrite_rule.h"
 #include "rewrite/simplifier.h"
@@ -123,8 +126,7 @@ void TestRule(const std::string& name, int min_applied,
     ASSERT_TRUE(*same) << name << " changed L(C): witness mask=" << witness.bits()
                        << " n=" << n;
     // Rule-local fixpoint: a second application finds nothing new.
-    ConstraintSet again = probe.result;
-    EXPECT_EQ(rule->Apply(n, &again), 0u) << name << " not idempotent";
+    EXPECT_EQ(Probe(*rule, n, probe.result).edits, 0u) << name << " not idempotent";
   }
   EXPECT_GE(applied, min_applied)
       << name << " fired on too few instances (" << applied << "/" << min_applied
@@ -233,7 +235,7 @@ TEST(SimplifierTest, PreservesLcReachesFixpointAndIsIdempotent) {
       EXPECT_LE(stats.passes, rewrite::SimplifyPassBound(stats.before));
       // Cost never increases; the triples match the returned set.
       EXPECT_FALSE(stats.before < stats.after);
-      EXPECT_EQ(stats.after, RewriteCost::Of(out));
+      EXPECT_EQ(stats.after, RewriteCost::Of(PremiseMasks::Compile(out)));
       // L(C) preserved exactly.
       ItemSet witness;
       Result<bool> same = LcEquivalent(n, instance, out, &witness);
@@ -290,6 +292,187 @@ TEST(SimplifierTest, HandlesN64Boundary) {
 }
 
 // ---------------------------------------------------------------------------
+// The driver's change-tick skips (DESIGN.md §14) against a reference that
+// skips nothing.
+
+// A larger redundant instance with same-lhs siblings, so later passes
+// still find merges, absorptions and minimizations.
+ConstraintSet IncrementalInstance(Rng& rng, int n) {
+  const double lhs_density = 0.05 + 0.25 * rng.UniformDouble();
+  ConstraintSet c = testing::RandomConstraintSet(rng, n, static_cast<int>(rng.UniformInt(2, 14)),
+                                                 lhs_density, static_cast<int>(rng.UniformInt(1, 3)));
+  const int planted = static_cast<int>(rng.UniformInt(2, 10));
+  for (int i = 0; i < planted; ++i) {
+    const DifferentialConstraint& p =
+        c[static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(c.size()) - 1))];
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        c.push_back(PlantTrivial(rng, n));
+        break;
+      case 1:
+        c.push_back(PlantNonMinimal(rng, n));
+        break;
+      case 2:
+        c.push_back(PlantOverlap(rng, n));
+        break;
+      case 3:
+        c.push_back(PlantAbsorbed(rng, n, p));
+        break;
+      case 4:
+        c.push_back(p);
+        break;
+      default: {
+        std::vector<ItemSet> family;
+        for (int k = static_cast<int>(rng.UniformInt(1, 2)); k > 0; --k) {
+          Mask m = rng.RandomMask(n, 0.3);
+          if (m == 0) m = ItemSet::Singleton(static_cast<int>(rng.UniformInt(0, n - 1))).bits();
+          family.push_back(ItemSet(m));
+        }
+        c.push_back(DifferentialConstraint(p.lhs(), SetFamily(std::move(family))));
+      }
+    }
+  }
+  return c;
+}
+
+// The fixpoint of today's driver rebuilt from single-rule probes. Each
+// probe runs on a fresh arena, where every premise counts as changed, so
+// nothing is skipped.
+struct ReferenceFixpoint {
+  ConstraintSet result;
+  std::size_t passes = 0;
+  std::vector<std::size_t> applied;
+};
+
+ReferenceFixpoint RunReference(int n, ConstraintSet c, int level) {
+  std::vector<const RewriteRule*> active;
+  for (const RewriteRule* rule : BuiltinRules()) {
+    if (rule->min_level() <= level) active.push_back(rule);
+  }
+  ReferenceFixpoint ref;
+  ref.applied.assign(active.size(), 0);
+  std::sort(c.begin(), c.end());
+  while (true) {
+    ++ref.passes;
+    std::size_t edits = 0;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      RuleProbe probe = Probe(*active[i], n, c);
+      c = std::move(probe.result);
+      ref.applied[i] += probe.edits;
+      edits += probe.edits;
+    }
+    std::sort(c.begin(), c.end());
+    if (edits == 0) break;
+  }
+  ref.result = std::move(c);
+  return ref;
+}
+
+TEST(IncrementalFixpointTest, MatchesTheFreshArenaReference) {
+  Rng rng(20261017);
+  int multi_pass = 0;
+  for (int round = 0; round < 600; ++round) {
+    const int n = round % 10 == 9 ? 64 : static_cast<int>(rng.UniformInt(4, 12));
+    const ConstraintSet instance = IncrementalInstance(rng, n);
+    for (int level = 1; level <= 2; ++level) {
+      SimplifyOptions opts;
+      opts.level = level;
+      SimplifyStats stats;
+      const ConstraintSet out = Simplify(n, instance, opts, &stats);
+      const ReferenceFixpoint ref = RunReference(n, instance, level);
+      ASSERT_TRUE(stats.reached_fixpoint) << "round " << round << " level " << level;
+      EXPECT_EQ(out, ref.result) << "round " << round << " level " << level;
+      EXPECT_EQ(stats.passes, ref.passes) << "round " << round << " level " << level;
+      ASSERT_EQ(stats.applied_by_rule.size(), ref.applied.size());
+      for (std::size_t i = 0; i < ref.applied.size(); ++i) {
+        EXPECT_EQ(stats.applied_by_rule[i].second, ref.applied[i])
+            << stats.applied_by_rule[i].first << " round " << round << " level " << level;
+      }
+      if (stats.passes > 2) ++multi_pass;
+    }
+  }
+  // Enough instances edit after the first pass for the skips to matter.
+  EXPECT_GE(multi_pass, 50);
+}
+
+// ---------------------------------------------------------------------------
+// The step budget on hostile input.
+
+// The first `count` 3-subsets of a 64-attribute universe, in colex order
+// from `skip` on: distinct, so any run of them is an antichain.
+std::vector<ItemSet> ThreeSubsets(int skip, int count) {
+  std::vector<ItemSet> out;
+  for (int c = 2; c < 64 && static_cast<int>(out.size()) < count; ++c) {
+    for (int b = 1; b < c && static_cast<int>(out.size()) < count; ++b) {
+      for (int a = 0; a < b && static_cast<int>(out.size()) < count; ++a) {
+        if (skip > 0) {
+          --skip;
+          continue;
+        }
+        out.push_back(ItemSet{a, b, c});
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t BudgetExhaustions() {
+  return obs::Registry::Global()
+      .GetCounter("diffc_rewrite_budget_exhausted_total",
+                  "Simplifier invocations stopped by the step budget before a fixpoint.")
+      ->Value();
+}
+
+// Two ∅-lhs premises with k-member antichains: merge-same-lhs would build
+// k² unions and minimize them, which the budget refuses up front. At
+// k = 1024 minimize-rhs and absorb-subsumed fit in the budget and the merge
+// is refused; at k = 4096 minimizing one family would already exceed it.
+void ExpectWideAntichainsStopAtTheBudget(int k) {
+  ConstraintSet premises{DifferentialConstraint(ItemSet(), SetFamily(ThreeSubsets(0, k))),
+                         DifferentialConstraint(ItemSet(), SetFamily(ThreeSubsets(k, k)))};
+  ASSERT_EQ(premises[0].rhs().size(), k);
+  ASSERT_EQ(premises[1].rhs().size(), k);
+  const std::uint64_t exhausted_before = BudgetExhaustions();
+  Result<std::shared_ptr<const PreparedPremises>> built = PreparedPremises::Build(64, premises);
+  ASSERT_TRUE(built.ok());
+  const PrepareStats& s = (*built)->stats();
+  EXPECT_FALSE(s.rewrite_reached_fixpoint);
+  EXPECT_LE(s.rewrite_steps, rewrite::kSimplifyStepBudget);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(BudgetExhaustions(), exhausted_before + 1);
+  }
+  // Both premises are intact.
+  std::sort(premises.begin(), premises.end());
+  EXPECT_EQ((*built)->masks().Materialize(), premises);
+}
+
+TEST(RewriteBudgetTest, WideSameLhsAntichainsStopAtTheBudget) {
+  for (const int k : {1024, 4096}) {
+    SCOPED_TRACE(k);
+    ExpectWideAntichainsStopAtTheBudget(k);
+  }
+}
+
+// Same-lhs two-member premises whose members are distinct 3-subsets: no
+// pair absorbs or merges, and the pair loops alone exhaust the budget.
+TEST(RewriteBudgetTest, ManySameLhsPremisesStopAtTheBudget) {
+  const int count = 8192;
+  const std::vector<ItemSet> members = ThreeSubsets(0, 2 * count);
+  ConstraintSet premises;
+  for (int i = 0; i < count; ++i) {
+    premises.push_back(
+        DifferentialConstraint(ItemSet(), SetFamily({members[2 * i], members[2 * i + 1]})));
+  }
+  Result<std::shared_ptr<const PreparedPremises>> built = PreparedPremises::Build(64, premises);
+  ASSERT_TRUE(built.ok());
+  const PrepareStats& s = (*built)->stats();
+  EXPECT_FALSE(s.rewrite_reached_fixpoint);
+  EXPECT_LE(s.rewrite_steps, rewrite::kSimplifyStepBudget);
+  std::sort(premises.begin(), premises.end());
+  EXPECT_EQ((*built)->masks().Materialize(), premises);
+}
+
+// ---------------------------------------------------------------------------
 // Prepare/cache integration.
 
 TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
@@ -303,14 +486,14 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
   EXPECT_GE(s.rewrite_passes, 1u);
   EXPECT_EQ(s.rewrite_rule_applied.size(), 5u);
   EXPECT_EQ(s.cost_constraints_before, premises.size());
-  EXPECT_EQ(s.cost_constraints_after, (*built)->constraints().size());
+  EXPECT_EQ(s.cost_constraints_after, (*built)->masks().size());
   // Constraint bookkeeping: every removed constraint is attributed to
   // exactly one of the three constraint-dropping rules.
   EXPECT_EQ(s.canonical_constraints,
             s.input_constraints - s.dropped_trivial - s.dropped_duplicates -
                 s.merged_constraints);
   // The canonical set excludes exactly the same lattice points.
-  Result<bool> same = LcEquivalent(n, premises, (*built)->constraints());
+  Result<bool> same = LcEquivalent(n, premises, (*built)->masks().Materialize());
   ASSERT_TRUE(same.ok());
   EXPECT_TRUE(*same);
 }
