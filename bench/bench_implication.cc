@@ -32,7 +32,6 @@
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
-#include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "prop/tautology.h"
@@ -410,8 +409,6 @@ void PrintObservabilityTable() {
          << "\", \"histogram\": " << HistogramJson(*latency[i]) << "}";
   }
   json << (latency.empty() ? "],\n" : "\n  ],\n");
-  json << "  \"events\": {\"total\": " << obs::GlobalEventLog().total()
-       << ", \"dropped\": " << obs::GlobalEventLog().dropped() << "},\n";
   json << "  \"metrics\": " << obs::SnapshotJson() << "\n";
   json << "}\n";
   std::printf("wrote BENCH_E3.json\n\n");

@@ -1,7 +1,8 @@
-// Generates the seed corpora for the five fuzz targets from golden frames
-// produced by the real encoders — the same messages the wire tests pin —
-// so coverage starts inside the accepting region instead of spending its
-// budget rediscovering the header format. Run as:
+// Generates the seed corpora for the fuzz targets: golden frames produced
+// by the real encoders — the same messages the wire tests pin — so
+// coverage starts inside the accepting region instead of spending its
+// budget rediscovering the header format, plus structured instances for
+// the rewrite and decide targets. Run as:
 //
 //   make_seed_corpus OUT_DIR
 //
@@ -17,9 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "core/implication.h"
 #include "core/parser.h"
 #include "lattice/universe.h"
 #include "net/wire.h"
+#include "prop/tautology.h"
+#include "test_helpers.h"
 
 using namespace diffc;
 using namespace diffc::net;
@@ -51,6 +55,34 @@ std::vector<std::uint8_t> WithSelector(std::uint8_t selector, const Frame& f) {
   std::vector<std::uint8_t> bytes;
   bytes.push_back(selector);
   bytes.insert(bytes.end(), f.payload.begin(), f.payload.end());
+  return bytes;
+}
+
+// An instance in fuzz_decide's byte format: byte 0 picks n (1 + b % 12);
+// then the goal and each premise as a 2-byte little-endian lhs mask, a
+// member-count byte and 2 bytes per member.
+std::vector<std::uint8_t> DecideInstance(int n, const DifferentialConstraint& goal,
+                                         const ConstraintSet& premises) {
+  if (n < 1 || n > 12 || premises.size() > 24) {
+    std::fprintf(stderr, "make_seed_corpus: decide instance out of range\n");
+    std::exit(1);
+  }
+  std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(n - 1)};
+  auto put_mask = [&bytes](Mask m) {
+    bytes.push_back(static_cast<std::uint8_t>(m & 0xff));
+    bytes.push_back(static_cast<std::uint8_t>((m >> 8) & 0xff));
+  };
+  auto put = [&](const DifferentialConstraint& c) {
+    if (c.rhs().size() > 7) {
+      std::fprintf(stderr, "make_seed_corpus: decide family over 7 members\n");
+      std::exit(1);
+    }
+    put_mask(c.lhs().bits());
+    bytes.push_back(static_cast<std::uint8_t>(c.rhs().size()));
+    for (const ItemSet& m : c.rhs().members()) put_mask(m.bits());
+  };
+  put(goal);
+  for (const DifferentialConstraint& c : premises) put(c);
   return bytes;
 }
 
@@ -175,6 +207,28 @@ int main(int argc, char** argv) {
             {2, 0b0001, 0, 0b0000});
   WriteSeed("rewrite", "n8_mixed",  // n=8, wider masks, three constraints.
             {6, 0x0f, 1, 0xf0, 0x3c, 0x81, 0, 0x42, 0x0f, 2, 0xf0, 0x3c, 0x81});
+
+  // ---- decide: Prop. 5.5 reductions (PHP(h+1, h) refuted by the kernel in
+  // 2·h! − 1 nodes; a random 3-DNF) and an FD-subclass set, so every
+  // decider and oracle starts from a reachable instance.
+  for (int holes : {2, 3}) {
+    const prop::DnfFormula php = testing::PigeonholeDnf(holes);
+    WriteSeed("decide", "php" + std::to_string(holes + 1) + "_" + std::to_string(holes),
+              DecideInstance(php.num_vars, TautologyGoal(), DnfTautologyReduction(php)));
+  }
+  {
+    const prop::DnfFormula dnf = prop::RandomDnf(8, 20, 3, 42);
+    WriteSeed("decide", "random_dnf",
+              DecideInstance(dnf.num_vars, TautologyGoal(), DnfTautologyReduction(dnf)));
+  }
+  {
+    // A -> {B}, B -> {C}, CD -> {E} does not imply A -> {E}: the closure
+    // of A is ABC, the counterexample the FD procedure returns.
+    const Universe u6 = Universe::Letters(6);
+    WriteSeed("decide", "fd_not_implied",
+              DecideInstance(6, ParseConstraintSet(u6, "A -> {E}")->front(),
+                             *ParseConstraintSet(u6, "A -> {B}; B -> {C}; CD -> {E}")));
+  }
 
   // ---- text_parser: leading universe-size byte + constraint text.
   WriteText("text_parser", "basic", std::string(1, 4) + "A -> {B}; AB -> {C, BC}");

@@ -40,7 +40,6 @@
 #include "lattice/decomposition.h"
 #include "math/gauss.h"
 #include "math/simplex.h"
-#include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 
@@ -54,10 +53,6 @@ CacheMetrics& WitnessMetrics() {
 CacheMetrics& PreparedMetrics() {
   static CacheMetrics* m = new CacheMetrics("prepared");
   return *m;
-}
-
-void RecordEviction(const char* which) {
-  obs::GlobalEventLog().Record("cache_eviction", {{"cache", which}});
 }
 
 // Flushes one lookup into the per-cache counters and metrics (shared by
@@ -112,10 +107,7 @@ std::shared_ptr<const WitnessSetCache::Entry> WitnessSetCache::Get(const SetFami
   }
   if (evicted > 0) {
     counters_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    if (obs_on) {
-      WitnessMetrics().evictions->Inc(evicted);
-      RecordEviction("witness");
-    }
+    if (obs_on) WitnessMetrics().evictions->Inc(evicted);
   }
   if (inserted_negative) {
     counters_.negative_entries.fetch_add(1, std::memory_order_relaxed);
@@ -182,10 +174,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
   }
   if (evicted > 0) {
     counters_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    if (obs_on) {
-      PreparedMetrics().evictions->Inc(evicted);
-      RecordEviction("prepared");
-    }
+    if (obs_on) PreparedMetrics().evictions->Inc(evicted);
   }
   return out;
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "lattice/decomposition.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/mutex.h"
@@ -226,12 +225,8 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
     const ProcedureQuery query{prepared.n(), &goal};
     const QueryPlan plan = planner_.Plan(prepared, query, options_);
     if (tracer.enabled()) {
-      // The chosen plan, as an instantaneous marker span and an event-log
-      // record (both gated on tracing: plans repeat per query and would
-      // drown the global event ring in large batches).
-      const std::string label = "plan:" + plan.ToString();
-      obs::SpanGuard plan_span(&tracer, label);
-      obs::GlobalEventLog().Record("query_plan", {{"plan", plan.ToString()}});
+      // The chosen plan, as an instantaneous marker span.
+      obs::SpanGuard plan_span(&tracer, "plan:" + plan.ToString());
     }
     const ProcedureBudgets budgets{options_.max_solver_decisions, options_.witness_max_results};
     ProcedureContext ctx{&options_, budgets, &stop, &tracer, &r.stats, prepared_from_cache};
@@ -249,20 +244,10 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
     // Answer OK + kUnknown and keep the partial evidence (stopped_in,
     // counters) in the stats.
     r.stats.degraded_from = r.status.code();
-    obs::GlobalEventLog().Record(
-        "degrade", {{"stopped_in", DecisionProcedureName(r.stats.stopped_in)},
-                    {"from", StatusCodeName(r.status.code())}});
     r.status = Status::Ok();
     r.outcome.SetUnknown();
   }
   r.stats.wall_ns = NowNs() - start;
-  if (r.status.code() == StatusCode::kDeadlineExceeded ||
-      r.stats.degraded_from == StatusCode::kDeadlineExceeded) {
-    obs::GlobalEventLog().Record(
-        "deadline_exceeded",
-        {{"stopped_in", DecisionProcedureName(r.stats.stopped_in)},
-         {"surfaced", r.status.ok() ? "degraded" : "status"}});
-  }
   if (obs::MetricsEnabled()) {
     // Slack: how much of the wall-clock budget was left when the query
     // settled. 0 means it finished at (or past) its deadline.

@@ -17,7 +17,7 @@ struct QueryPlan {
   };
   std::vector<Step> steps;
 
-  /// "trivial+interval-cover+sat+exhaustive" — the span / event-log label.
+  /// "trivial+interval-cover+sat+exhaustive" — the `plan:` span label.
   std::string ToString() const;
 };
 

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 
 namespace diffc {
@@ -143,10 +142,7 @@ void WorkerPool::WorkerLoop(std::stop_token stop) {
       // task's owner observes the failure through its own result channel;
       // this counter is for tests and post-mortems.
       uncaught_exceptions_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_on) {
-        Metrics().exceptions->Inc();
-        obs::GlobalEventLog().Record("worker_exception", {});
-      }
+      if (obs_on) Metrics().exceptions->Inc();
     }
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_release);

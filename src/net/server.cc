@@ -12,7 +12,6 @@
 #include <cstdlib>
 
 #include "net/http.h"
-#include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -178,6 +177,19 @@ TraceContext ReplyTraceContext(const RequestTrace& rt) {
   return tc;
 }
 
+/// The stderr line of one slow request (schema in DESIGN.md §12): `seq` is
+/// its number in the slow store, and the outer "slow_query" key keeps the
+/// stream greppable.
+std::string SlowQueryLine(const obs::StoredTrace& t, std::uint64_t seq,
+                          std::uint64_t session) {
+  return "{\"slow_query\": {\"seq\": " + std::to_string(seq) +
+         ", \"wall_unix_ns\": " + std::to_string(t.record.wall_start_unix_ns) +
+         ", \"kind\": \"" + obs::JsonEscape(t.name) + "\", \"seconds\": " +
+         obs::FormatDouble(static_cast<double>(t.duration_ns) / 1e9) +
+         ", \"session\": " + std::to_string(session) + ", \"trace_id\": \"" +
+         t.TraceIdHex() + "\", \"status\": \"" + obs::JsonEscape(t.status) + "\"}}";
+}
+
 /// RAII over an in-flight nonce claim: `Abandon`s on destruction unless
 /// the reply was published with `Publish` — error replies must not be
 /// replayed (a retry should re-execute, not re-fail).
@@ -268,7 +280,6 @@ Status DiffcdServer::Start() {
   if (metrics_listener_.valid()) {
     metrics_thread_ = std::thread([this] { MetricsLoop(); });
   }
-  obs::GlobalEventLog().Record("diffcd-start", {{"address", bound_address_}});
   return Status::Ok();
 }
 
@@ -350,8 +361,6 @@ void DiffcdServer::SessionLoop(Session* session) {
         // Watchdog: the peer went silent mid-frame past the stall budget;
         // kill the session rather than pin its thread until drain.
         m.watchdog_kills->Inc();
-        obs::GlobalEventLog().Record("diffcd-watchdog-kill",
-                                     {{"session", std::to_string(session->id)}});
         (void)WriteFrame(session->sock, ErrFrame(rs));  // Best-effort courtesy.
         break;
       }
@@ -384,19 +393,8 @@ void DiffcdServer::SessionLoop(Session* session) {
     const auto started = std::chrono::steady_clock::now();
     Frame reply = Dispatch(&ctx, frame);
     const auto elapsed_steady = std::chrono::steady_clock::now() - started;
-    const double elapsed = std::chrono::duration<double>(elapsed_steady).count();
-    const auto type = static_cast<WireRequest>(frame.type);
-    RequestSeconds(m, type)->Observe(elapsed);
-    if (options_.slow_request_threshold.count() > 0 &&
-        elapsed >= std::chrono::duration<double>(options_.slow_request_threshold).count()) {
-      std::vector<std::pair<std::string, std::string>> fields = {
-          {"type", WireRequestName(type)},
-          {"seconds", std::to_string(elapsed)},
-          {"session", std::to_string(session->id)},
-      };
-      if (rt.armed) fields.emplace_back("trace_id", rt.wire.IdHex());
-      obs::GlobalEventLog().Record("diffcd-slow-request", std::move(fields));
-    }
+    RequestSeconds(m, static_cast<WireRequest>(frame.type))
+        ->Observe(std::chrono::duration<double>(elapsed_steady).count());
     FinishRequestTrace(&ctx, reply.type,
                        static_cast<std::uint64_t>(
                            std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -722,18 +720,9 @@ void DiffcdServer::FinishRequestTrace(SessionContext* ctx, std::uint8_t reply_ty
   }
 
   if (slow) {
-    obs::SlowQuery q;
-    q.wall_unix_ns = st.record.wall_start_unix_ns;
-    q.kind = rt->name;
-    q.seconds = static_cast<double>(elapsed_ns) / 1e9;
-    q.session = ctx->session_id;
-    q.trace_id = rt->wire.IdHex();
-    q.status = status;
-    const obs::SlowQuery stored = obs::GlobalSlowQueryLog().Add(q);
-    // The structured stderr line operators grep/tail for.
-    std::fprintf(stderr, "%s\n", stored.ToJsonLine().c_str());
+    const std::uint64_t seq = obs::GlobalSlowTraceStore().Add(st);
+    std::fprintf(stderr, "%s\n", SlowQueryLine(st, seq, ctx->session_id).c_str());
   }
-
   obs::GlobalTraceStore().Add(std::move(st));
 }
 
@@ -760,9 +749,6 @@ Status DiffcdServer::Shutdown() {
   ServiceMetrics& m = Metrics();
   m.drains->Inc();
   m.draining->Set(1);
-  obs::GlobalEventLog().Record(
-      "diffcd-drain-begin",
-      {{"address", bound_address_}, {"sessions", std::to_string(sessions_active())}});
 
   // 1. Stop accepting: shut the listeners down (waking a blocked accept),
   //    retire the listener threads, and only then close the fds the
@@ -836,9 +822,6 @@ Status DiffcdServer::Shutdown() {
   }
   m.draining->Set(0);
   m.sessions_active->Set(0);
-  obs::GlobalEventLog().Record("diffcd-drain-end",
-                               {{"forced", drained ? "false" : "true"},
-                                {"status", result.ToString()}});
   return result;
 }
 
@@ -856,6 +839,60 @@ void SendHttp(const Socket& sock, int code, const std::string& reason,
   // error the server can act on.
   (void)sock.SendAll(head.data(), head.size());
   (void)sock.SendAll(body.data(), body.size());  // Best-effort, as above.
+}
+
+/// The /tracez body over `store` (also /slowz over the slow store).
+/// Filters: trace_id (exact; InvalidArgument unless 32 hex digits), status
+/// (ok|error|shed), min_ms (duration floor), limit (newest N, default 64).
+Result<std::string> RenderTracez(const obs::TraceStore& store, const std::string& query) {
+  const std::string want_id = HttpQueryParam(query, "trace_id");
+  const std::string want_status = HttpQueryParam(query, "status");
+  const std::string min_ms_s = HttpQueryParam(query, "min_ms");
+  const std::string limit_s = HttpQueryParam(query, "limit");
+  double min_ms = 0;
+  if (!min_ms_s.empty()) min_ms = std::strtod(min_ms_s.c_str(), nullptr);
+  std::size_t limit = 64;
+  if (!limit_s.empty()) {
+    const unsigned long parsed = std::strtoul(limit_s.c_str(), nullptr, 10);
+    if (parsed > 0) limit = static_cast<std::size_t>(parsed);
+  }
+
+  std::vector<obs::StoredTrace> traces;
+  if (want_id.empty()) {
+    traces = store.Snapshot();
+  } else {
+    std::uint64_t id_hi = 0;
+    std::uint64_t id_lo = 0;
+    if (!ParseTraceId(want_id, &id_hi, &id_lo)) {
+      return Status::InvalidArgument("trace_id must be 32 hex digits");
+    }
+    traces = store.FindByTraceId(id_hi, id_lo);
+  }
+
+  std::string body = "{\"capacity\": " + std::to_string(store.capacity()) +
+                     ", \"total\": " + std::to_string(store.total()) +
+                     ", \"dropped\": " + std::to_string(store.dropped());
+  std::string items;
+  std::size_t count = 0;
+  // Newest first, up to `limit`.
+  for (std::size_t i = traces.size(); i-- > 0 && count < limit;) {
+    const obs::StoredTrace& t = traces[i];
+    if (!want_status.empty() && t.status != want_status) continue;
+    if (min_ms > 0 && static_cast<double>(t.duration_ns) / 1e6 < min_ms) continue;
+    if (!items.empty()) items += ", ";
+    items += t.ToJson();
+    ++count;
+  }
+  body += ", \"count\": " + std::to_string(count) + ", \"traces\": [" + items + "]}";
+  return body;
+}
+
+/// A store's health block for /statusz.
+std::string StoreHealthJson(const obs::TraceStore& store) {
+  return "{\"capacity\": " + std::to_string(store.capacity()) +
+         ", \"size\": " + std::to_string(store.size()) +
+         ", \"total\": " + std::to_string(store.total()) +
+         ", \"dropped\": " + std::to_string(store.dropped()) + "}";
 }
 
 }  // namespace
@@ -921,59 +958,19 @@ void DiffcdServer::ServeMetricsConnection(Socket sock) {
     } else {
       SendHttp(sock, 200, "OK", "text/plain", "ok\n");
     }
-  } else if (path == "/tracez") {
-    SendHttp(sock, 200, "OK", "application/json", RenderTracez(query));
+  } else if (path == "/tracez" || path == "/slowz") {
+    Result<std::string> body = RenderTracez(
+        path == "/tracez" ? obs::GlobalTraceStore() : obs::GlobalSlowTraceStore(), query);
+    if (body.ok()) {
+      SendHttp(sock, 200, "OK", "application/json", *body);
+    } else {
+      SendHttp(sock, 400, "Bad Request", "text/plain", body.status().message() + "\n");
+    }
   } else if (path == "/statusz") {
     SendHttp(sock, 200, "OK", "application/json", RenderStatusz());
-  } else if (path == "/slowz") {
-    SendHttp(sock, 200, "OK", "application/json", RenderSlowz());
   } else {
     SendHttp(sock, 404, "Not Found", "text/plain", "unknown path\n");
   }
-}
-
-std::string DiffcdServer::RenderTracez(const std::string& query) const {
-  obs::TraceStore& store = obs::GlobalTraceStore();
-
-  // Filters: trace_id (exact), status (ok|error|shed), min_ms (duration
-  // floor), limit (newest N, default 64).
-  const std::string want_id = HttpQueryParam(query, "trace_id");
-  const std::string want_status = HttpQueryParam(query, "status");
-  const std::string min_ms_s = HttpQueryParam(query, "min_ms");
-  const std::string limit_s = HttpQueryParam(query, "limit");
-  double min_ms = 0;
-  if (!min_ms_s.empty()) min_ms = std::strtod(min_ms_s.c_str(), nullptr);
-  std::size_t limit = 64;
-  if (!limit_s.empty()) {
-    const unsigned long parsed = std::strtoul(limit_s.c_str(), nullptr, 10);
-    if (parsed > 0) limit = static_cast<std::size_t>(parsed);
-  }
-
-  std::vector<obs::StoredTrace> traces;
-  std::uint64_t id_hi = 0;
-  std::uint64_t id_lo = 0;
-  if (!want_id.empty() && ParseTraceId(want_id, &id_hi, &id_lo)) {
-    traces = store.FindByTraceId(id_hi, id_lo);
-  } else {
-    traces = store.Snapshot();
-  }
-
-  std::string body = "{\"capacity\": " + std::to_string(store.capacity()) +
-                     ", \"total\": " + std::to_string(store.total()) +
-                     ", \"dropped\": " + std::to_string(store.dropped());
-  std::string items;
-  std::size_t count = 0;
-  // Newest first, up to `limit`.
-  for (std::size_t i = traces.size(); i-- > 0 && count < limit;) {
-    const obs::StoredTrace& t = traces[i];
-    if (!want_status.empty() && t.status != want_status) continue;
-    if (min_ms > 0 && static_cast<double>(t.duration_ns) / 1e6 < min_ms) continue;
-    if (!items.empty()) items += ", ";
-    items += t.ToJson();
-    ++count;
-  }
-  body += ", \"count\": " + std::to_string(count) + ", \"traces\": [" + items + "]}";
-  return body;
 }
 
 std::string DiffcdServer::RenderStatusz() const {
@@ -1043,16 +1040,9 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"handles_active\": " + std::to_string(handles_.size());
   b += ", \"nonce_cache_entries\": " + std::to_string(nonces_.size());
 
-  // Trace-store and slow-query-log health.
-  obs::TraceStore& store = obs::GlobalTraceStore();
-  b += ", \"trace_store\": {\"capacity\": " + std::to_string(store.capacity()) +
-       ", \"size\": " + std::to_string(store.size()) +
-       ", \"total\": " + std::to_string(store.total()) +
-       ", \"dropped\": " + std::to_string(store.dropped()) + "}";
-  obs::SlowQueryLog& slow = obs::GlobalSlowQueryLog();
-  b += ", \"slow_query_log\": {\"capacity\": " + std::to_string(slow.capacity()) +
-       ", \"total\": " + std::to_string(slow.total()) +
-       ", \"dropped\": " + std::to_string(slow.dropped()) + "}";
+  // Trace-store and slow-store health.
+  b += ", \"trace_store\": " + StoreHealthJson(obs::GlobalTraceStore());
+  b += ", \"slow_store\": " + StoreHealthJson(obs::GlobalSlowTraceStore());
 
   // Rewrite-simplifier totals since start (DESIGN.md §14).
   const rewrite::RewriteTotals rw = rewrite::GlobalRewriteTotals();
@@ -1062,19 +1052,6 @@ std::string DiffcdServer::RenderStatusz() const {
        ", \"constraints_removed\": " + std::to_string(rw.constraints_removed) + "}";
   b += "}";
   return b;
-}
-
-std::string DiffcdServer::RenderSlowz() const {
-  obs::SlowQueryLog& log = obs::GlobalSlowQueryLog();
-  std::string items;
-  for (const obs::SlowQuery& q : log.Snapshot()) {
-    if (!items.empty()) items += ", ";
-    items += q.ToJsonLine();
-  }
-  return "{\"capacity\": " + std::to_string(log.capacity()) +
-         ", \"total\": " + std::to_string(log.total()) +
-         ", \"dropped\": " + std::to_string(log.dropped()) + ", \"slow_queries\": [" +
-         items + "]}";
 }
 
 }  // namespace diffc::net

@@ -59,9 +59,9 @@ struct ServerOptions {
   /// before waiting out the drain). Zero disables the bound.
   std::chrono::milliseconds metrics_timeout{5000};
   /// Requests slower than this are recorded (with their span tree, when
-  /// sampled) in the global event log, the slow-query log (/slowz + one
-  /// JSON line to stderr), and the trace store; zero disables. diffcd
-  /// exposes this as --slow_query_ms.
+  /// sampled) in the trace store and the slow store behind /slowz, and
+  /// logged as one JSON line to stderr; zero disables. diffcd exposes this
+  /// as --slow_query_ms.
   std::chrono::milliseconds slow_request_threshold{250};
   /// Head-sampling probability for request traces in [0, 1]: a sampled
   /// request records its full span tree (admission wait, nonce lookup,
@@ -154,10 +154,8 @@ class DiffcdServer {
   void MetricsLoop();
   /// Serves one HTTP connection on the metrics listener.
   void ServeMetricsConnection(Socket sock);
-  /// JSON bodies of the introspection endpoints (schemas: DESIGN.md §12).
-  std::string RenderTracez(const std::string& query) const;
+  /// JSON body of /statusz (schema: DESIGN.md §12).
   std::string RenderStatusz() const;
-  std::string RenderSlowz() const;
   /// Dispatches one request frame to its type's handler, returning the
   /// response frame.
   Frame Dispatch(SessionContext* ctx, const Frame& frame);
@@ -175,8 +173,8 @@ class DiffcdServer {
   void ArmRequestTrace(SessionContext* ctx, const TraceContext& wire_tc, const char* name);
   /// Closes the request's trace after the reply frame is chosen: joins the
   /// collected engine traces, classifies the outcome from the reply type,
-  /// and stores into the trace store / slow-query log per the sampling and
-  /// tail rules (DESIGN.md §12).
+  /// and stores into the trace store (and, when slow, the slow store) per
+  /// the sampling and tail rules (DESIGN.md §12).
   void FinishRequestTrace(SessionContext* ctx, std::uint8_t reply_type,
                           std::uint64_t elapsed_ns);
 

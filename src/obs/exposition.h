@@ -41,7 +41,7 @@ std::string JsonEscape(std::string_view s);
 std::string FormatDouble(double v);
 
 /// Lower-case zero-padded 16-digit hex, no "0x" prefix — the rendering used
-/// for trace and span ids in /tracez and the slow-query log.
+/// for trace and span ids in /tracez and /slowz.
 std::string HexU64(std::uint64_t v);
 
 }  // namespace diffc::obs

@@ -38,16 +38,16 @@ std::string StoredTrace::ToJson() const {
 
 TraceStore::TraceStore(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void TraceStore::Add(StoredTrace trace) {
+std::uint64_t TraceStore::Add(StoredTrace trace) {
   MutexLock lock(&mu_);
-  ++total_;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(trace));
-    return;
+  } else {
+    ring_[next_] = std::move(trace);
+    next_ = (next_ + 1) % capacity_;
+    ++dropped_;
   }
-  ring_[next_] = std::move(trace);
-  next_ = (next_ + 1) % capacity_;
-  ++dropped_;
+  return ++total_;
 }
 
 std::vector<StoredTrace> TraceStore::Snapshot() const {
@@ -110,61 +110,9 @@ TraceStore& GlobalTraceStore() {
   return *store;
 }
 
-std::string SlowQuery::ToJsonLine() const {
-  std::string out = "{\"slow_query\": {\"seq\": " + std::to_string(seq) +
-                    ", \"wall_unix_ns\": " + std::to_string(wall_unix_ns) +
-                    ", \"kind\": \"" + JsonEscape(kind) +
-                    "\", \"seconds\": " + FormatDouble(seconds) +
-                    ", \"session\": " + std::to_string(session) +
-                    ", \"trace_id\": \"" + JsonEscape(trace_id) +
-                    "\", \"status\": \"" + JsonEscape(status) + "\"}}";
-  return out;
-}
-
-SlowQueryLog::SlowQueryLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-SlowQuery SlowQueryLog::Add(SlowQuery q) {
-  MutexLock lock(&mu_);
-  q.seq = ++total_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(q);
-    return q;
-  }
-  ring_[next_] = q;
-  next_ = (next_ + 1) % capacity_;
-  ++dropped_;
-  return q;
-}
-
-std::vector<SlowQuery> SlowQueryLog::Snapshot() const {
-  MutexLock lock(&mu_);
-  std::vector<SlowQuery> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void SlowQueryLog::Clear() {
-  MutexLock lock(&mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
-std::uint64_t SlowQueryLog::total() const {
-  MutexLock lock(&mu_);
-  return total_;
-}
-
-std::uint64_t SlowQueryLog::dropped() const {
-  MutexLock lock(&mu_);
-  return dropped_;
-}
-
-SlowQueryLog& GlobalSlowQueryLog() {
-  static SlowQueryLog* log = new SlowQueryLog();
-  return *log;
+TraceStore& GlobalSlowTraceStore() {
+  static TraceStore* store = new TraceStore(kSlowTraceStoreCapacity);
+  return *store;
 }
 
 namespace {

@@ -15,9 +15,9 @@ namespace diffc::obs {
 /// in-process span tree, `StoredTrace` wraps that tree with the wire-level
 /// identity (trace id, span ids) that lets a client-side record and the
 /// server-side record of the same request be found together, and
-/// `TraceStore` is the bounded process-wide ring the /tracez endpoint
-/// reads. The companion `SlowQueryLog` is the same shape for requests that
-/// crossed the slow-query threshold.
+/// `TraceStore` is the bounded ring the /tracez endpoint reads. A second
+/// instance keeps only requests that crossed the slow-query threshold and
+/// backs /slowz.
 
 /// One finished request-scoped trace as retained for /tracez.
 struct StoredTrace {
@@ -68,8 +68,10 @@ class TraceStore {
  public:
   explicit TraceStore(std::size_t capacity = 256);
 
-  /// Retains `trace`, overwriting the oldest entry when full. Thread-safe.
-  void Add(StoredTrace trace) EXCLUDES(mu_);
+  /// Retains `trace`, overwriting the oldest entry when full, and returns
+  /// its sequence number: the store's running total, 1 for the first
+  /// trace ever added. Thread-safe.
+  std::uint64_t Add(StoredTrace trace) EXCLUDES(mu_);
 
   /// Oldest-to-newest copy of the retained traces.
   std::vector<StoredTrace> Snapshot() const EXCLUDES(mu_);
@@ -105,61 +107,13 @@ class TraceStore {
 /// The process-wide trace sink /tracez reads.
 TraceStore& GlobalTraceStore();
 
-/// One slow-request entry as retained for /slowz and emitted to stderr.
-struct SlowQuery {
-  /// Wall-clock Unix nanoseconds when the request started.
-  std::uint64_t wall_unix_ns = 0;
-  /// Monotonic sequence number across the log's lifetime.
-  std::uint64_t seq = 0;
-  /// Operation name, e.g. "check-batch".
-  std::string kind;
-  /// Request duration, seconds.
-  double seconds = 0;
-  /// Server session id the request arrived on.
-  std::uint64_t session = 0;
-  /// 32-hex-digit trace id ("0"*32 when the request carried none).
-  std::string trace_id;
-  /// "ok", "error", or "shed".
-  std::string status = "ok";
+/// Retained slow requests in `GlobalSlowTraceStore()`: fixed, so /slowz
+/// keeps the last slow requests however busy the main store is.
+inline constexpr std::size_t kSlowTraceStoreCapacity = 128;
 
-  /// One JSON line (no trailing newline):
-  ///     {"slow_query": {"seq": 1, "wall_unix_ns": N, "kind": "...",
-  ///      "seconds": X, "session": N, "trace_id": "...", "status": "ok"}}
-  /// The outer "slow_query" key makes the stderr stream greppable.
-  std::string ToJsonLine() const;
-};
-
-/// Bounded thread-safe ring of `SlowQuery` entries (same flight-recorder
-/// shape as `EventLog`).
-class SlowQueryLog {
- public:
-  explicit SlowQueryLog(std::size_t capacity = 128);
-
-  /// Retains `q` (assigning its `seq`) and returns the stored copy so the
-  /// caller can emit the exact retained line to stderr. Thread-safe.
-  SlowQuery Add(SlowQuery q) EXCLUDES(mu_);
-
-  /// Oldest-to-newest copy of the retained entries.
-  std::vector<SlowQuery> Snapshot() const EXCLUDES(mu_);
-
-  /// Drops every retained entry; counters survive.
-  void Clear() EXCLUDES(mu_);
-
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t total() const EXCLUDES(mu_);
-  std::uint64_t dropped() const EXCLUDES(mu_);
-
- private:
-  const std::size_t capacity_;
-  mutable Mutex mu_;
-  std::vector<SlowQuery> ring_ GUARDED_BY(mu_);
-  std::size_t next_ GUARDED_BY(mu_) = 0;
-  std::uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
-};
-
-/// The process-wide slow-query sink /slowz reads.
-SlowQueryLog& GlobalSlowQueryLog();
+/// The process-wide store of slow requests /slowz reads. A slow request
+/// lands here and in `GlobalTraceStore()`; this one holds nothing else.
+TraceStore& GlobalSlowTraceStore();
 
 /// A nonzero pseudo-random 64-bit value from a thread-local generator
 /// seeded with entropy — trace- and span-id minting. Not cryptographic;

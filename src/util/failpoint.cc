@@ -6,7 +6,6 @@
 #include <random>
 #include <unordered_map>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/text.h"
@@ -200,7 +199,6 @@ bool Evaluate(const char* name) {
         .GetCounter("diffc_failpoint_fires_total", "Fail-point trips, by site.",
                     {{"site", name}})
         ->Inc();
-    obs::GlobalEventLog().Record("failpoint_fired", {{"site", name}});
   }
   return fire;
 }

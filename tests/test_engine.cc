@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -18,8 +19,8 @@
 #include "engine/implication_engine.h"
 #include "engine/procedures/procedure.h"
 #include "engine/worker_pool.h"
-#include "obs/event_log.h"
 #include "obs/exposition.h"
+#include "obs/metrics.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
 #include "util/deadline.h"
@@ -27,6 +28,12 @@
 
 namespace diffc {
 namespace {
+
+// A library counter in the global registry, for delta asserts (the
+// registry returns the existing series whatever the help text).
+obs::Counter* RegistryCounter(const char* name, obs::Labels labels = {}) {
+  return obs::Registry::Global().GetCounter(name, "", std::move(labels));
+}
 
 // A counterexample must certify non-implication on its own: it lies in the
 // goal's lattice decomposition and escapes every premise's.
@@ -557,6 +564,8 @@ TEST(CacheTest, NegativeEntriesAreCachedAndServed) {
 }
 
 TEST(CacheTest, PreparedCacheEvictsAndDedupes) {
+  obs::Counter* evictions = RegistryCounter("diffc_cache_evictions_total", {{"cache", "prepared"}});
+  const std::uint64_t evictions0 = evictions->Value();
   PreparedPremisesCache cache(2);
   auto make = [](int i) {
     return ConstraintSet{DifferentialConstraint(ItemSet::Singleton(i),
@@ -565,6 +574,8 @@ TEST(CacheTest, PreparedCacheEvictsAndDedupes) {
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Get(8, make(i)).ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.counters().evictions, 3u);
+  // The registry series aggregates every cache of the kind.
+  EXPECT_EQ(evictions->Value(), evictions0 + 3);
   bool hit = false;
   Result<std::shared_ptr<const PreparedPremises>> again = cache.Get(8, make(4), &hit);
   ASSERT_TRUE(again.ok());  // Newest still resident.
@@ -620,6 +631,8 @@ TEST(EngineReliabilityTest, DegradePolicyYieldsUnknownWithEvidence) {
 }
 
 TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
+  obs::Counter* deadline_exceeded = RegistryCounter("diffc_deadline_exceeded_total");
+  const std::uint64_t deadline_exceeded0 = deadline_exceeded->Value();
   PigeonholeProblem p = MakeStalledPigeonhole();
   EngineOptions opts;
   opts.per_query_deadline = std::chrono::milliseconds(5);
@@ -627,6 +640,7 @@ TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
   EngineQueryResult r = engine.CheckOne(p.n, p.premises, p.goal);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.stats.stopped_in, DecisionProcedure::kSat);
+  EXPECT_EQ(deadline_exceeded->Value(), deadline_exceeded0 + 1);
 }
 
 TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
@@ -634,18 +648,15 @@ TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
   std::vector<DifferentialConstraint> goals(6, p.goal);
   EngineOptions opts;
   opts.num_threads = 2;
-  // Traced queries log their plan when they start: the canceller's signal
-  // that a worker is inside a query.
-  opts.trace = true;
   ImplicationEngine engine(opts);
   CancelToken cancel;
-  const std::uint64_t events0 = obs::GlobalEventLog().total();
-  auto query_started = [events0] {
-    for (const obs::Event& e : obs::GlobalEventLog().Snapshot()) {
-      if (e.seq >= events0 && e.type == "query_plan") return true;
-    }
-    return false;
-  };
+  // The pool's in-flight gauge rises as a worker picks a query up: the
+  // canceller's signal that a worker is inside a query. No other pool runs
+  // a task now, so zero it first: two workers finishing together can leave
+  // a stale last write behind.
+  obs::Gauge* in_flight = obs::Registry::Global().GetGauge("diffc_pool_in_flight", "");
+  in_flight->Set(0);
+  auto query_started = [in_flight] { return in_flight->Value() > 0; };
   std::thread canceller([&cancel, &query_started] {
     for (int spin = 0; spin < 30'000 && !query_started(); ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -725,7 +736,10 @@ TEST(WorkerPoolTest, RunsAllSubmittedTasks) {
 }
 
 TEST(WorkerPoolTest, TaskExceptionsAreContainedAndCounted) {
-  WorkerPool pool(2);
+  obs::Counter* exceptions = RegistryCounter("diffc_pool_task_exceptions_total");
+  const std::uint64_t exceptions0 = exceptions->Value();
+  auto pool_ptr = std::make_unique<WorkerPool>(2);
+  WorkerPool& pool = *pool_ptr;
   const int kThrowers = 10;
   const int kNormal = 10;
   for (int i = 0; i < kThrowers; ++i) {
@@ -752,6 +766,9 @@ TEST(WorkerPoolTest, TaskExceptionsAreContainedAndCounted) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(pool.uncaught_exceptions(), static_cast<std::uint64_t>(kThrowers));
+  // Destroying the pool joins its workers, so every flush has landed.
+  pool_ptr.reset();
+  EXPECT_EQ(exceptions->Value(), exceptions0 + kThrowers);
 }
 
 TEST(WorkerPoolTest, StatsSnapshotRacesSafelyWithSubmit) {
@@ -800,8 +817,8 @@ TEST(WorkerPoolTest, StatsSnapshotRacesSafelyWithSubmit) {
 
 TEST(EngineReliabilityTest, TracedStressBatchIsRaceFree) {
   // The TSan CI job runs this: a mixed batch on several threads with
-  // tracing, metrics, and the event log all live, exercising every
-  // instrumentation flush site concurrently.
+  // tracing and metrics both live, exercising every instrumentation flush
+  // site concurrently.
   MixedBatch b = MakeMixedBatch(12, 48, 99);
   EngineOptions opts;
   opts.num_threads = 4;

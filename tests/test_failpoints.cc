@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
 #include "fis/io.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/rational.h"
 
@@ -31,6 +33,12 @@ class FailpointTest : public ::testing::Test {
   }
 };
 
+// The registry series every fired point increments, for delta asserts.
+obs::Counter* FiresCounter(const char* site) {
+  return obs::Registry::Global().GetCounter("diffc_failpoint_fires_total", "",
+                                            {{"site", site}});
+}
+
 TEST_F(FailpointTest, UnarmedNeverFires) {
   EXPECT_FALSE(failpoint::Evaluate("no/such/point"));
   EXPECT_EQ(failpoint::HitCount("no/such/point"), 0u);
@@ -38,10 +46,12 @@ TEST_F(FailpointTest, UnarmedNeverFires) {
 }
 
 TEST_F(FailpointTest, AlwaysFiresEveryEvaluation) {
+  const std::uint64_t fires0 = FiresCounter("t/always")->Value();
   failpoint::Arm("t/always", failpoint::Spec::Always());
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(failpoint::Evaluate("t/always"));
   EXPECT_EQ(failpoint::HitCount("t/always"), 5u);
   EXPECT_EQ(failpoint::TripCount("t/always"), 5u);
+  EXPECT_EQ(FiresCounter("t/always")->Value(), fires0 + 5);
 }
 
 TEST_F(FailpointTest, NthHitFiresExactlyOnce) {
@@ -140,9 +150,13 @@ TEST_F(FailpointTest, WitnessTruncationFallsBackToSat) {
   EXPECT_EQ(baseline.stats.procedure, DecisionProcedure::kIntervalCover);
 
   GlobalWitnessSetCache().Clear();
+  const std::uint64_t fires0 = FiresCounter("witness/truncate")->Value();
   failpoint::Arm("witness/truncate", failpoint::Spec::Always());
   EngineQueryResult r = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
   EXPECT_GT(failpoint::TripCount("witness/truncate"), 0u);
+  // Every trip of the compiled-in site reached the registry series.
+  EXPECT_EQ(FiresCounter("witness/truncate")->Value(),
+            fires0 + failpoint::TripCount("witness/truncate"));
   // The truncation is not the query's failure: SAT completes the answer.
   ASSERT_TRUE(r.status.ok());
   EXPECT_TRUE(r.outcome.implied);

@@ -21,6 +21,7 @@
 #include "net/admission.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "obs/trace_store.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
@@ -630,6 +631,9 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
   options.engine.per_query_deadline = std::chrono::milliseconds(200);
   options.engine.exhaustion_policy = ExhaustionPolicy::kDegrade;
   options.drain_deadline = std::chrono::seconds(30);
+  obs::Counter* drains = obs::Registry::Global().GetCounter("diffc_net_drains_total", "");
+  obs::Gauge* draining = obs::Registry::Global().GetGauge("diffc_net_draining", "");
+  const std::uint64_t drains0 = drains->Value();
   DiffcdServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -647,10 +651,17 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
   std::thread in_flight([&] {
     batch = client->CheckBatch(registered->handle, n, goals);
   });
-  // Wait until the batch is genuinely executing, then drain mid-burst.
+  // Wait until the batch is genuinely executing, then drain mid-burst. The
+  // drain waits out the ~600 ms batch, long enough to see its gauge raised.
   ASSERT_TRUE(WaitFor([&] { return server.admission().inflight() > 0; }));
+  bool saw_draining = false;
+  std::thread watcher([&] { saw_draining = WaitFor([&] { return draining->Value() == 1; }); });
   Status drained = server.Shutdown();
+  watcher.join();
   in_flight.join();
+  EXPECT_TRUE(saw_draining);
+  EXPECT_EQ(draining->Value(), 0);
+  EXPECT_EQ(drains->Value(), drains0 + 1);
 
   // The drain waited: the client holds a complete, index-aligned reply.
   EXPECT_TRUE(drained.ok()) << drained.ToString();
@@ -858,17 +869,20 @@ TEST(DiffcdServiceTest, StatuszReportsBuildOptionsAdmissionAndStoreHealth) {
   EXPECT_NE(statusz.find("\"handles_active\": 0"), std::string::npos);
   // Store health envelopes.
   EXPECT_NE(statusz.find("\"trace_store\": {\"capacity\": 256"), std::string::npos);
-  EXPECT_NE(statusz.find("\"slow_query_log\": {\"capacity\": 128"), std::string::npos);
+  EXPECT_NE(statusz.find("\"slow_store\": {\"capacity\": 128, \"size\": "),
+            std::string::npos);
 
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
-TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
+TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowStoreWithTraceId) {
   obs::GlobalTraceStore().Clear();
-  const std::uint64_t slow_before = obs::GlobalSlowQueryLog().total();
+  obs::TraceStore& slow_store = obs::GlobalSlowTraceStore();
+  const std::uint64_t slow_before = slow_store.total();
   ServerOptions options = LoopbackOptions();
   options.metrics_address = "127.0.0.1:0";
   options.slow_request_threshold = std::chrono::milliseconds(1);
+  options.trace_sample_rate = 0;  // The tail rule alone stores the request.
   DiffcdServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -880,26 +894,50 @@ TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
   ASSERT_TRUE(client.ok());
   Result<RegisterOkMsg> registered = client->RegisterPremises(php.num_vars, premises);
   ASSERT_TRUE(registered.ok());
+  // The server writes the stderr line before its reply, so the line is
+  // complete once the reply is in.
+  ::testing::internal::CaptureStderr();
   Result<BatchResultMsg> batch =
       client->CheckBatch(registered->handle, php.num_vars, {TautologyGoal()});
+  const std::string err = ::testing::internal::GetCapturedStderr();
   ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(client->last_trace().valid());
+  const std::string trace_id = client->last_trace().IdHex();
 
-  ASSERT_GT(obs::GlobalSlowQueryLog().total(), slow_before);
-  std::vector<obs::SlowQuery> entries = obs::GlobalSlowQueryLog().Snapshot();
-  ASSERT_FALSE(entries.empty());
-  const obs::SlowQuery& slow = entries.back();
-  EXPECT_EQ(slow.kind, "check-batch");
-  EXPECT_GE(slow.seconds, 0.001);
-  EXPECT_EQ(slow.trace_id.size(), 32u);
-  EXPECT_GT(slow.wall_unix_ns, 0u);
+  // One greppable JSON line with the seven keys, in order; its seq is the
+  // request's number in the slow store.
+  const std::size_t at = err.find("{\"slow_query\": {\"seq\": ");
+  ASSERT_NE(at, std::string::npos) << err;
+  const std::string line = err.substr(at, err.find('\n', at) - at);
+  std::size_t key_pos = 0;
+  for (const char* key : {"\"seq\": ", "\"wall_unix_ns\": ", "\"kind\": \"check-batch\"",
+                          "\"seconds\": ", "\"session\": ", "\"trace_id\": \"",
+                          "\"status\": \"ok\"}}"}) {
+    key_pos = line.find(key, key_pos);
+    ASSERT_NE(key_pos, std::string::npos) << key << " missing or out of order: " << line;
+  }
+  EXPECT_NE(line.find("\"trace_id\": \"" + trace_id + "\""), std::string::npos) << line;
+  EXPECT_NE(line.find("{\"seq\": " + std::to_string(slow_store.total()) + ","),
+            std::string::npos)
+      << line;
+
+  // The slow store holds the request, unsampled, as a skeleton flagged slow.
+  ASSERT_GT(slow_store.total(), slow_before);
+  std::vector<obs::StoredTrace> slow = slow_store.Snapshot();
+  ASSERT_FALSE(slow.empty());
+  const obs::StoredTrace& entry = slow.back();
+  EXPECT_EQ(entry.TraceIdHex(), trace_id);
+  EXPECT_EQ(entry.kind, "server");
+  EXPECT_EQ(entry.name, "check-batch");
+  EXPECT_TRUE(entry.slow);
+  EXPECT_FALSE(entry.sampled);
+  EXPECT_GE(entry.duration_ns, 1'000'000u);
+  EXPECT_GT(entry.record.wall_start_unix_ns, 0u);
 
   // An unsampled slow request still lands in the trace store (tail rule)
   // as a skeleton record flagged slow.
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  ASSERT_TRUE(client->last_trace().valid());
-  hi = client->last_trace().trace_id_hi;
-  lo = client->last_trace().trace_id_lo;
+  const std::uint64_t hi = client->last_trace().trace_id_hi;
+  const std::uint64_t lo = client->last_trace().trace_id_lo;
   std::vector<obs::StoredTrace> stored = obs::GlobalTraceStore().FindByTraceId(hi, lo);
   ASSERT_EQ(stored.size(), 1u);  // Server-side only: the client was unsampled.
   EXPECT_TRUE(stored[0].slow);
@@ -908,11 +946,58 @@ TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
   ASSERT_EQ(stored[0].record.spans.size(), 1u);  // Skeleton: one root span.
   EXPECT_GT(stored[0].record.wall_start_unix_ns, 0u);
 
-  // /slowz serves the ring with its counters.
+  // /slowz serves the slow store in the /tracez shape, with its filters.
   const std::string slowz = HttpGet(server.metrics_bound_address(), "/slowz");
   EXPECT_NE(slowz.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(slowz.find("\"slow_queries\": [{\"slow_query\": "), std::string::npos);
-  EXPECT_NE(slowz.find("\"kind\": \"check-batch\""), std::string::npos);
+  EXPECT_NE(slowz.find("{\"capacity\": 128, \"total\": "), std::string::npos) << slowz;
+  EXPECT_NE(slowz.find(", \"dropped\": "), std::string::npos);
+  EXPECT_NE(slowz.find(", \"count\": "), std::string::npos);
+  EXPECT_NE(slowz.find("\"traces\": [{\"trace_id\": \"" + trace_id + "\""),
+            std::string::npos)
+      << slowz;  // Newest first.
+  const std::string by_id =
+      HttpGet(server.metrics_bound_address(), "/slowz?trace_id=" + trace_id);
+  EXPECT_NE(by_id.find("\"count\": 1, \"traces\": [{\"trace_id\": \"" + trace_id),
+            std::string::npos)
+      << by_id;
+  EXPECT_NE(by_id.find("\"slow\": true"), std::string::npos);
+  const std::string filtered = HttpGet(server.metrics_bound_address(),
+                                       "/slowz?trace_id=" + trace_id + "&status=shed");
+  EXPECT_NE(filtered.find("\"count\": 0, \"traces\": []"), std::string::npos) << filtered;
+
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(DiffcdServiceTest, MalformedTraceIdIsRejectedNotIgnored) {
+  // A trace_id that is not 32 hex digits answers 400 on both stores'
+  // endpoints instead of falling back to the unfiltered listing.
+  obs::GlobalTraceStore().Clear();
+  ServerOptions options = LoopbackOptions();
+  options.metrics_address = "127.0.0.1:0";
+  options.trace_sample_rate = 1.0;  // Every request stored.
+  DiffcdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
+  ASSERT_TRUE(client.ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client->RegisterPremises(3, {}).ok());
+
+  for (const char* path : {"/tracez", "/slowz"}) {
+    for (const char* bad : {"not-a-trace-id", "zz", "0123456789abcdef0123456789abcdeg"}) {
+      const std::string reply =
+          HttpGet(server.metrics_bound_address(), std::string(path) + "?trace_id=" + bad);
+      EXPECT_NE(reply.find("HTTP/1.1 400 Bad Request"), std::string::npos) << path << reply;
+      EXPECT_NE(reply.find("Content-Type: text/plain"), std::string::npos) << reply;
+      EXPECT_NE(reply.find("trace_id must be 32 hex digits"), std::string::npos) << reply;
+    }
+    // A well-formed id that matches nothing is an empty listing, not an error.
+    const std::string none = HttpGet(server.metrics_bound_address(),
+                                     std::string(path) + "?trace_id=" + std::string(32, '0'));
+    EXPECT_NE(none.find("HTTP/1.1 200 OK"), std::string::npos) << none;
+    EXPECT_NE(none.find("\"count\": 0"), std::string::npos) << none;
+  }
+  // The unfiltered listing still has the stored traces.
+  const std::string all = HttpGet(server.metrics_bound_address(), "/tracez");
+  EXPECT_NE(all.find("\"count\": 3"), std::string::npos) << all;
 
   EXPECT_TRUE(server.Shutdown().ok());
 }

@@ -1,7 +1,7 @@
 // Observability layer: registry semantics (exact concurrent sums, histogram
 // bucket boundaries, snapshot-vs-reset), Prometheus / JSON exposition
 // (golden outputs plus a mini text-format parser), span-tree tracing, the
-// event-log flight recorder, and end-to-end metric deltas through
+// trace store, and end-to-end metric deltas through
 // `ImplicationEngine::CheckBatch` under every exhaustion policy.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "core/implication.h"
 #include "engine/implication_engine.h"
-#include "obs/event_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,7 +25,6 @@
 namespace diffc {
 namespace {
 
-using obs::EventLog;
 using obs::Labels;
 using obs::MetricsSnapshot;
 using obs::Registry;
@@ -469,27 +467,26 @@ TEST(TraceStoreTest, AppendChildRecordGraftsUnderAttachSpan) {
   EXPECT_EQ(server.spans[4].start_ns, 100u);
 }
 
-TEST(TraceStoreTest, SlowQueryLogAssignsSeqAndRendersOneLine) {
-  obs::SlowQueryLog log(2);
-  obs::SlowQuery q;
-  q.wall_unix_ns = 123;
-  q.kind = "check-batch";
-  q.seconds = 1.5;
-  q.session = 7;
-  q.trace_id = "00000000000000000000000000000000";
-  q.status = "ok";
-  obs::SlowQuery stored = log.Add(q);
-  EXPECT_EQ(stored.seq, 1u);
-  const std::string line = stored.ToJsonLine();
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  EXPECT_NE(line.find("\"slow_query\": {\"seq\": 1"), std::string::npos);
-  EXPECT_NE(line.find("\"kind\": \"check-batch\""), std::string::npos);
-  log.Add(q);
-  log.Add(q);
-  EXPECT_EQ(log.total(), 3u);
-  EXPECT_EQ(log.dropped(), 1u);
-  ASSERT_EQ(log.Snapshot().size(), 2u);
-  EXPECT_EQ(log.Snapshot()[0].seq, 2u);  // Oldest surviving entry.
+TEST(TraceStoreTest, AddReturnsTheRunningSequenceAcrossWraparound) {
+  // The sequence number is the store's running total, so it keeps counting
+  // through wraparound and Clear: diffcd prints it as a slow request's seq.
+  obs::TraceStore store(2);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    obs::StoredTrace st;
+    st.trace_id_hi = i;
+    EXPECT_EQ(store.Add(st), i);
+  }
+  EXPECT_EQ(store.total(), 3u);
+  EXPECT_EQ(store.dropped(), 1u);
+  ASSERT_EQ(store.Snapshot().size(), 2u);
+  EXPECT_EQ(store.Snapshot()[0].trace_id_hi, 2u);  // Oldest surviving entry.
+  store.Clear();
+  EXPECT_EQ(store.Add(obs::StoredTrace{}), 4u);
+  EXPECT_EQ(store.size(), 1u);
+
+  // The slow store behind /slowz is a separate ring of fixed capacity.
+  EXPECT_NE(&obs::GlobalSlowTraceStore(), &obs::GlobalTraceStore());
+  EXPECT_EQ(obs::GlobalSlowTraceStore().capacity(), obs::kSlowTraceStoreCapacity);
 }
 
 TEST(TraceStoreTest, RandomTraceBitsAreNonzeroAndSamplingDrawInRange) {
@@ -499,69 +496,6 @@ TEST(TraceStoreTest, RandomTraceBitsAreNonzeroAndSamplingDrawInRange) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Event log.
-
-TEST(EventLogTest, RingWrapsKeepingTheNewestEvents) {
-  EventLog log(4);
-  for (int i = 0; i < 10; ++i) {
-    log.Record("e", {{"i", std::to_string(i)}});
-  }
-  EXPECT_EQ(log.total(), 10u);
-  EXPECT_EQ(log.dropped(), 6u);
-  std::vector<obs::Event> events = log.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].seq, static_cast<std::uint64_t>(6 + i));
-    EXPECT_EQ(events[i].fields[0].second, std::to_string(6 + i));
-    if (i > 0) {
-      EXPECT_GE(events[i].ns, events[i - 1].ns);
-    }
-  }
-}
-
-TEST(EventLogTest, JsonlDumpIsOneObjectPerLine) {
-  EventLog log(8);
-  log.Record("deadline_exceeded", {{"stopped_in", "sat"}});
-  log.Record("degrade", {{"from", "DEADLINE_EXCEEDED"}});
-  std::string dump = log.DumpJsonl();
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while ((pos = dump.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(dump.find("\"type\": \"deadline_exceeded\""), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"stopped_in\": \"sat\""), std::string::npos) << dump;
-}
-
-TEST(EventLogTest, DisableIsAnOffSwitch) {
-  EventLog log(4);
-  log.SetEnabled(false);
-  log.Record("ignored", {});
-  EXPECT_EQ(log.total(), 0u);
-  log.SetEnabled(true);
-  log.Record("kept", {});
-  EXPECT_EQ(log.total(), 1u);
-}
-
-TEST(EventLogTest, ConcurrentRecordersNeverLoseCounts) {
-  EventLog log(64);
-  constexpr int kThreads = 4;
-  constexpr int kEvents = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log] {
-      for (int i = 0; i < kEvents; ++i) log.Record("e", {});
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(log.total(), static_cast<std::uint64_t>(kThreads) * kEvents);
-  EXPECT_EQ(log.dropped(), log.total() - 64);
-  EXPECT_EQ(log.Snapshot().size(), 64u);
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +541,7 @@ TEST(EngineObservabilityTest, CheckBatchFlushesQueryAndOutcomeCounters) {
   EXPECT_EQ(BatchLatency()->Count(), batches0 + 1);
 }
 
-TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
+TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndCounters) {
   obs::Histogram* slack = Registry::Global().GetHistogram(
       "diffc_deadline_slack_seconds", "", obs::ExponentialBuckets(1e-5, 4.0, 12));
   obs::Counter* degraded = Registry::Global().GetCounter(
@@ -616,7 +550,6 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   const std::uint64_t slack0 = slack->Count();
   const std::uint64_t degraded0 = degraded->Value();
   const std::uint64_t unknown0 = unknown->Value();
-  const std::uint64_t events0 = obs::GlobalEventLog().total();
 
   // PHP(5,4) behind 22 pads needs about 2·10^8 search nodes, over a minute:
   // the 10 ms deadline fires inside the search with a margin of >1000×.
@@ -643,17 +576,10 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   EXPECT_EQ(r.trace->spans[hottest].name, "sat") << r.trace->ToString();
 
   // The slack histogram got a sample (a degraded query finished with ~zero
-  // slack, which still counts), and the degrade surfaced in counters and
-  // the flight recorder.
+  // slack, which still counts), and the degrade surfaced in the counters.
   EXPECT_EQ(slack->Count(), slack0 + 1);
   EXPECT_EQ(degraded->Value(), degraded0 + 1);
   EXPECT_EQ(unknown->Value(), unknown0 + 1);
-  EXPECT_GT(obs::GlobalEventLog().total(), events0);
-  bool saw_degrade = false;
-  for (const obs::Event& e : obs::GlobalEventLog().Snapshot()) {
-    if (e.seq >= events0 && e.type == "degrade") saw_degrade = true;
-  }
-  EXPECT_TRUE(saw_degrade);
 }
 
 TEST(EngineObservabilityTest, UntracedQueriesCarryNoTraceRecord) {
