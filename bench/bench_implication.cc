@@ -11,8 +11,8 @@
 // witness-set enumeration and premise compilation across the batch.
 
 // Experiment E3 — cost and output of the observability layer: the E2 batch
-// with metrics disabled / enabled / enabled+tracing (interleaved
-// min-of-trials), the deadline-slack distribution from an adversarial
+// untraced and traced (interleaved min-of-trials; metrics are always on),
+// the deadline-slack distribution from an adversarial
 // deadline run, per-procedure latency histograms, and the full metrics
 // snapshot, all recorded in BENCH_E3.json (validated against
 // bench/BENCH_E3.schema.json in CI).
@@ -302,7 +302,7 @@ std::string HistogramJson(const obs::HistogramSample& h) {
 }
 
 void PrintObservabilityTable() {
-  std::printf("=== E3: observability layer cost and exposition (n=32, 1000 queries) ===\n");
+  std::printf("=== E3: trace cost and exposition (n=32, 1000 queries) ===\n");
   const int n = 32;
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
@@ -321,16 +321,11 @@ void PrintObservabilityTable() {
   (void)traced_engine.CheckBatch(n, premises, goals);
 
   // Interleaved min-of-trials (the hot batch is ~1ms, scheduler noise
-  // dominates single runs): disabled / enabled / enabled+trace.
+  // dominates single runs): untraced / traced.
   const int kReps = 5;
   const int kTrials = 8;
-  double disabled_ms = 1e100, enabled_ms = 1e100, trace_ms = 1e100;
+  double enabled_ms = 1e100, trace_ms = 1e100;
   for (int t = 0; t < kTrials; ++t) {
-    obs::SetMetricsEnabled(false);
-    disabled_ms = std::min(
-        disabled_ms,
-        bench::MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
-    obs::SetMetricsEnabled(true);
     enabled_ms = std::min(
         enabled_ms,
         bench::MeasureMs([&] { (void)engine.CheckBatch(n, premises, goals); }, kReps));
@@ -338,14 +333,9 @@ void PrintObservabilityTable() {
         trace_ms,
         bench::MeasureMs([&] { (void)traced_engine.CheckBatch(n, premises, goals); }, kReps));
   }
-  obs::SetMetricsEnabled(true);
-  const double enabled_pct =
-      disabled_ms > 0 ? (enabled_ms / disabled_ms - 1.0) * 100.0 : 0.0;
-  const double trace_pct =
-      disabled_ms > 0 ? (trace_ms / disabled_ms - 1.0) * 100.0 : 0.0;
-  std::printf("metrics overhead: disabled %.3fms, enabled %.3fms (%+.2f%%), "
-              "enabled+trace %.3fms (%+.2f%%)\n",
-              disabled_ms, enabled_ms, enabled_pct, trace_ms, trace_pct);
+  const double trace_pct = enabled_ms > 0 ? (trace_ms / enabled_ms - 1.0) * 100.0 : 0.0;
+  std::printf("trace overhead: untraced %.3fms, traced %.3fms (%+.2f%%)\n", enabled_ms,
+              trace_ms, trace_pct);
 
   // Populate the deadline-slack histogram: the adversarial PHP degrade run
   // (near-zero slack) plus the friendly batch under a generous deadline
@@ -389,9 +379,7 @@ void PrintObservabilityTable() {
   json << "  \"queries\": " << goals.size() << ",\n";
   json << "  \"threads\": " << opts.num_threads << ",\n";
   json << "  \"overhead\": {\"reps\": " << kReps << ", \"trials\": " << kTrials
-       << ", \"disabled_ms\": " << disabled_ms << ", \"enabled_ms\": " << enabled_ms
-       << ", \"enabled_trace_ms\": " << trace_ms
-       << ", \"enabled_overhead_pct\": " << enabled_pct
+       << ", \"enabled_ms\": " << enabled_ms << ", \"enabled_trace_ms\": " << trace_ms
        << ", \"trace_overhead_pct\": " << trace_pct << "},\n";
   json << "  \"deadline_slack\": "
        << (slack != nullptr ? HistogramJson(*slack) : std::string("null")) << ",\n";

@@ -57,10 +57,8 @@ CacheMetrics& PreparedMetrics() {
 
 // Flushes one lookup into the per-cache counters and metrics (shared by
 // both caches, which differ only in their key/value types).
-void RecordLookup(AtomicCacheCounters* counters, CacheMetrics& metrics, bool hit,
-                  bool obs_on) {
+void RecordLookup(AtomicCacheCounters* counters, CacheMetrics& metrics, bool hit) {
   (hit ? counters->hits : counters->misses).fetch_add(1, std::memory_order_relaxed);
-  if (!obs_on) return;
   (hit ? metrics.hits : metrics.misses)->Inc();
   metrics.hit_ratio->Set(counters->Snapshot().HitRatio());
 }
@@ -70,17 +68,16 @@ void RecordLookup(AtomicCacheCounters* counters, CacheMetrics& metrics, bool hit
 std::shared_ptr<const WitnessSetCache::Entry> WitnessSetCache::Get(const SetFamily& family,
                                                                    std::size_t max_results,
                                                                    bool* hit, StopCheck* stop) {
-  const bool obs_on = obs::MetricsEnabled();
   Key key{family, max_results};
   {
     MutexLock lock(&mu_);
     if (const auto* found = lru_.Find(key)) {
-      RecordLookup(&counters_, WitnessMetrics(), /*hit=*/true, obs_on);
+      RecordLookup(&counters_, WitnessMetrics(), /*hit=*/true);
       if (hit != nullptr) *hit = true;
       return *found;
     }
   }
-  RecordLookup(&counters_, WitnessMetrics(), /*hit=*/false, obs_on);
+  RecordLookup(&counters_, WitnessMetrics(), /*hit=*/false);
   if (hit != nullptr) *hit = false;
 
   // Compute outside the lock: the transversal search can be expensive and
@@ -103,15 +100,15 @@ std::shared_ptr<const WitnessSetCache::Entry> WitnessSetCache::Get(const SetFami
     // we searched; reusing its entry keeps the index free of duplicates.
     out = *lru_.InsertIfAbsent(std::move(key), entry, &evicted);
     inserted_negative = out == entry && !entry->status.ok();
-    if (obs_on) WitnessMetrics().size->Set(static_cast<double>(lru_.size()));
+    WitnessMetrics().size->Set(static_cast<double>(lru_.size()));
   }
   if (evicted > 0) {
     counters_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    if (obs_on) WitnessMetrics().evictions->Inc(evicted);
+    WitnessMetrics().evictions->Inc(evicted);
   }
   if (inserted_negative) {
     counters_.negative_entries.fetch_add(1, std::memory_order_relaxed);
-    if (obs_on) WitnessMetrics().negative_entries->Inc();
+    WitnessMetrics().negative_entries->Inc();
   }
   return out;
 }
@@ -119,7 +116,7 @@ std::shared_ptr<const WitnessSetCache::Entry> WitnessSetCache::Get(const SetFami
 void WitnessSetCache::Clear() {
   MutexLock lock(&mu_);
   lru_.Clear();
-  if (obs::MetricsEnabled()) WitnessMetrics().size->Set(0);
+  WitnessMetrics().size->Set(0);
 }
 
 CacheCounters WitnessSetCache::counters() const { return counters_.Snapshot(); }
@@ -137,7 +134,6 @@ std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
     int n, const ConstraintSet& premises, bool* hit) {
-  const bool obs_on = obs::MetricsEnabled();
   Key key{n, {}};
   std::size_t words = 0;
   for (const DifferentialConstraint& c : premises) words += 2 + c.rhs().members().size();
@@ -150,12 +146,12 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
   {
     MutexLock lock(&mu_);
     if (const auto* found = lru_.Find(key)) {
-      RecordLookup(&counters_, PreparedMetrics(), /*hit=*/true, obs_on);
+      RecordLookup(&counters_, PreparedMetrics(), /*hit=*/true);
       if (hit != nullptr) *hit = true;
       return *found;
     }
   }
-  RecordLookup(&counters_, PreparedMetrics(), /*hit=*/false, obs_on);
+  RecordLookup(&counters_, PreparedMetrics(), /*hit=*/false);
   if (hit != nullptr) *hit = false;
 
   // Compile outside the lock; only a valid artifact is cacheable.
@@ -170,11 +166,11 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
   {
     MutexLock lock(&mu_);
     out = *lru_.InsertIfAbsent(std::move(key), *built, &evicted);
-    if (obs_on) PreparedMetrics().size->Set(static_cast<double>(lru_.size()));
+    PreparedMetrics().size->Set(static_cast<double>(lru_.size()));
   }
   if (evicted > 0) {
     counters_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    if (obs_on) PreparedMetrics().evictions->Inc(evicted);
+    PreparedMetrics().evictions->Inc(evicted);
   }
   return out;
 }
@@ -182,7 +178,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
 void PreparedPremisesCache::Clear() {
   MutexLock lock(&mu_);
   lru_.Clear();
-  if (obs::MetricsEnabled()) PreparedMetrics().size->Set(0);
+  PreparedMetrics().size->Set(0);
 }
 
 CacheCounters PreparedPremisesCache::counters() const { return counters_.Snapshot(); }

@@ -32,21 +32,13 @@ enum class ExhaustionPolicy {
   kDegrade,
 };
 
-/// Stable name of an `ExhaustionPolicy` ("fail", "degrade").
-const char* ExhaustionPolicyName(ExhaustionPolicy p);
-
 /// Tuning knobs of the batched implication engine.
 struct EngineOptions {
   /// Worker threads for `CheckBatch` (clamped to at least 1).
   int num_threads = 4;
-  /// Enables the interval-cover fast path: answer a query from the cached
-  /// minimal witness sets of its right-hand family when the cover is
-  /// conclusive, skipping the SAT solver entirely. Sound in both verdicts;
-  /// falls through to SAT when inconclusive.
-  bool use_interval_cover_fast_path = true;
-  /// Candidate budget for witness-set enumeration on the fast path.
-  /// Families whose transversal search exceeds it are cached negatively
-  /// and handled by SAT.
+  /// Candidate budget for witness-set enumeration on the interval-cover
+  /// fast path. Families whose transversal search exceeds it are cached
+  /// negatively and handled by SAT; at 0 every search does.
   std::size_t witness_max_results = 4096;
   /// Node budget of the `sat` procedure's counterexample search per query
   /// (ResourceExhausted beyond it, which arms the exhaustive fallback).

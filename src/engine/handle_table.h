@@ -17,8 +17,8 @@ namespace diffc {
 /// that registered it. This is the registration side of the diffcd
 /// service — REGISTER_PREMISES inserts here, CHECK_BATCH looks up here,
 /// RELEASE / disconnect remove here — but it is engine-layer on purpose:
-/// the sharded coordinator/agent tier (ROADMAP item 2) routes these same
-/// ids across processes.
+/// it knows nothing of sessions, sockets or frames (an owner is an opaque
+/// id), so the table is usable and testable without a server.
 ///
 /// Quotas are enforced at registration: `max_handles_per_owner` bounds
 /// one session's appetite, `max_total_handles` bounds the process

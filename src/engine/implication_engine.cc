@@ -103,7 +103,6 @@ EngineMetrics& Metrics() {
 // verdict. Called exactly once per query result, wherever it settles
 // (normal run, exception guard, or queue drain).
 void RecordQueryMetrics(const EngineQueryResult& r) {
-  if (!obs::MetricsEnabled()) return;
   EngineMetrics& m = Metrics();
   const int proc = static_cast<int>(r.stats.procedure);
   if (proc >= 0 && proc < EngineMetrics::kProcedures) {
@@ -138,16 +137,6 @@ Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialCon
     return Status::Ok();
   }
   return Status::Internal("not-implied verdict without a valid counterexample U ∈ L(X, Y) ∖ L(C)");
-}
-
-const char* ExhaustionPolicyName(ExhaustionPolicy p) {
-  switch (p) {
-    case ExhaustionPolicy::kFail:
-      return "fail";
-    case ExhaustionPolicy::kDegrade:
-      return "degrade";
-  }
-  return "unknown";
 }
 
 const char* DecisionProcedureName(DecisionProcedure p) {
@@ -248,16 +237,13 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
     r.outcome.SetUnknown();
   }
   r.stats.wall_ns = NowNs() - start;
-  if (obs::MetricsEnabled()) {
-    // Slack: how much of the wall-clock budget was left when the query
-    // settled. 0 means it finished at (or past) its deadline.
-    if (deadline.IsNever()) {
-      Metrics().unbounded_queries->Inc();
-    } else {
-      const double remaining_s =
-          std::chrono::duration<double>(deadline.Remaining()).count();
-      Metrics().deadline_slack->Observe(remaining_s > 0 ? remaining_s : 0.0);
-    }
+  // Slack: how much of the wall-clock budget was left when the query
+  // settled. 0 means it finished at (or past) its deadline.
+  if (deadline.IsNever()) {
+    Metrics().unbounded_queries->Inc();
+  } else {
+    const double remaining_s = std::chrono::duration<double>(deadline.Remaining()).count();
+    Metrics().deadline_slack->Observe(remaining_s > 0 ? remaining_s : 0.0);
   }
   if (tracer.enabled()) {
     r.trace = std::make_shared<obs::TraceRecord>(tracer.Finish());
@@ -436,7 +422,7 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
     s.total_query_ns += r.stats.wall_ns;
   }
   s.batch_wall_ns = NowNs() - batch_start;
-  if (obs::MetricsEnabled()) Metrics().batch_seconds->Observe(s.batch_wall_ns / 1e9);
+  Metrics().batch_seconds->Observe(s.batch_wall_ns / 1e9);
   return out;
 }
 

@@ -101,9 +101,8 @@ Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialCon
 ///     `PreparedPremisesCache`.
 ///   - **Plan**: per query, a `QueryPlanner` filters the procedure table
 ///     (trivial / FD-subclass closure / witness-set interval cover / SAT /
-///     exhaustive fallback, in that order) by applicability and the
-///     `EngineOptions` toggles; the plan lands in the query stats and
-///     trace.
+///     exhaustive fallback, in that order) by applicability; the plan
+///     lands in the query stats and trace.
 ///   - **Execute**: the plan runs on a fixed-size `std::jthread` worker
 ///     pool, against the shared witness-set cache.
 ///

@@ -27,14 +27,10 @@ QueryPlanner::QueryPlanner(std::vector<const DecisionProcedureImpl*> procedures)
     : procedures_(std::move(procedures)) {}
 
 QueryPlan QueryPlanner::Plan(const PreparedPremises& premises, const ProcedureQuery& query,
-                             const EngineOptions& options) const {
+                             const EngineOptions& /*options*/) const {
   QueryPlan plan;
   plan.steps.reserve(procedures_.size());
   for (const DecisionProcedureImpl* procedure : procedures_) {
-    if (procedure->id() == DecisionProcedure::kIntervalCover &&
-        !options.use_interval_cover_fast_path) {
-      continue;
-    }
     const Applicability applicability = procedure->CanDecide(premises, query);
     if (applicability == Applicability::kNo) continue;
     plan.steps.push_back({procedure, applicability});

@@ -21,11 +21,10 @@ struct QueryPlan {
   std::string ToString() const;
 };
 
-/// Plans one query: the procedure table, in order, filtered by `CanDecide`
-/// and the `EngineOptions` toggles (a disabled interval-cover fast path
-/// drops that procedure from every plan). The table order is the plan —
-/// trivial, fd-subclass, interval-cover, sat, then the exhaustive fallback
-/// — so planning is deterministic and never sorts.
+/// Plans one query: the procedure table, in order, filtered by `CanDecide`.
+/// The table order is the plan — trivial, fd-subclass, interval-cover, sat,
+/// then the exhaustive fallback — so planning is deterministic and never
+/// sorts.
 class QueryPlanner {
  public:
   /// Plans over `procedures` (typically `ProcedureRegistry::Global().
@@ -33,6 +32,8 @@ class QueryPlanner {
   /// `Applicability::kFallback` procedure after the primaries.
   explicit QueryPlanner(std::vector<const DecisionProcedureImpl*> procedures);
 
+  /// `options` is unread; the parameter stays because loadbench's traced
+  /// replay calls `Plan` with it.
   QueryPlan Plan(const PreparedPremises& premises, const ProcedureQuery& query,
                  const EngineOptions& options) const;
 

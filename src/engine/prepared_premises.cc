@@ -92,14 +92,12 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
   stats.fd_index_ns = NowNs() - fd_start;
 
   stats.total_ns = NowNs() - start;
-  if (obs::MetricsEnabled()) {
-    PrepareMetrics& m = Metrics();
-    m.builds->Inc();
-    const std::uint64_t dropped =
-        stats.dropped_trivial + stats.dropped_duplicates + stats.merged_constraints;
-    if (dropped > 0) m.dropped_premises->Inc(dropped);
-    m.build_seconds->Observe(stats.total_ns / 1e9);
-  }
+  PrepareMetrics& m = Metrics();
+  m.builds->Inc();
+  const std::uint64_t dropped =
+      stats.dropped_trivial + stats.dropped_duplicates + stats.merged_constraints;
+  if (dropped > 0) m.dropped_premises->Inc(dropped);
+  m.build_seconds->Observe(stats.total_ns / 1e9);
   return std::shared_ptr<const PreparedPremises>(std::move(prepared));
 }
 

@@ -32,8 +32,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
 
   Applicability CanDecide(const PreparedPremises& /*premises*/,
                           const ProcedureQuery& /*query*/) const override {
-    // Always runnable (the planner applies the EngineOptions fast-path
-    // toggle); completeness is what it lacks, not applicability.
+    // Always runnable; completeness is what it lacks, not applicability.
     return Applicability::kYes;
   }
 

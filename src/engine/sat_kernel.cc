@@ -185,12 +185,10 @@ Result<ImplicationOutcome> SearchCounterexample(int n, const PremiseMasks& premi
 
   const prop::SolverStats& work = search.stats();
   if (stats != nullptr) *stats = work;
-  if (obs::MetricsEnabled()) {
-    KernelMetrics& m = Metrics();
-    if (work.decisions > 0) m.nodes->Inc(work.decisions);
-    if (work.propagations > 0) m.propagations->Inc(work.propagations);
-    if (work.conflicts > 0) m.conflicts->Inc(work.conflicts);
-  }
+  KernelMetrics& m = Metrics();
+  if (work.decisions > 0) m.nodes->Inc(work.decisions);
+  if (work.propagations > 0) m.propagations->Inc(work.propagations);
+  if (work.conflicts > 0) m.conflicts->Inc(work.conflicts);
   if (!search.stop_status().ok()) return search.stop_status();
   if (search.exhausted()) {
     return Status::ResourceExhausted("sat search node budget exceeded");

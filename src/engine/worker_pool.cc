@@ -67,7 +67,6 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::Submit(std::function<void()> task) {
-  const bool obs_on = obs::MetricsEnabled();
   // Count the submission BEFORE publishing the task: a worker may pop and
   // finish it the moment the lock drops, and `completed <= submitted` must
   // hold for every snapshot (release pairs with the acquire in stats()).
@@ -75,14 +74,11 @@ void WorkerPool::Submit(std::function<void()> task) {
   std::size_t depth;
   {
     MutexLock lock(&mu_);
-    queue_.push_back(QueuedTask{std::move(task), obs_on ? SteadyNowNs() : 0});
+    queue_.push_back(QueuedTask{std::move(task), SteadyNowNs()});
     depth = queue_.size();
   }
-  if (obs_on) {
-    Metrics().submitted->Inc();
-    // Set (not Add): idempotent against the enable flag toggling mid-run.
-    Metrics().queue_depth->Set(static_cast<std::int64_t>(depth));
-  }
+  Metrics().submitted->Inc();
+  Metrics().queue_depth->Set(static_cast<std::int64_t>(depth));
   cv_.NotifyOne();
 }
 
@@ -124,16 +120,10 @@ void WorkerPool::WorkerLoop(std::stop_token stop) {
       queue_.pop_front();
       depth = queue_.size();
     }
-    const bool obs_on = obs::MetricsEnabled();
-    std::uint64_t start_ns = 0;
-    if (obs_on) {
-      start_ns = SteadyNowNs();
-      if (task.enqueue_ns != 0) {
-        Metrics().queue_wait->Observe((start_ns - task.enqueue_ns) / 1e9);
-      }
-      Metrics().queue_depth->Set(static_cast<std::int64_t>(depth));
-      Metrics().in_flight->Set(in_flight_.load(std::memory_order_relaxed) + 1);
-    }
+    const std::uint64_t start_ns = SteadyNowNs();
+    Metrics().queue_wait->Observe((start_ns - task.enqueue_ns) / 1e9);
+    Metrics().queue_depth->Set(static_cast<std::int64_t>(depth));
+    Metrics().in_flight->Set(in_flight_.load(std::memory_order_relaxed) + 1);
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     try {
       task.fn();
@@ -142,15 +132,13 @@ void WorkerPool::WorkerLoop(std::stop_token stop) {
       // task's owner observes the failure through its own result channel;
       // this counter is for tests and post-mortems.
       uncaught_exceptions_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_on) Metrics().exceptions->Inc();
+      Metrics().exceptions->Inc();
     }
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_release);
-    if (obs_on) {
-      Metrics().run_time->Observe((SteadyNowNs() - start_ns) / 1e9);
-      Metrics().completed->Inc();
-      Metrics().in_flight->Set(in_flight_.load(std::memory_order_relaxed));
-    }
+    Metrics().run_time->Observe((SteadyNowNs() - start_ns) / 1e9);
+    Metrics().completed->Inc();
+    Metrics().in_flight->Set(in_flight_.load(std::memory_order_relaxed));
   }
 }
 

@@ -39,7 +39,6 @@ WitnessMetrics& Metrics() {
 
 // Flushes one finished (or aborted) search into the registry.
 void FlushSearchMetrics(const WitnessSearchStats& stats, bool truncated) {
-  if (!obs::MetricsEnabled()) return;
   WitnessMetrics& m = Metrics();
   m.searches->Inc();
   if (stats.nodes > 0) m.nodes->Inc(stats.nodes);

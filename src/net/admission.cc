@@ -12,6 +12,10 @@ namespace {
 /// outlier.
 constexpr double kEwmaAlpha = 0.2;
 
+/// Clamp on `RetryAfterHint()`, in milliseconds.
+constexpr double kMinRetryAfterMs = 10;
+constexpr double kMaxRetryAfterMs = 2000;
+
 }  // namespace
 
 void AdmissionController::Slot::Reset() {
@@ -26,26 +30,18 @@ void AdmissionController::Slot::Reset() {
 
 Result<AdmissionController::Slot> AdmissionController::Admit() {
   MutexLock lock(&mu_);
-  if (inflight_ >= options_.max_inflight_batches) {
+  if (inflight_ >= capacity_) {
     return Status::ResourceExhausted(
-        "server at capacity: " + std::to_string(inflight_) + " of " +
-        std::to_string(options_.max_inflight_batches) +
+        "server at capacity: " + std::to_string(inflight_) + " of " + std::to_string(capacity_) +
         " batch slots in flight; retry after in-flight batches finish");
   }
   ++inflight_;
   return Slot(this);
 }
 
-bool AdmissionController::ShouldShed() const {
-  MutexLock lock(&mu_);
-  return options_.shed_watermark > 0 && inflight_ >= options_.shed_watermark;
-}
-
 std::chrono::milliseconds AdmissionController::RetryAfterHint() const {
   MutexLock lock(&mu_);
-  const auto lo = static_cast<double>(options_.min_retry_after.count());
-  const auto hi = static_cast<double>(options_.max_retry_after.count());
-  const double hint = std::clamp(ewma_latency_ms_, lo, std::max(lo, hi));
+  const double hint = std::clamp(ewma_latency_ms_, kMinRetryAfterMs, kMaxRetryAfterMs);
   return std::chrono::milliseconds(static_cast<long long>(hint));
 }
 

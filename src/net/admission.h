@@ -17,26 +17,14 @@ namespace diffc::net {
 /// owns the retry policy, and the server's memory is bounded by
 /// construction (queues are where overload hides).
 ///
-/// On top of the hard cap sits load-based shedding: an optional soft
-/// watermark on the in-flight count trips `ShouldShed()`, and
 /// `RetryAfterHint()` turns the EWMA batch latency into the backoff the
-/// shed reply advertises — a loaded server tells clients how long its
+/// OVERLOADED reply advertises — a loaded server tells clients how long its
 /// batches are actually taking.
 ///
 /// Handle quotas — the other admission axis — live in
 /// `PreparedHandleTable`, enforced at registration.
 class AdmissionController {
  public:
-  struct Options {
-    std::size_t max_inflight_batches = 8;
-    /// Soft shed watermark on in-flight batches: `ShouldShed()` trips at
-    /// or above it. 0 disables (only the hard cap sheds).
-    std::size_t shed_watermark = 0;
-    /// Clamp on `RetryAfterHint()`.
-    std::chrono::milliseconds min_retry_after{10};
-    std::chrono::milliseconds max_retry_after{2000};
-  };
-
   /// An RAII in-flight slot: holding one is the permission to run a batch;
   /// the destructor returns it. Move-only; default-constructed slots hold
   /// nothing.
@@ -72,7 +60,9 @@ class AdmissionController {
     std::chrono::steady_clock::time_point start_{};
   };
 
-  explicit AdmissionController(Options options) : options_(options) {}
+  /// A controller with `max_inflight_batches` slots.
+  explicit AdmissionController(std::size_t max_inflight_batches)
+      : capacity_(max_inflight_batches) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -81,22 +71,14 @@ class AdmissionController {
   /// fully occupied.
   Result<Slot> Admit() EXCLUDES(mu_);
 
-  /// True when load shedding should bounce a new batch *before* admission:
-  /// the in-flight count is at/above the soft watermark.
-  bool ShouldShed() const EXCLUDES(mu_);
-
-  /// The retry-after hint for a shed/rejected request: the EWMA batch
-  /// latency (how long until a slot plausibly frees), clamped to
-  /// [min_retry_after, max_retry_after].
+  /// The retry-after hint for a rejected request: the EWMA batch latency
+  /// (how long until a slot plausibly frees), clamped to [10 ms, 2 s].
   std::chrono::milliseconds RetryAfterHint() const EXCLUDES(mu_);
 
   /// Currently occupied slots.
   std::size_t inflight() const EXCLUDES(mu_);
 
-  std::size_t capacity() const { return options_.max_inflight_batches; }
-
-  /// The configured watermark and bounds, for /statusz.
-  const Options& options() const { return options_; }
+  std::size_t capacity() const { return capacity_; }
 
   /// The EWMA batch latency in milliseconds (0 until a batch finishes);
   /// tests and gauges.
@@ -105,7 +87,7 @@ class AdmissionController {
  private:
   void Release(double latency_ms) EXCLUDES(mu_);
 
-  const Options options_;
+  const std::size_t capacity_;
   mutable Mutex mu_;
   std::size_t inflight_ GUARDED_BY(mu_) = 0;
   double ewma_latency_ms_ GUARDED_BY(mu_) = 0.0;

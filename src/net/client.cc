@@ -233,22 +233,6 @@ Status DiffcClient::EnsureReady(FailureClass* cls) {
   return Status::Ok();
 }
 
-namespace {
-
-const char* BreakerStateName(CircuitBreaker::State s) {
-  switch (s) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 template <typename T>
 Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
                                    WireResponse expected, const Deadline& deadline,
@@ -327,7 +311,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
       hint = breaker_.RetryAfter();
       last = gate;
       arm_tail();
-      tracer.Note("breaker-short-circuit", BreakerStateName(breaker_.state()));
+      tracer.Note("breaker-short-circuit", CircuitBreaker::StateName(breaker_.state()));
     } else {
       const std::uint64_t reconnects_before = stats_.reconnects;
       Status ready = EnsureReady(&cls);
@@ -377,7 +361,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
     }
 
     if (tracer.enabled() && breaker_.state() != iter_breaker_before) {
-      tracer.Note("breaker", BreakerStateName(breaker_.state()));
+      tracer.Note("breaker", CircuitBreaker::StateName(breaker_.state()));
     }
     if (cls == FailureClass::kFatal) {
       finish_trace("error", /*errored=*/true);

@@ -66,13 +66,6 @@ class ByteCursor {
     return true;
   }
 
-  /// Discards the next `len` bytes.
-  bool TrySkip(std::size_t len) {
-    if (remaining() < len) return false;
-    pos_ += len;
-    return true;
-  }
-
  private:
   const std::uint8_t* data_;
   std::size_t size_;

@@ -38,9 +38,7 @@ Result<std::chrono::milliseconds> RetrySchedule::NextDelay(
   if (server_hint > delay) delay = server_hint;
 
   // Advance the exponential state for the next failure.
-  const double next = static_cast<double>(current_.count()) * policy_.backoff_multiplier;
-  current_ = std::chrono::milliseconds(
-      std::min(static_cast<long long>(next), static_cast<long long>(policy_.max_backoff.count())));
+  current_ = std::min(current_ * 2, policy_.max_backoff);
   if (current_.count() < 1) current_ = std::chrono::milliseconds(1);
 
   if (!deadline.IsNever() && deadline.Remaining() <= delay) {

@@ -16,11 +16,10 @@ namespace diffc::net {
 struct RetryPolicy {
   /// Total tries including the first; 1 disables retries.
   int max_attempts = 4;
-  /// Backoff before the first retry; doubles (times `backoff_multiplier`)
-  /// per failure up to `max_backoff`.
+  /// Backoff before the first retry; doubles per failure up to
+  /// `max_backoff`.
   std::chrono::milliseconds initial_backoff{10};
   std::chrono::milliseconds max_backoff{2000};
-  double backoff_multiplier = 2.0;
   /// Each delay is perturbed by a uniform factor in [1-jitter, 1+jitter]
   /// so synchronized clients do not retry in lockstep.
   double jitter = 0.2;

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_store.h"
-#include "rewrite/simplifier.h"
 #include "util/failpoint.h"
 
 namespace diffc::net {
@@ -125,8 +124,8 @@ ServiceMetrics& Metrics() {
     m->draining = r.GetGauge("diffc_net_draining", "1 while a drain is in progress");
     m->shed = r.GetCounter(
         "diffc_net_shed_total",
-        "CHECK_BATCH requests shed with an OVERLOADED reply (watermarks, admission "
-        "cap, or in-flight retry nonces)");
+        "CHECK_BATCH requests shed with an OVERLOADED reply (admission cap or "
+        "in-flight retry nonces)");
     m->watchdog_kills = r.GetCounter(
         "diffc_net_watchdog_kills_total",
         "Sessions killed by the watchdog for stalling mid-frame beyond the stall budget");
@@ -229,8 +228,7 @@ DiffcdServer::DiffcdServer(ServerOptions options)
       engine_(options_.engine),
       handles_(PreparedHandleTable::Options{options_.max_handles_per_session,
                                             options_.max_total_handles}),
-      admission_(AdmissionController::Options{options_.max_inflight_batches,
-                                              options_.shed_watermark}),
+      admission_(options_.max_inflight_batches),
       nonces_(NonceCache::Options{}) {}
 
 DiffcdServer::~DiffcdServer() {
@@ -534,24 +532,16 @@ Frame DiffcdServer::HandleCheckBatch(SessionContext* ctx, const Frame& frame) {
         std::to_string(msg->handle) + " (n=" + std::to_string((*prepared)->n()) + ")"));
   }
 
-  // Load shedding before admission: past the soft watermark (or under the
-  // injected-overload failpoint) the server answers OVERLOADED while it
-  // still has headroom to say so.
-  bool watermark_shed = false;
+  // Admission: at the batch cap (or under the injected-overload failpoint)
+  // the server answers OVERLOADED instead of queueing.
   Result<AdmissionController::Slot> slot = [&]() -> Result<AdmissionController::Slot> {
     obs::SpanGuard admit_span(ctx->tracer, "admission");
-    if (DIFFC_FAILPOINT("server/shed") || admission_.ShouldShed()) {
-      watermark_shed = true;
-      ctx->tracer->Note("shed", "watermark");
-      return Status::ResourceExhausted("shed at watermark");
-    }
+    if (DIFFC_FAILPOINT("server/shed")) return Status::ResourceExhausted("injected overload");
     return admission_.Admit();
   }();
   if (!slot.ok()) {
-    if (!watermark_shed) {
-      Metrics().admission_rejected->Inc();
-      ctx->tracer->Note("shed", "admission-cap");
-    }
+    Metrics().admission_rejected->Inc();
+    ctx->tracer->Note("shed", "admission-cap");
     return ShedFrame(admission_);
   }
   Metrics().inflight_batches->Set(static_cast<double>(admission_.inflight()));
@@ -1012,7 +1002,6 @@ std::string DiffcdServer::RenderStatusz() const {
   b += "\"listen_address\": \"" + JsonEscape(options_.listen_address) + "\"";
   b += ", \"metrics_address\": \"" + JsonEscape(options_.metrics_address) + "\"";
   b += ", \"max_inflight_batches\": " + std::to_string(options_.max_inflight_batches);
-  b += ", \"shed_watermark\": " + std::to_string(options_.shed_watermark);
   b += ", \"session_stall_budget_ms\": " +
        std::to_string(options_.session_stall_budget.count());
   b += ", \"max_handles_per_session\": " +
@@ -1025,12 +1014,10 @@ std::string DiffcdServer::RenderStatusz() const {
   b += ", \"trace_store_capacity\": " + std::to_string(options_.trace_store_capacity);
   b += "}";
 
-  // Admission: configured watermarks plus the live controller state.
-  const AdmissionController::Options& adm = admission_.options();
+  // Admission: the live controller state.
   b += ", \"admission\": {";
   b += "\"inflight\": " + std::to_string(admission_.inflight());
   b += ", \"capacity\": " + std::to_string(admission_.capacity());
-  b += ", \"shed_watermark\": " + std::to_string(adm.shed_watermark);
   b += ", \"ewma_latency_ms\": " + obs::FormatDouble(admission_.ewma_latency_ms());
   b += "}";
 
@@ -1043,13 +1030,6 @@ std::string DiffcdServer::RenderStatusz() const {
   // Trace-store and slow-store health.
   b += ", \"trace_store\": " + StoreHealthJson(obs::GlobalTraceStore());
   b += ", \"slow_store\": " + StoreHealthJson(obs::GlobalSlowTraceStore());
-
-  // Rewrite-simplifier totals since start (DESIGN.md §14).
-  const rewrite::RewriteTotals rw = rewrite::GlobalRewriteTotals();
-  b += ", \"rewrite\": {\"simplify_calls\": " + std::to_string(rw.simplify_calls) +
-       ", \"passes\": " + std::to_string(rw.passes) +
-       ", \"applied\": " + std::to_string(rw.applied) +
-       ", \"constraints_removed\": " + std::to_string(rw.constraints_removed) + "}";
   b += "}";
   return b;
 }

@@ -33,13 +33,9 @@ struct ServerOptions {
   std::string metrics_address;
   /// Options for the embedded `ImplicationEngine`.
   EngineOptions engine;
-  /// Admission: concurrently executing CHECK_BATCH requests beyond this
-  /// are rejected with a typed ResourceExhausted error frame.
+  /// Admission (DESIGN.md §11): a CHECK_BATCH that arrives with this many
+  /// batches executing gets an OVERLOADED reply with a retry-after hint.
   std::size_t max_inflight_batches = 8;
-  /// Load shedding (DESIGN.md §11): at/above this many in-flight batches a
-  /// new CHECK_BATCH gets an OVERLOADED reply (with a retry-after hint)
-  /// *before* admission. 0 disables the soft watermark.
-  std::size_t shed_watermark = 0;
   /// Per-frame stall budget: once a session has sent the first byte of a
   /// frame, the rest must arrive within this budget or the watchdog kills
   /// the session (a stuck-mid-frame peer otherwise pins its thread until

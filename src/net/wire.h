@@ -238,8 +238,8 @@ struct PingMsg {
   std::uint64_t nonce = 0;
 };
 
-/// OVERLOADED: the server shed this request — admission hard cap, the
-/// shed watermark, or a duplicate of a still-executing retry nonce.
+/// OVERLOADED: the server shed this request — the admission cap on
+/// in-flight batches, or a duplicate of a still-executing retry nonce.
 /// `retry_after_ms` (0 = client's choice) is the server's backoff hint,
 /// derived from its EWMA batch latency; `DiffcClient`'s retry schedule
 /// never retries sooner than the hint.

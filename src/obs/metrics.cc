@@ -8,8 +8,6 @@ namespace diffc::obs {
 
 namespace {
 
-std::atomic<bool> g_metrics_enabled{true};
-
 // A stable small integer per thread, for shard selection. Thread ids
 // recycle, but collisions only cost contention, never correctness.
 std::size_t ThreadOrdinal() {
@@ -19,12 +17,6 @@ std::size_t ThreadOrdinal() {
 }
 
 }  // namespace
-
-bool MetricsEnabled() { return g_metrics_enabled.load(std::memory_order_relaxed); }
-
-void SetMetricsEnabled(bool enabled) {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 std::size_t Counter::ShardIndex() { return ThreadOrdinal() % kShards; }
 

@@ -29,13 +29,6 @@ namespace diffc::obs {
 /// `prop::SolverStats`) and flushed in O(1) atomics at procedure exit, so
 /// the whole layer costs a handful of relaxed atomic adds per query.
 
-/// Global switch for metric recording at the library's flush sites. Handles
-/// themselves always work (a direct `Inc()` is never gated); this flag gates
-/// the *instrumentation* in engine/pool/cache/solver code so benchmarks can
-/// measure the cost of the layer. Default: enabled.
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
-
 /// A fixed label set attached to a metric at registration time, e.g.
 /// {{"procedure", "sat"}}. Rendered as `name{k="v",...}` in Prometheus
 /// text format. Label values are escaped by the exposition layer.

@@ -44,7 +44,6 @@ class FlushStatsOnExit {
  public:
   explicit FlushStatsOnExit(const SolverStats* stats) : stats_(stats) {}
   ~FlushStatsOnExit() {
-    if (!obs::MetricsEnabled()) return;
     DpllMetrics& m = Metrics();
     m.solves->Inc();
     if (stats_->decisions > 0) m.decisions->Inc(stats_->decisions);

@@ -1,6 +1,5 @@
 #include "rewrite/simplifier.h"
 
-#include <atomic>
 #include <cassert>
 #include <utility>
 
@@ -10,13 +9,6 @@ namespace diffc {
 namespace rewrite {
 
 namespace {
-
-// Process-wide totals for /statusz. Relaxed: monotonic counters, no
-// ordering dependencies.
-std::atomic<std::uint64_t> g_simplify_calls{0};
-std::atomic<std::uint64_t> g_passes{0};
-std::atomic<std::uint64_t> g_applied{0};
-std::atomic<std::uint64_t> g_constraints_removed{0};
 
 // Registry handles of the simplifier (`diffc_rewrite_*`), looked up once.
 // The per-rule counters share one metric name with a `rule` label, in
@@ -72,8 +64,7 @@ void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
   // The tick at which each active rule last started (0: never).
   std::vector<std::uint64_t> last_start(active.size(), 0);
 
-  const std::size_t pass_cap =
-      options.max_passes > 0 ? options.max_passes : SimplifyPassBound(s.before);
+  const std::size_t pass_cap = SimplifyPassBound(s.before);
 
   RewriteArena arena(premises);
   arena.Sort();
@@ -108,21 +99,13 @@ void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
     s.applied_by_rule.emplace_back(active[i]->name(), applied[i]);
   }
 
-  g_simplify_calls.fetch_add(1, std::memory_order_relaxed);
-  g_passes.fetch_add(s.passes, std::memory_order_relaxed);
-  g_applied.fetch_add(s.applied_total, std::memory_order_relaxed);
-  g_constraints_removed.fetch_add(s.before.constraints - s.after.constraints,
-                                  std::memory_order_relaxed);
-
-  if (obs::MetricsEnabled()) {
-    RewriteMetrics& m = Metrics();
-    m.simplify_calls->Inc();
-    if (s.passes > 0) m.passes->Inc(s.passes);
-    if (arena.exhausted()) m.budget_exhausted->Inc();
-    for (const auto& [rule, counter] : m.applied) {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (active[i] == rule && applied[i] > 0) counter->Inc(applied[i]);
-      }
+  RewriteMetrics& m = Metrics();
+  m.simplify_calls->Inc();
+  if (s.passes > 0) m.passes->Inc(s.passes);
+  if (arena.exhausted()) m.budget_exhausted->Inc();
+  for (const auto& [rule, counter] : m.applied) {
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      if (active[i] == rule && applied[i] > 0) counter->Inc(applied[i]);
     }
   }
 }
@@ -133,15 +116,6 @@ ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
   PremiseMasks premises = PremiseMasks::Compile(c);
   SimplifyInPlace(&premises, options, stats);
   return premises.Materialize();
-}
-
-RewriteTotals GlobalRewriteTotals() {
-  RewriteTotals t;
-  t.simplify_calls = g_simplify_calls.load(std::memory_order_relaxed);
-  t.passes = g_passes.load(std::memory_order_relaxed);
-  t.applied = g_applied.load(std::memory_order_relaxed);
-  t.constraints_removed = g_constraints_removed.load(std::memory_order_relaxed);
-  return t;
 }
 
 }  // namespace rewrite

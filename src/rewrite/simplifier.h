@@ -24,15 +24,10 @@ namespace rewrite {
 /// defaults; level 1 exists for the rewrite library's own tests and fuzzer.
 struct SimplifyOptions {
   int level = 2;
-  /// 0 derives the pass cap from the input cost (`SimplifyPassBound`); a
-  /// positive value overrides it. The driver stops at the cap even if a
-  /// (contract-violating) rule failed to make progress, so Simplify always
-  /// terminates.
-  std::size_t max_passes = 0;
 };
 
 /// Per-invocation counters, mirrored into `PrepareStats` by the prepare
-/// stage and aggregated process-wide for /statusz.
+/// stage and flushed into the `diffc_rewrite_*` metrics.
 struct SimplifyStats {
   RewriteCost before;
   RewriteCost after;
@@ -53,7 +48,9 @@ struct SimplifyStats {
 /// The automatic pass cap: 2 + the scalar potential of `before`. Every
 /// pass short of fixpoint performs at least one edit and every edit
 /// decreases the potential by at least 1 (DESIGN.md §14), so a fixpoint is
-/// always confirmed strictly inside this bound.
+/// always confirmed strictly inside this bound. The driver stops at the cap
+/// even if a (contract-violating) rule failed to make progress, so
+/// Simplify always terminates.
 std::size_t SimplifyPassBound(const RewriteCost& before);
 
 /// Runs the builtin rules at `options.level` over `*premises` in place to
@@ -70,15 +67,6 @@ void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
 /// and returns the result as a `ConstraintSet`. No rule reads `n`.
 ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
                        SimplifyStats* stats = nullptr);
-
-/// Process-wide simplifier totals since start, surfaced on /statusz.
-struct RewriteTotals {
-  std::uint64_t simplify_calls = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t applied = 0;
-  std::uint64_t constraints_removed = 0;
-};
-RewriteTotals GlobalRewriteTotals();
 
 }  // namespace rewrite
 }  // namespace diffc

@@ -194,7 +194,7 @@ bool Evaluate(const char* name) {
   // Observability outside the registry lock: a fired point is a rare,
   // test-only event, but the metrics registry takes its own mutex on first
   // lookup and must not nest under ours.
-  if (fire && obs::MetricsEnabled()) {
+  if (fire) {
     obs::Registry::Global()
         .GetCounter("diffc_failpoint_fires_total", "Fail-point trips, by site.",
                     {{"site", name}})

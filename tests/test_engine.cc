@@ -181,10 +181,11 @@ TEST(ImplicationEngineTest, PreparedPremisesSharedAcrossBatch) {
   std::vector<DifferentialConstraint> goals;
   for (int i = 0; i < 24; ++i) goals.push_back(testing::RandomConstraint(rng, n));
 
-  // Fast path off: every nontrivial goal goes through SAT and the shared
-  // prepared artifact's mask arena.
+  // A zero witness budget leaves interval cover inconclusive: every
+  // nontrivial goal goes through SAT and the shared prepared artifact's
+  // mask arena.
   EngineOptions opts;
-  opts.use_interval_cover_fast_path = false;
+  opts.witness_max_results = 0;
   ImplicationEngine engine(opts);
   // First batch warms the cache (its miss count can exceed 1 when several
   // workers miss concurrently; both build the same artifact).
@@ -231,8 +232,10 @@ TEST(ImplicationEngineTest, FdSubclassBatchUsesFdProcedure) {
 
 TEST(ImplicationEngineTest, FastPathDisabledStillCorrect) {
   MixedBatch b = MakeMixedBatch(12, 32, 99);
+  // A zero witness budget truncates every transversal search, so interval
+  // cover is inconclusive and SAT decides each nontrivial goal.
   EngineOptions opts;
-  opts.use_interval_cover_fast_path = false;
+  opts.witness_max_results = 0;
   ImplicationEngine engine(opts);
   Result<BatchOutcome> out = engine.CheckBatch(b.n, b.premises, b.goals);
   ASSERT_TRUE(out.ok());
@@ -241,8 +244,8 @@ TEST(ImplicationEngineTest, FastPathDisabledStillCorrect) {
     ASSERT_TRUE(seq.ok());
     ASSERT_TRUE(out->results[i].status.ok());
     EXPECT_EQ(out->results[i].outcome.implied, seq->implied);
-    EXPECT_EQ(out->stats.witness_cache_hits + out->stats.witness_cache_misses, 0u);
   }
+  EXPECT_EQ(out->stats.by_interval_cover, 0u);
 }
 
 TEST(ImplicationEngineTest, InvalidUniverseSizeIsStatusNotAbort) {

@@ -184,9 +184,10 @@ TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
 
 TEST_F(FailpointTest, SatKernelFailureIsPerQuery) {
   const int n = 6;
-  // Disable the fast path so the query must reach the sat search.
+  // A zero witness budget leaves interval cover inconclusive, so the query
+  // must reach the sat search.
   EngineOptions opts;
-  opts.use_interval_cover_fast_path = false;
+  opts.witness_max_results = 0;
   ImplicationEngine engine(opts);
   failpoint::Arm("sat/kernel", failpoint::Spec::Always());
 

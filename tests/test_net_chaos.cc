@@ -138,7 +138,6 @@ TEST(RetryScheduleTest, RetryBudgetBoundsTheWholeLoop) {
   RetryPolicy policy;
   policy.max_attempts = 100;
   policy.initial_backoff = std::chrono::milliseconds(30);
-  policy.backoff_multiplier = 1.0;
   policy.jitter = 0.0;
   policy.retry_budget = std::chrono::milliseconds(50);
   RetrySchedule schedule(policy, 1);
@@ -146,7 +145,8 @@ TEST(RetryScheduleTest, RetryBudgetBoundsTheWholeLoop) {
       schedule.NextDelay(std::chrono::milliseconds(0), Deadline::Never());
   ASSERT_TRUE(first.ok());
   std::this_thread::sleep_for(*first);  // The retry loop sleeps this out.
-  // ~20 ms of budget left: the second 30 ms delay would overrun it.
+  // ~20 ms of budget left: the second (doubled, 60 ms) delay would overrun
+  // it.
   Result<std::chrono::milliseconds> d =
       schedule.NextDelay(std::chrono::milliseconds(0), Deadline::Never());
   EXPECT_EQ(d.status().code(), StatusCode::kDeadlineExceeded);
@@ -452,7 +452,7 @@ TEST(NetChaosTest, ShedRequestsLandInTraceStoreWithRetryChainIntact) {
   // The shed attempt recorded where it was turned away.
   bool shed_noted = false;
   for (const obs::TraceSpan& s : shed_rec->record.spans) {
-    if (s.name == "shed" && s.detail == "watermark") shed_noted = true;
+    if (s.name == "shed" && s.detail == "admission-cap") shed_noted = true;
   }
   EXPECT_TRUE(shed_noted);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -111,9 +112,7 @@ TEST(PreparedHandleTableTest, HandleIdsAreNeverReused) {
 // --------------------------------------------------------------- admission
 
 TEST(AdmissionControllerTest, SlotsAreBoundedAndRaii) {
-  AdmissionController::Options options;
-  options.max_inflight_batches = 2;
-  AdmissionController ctrl(options);
+  AdmissionController ctrl(2);
 
   Result<AdmissionController::Slot> a = ctrl.Admit();
   Result<AdmissionController::Slot> b = ctrl.Admit();
@@ -136,9 +135,7 @@ TEST(AdmissionControllerTest, SlotsAreBoundedAndRaii) {
 TEST(AdmissionControllerTest, RejectionsDoNotLeakSlots) {
   // The rejection path must not consume capacity: rejected requests took
   // nothing, so they release nothing.
-  AdmissionController::Options options;
-  options.max_inflight_batches = 1;
-  AdmissionController ctrl(options);
+  AdmissionController ctrl(1);
 
   Result<AdmissionController::Slot> held = ctrl.Admit();
   ASSERT_TRUE(held.ok());
@@ -152,9 +149,7 @@ TEST(AdmissionControllerTest, RejectionsDoNotLeakSlots) {
 }
 
 TEST(AdmissionControllerTest, ConcurrentContentionNeverExceedsCapacity) {
-  AdmissionController::Options options;
-  options.max_inflight_batches = 4;
-  AdmissionController ctrl(options);
+  AdmissionController ctrl(4);
 
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
@@ -186,38 +181,27 @@ TEST(AdmissionControllerTest, ConcurrentContentionNeverExceedsCapacity) {
   EXPECT_EQ(ctrl.inflight(), 0u);  // Every admitted slot returned exactly once.
 }
 
-TEST(AdmissionControllerTest, ShedWatermarksAndLatencyEwma) {
-  AdmissionController::Options options;
-  options.max_inflight_batches = 8;
-  options.shed_watermark = 2;
-  options.min_retry_after = std::chrono::milliseconds(10);
-  options.max_retry_after = std::chrono::milliseconds(100);
-  AdmissionController ctrl(options);
+TEST(AdmissionControllerTest, RetryAfterHintTracksLatencyEwma) {
+  AdmissionController ctrl(8);
 
-  // Below the watermark: no shedding, and the hint floors at the min.
-  EXPECT_FALSE(ctrl.ShouldShed());
+  // No batch has finished: the EWMA is 0 and the hint floors at 10 ms.
+  EXPECT_EQ(ctrl.ewma_latency_ms(), 0.0);
   EXPECT_EQ(ctrl.RetryAfterHint(), std::chrono::milliseconds(10));
 
-  // In-flight watermark: trips at `shed_watermark` held slots even though
-  // the hard cap still has headroom.
+  // Two slow batches push the EWMA over 100 ms, and the hint tracks the
+  // observed latency, capped at 2 s.
   Result<AdmissionController::Slot> a = ctrl.Admit();
-  ASSERT_TRUE(a.ok());
-  EXPECT_FALSE(ctrl.ShouldShed());
   Result<AdmissionController::Slot> b = ctrl.Admit();
+  ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(ctrl.ShouldShed());
-
-  // A slow batch pushes the EWMA over 50 ms: shedding stops once the
-  // slots drain, and the hint tracks the observed latency (clamped to
-  // max_retry_after).
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   a->Reset();
   b->Reset();
   EXPECT_EQ(ctrl.inflight(), 0u);
-  EXPECT_GT(ctrl.ewma_latency_ms(), 50.0);
-  EXPECT_FALSE(ctrl.ShouldShed());
-  EXPECT_GE(ctrl.RetryAfterHint(), std::chrono::milliseconds(10));
-  EXPECT_LE(ctrl.RetryAfterHint(), std::chrono::milliseconds(100));
+  const double ewma = ctrl.ewma_latency_ms();
+  EXPECT_GE(ewma, 100.0);
+  EXPECT_EQ(ctrl.RetryAfterHint(),
+            std::chrono::milliseconds(static_cast<long long>(std::min(ewma, 2000.0))));
 }
 
 // ------------------------------------------------------------- end to end
@@ -356,11 +340,11 @@ TEST(DiffcdServiceTest, AdmissionRejectsWhenNoBatchSlots) {
 }
 
 TEST(DiffcdServiceTest, ShedRepliesAreHonoredByClientBackoff) {
-  // Overload shedding end-to-end: with the soft watermark tripped the
-  // server answers OVERLOADED (not an error, not a queue), and the
-  // client's retry schedule backs off until capacity returns.
+  // Overload shedding end-to-end: at the batch cap the server answers
+  // OVERLOADED (not an error, not a queue), and the client's retry
+  // schedule backs off until capacity returns.
   ServerOptions options = LoopbackOptions();
-  options.shed_watermark = 1;
+  options.max_inflight_batches = 1;
   DiffcdServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -374,7 +358,13 @@ TEST(DiffcdServiceTest, ShedRepliesAreHonoredByClientBackoff) {
       3, {DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))});
   ASSERT_TRUE(registered.ok());
 
-  // Pin an admission slot so the watermark sheds every new batch, then
+  obs::Counter* rejected =
+      obs::Registry::Global().GetCounter("diffc_net_admission_rejected_total", "");
+  obs::Counter* shed = obs::Registry::Global().GetCounter("diffc_net_shed_total", "");
+  const std::uint64_t rejected0 = rejected->Value();
+  const std::uint64_t shed0 = shed->Value();
+
+  // Pin the one admission slot so the cap refuses every new batch, then
   // free it while the client is backing off.
   Result<AdmissionController::Slot> pinned = server.admission().Admit();
   ASSERT_TRUE(pinned.ok());
@@ -391,6 +381,10 @@ TEST(DiffcdServiceTest, ShedRepliesAreHonoredByClientBackoff) {
   EXPECT_EQ(batch->results[0].verdict, 1);
   EXPECT_GT(client->stats().shed_backoffs, 0u);
   EXPECT_GT(client->stats().retries, 0u);
+  // Each refusal at the cap moved both counters by one; the client backed
+  // off once per refusal before the attempt that succeeded.
+  EXPECT_EQ(rejected->Value() - rejected0, client->stats().shed_backoffs);
+  EXPECT_EQ(shed->Value() - shed0, client->stats().shed_backoffs);
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
@@ -863,7 +857,6 @@ TEST(DiffcdServiceTest, StatuszReportsBuildOptionsAdmissionAndStoreHealth) {
   EXPECT_NE(statusz.find("\"trace_store_capacity\": 256"), std::string::npos);
   // Live admission and session state.
   EXPECT_NE(statusz.find("\"admission\": {\"inflight\": 0"), std::string::npos);
-  EXPECT_NE(statusz.find("\"shed_watermark\": "), std::string::npos);
   EXPECT_NE(statusz.find("\"ewma_latency_ms\": "), std::string::npos);
   EXPECT_NE(statusz.find("\"sessions_active\": 1"), std::string::npos);
   EXPECT_NE(statusz.find("\"handles_active\": 0"), std::string::npos);

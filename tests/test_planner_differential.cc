@@ -150,15 +150,16 @@ TEST(PlannerDifferentialTest, CounterexamplesCertifyAgainstRawPremisesOn500PlusI
 }
 
 TEST(PlannerDifferentialTest, TinySolverBudgetExhaustsOnlyInSat) {
-  // A 1-node SAT budget with the interval-cover fast path off and a 2-bit
-  // exhaustive gate forces ResourceExhausted on every instance the root's
-  // unit propagation can't settle and the fallback can't enumerate: every
-  // such failure must be ResourceExhausted stopped in `sat`, and every
-  // answer that does come back must still match the oracle.
+  // A 1-node SAT budget, a zero witness budget (so interval cover is
+  // inconclusive) and a 2-bit exhaustive gate force ResourceExhausted on
+  // every instance the root's unit propagation can't settle and the
+  // fallback can't enumerate: every such failure must be ResourceExhausted
+  // stopped in `sat`, and every answer that does come back must still
+  // match the oracle.
   std::vector<Instance> instances = MakeInstances(99);
   EngineOptions opts;
   opts.max_solver_decisions = 1;
-  opts.use_interval_cover_fast_path = false;
+  opts.witness_max_results = 0;
   opts.exhaustive_max_free_bits = 2;
   ImplicationEngine engine(opts);
 

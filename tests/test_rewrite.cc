@@ -438,9 +438,7 @@ void ExpectWideAntichainsStopAtTheBudget(int k) {
   const PrepareStats& s = (*built)->stats();
   EXPECT_FALSE(s.rewrite_reached_fixpoint);
   EXPECT_LE(s.rewrite_steps, rewrite::kSimplifyStepBudget);
-  if (obs::MetricsEnabled()) {
-    EXPECT_EQ(BudgetExhaustions(), exhausted_before + 1);
-  }
+  EXPECT_EQ(BudgetExhaustions(), exhausted_before + 1);
   // Both premises are intact.
   std::sort(premises.begin(), premises.end());
   EXPECT_EQ((*built)->masks().Materialize(), premises);

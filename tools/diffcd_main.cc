@@ -38,12 +38,13 @@ bool ParseFlag(const std::string& arg, const std::string& name, std::string* out
   return true;
 }
 
-bool ParseIntFlag(const std::string& arg, const std::string& name, long* out) {
+// Parses `--name=N`; a value below `min` (or not an integer) exits 2.
+bool ParseIntFlag(const std::string& arg, const std::string& name, long* out, long min = 0) {
   std::string text;
   if (!ParseFlag(arg, name, &text)) return false;
   char* end = nullptr;
   long v = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) {
+  if (end == nullptr || *end != '\0' || v < min) {
     std::fprintf(stderr, "diffcd: bad value for --%s: '%s'\n", name.c_str(), text.c_str());
     std::exit(2);
   }
@@ -67,9 +68,11 @@ int main(int argc, char** argv) {
       options.metrics_address = text;
     } else if (ParseIntFlag(arg, "threads", &value)) {
       options.engine.num_threads = static_cast<int>(value);
-    } else if (ParseIntFlag(arg, "max-inflight", &value)) {
+    } else if (ParseIntFlag(arg, "max-inflight", &value, /*min=*/1)) {
+      // 0 slots would refuse every batch.
       options.max_inflight_batches = static_cast<std::size_t>(value);
-    } else if (ParseIntFlag(arg, "max-handles", &value)) {
+    } else if (ParseIntFlag(arg, "max-handles", &value, /*min=*/1)) {
+      // 0 handles would refuse every REGISTER.
       options.max_handles_per_session = static_cast<std::size_t>(value);
     } else if (ParseIntFlag(arg, "drain-ms", &value)) {
       options.drain_deadline = std::chrono::milliseconds(value);
