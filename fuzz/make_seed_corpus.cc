@@ -20,6 +20,7 @@
 
 #include "core/implication.h"
 #include "core/parser.h"
+#include "core/premise_masks.h"
 #include "lattice/universe.h"
 #include "net/wire.h"
 #include "prop/tautology.h"
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
   const Universe u = Universe::Letters(4);
   RegisterPremisesMsg reg;
   reg.n = 4;
-  reg.premises = *ParseConstraintSet(u, "A -> {B}; AB -> {C, BC}");
+  reg.premises = PremiseMasks::Compile(*ParseConstraintSet(u, "A -> {B}; AB -> {C, BC}"));
   reg.trace = SampleTrace();
 
   CheckBatchMsg batch;
@@ -172,6 +173,17 @@ int main(int argc, char** argv) {
   // ignored) + raw payload.
   WriteSeed("request_decode", "register_v3", WithSelector(2, EncodeRegisterPremises(reg)));
   WriteSeed("request_decode", "check_batch_v3", WithSelector(3, EncodeCheckBatch(batch)));
+  {
+    // A -> {BC, B, BC}; AB -> {C}: a family out of order and with a
+    // duplicate, which the decoder must sort and deduplicate into the
+    // arena `Compile` builds for the same set.
+    RegisterPremisesMsg unsorted = reg;
+    unsorted.premises.premises = {{.lhs = 0b0001, .begin = 0, .end = 3},
+                                  {.lhs = 0b0011, .begin = 3, .end = 4}};
+    unsorted.premises.members = {0b0110, 0b0010, 0b0110, 0b0100};
+    WriteSeed("request_decode", "register_unsorted_dup",
+              WithSelector(2, EncodeRegisterPremises(unsorted)));
+  }
 
   // ---- reply_decode: selector % 5 picks the codec; bit 3 is ignored.
   WriteSeed("reply_decode", "pong", WithSelector(0, EncodePong(ping)));

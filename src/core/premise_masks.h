@@ -12,7 +12,8 @@
 namespace diffc {
 
 /// A premise set flattened into attribute masks: the one premise
-/// representation from REGISTER to verdict. The rewrite rules edit it in
+/// representation from the client's REGISTER encoder to verdict. The wire
+/// codec writes and reads it (DESIGN.md §11), the rewrite rules edit it in
 /// place (DESIGN.md §14), `PreparedPremises` stores it, and the engine's
 /// deciders and certificate read it (DESIGN.md §10).
 ///

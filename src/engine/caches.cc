@@ -134,14 +134,19 @@ std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
     int n, const ConstraintSet& premises, bool* hit) {
+  return Get(n, PremiseMasks::Compile(premises), hit);
+}
+
+Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
+    int n, PremiseMasks premises, bool* hit) {
   Key key{n, {}};
   std::size_t words = 0;
-  for (const DifferentialConstraint& c : premises) words += 2 + c.rhs().members().size();
+  for (const PremiseMasks::Premise& p : premises.premises) words += 2 + p.size();
   key.premises.reserve(words);
-  for (const DifferentialConstraint& c : premises) {
-    key.premises.push_back(c.lhs().bits());
-    key.premises.push_back(c.rhs().members().size());
-    for (const ItemSet& y : c.rhs().members()) key.premises.push_back(y.bits());
+  for (const PremiseMasks::Premise& p : premises.premises) {
+    key.premises.push_back(p.lhs);
+    key.premises.push_back(p.size());
+    for (Mask y : premises.family(p)) key.premises.push_back(y);
   }
   {
     MutexLock lock(&mu_);
@@ -156,7 +161,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremisesCache::Get(
 
   // Compile outside the lock; only a valid artifact is cacheable.
   Result<std::shared_ptr<const PreparedPremises>> built =
-      PreparedPremises::Build(n, premises);
+      PreparedPremises::Build(n, std::move(premises));
   if (!built.ok()) return built.status();
 
   if (DIFFC_FAILPOINT("cache/premise-insert")) return built;  // Served uncached.

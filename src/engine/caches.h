@@ -220,7 +220,7 @@ class WitnessSetCache {
 };
 
 /// A process-wide cache of compiled premise artifacts (`PreparedPremises`)
-/// keyed on the raw (universe size, constraint set) pair — the bridge that
+/// keyed on the raw (universe size, premise arena) pair — the bridge that
 /// lets the unprepared engine API (`CheckBatch(n, premises, goals)`)
 /// amortize compilation exactly like an explicit `Prepare()` call: the
 /// canonical arena and the FD closure index are built once per distinct
@@ -233,9 +233,16 @@ class PreparedPremisesCache {
   /// A cache holding at most `capacity` entries (segmented-LRU eviction).
   explicit PreparedPremisesCache(std::size_t capacity = 256) : lru_(capacity) {}
 
-  /// The prepared artifact for `premises` over `n` attributes, built on
-  /// miss. `hit`, when non-null, receives whether the entry was cached.
+  /// The prepared artifact for `premises` over `n` attributes. The key is
+  /// built from the arena; on a miss the arena itself goes to
+  /// `PreparedPremises::Build`, which rewrites it in place. Every family
+  /// must be sorted and unique, so one set hits one entry whichever way it
+  /// arrived. `hit`, when non-null, receives whether the entry was cached.
   /// Fails only on invalid `n` (InvalidArgument, never cached).
+  Result<std::shared_ptr<const PreparedPremises>> Get(int n, PremiseMasks premises,
+                                                      bool* hit = nullptr) EXCLUDES(mu_);
+
+  /// `Get` over `PremiseMasks::Compile(premises)`.
   Result<std::shared_ptr<const PreparedPremises>> Get(int n, const ConstraintSet& premises,
                                                       bool* hit = nullptr) EXCLUDES(mu_);
 

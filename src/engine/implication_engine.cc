@@ -189,8 +189,13 @@ ImplicationEngine::ImplicationEngine(EngineOptions options)
 }
 
 Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::Prepare(
+    int n, PremiseMasks premises) const {
+  return GlobalPreparedPremisesCache().Get(n, std::move(premises));
+}
+
+Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::Prepare(
     int n, const ConstraintSet& premises) const {
-  return GlobalPreparedPremisesCache().Get(n, premises);
+  return Prepare(n, PremiseMasks::Compile(premises));
 }
 
 EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,

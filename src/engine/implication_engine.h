@@ -124,9 +124,14 @@ class ImplicationEngine {
   const EngineOptions& options() const { return options_; }
 
   /// Compiles `premises` into a shared artifact, served from the
-  /// process-wide `PreparedPremisesCache`. Returns InvalidArgument for an
+  /// process-wide `PreparedPremisesCache`; on a miss the arena is the one
+  /// rewritten into the artifact. Every family must be sorted and unique
+  /// (`PremiseMasks`' invariant). Returns InvalidArgument for an
   /// out-of-range universe size. The artifact is immutable and may
   /// be used concurrently, across batches, and by other engine instances.
+  Result<std::shared_ptr<const PreparedPremises>> Prepare(int n, PremiseMasks premises) const;
+
+  /// `Prepare` over `PremiseMasks::Compile(premises)`.
   Result<std::shared_ptr<const PreparedPremises>> Prepare(int n,
                                                           const ConstraintSet& premises) const;
 

@@ -46,6 +46,11 @@ PrepareMetrics& Metrics() {
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
     int n, const ConstraintSet& premises) {
+  return Build(n, PremiseMasks::Compile(premises));
+}
+
+Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(int n,
+                                                                       PremiseMasks premises) {
   if (n < 0 || n > 64) {
     return Status::InvalidArgument("universe size must be in [0, 64]");
   }
@@ -62,7 +67,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
   // (DESIGN.md §14): every rule preserves L(C) exactly, so verdicts against
   // the artifact are valid against the original set.
   PremiseMasks& masks = prepared->masks_;
-  masks = PremiseMasks::Compile(premises);
+  masks = std::move(premises);
   rewrite::SimplifyStats sstats;
   rewrite::SimplifyInPlace(&masks, rewrite::SimplifyOptions(), &sstats);
   stats.rewrite_passes = sstats.passes;

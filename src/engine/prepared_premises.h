@@ -58,13 +58,13 @@ struct PrepareStats {
   std::uint64_t total_ns = 0;
 };
 
-/// An immutable compilation of a `ConstraintSet`, built once per premise
+/// An immutable compilation of a premise set, built once per premise
 /// set and shared (`shared_ptr`) across queries, batches, and engine
 /// instances — the prepare side of the engine's prepare/plan/execute
 /// pipeline. Holds:
 ///
 ///   - the canonical premises as one mask arena (`PremiseMasks`): the
-///     premise set flattened and rewritten in place to a fixpoint by
+///     premise arena rewritten in place to a fixpoint by
 ///     `rewrite::SimplifyInPlace` (DESIGN.md §14), whose every rule
 ///     preserves `L(C)` exactly. Interval cover, the `sat` search, the
 ///     not-implied certificate and the server read it;
@@ -78,8 +78,14 @@ struct PrepareStats {
 class PreparedPremises {
  public:
   /// Compiles `premises` over an `n`-attribute universe, canonicalizing
-  /// with the rewrite simplifier under default `rewrite::SimplifyOptions`.
-  /// Returns InvalidArgument for `n` outside [0, 64]; never fails otherwise.
+  /// with the rewrite simplifier under default `rewrite::SimplifyOptions`
+  /// in place: the artifact keeps the arena it is given. Every family must
+  /// be sorted and unique (`PremiseMasks`' invariant), as `Compile` and
+  /// the wire decoder leave them. Returns InvalidArgument for `n` outside
+  /// [0, 64]; never fails otherwise.
+  static Result<std::shared_ptr<const PreparedPremises>> Build(int n, PremiseMasks premises);
+
+  /// `Build` over `PremiseMasks::Compile(premises)`.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n,
                                                                const ConstraintSet& premises);
 

@@ -51,6 +51,16 @@ ClientMetricsSet& ClientMetrics() {
   return *metrics;
 }
 
+// The wire carries the universe size in one byte and the engine takes
+// [0, 64]; any other size is refused before anything is encoded or sent.
+Status CheckUniverseSize(int n) {
+  if (n < 0 || n > 64) {
+    return Status::InvalidArgument("universe size " + std::to_string(n) +
+                                   " is outside [0, 64]");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 DiffcClient::DiffcClient(std::string address, ClientOptions options)
@@ -401,9 +411,13 @@ Result<std::uint64_t> DiffcClient::Ping(std::uint64_t nonce) {
 }
 
 Result<RegisterOkMsg> DiffcClient::RegisterPremises(int n, const ConstraintSet& premises) {
+  Status valid = CheckUniverseSize(n);
+  if (!valid.ok()) return valid;
+  // Compiled once: every attempt encodes this arena, and the handle record
+  // keeps it for re-registration.
   RegisterPremisesMsg msg;
   msg.n = n;
-  msg.premises = premises;
+  msg.premises = PremiseMasks::Compile(premises);
   Result<RegisterOkMsg> ok = CallDecoded<RegisterOkMsg>(
       "register-premises", &msg.trace, WireResponse::kRegisterOk, Deadline::Never(),
       [&] { return EncodeRegisterPremises(msg); },
@@ -417,7 +431,7 @@ Result<RegisterOkMsg> DiffcClient::RegisterPremises(int n, const ConstraintSet& 
   HandleRecord rec;
   rec.server_handle = ok->handle;
   rec.n = n;
-  rec.premises = premises;
+  rec.premises = std::move(msg.premises);
   handles_.emplace(client_handle, std::move(rec));
   RegisterOkMsg out = *ok;
   out.handle = client_handle;
@@ -427,6 +441,8 @@ Result<RegisterOkMsg> DiffcClient::RegisterPremises(int n, const ConstraintSet& 
 Result<BatchResultMsg> DiffcClient::CheckBatch(std::uint64_t handle, int n,
                                                const std::vector<DifferentialConstraint>& goals,
                                                std::chrono::milliseconds deadline) {
+  Status valid = CheckUniverseSize(n);
+  if (!valid.ok()) return valid;
   auto it = handles_.find(handle);
   if (it == handles_.end()) {
     // The same NotFound an unknown handle would earn server-side.

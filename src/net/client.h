@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/constraint.h"
+#include "core/premise_masks.h"
 #include "net/retry.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -106,14 +107,16 @@ class DiffcClient {
   /// Compiles `premises` (over an `n`-attribute universe) server-side;
   /// the returned handle feeds `CheckBatch` until `Release` or `Close`.
   /// The handle is client-scoped and survives reconnects (the client
-  /// re-registers under the covers).
+  /// re-registers under the covers). InvalidArgument for `n` outside
+  /// [0, 64], before anything is sent.
   Result<RegisterOkMsg> RegisterPremises(int n, const ConstraintSet& premises);
 
   /// Decides `handle's premises |= goals[i]` for every goal. `deadline`
   /// (zero = none) is the server-side wall-clock budget for the whole
   /// batch — and the client-side bound past which no retry is scheduled;
   /// queries past it come back DeadlineExceeded or degraded, matching the
-  /// in-process engine's semantics.
+  /// in-process engine's semantics. InvalidArgument for `n` outside
+  /// [0, 64], before anything is sent.
   Result<BatchResultMsg> CheckBatch(std::uint64_t handle, int n,
                                     const std::vector<DifferentialConstraint>& goals,
                                     std::chrono::milliseconds deadline = {});
@@ -131,11 +134,12 @@ class DiffcClient {
 
  private:
   /// A recorded registration: enough to re-establish the server-side
-  /// handle on a fresh connection.
+  /// handle on a fresh connection. `premises` is the arena the first
+  /// REGISTER encoded.
   struct HandleRecord {
     std::uint64_t server_handle = 0;
     int n = 0;
-    ConstraintSet premises;
+    PremiseMasks premises;
   };
 
   /// How a failed attempt should drive the retry loop.

@@ -479,7 +479,7 @@ Frame DiffcdServer::HandleRegisterPremises(SessionContext* ctx, const Frame& fra
 
   Result<std::shared_ptr<const PreparedPremises>> prepared = [&] {
     obs::SpanGuard prepare_span(ctx->tracer, "prepare");
-    return engine_.Prepare(msg->n, msg->premises);
+    return engine_.Prepare(msg->n, std::move(msg->premises));
   }();
   if (!prepared.ok()) return ErrFrame(prepared.status());
 

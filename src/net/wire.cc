@@ -58,11 +58,15 @@ bool IsKnownRequest(std::uint8_t t) {
 }
 
 void WireWriter::U32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = out_.size();
+  out_.resize(at + 4);
+  for (std::size_t i = 0; i < 4; ++i) out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void WireWriter::U64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = out_.size();
+  out_.resize(at + 8);
+  for (std::size_t i = 0; i < 8; ++i) out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void WireWriter::String(std::string_view s) {
@@ -142,47 +146,18 @@ Status CheckFrameType(const Frame& f, std::uint8_t expected, const char* what) {
   return Status::Ok();
 }
 
-// One constraint: lhs mask, member count, member masks. The universe size
-// travels in the enclosing message; every mask is validated against it
-// before any ItemSet is built (out-of-range bits would otherwise be
-// undefined shifts downstream — the ItemSet boundary contract).
-void EncodeConstraint(WireWriter* w, const DifferentialConstraint& c) {
-  w->U64(c.lhs().bits());
-  const std::vector<ItemSet>& members = c.rhs().members();
-  w->U32(static_cast<std::uint32_t>(members.size()));
-  for (const ItemSet& m : members) w->U64(m.bits());
-}
+// A constraint list is u8 n, u32 count, then per constraint a u64 lhs
+// mask, a u32 member count and the u64 member masks. The universe size
+// travels in the list; every mask is validated against it as it is read
+// (out-of-range bits would otherwise be undefined shifts downstream).
+constexpr std::size_t kListHeaderBytes = 1 + 4;
+constexpr std::size_t kConstraintHeaderBytes = 8 + 4;
+constexpr std::size_t kMemberBytes = 8;
 
-Result<DifferentialConstraint> DecodeConstraint(WireReader* r, int n) {
-  const Mask full = FullMask(n);
-  Result<std::uint64_t> lhs = r->U64();
-  if (!lhs.ok()) return lhs.status();
-  if ((*lhs & ~full) != 0) {
-    return Status::InvalidArgument("constraint lhs mask has attributes outside the " +
-                                   std::to_string(n) + "-attribute universe");
-  }
-  Result<std::uint32_t> count = r->U32();
-  if (!count.ok()) return count.status();
-  if (*count > kMaxFamilyMembers) {
-    return Status::InvalidArgument("constraint family size " + std::to_string(*count) +
-                                   " exceeds cap " + std::to_string(kMaxFamilyMembers));
-  }
-  std::vector<ItemSet> members;
-  members.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    Result<std::uint64_t> m = r->U64();
-    if (!m.ok()) return m.status();
-    if ((*m & ~full) != 0) {
-      return Status::InvalidArgument("constraint family member has attributes outside the " +
-                                     std::to_string(n) + "-attribute universe");
-    }
-    members.push_back(ItemSet(*m));
-  }
-  return DifferentialConstraint(ItemSet(*lhs), SetFamily(std::move(members)));
-}
-
-// Shared list codec for premises and goals: u8 n, u32 count, constraints.
-Status DecodeConstraintList(WireReader* r, int* n, std::vector<DifferentialConstraint>* out) {
+// Reads a constraint list into `*out`, sorting and deduplicating each
+// family in place, so the arena keeps `PremiseMasks`' invariant whatever
+// order the peer sent.
+Status DecodeConstraintList(WireReader* r, int* n, PremiseMasks* out) {
   Result<std::uint8_t> raw_n = r->U8();
   if (!raw_n.ok()) return raw_n.status();
   if (*raw_n > 64) {
@@ -190,26 +165,86 @@ Status DecodeConstraintList(WireReader* r, int* n, std::vector<DifferentialConst
                                    " exceeds the 64-attribute maximum");
   }
   *n = int{*raw_n};
+  const Mask full = FullMask(*n);
   Result<std::uint32_t> count = r->U32();
   if (!count.ok()) return count.status();
   if (*count > kMaxConstraintsPerMessage) {
     return Status::InvalidArgument("constraint count " + std::to_string(*count) +
                                    " exceeds cap " + std::to_string(kMaxConstraintsPerMessage));
   }
-  out->reserve(*count);
+  // Reserve no more than the rest of the payload can hold.
+  const std::size_t premises =
+      std::min<std::size_t>(*count, r->remaining() / kConstraintHeaderBytes);
+  std::vector<Mask>& pool = out->members;
+  out->premises.reserve(premises);
+  pool.reserve((r->remaining() - premises * kConstraintHeaderBytes) / kMemberBytes);
   for (std::uint32_t i = 0; i < *count; ++i) {
-    Result<DifferentialConstraint> c = DecodeConstraint(r, *n);
-    if (!c.ok()) return c.status();
-    out->push_back(*std::move(c));
+    Result<std::uint64_t> lhs = r->U64();
+    if (!lhs.ok()) return lhs.status();
+    if ((*lhs & ~full) != 0) {
+      return Status::InvalidArgument("constraint lhs mask has attributes outside the " +
+                                     std::to_string(*n) + "-attribute universe");
+    }
+    Result<std::uint32_t> size = r->U32();
+    if (!size.ok()) return size.status();
+    if (*size > kMaxFamilyMembers) {
+      return Status::InvalidArgument("constraint family size " + std::to_string(*size) +
+                                     " exceeds cap " + std::to_string(kMaxFamilyMembers));
+    }
+    const std::size_t begin = pool.size();
+    for (std::uint32_t j = 0; j < *size; ++j) {
+      Result<std::uint64_t> m = r->U64();
+      if (!m.ok()) return m.status();
+      if ((*m & ~full) != 0) {
+        return Status::InvalidArgument("constraint family member has attributes outside the " +
+                                       std::to_string(*n) + "-attribute universe");
+      }
+      pool.push_back(*m);
+    }
+    const auto first = pool.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(first, pool.end());
+    pool.erase(std::unique(first, pool.end()), pool.end());
+    PremiseMasks::Premise p;
+    p.lhs = *lhs;
+    p.begin = static_cast<std::uint32_t>(begin);
+    p.end = static_cast<std::uint32_t>(pool.size());
+    out->premises.push_back(p);
   }
   return Status::Ok();
+}
+
+std::size_t ConstraintListBytes(const PremiseMasks& list) {
+  std::size_t bytes = kListHeaderBytes + list.size() * kConstraintHeaderBytes;
+  for (const PremiseMasks::Premise& p : list.premises) bytes += p.size() * kMemberBytes;
+  return bytes;
+}
+
+std::size_t ConstraintListBytes(const std::vector<DifferentialConstraint>& list) {
+  std::size_t bytes = kListHeaderBytes + list.size() * kConstraintHeaderBytes;
+  for (const DifferentialConstraint& c : list) bytes += c.rhs().members().size() * kMemberBytes;
+  return bytes;
+}
+
+void EncodeConstraintList(WireWriter* w, int n, const PremiseMasks& list) {
+  w->U8(static_cast<std::uint8_t>(n));
+  w->U32(static_cast<std::uint32_t>(list.size()));
+  for (const PremiseMasks::Premise& p : list.premises) {
+    w->U64(p.lhs);
+    w->U32(static_cast<std::uint32_t>(p.size()));
+    for (Mask y : list.family(p)) w->U64(y);
+  }
 }
 
 void EncodeConstraintList(WireWriter* w, int n,
                           const std::vector<DifferentialConstraint>& list) {
   w->U8(static_cast<std::uint8_t>(n));
   w->U32(static_cast<std::uint32_t>(list.size()));
-  for (const DifferentialConstraint& c : list) EncodeConstraint(w, c);
+  for (const DifferentialConstraint& c : list) {
+    w->U64(c.lhs().bits());
+    const std::vector<ItemSet>& members = c.rhs().members();
+    w->U32(static_cast<std::uint32_t>(members.size()));
+    for (const ItemSet& m : members) w->U64(m.bits());
+  }
 }
 
 Frame MakeFrame(std::uint8_t type, WireWriter&& w) {
@@ -250,6 +285,7 @@ Status DecodeTraceContext(WireReader* r, TraceContext* tc) {
 
 Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg) {
   WireWriter w;
+  w.Reserve(ConstraintListBytes(msg.premises) + kTraceContextBytes);
   EncodeConstraintList(&w, msg.n, msg.premises);
   EncodeTraceContext(&w, msg.trace);
   return MakeFrame(static_cast<std::uint8_t>(WireRequest::kRegisterPremises), std::move(w));
@@ -302,6 +338,7 @@ Result<RegisterOkMsg> DecodeRegisterOk(const Frame& f) {
 
 Frame EncodeCheckBatch(const CheckBatchMsg& msg) {
   WireWriter w;
+  w.Reserve(3 * 8 + ConstraintListBytes(msg.goals) + kTraceContextBytes);
   w.U64(msg.handle);
   w.U64(msg.deadline_ms);
   w.U64(msg.nonce);
@@ -325,8 +362,10 @@ Result<CheckBatchMsg> DecodeCheckBatch(const Frame& f) {
   Result<std::uint64_t> nonce = r.U64();
   if (!nonce.ok()) return nonce.status();
   msg.nonce = *nonce;
-  Status s = DecodeConstraintList(&r, &msg.n, &msg.goals);
+  PremiseMasks goals;
+  Status s = DecodeConstraintList(&r, &msg.n, &goals);
   if (!s.ok()) return s;
+  msg.goals = goals.Materialize();
   s = DecodeTraceContext(&r, &msg.trace);
   if (!s.ok()) return s;
   s = r.Finish();

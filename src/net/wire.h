@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/constraint.h"
+#include "core/premise_masks.h"
 #include "net/cursor.h"
 #include "util/status.h"
 
@@ -30,8 +31,8 @@ namespace diffc::net {
 /// Payload scalars are fixed-width little-endian; variable-size fields
 /// (strings, constraint lists) carry a length prefix with a hard cap each,
 /// and every attribute mask is validated against the message's universe
-/// size before any `ItemSet` is constructed — out-of-range attribute
-/// indices are rejected at the boundary (see DESIGN.md §11).
+/// size as it is read — out-of-range attribute indices are rejected at the
+/// boundary (see DESIGN.md §11).
 
 /// Protocol version carried by every frame, and the only one this build
 /// speaks: `ReadFrame` rejects any other version byte. v2 added the
@@ -128,6 +129,9 @@ struct TraceContext {
 /// Appends little-endian scalars and length-prefixed blobs to a payload.
 class WireWriter {
  public:
+  /// Makes room for `bytes` more bytes, so an encoder that knows its size
+  /// allocates once.
+  void Reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
   void U8(std::uint8_t v) { out_.push_back(v); }
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
@@ -167,10 +171,13 @@ class WireReader {
 // ---------------------------------------------------------------- messages
 
 /// REGISTER_PREMISES: compile `premises` over an `n`-attribute universe
-/// into a server-side `PreparedPremises` handle.
+/// into a server-side `PreparedPremises` handle. The premises travel as
+/// the arena the engine prepares from: the client compiles its set once,
+/// the decoder fills an arena whose families are sorted and unique, and
+/// the server hands that arena to `ImplicationEngine::Prepare`.
 struct RegisterPremisesMsg {
   int n = 0;
-  ConstraintSet premises;
+  PremiseMasks premises;
   /// The caller's trace context.
   TraceContext trace;
 };
@@ -284,8 +291,10 @@ Frame EncodeOverloaded(const OverloadedMsg& msg);
 Frame EncodeError(const ErrorMsg& msg);
 
 /// Decoders verify the frame type, every field bound, and (for constraint
-/// payloads) that each attribute mask fits the declared universe before
-/// constructing an `ItemSet` — the wire is the trust boundary.
+/// payloads) that each attribute mask fits the declared universe — the
+/// wire is the trust boundary. Both constraint lists decode into a
+/// `PremiseMasks` arena with each family sorted and deduplicated in place;
+/// CHECK_BATCH materializes its goals from it.
 Result<RegisterPremisesMsg> DecodeRegisterPremises(const Frame& f);
 Result<RegisterOkMsg> DecodeRegisterOk(const Frame& f);
 Result<CheckBatchMsg> DecodeCheckBatch(const Frame& f);

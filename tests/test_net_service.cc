@@ -52,7 +52,7 @@ bool WaitFor(Pred pred) {
 
 std::shared_ptr<const PreparedPremises> SomePrepared(int n) {
   ImplicationEngine engine;
-  Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, {});
+  Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, ConstraintSet{});
   EXPECT_TRUE(prepared.ok());
   return *prepared;
 }
@@ -319,6 +319,103 @@ TEST(DiffcdServiceTest, TypedErrorFramesCarryTheOriginalStatusCode) {
   EXPECT_EQ(client->Release(99999).code(), StatusCode::kNotFound);
   Result<std::uint64_t> echoed = client->Ping(7);
   EXPECT_TRUE(echoed.ok());
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(DiffcdServiceTest, ClientRefusesUniverseSizesOutsideTheWireRange) {
+  // The wire carries n in one byte, so 260 and 272 would arrive as 4 and
+  // 16, and -1 as 255. The client refuses every n outside [0, 64] itself.
+  DiffcdServer server(LoopbackOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
+  ASSERT_TRUE(client.ok());
+  const ConstraintSet premises{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
+  Result<RegisterOkMsg> registered = client->RegisterPremises(16, premises);
+  ASSERT_TRUE(registered.ok());
+
+  // An unreachable endpoint: a request that reached the transport would
+  // fail Unavailable, so InvalidArgument here means nothing was sent.
+  DiffcClient offline = DiffcClient::Create("127.0.0.1:1");
+  for (int n : {-1, 65, 260, 272}) {
+    Result<RegisterOkMsg> reg = client->RegisterPremises(n, premises);
+    EXPECT_EQ(reg.status().code(), StatusCode::kInvalidArgument) << "n=" << n;
+    EXPECT_NE(reg.status().message().find("[0, 64]"), std::string::npos) << "n=" << n;
+    Result<BatchResultMsg> batch = client->CheckBatch(registered->handle, n, premises);
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << "n=" << n;
+    EXPECT_NE(batch.status().message().find("[0, 64]"), std::string::npos) << "n=" << n;
+    EXPECT_EQ(offline.RegisterPremises(n, premises).status().code(),
+              StatusCode::kInvalidArgument)
+        << "n=" << n;
+    EXPECT_EQ(offline.CheckBatch(1, n, premises).status().code(), StatusCode::kInvalidArgument)
+        << "n=" << n;
+  }
+  // No retry, no breaker count, and the connection still serves the handle.
+  EXPECT_EQ(client->stats().retries, 0u);
+  EXPECT_EQ(offline.stats().retries, 0u);
+  EXPECT_EQ(offline.breaker_state(), CircuitBreaker::State::kClosed);
+  Result<BatchResultMsg> batch = client->CheckBatch(registered->handle, 16, premises);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->results.size(), 1u);
+  EXPECT_EQ(batch->results[0].verdict, 1);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(DiffcdServiceTest, WireAndInProcessRegistrationsShareOneCachedArtifact) {
+  // One premise set reaches the prepared cache three ways: a raw REGISTER
+  // whose family arrives reversed and with a duplicate, DiffcClient, and
+  // an in-process Prepare. The decoder sorts and deduplicates each family,
+  // so all three build the same key and share one artifact.
+  const int n = 13;  // A universe no other test registers, so step 1 misses.
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2, 3}})),
+      DifferentialConstraint(ItemSet{1, 2}, SetFamily({ItemSet{4}}))};
+  DiffcdServer server(LoopbackOptions());
+  ASSERT_TRUE(server.Start().ok());
+  const auto hits = [] { return GlobalPreparedPremisesCache().counters().hits; };
+
+  WireWriter w;
+  w.U8(n);
+  w.U32(2);
+  w.U64(0b1);  // A -> {CD, B, CD}
+  w.U32(3);
+  w.U64(0b1100);
+  w.U64(0b0010);
+  w.U64(0b1100);
+  w.U64(0b0110);  // BC -> {E}
+  w.U32(1);
+  w.U64(0b10000);
+  w.U64(0);  // No trace context: trace id, parent span id, sampled flag.
+  w.U64(0);
+  w.U64(0);
+  w.U8(0);
+  const std::uint64_t hits_before_raw = hits();
+  Result<Socket> raw = Connect(server.bound_address());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(WriteFrame(*raw, Frame{static_cast<std::uint8_t>(WireRequest::kRegisterPremises),
+                                     kWireVersion, std::move(w).Take()})
+                  .ok());
+  Frame reply;
+  bool clean_eof = false;
+  ASSERT_TRUE(ReadFrame(*raw, &reply, &clean_eof).ok());
+  Result<RegisterOkMsg> from_raw = DecodeRegisterOk(reply);
+  ASSERT_TRUE(from_raw.ok()) << "reply type " << int{reply.type};
+  EXPECT_EQ(hits(), hits_before_raw);
+
+  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
+  ASSERT_TRUE(client.ok());
+  const std::uint64_t hits_before_client = hits();
+  Result<RegisterOkMsg> from_client = client->RegisterPremises(n, premises);
+  ASSERT_TRUE(from_client.ok());
+  EXPECT_EQ(hits(), hits_before_client + 1);
+
+  const std::uint64_t hits_before_local = hits();
+  ImplicationEngine engine;
+  Result<std::shared_ptr<const PreparedPremises>> local = engine.Prepare(n, premises);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(hits(), hits_before_local + 1);
+
+  EXPECT_EQ(from_raw->canonical_constraints, (*local)->masks().size());
+  EXPECT_EQ(from_client->canonical_constraints, (*local)->masks().size());
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

@@ -46,18 +46,20 @@ TEST(WireCodecTest, PingRoundTrip) {
 }
 
 TEST(WireCodecTest, RegisterPremisesRoundTrip) {
+  const ConstraintSet premises = {MakeConstraint({0}, {ItemSet{1}, ItemSet{2, 3}}),
+                                  MakeConstraint({1, 4}, {ItemSet{0}}),
+                                  MakeConstraint({2}, {})};
   RegisterPremisesMsg msg;
   msg.n = 5;
-  msg.premises = {MakeConstraint({0}, {ItemSet{1}, ItemSet{2, 3}}),
-                  MakeConstraint({1, 4}, {ItemSet{0}}),
-                  MakeConstraint({2}, {})};
+  msg.premises = PremiseMasks::Compile(premises);
   Result<RegisterPremisesMsg> decoded = DecodeRegisterPremises(EncodeRegisterPremises(msg));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->n, 5);
-  ASSERT_EQ(decoded->premises.size(), 3u);
-  for (std::size_t i = 0; i < msg.premises.size(); ++i) {
-    EXPECT_EQ(decoded->premises[i].lhs(), msg.premises[i].lhs());
-    EXPECT_EQ(decoded->premises[i].rhs(), msg.premises[i].rhs());
+  const ConstraintSet got = decoded->premises.Materialize();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < premises.size(); ++i) {
+    EXPECT_EQ(got[i].lhs(), premises[i].lhs());
+    EXPECT_EQ(got[i].rhs(), premises[i].rhs());
   }
 }
 
@@ -173,12 +175,13 @@ TEST(WireCodecTest, FullUniverseMasksRoundTripAtN64) {
   // The n = 64 boundary: FullMask(64) masks must survive the wire intact.
   RegisterPremisesMsg msg;
   msg.n = 64;
-  msg.premises = {DifferentialConstraint(ItemSet(FullMask(64)),
-                                         SetFamily({ItemSet(Mask{1} << 63)}))};
+  msg.premises = PremiseMasks::Compile({DifferentialConstraint(
+      ItemSet(FullMask(64)), SetFamily({ItemSet(Mask{1} << 63)}))});
   Result<RegisterPremisesMsg> decoded = DecodeRegisterPremises(EncodeRegisterPremises(msg));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->premises[0].lhs().bits(), ~Mask{0});
-  EXPECT_EQ(decoded->premises[0].rhs().members()[0].bits(), Mask{1} << 63);
+  const PremiseMasks::Premise& p = decoded->premises.premises[0];
+  EXPECT_EQ(p.lhs, ~Mask{0});
+  EXPECT_EQ(decoded->premises.family(p)[0], Mask{1} << 63);
 }
 
 // ------------------------------------------------ trace context (wire v3)
@@ -477,7 +480,7 @@ void ExpectTraceCutPointsRejected(
 TEST(TraceCutPointTest, RegisterPremisesRequest) {
   RegisterPremisesMsg msg;
   msg.n = 4;
-  msg.premises = {MakeConstraint({0}, {ItemSet{1}})};
+  msg.premises = PremiseMasks::Compile({MakeConstraint({0}, {ItemSet{1}})});
   msg.trace.trace_id_hi = 1;
   msg.trace.trace_id_lo = 2;
   msg.trace.parent_span_id = 3;

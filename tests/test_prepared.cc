@@ -178,9 +178,12 @@ TEST(PreparedPremisesTest, IdsAreProcessUnique) {
 }
 
 TEST(PreparedPremisesTest, InvalidUniverseSizeFails) {
-  EXPECT_EQ(PreparedPremises::Build(-1, {}).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(PreparedPremises::Build(65, {}).status().code(), StatusCode::kInvalidArgument);
-  Result<std::shared_ptr<const PreparedPremises>> empty = PreparedPremises::Build(0, {});
+  EXPECT_EQ(PreparedPremises::Build(-1, ConstraintSet{}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PreparedPremises::Build(65, ConstraintSet{}).status().code(),
+            StatusCode::kInvalidArgument);
+  Result<std::shared_ptr<const PreparedPremises>> empty =
+      PreparedPremises::Build(0, ConstraintSet{});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE((*empty)->masks().Materialize().empty());
 }

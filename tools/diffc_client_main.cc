@@ -9,40 +9,41 @@
 // prints one verdict per goal, releases the handle, and exits 0 when the
 // batch ran (regardless of verdicts), 1 on any transport/server error.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/parser.h"
+#include "flags.h"
 #include "lattice/universe.h"
 #include "net/client.h"
 
 namespace {
 
+using diffc::tools::ParseFlag;
+using diffc::tools::ParseIntFlag;
+
+constexpr char kProgram[] = "diffc_client";
+
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --server=ADDR ping [--nonce=N]\n"
-               "       %s --server=ADDR check --n=K\n"
+               "       %s --server=ADDR check --n=K   (K in 0..64)\n"
                "           --premises=TEXT | --premises-file=PATH\n"
                "           --goals=TEXT    | --goals-file=PATH\n"
                "           [--deadline-ms=N]\n"
                "resilience (both commands):\n"
                "           [--retries=N] [--retry-initial-ms=N] [--retry-budget-ms=N]\n"
                "           [--connect-timeout-ms=N] [--no-reconnect]\n"
+               "           (N is a whole integer, at least 1 for --retries and 0\n"
+               "           otherwise; a bad value exits 2)\n"
                "tracing (both commands):\n"
                "           [--trace]   force-sample the request end to end and print\n"
                "                       the trace id (look it up in diffcd's /tracez)\n",
                argv0, argv0);
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name, std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
 }
 
 bool ReadFileInto(const std::string& path, std::string* out) {
@@ -76,12 +77,13 @@ int main(int argc, char** argv) {
   std::string goals_text;
   long n = -1;
   long deadline_ms = 0;
-  std::uint64_t nonce = 42;
+  long nonce = 42;
   diffc::net::ClientOptions client_options;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string text;
+    long value = 0;
     if (ParseFlag(arg, "server", &server_address)) {
     } else if (ParseFlag(arg, "premises", &premises_text)) {
     } else if (ParseFlag(arg, "goals", &goals_text)) {
@@ -95,23 +97,17 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "diffc_client: cannot read %s\n", text.c_str());
         return 1;
       }
-    } else if (ParseFlag(arg, "n", &text)) {
-      n = std::strtol(text.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "deadline-ms", &text)) {
-      deadline_ms = std::strtol(text.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "nonce", &text)) {
-      nonce = std::strtoull(text.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "retries", &text)) {
-      client_options.retry.max_attempts = static_cast<int>(std::strtol(text.c_str(), nullptr, 10));
-    } else if (ParseFlag(arg, "retry-initial-ms", &text)) {
-      client_options.retry.initial_backoff =
-          std::chrono::milliseconds(std::strtol(text.c_str(), nullptr, 10));
-    } else if (ParseFlag(arg, "retry-budget-ms", &text)) {
-      client_options.retry.retry_budget =
-          std::chrono::milliseconds(std::strtol(text.c_str(), nullptr, 10));
-    } else if (ParseFlag(arg, "connect-timeout-ms", &text)) {
-      client_options.connect_timeout =
-          std::chrono::milliseconds(std::strtol(text.c_str(), nullptr, 10));
+    } else if (ParseIntFlag(kProgram, arg, "n", &n, /*min=*/0, /*max=*/64)) {
+    } else if (ParseIntFlag(kProgram, arg, "deadline-ms", &deadline_ms)) {
+    } else if (ParseIntFlag(kProgram, arg, "nonce", &nonce)) {
+    } else if (ParseIntFlag(kProgram, arg, "retries", &value, /*min=*/1, /*max=*/INT_MAX)) {
+      client_options.retry.max_attempts = static_cast<int>(value);
+    } else if (ParseIntFlag(kProgram, arg, "retry-initial-ms", &value)) {
+      client_options.retry.initial_backoff = std::chrono::milliseconds(value);
+    } else if (ParseIntFlag(kProgram, arg, "retry-budget-ms", &value)) {
+      client_options.retry.retry_budget = std::chrono::milliseconds(value);
+    } else if (ParseIntFlag(kProgram, arg, "connect-timeout-ms", &value)) {
+      client_options.connect_timeout = std::chrono::milliseconds(value);
     } else if (arg == "--no-reconnect") {
       client_options.reconnect = false;
     } else if (arg == "--trace") {
@@ -140,7 +136,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "ping") {
-    diffc::Result<std::uint64_t> echoed = client->Ping(nonce);
+    diffc::Result<std::uint64_t> echoed = client->Ping(static_cast<std::uint64_t>(nonce));
     if (!echoed.ok()) {
       std::fprintf(stderr, "diffc_client: %s\n", echoed.status().ToString().c_str());
       return 1;

@@ -7,15 +7,22 @@
 //   diffcd --listen=127.0.0.1:7411 --metrics=127.0.0.1:9095
 //          --threads=8 --max-inflight=16 --drain-ms=5000   (one command line)
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "flags.h"
 #include "net/server.h"
 
 namespace {
+
+using diffc::tools::ParseFlag;
+using diffc::tools::ParseIntFlag;
+
+constexpr char kProgram[] = "diffcd";
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -29,27 +36,6 @@ void Usage(const char* argv0) {
                "          [--trace_sample_rate=P] [--slow_query_ms=N]\n"
                "          [--trace_store_capacity=N]\n",
                argv0);
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name, std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
-// Parses `--name=N`; a value below `min` (or not an integer) exits 2.
-bool ParseIntFlag(const std::string& arg, const std::string& name, long* out, long min = 0) {
-  std::string text;
-  if (!ParseFlag(arg, name, &text)) return false;
-  char* end = nullptr;
-  long v = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v < min) {
-    std::fprintf(stderr, "diffcd: bad value for --%s: '%s'\n", name.c_str(), text.c_str());
-    std::exit(2);
-  }
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -66,15 +52,15 @@ int main(int argc, char** argv) {
       options.listen_address = text;
     } else if (ParseFlag(arg, "metrics", &text)) {
       options.metrics_address = text;
-    } else if (ParseIntFlag(arg, "threads", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "threads", &value, /*min=*/0, /*max=*/INT_MAX)) {
       options.engine.num_threads = static_cast<int>(value);
-    } else if (ParseIntFlag(arg, "max-inflight", &value, /*min=*/1)) {
+    } else if (ParseIntFlag(kProgram, arg, "max-inflight", &value, /*min=*/1)) {
       // 0 slots would refuse every batch.
       options.max_inflight_batches = static_cast<std::size_t>(value);
-    } else if (ParseIntFlag(arg, "max-handles", &value, /*min=*/1)) {
+    } else if (ParseIntFlag(kProgram, arg, "max-handles", &value, /*min=*/1)) {
       // 0 handles would refuse every REGISTER.
       options.max_handles_per_session = static_cast<std::size_t>(value);
-    } else if (ParseIntFlag(arg, "drain-ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "drain-ms", &value)) {
       options.drain_deadline = std::chrono::milliseconds(value);
     } else if (ParseFlag(arg, "trace_sample_rate", &text)) {
       char* end = nullptr;
@@ -85,9 +71,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.trace_sample_rate = rate;
-    } else if (ParseIntFlag(arg, "slow_query_ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "slow_query_ms", &value)) {
       options.slow_request_threshold = std::chrono::milliseconds(value);
-    } else if (ParseIntFlag(arg, "trace_store_capacity", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "trace_store_capacity", &value)) {
       options.trace_store_capacity = static_cast<std::size_t>(value);
     } else if (arg == "--trace") {
       options.trace_sample_rate = 1.0;
