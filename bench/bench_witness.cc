@@ -64,6 +64,25 @@ void BM_MinimalWitnessSets(benchmark::State& state) {
 }
 BENCHMARK(BM_MinimalWitnessSets)->Arg(2)->Arg(4)->Arg(8);
 
+// The mask-native core into buffers kept across calls, as interval cover
+// runs it inline: no allocation once the buffers have grown.
+void BM_MinimalWitnessMasks(benchmark::State& state) {
+  const int members = static_cast<int>(state.range(0));
+  Rng rng(members);
+  SetFamily fam = RandomFamily(rng, 20, members, 0.25);
+  WitnessScratch scratch;
+  WitnessSearchStats stats;
+  if (!MinimalWitnessMasks(fam, 1 << 20, &scratch, &stats).ok()) {
+    state.SkipWithError("search failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MinimalWitnessMasks(fam, 1 << 20, &scratch));
+  }
+  state.counters["leaves"] = static_cast<double>(stats.candidates);
+}
+BENCHMARK(BM_MinimalWitnessMasks)->Arg(2)->Arg(4)->Arg(8);
+
 void BM_DecompositionMembership(benchmark::State& state) {
   const int n = 32;
   Rng rng(3);

@@ -2,7 +2,7 @@
 // by the real encoders — the same messages the wire tests pin — so
 // coverage starts inside the accepting region instead of spending its
 // budget rediscovering the header format, plus structured instances for
-// the rewrite and decide targets. Run as:
+// the rewrite, decide and witness targets. Run as:
 //
 //   make_seed_corpus OUT_DIR
 //
@@ -84,6 +84,26 @@ std::vector<std::uint8_t> DecideInstance(int n, const DifferentialConstraint& go
   };
   put(goal);
   for (const DifferentialConstraint& c : premises) put(c);
+  return bytes;
+}
+
+// An instance in fuzz_witness's byte format: byte 0 picks n (1 + b % 64),
+// byte 1 is the leaf budget, then a position count, one byte per position,
+// and a 2-byte little-endian selector over the positions per member.
+std::vector<std::uint8_t> WitnessInstance(int n, std::uint8_t budget,
+                                          const std::vector<int>& positions,
+                                          const std::vector<unsigned>& selectors) {
+  if (n < 1 || n > 64 || positions.size() > 12) {
+    std::fprintf(stderr, "make_seed_corpus: witness instance out of range\n");
+    std::exit(1);
+  }
+  std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(n - 1), budget,
+                                  static_cast<std::uint8_t>(positions.size())};
+  for (int p : positions) bytes.push_back(static_cast<std::uint8_t>(p));
+  for (unsigned selector : selectors) {
+    bytes.push_back(static_cast<std::uint8_t>(selector & 0xff));
+    bytes.push_back(static_cast<std::uint8_t>((selector >> 8) & 0xff));
+  }
   return bytes;
 }
 
@@ -241,6 +261,21 @@ int main(int argc, char** argv) {
               DecideInstance(6, ParseConstraintSet(u6, "A -> {E}")->front(),
                              *ParseConstraintSet(u6, "A -> {B}; B -> {C}; CD -> {E}")));
   }
+
+  // ---- witness: families over a few positions, with the leaf budget
+  // below, at and above the search's leaf count.
+  WriteSeed("witness", "paper_example",  // {B, CD}: minimal witnesses BC, BD.
+            WitnessInstance(4, 255, {1, 2, 3}, {0b001, 0b110}));
+  WriteSeed("witness", "disjoint_pairs_over_budget",  // 8 leaves, budget 7.
+            WitnessInstance(16, 7, {0, 1, 2, 3, 4, 5}, {0b11, 0b1100, 0b110000}));
+  WriteSeed("witness", "nested_repeated_empty",  // A superset, a repeat, then ∅.
+            WitnessInstance(8, 4, {0, 1, 2, 3}, {0b0011, 0b0111, 0b0011, 0b1100, 0}));
+  WriteSeed("witness", "n64_high_bits",  // Positions 63, 62, 40 and 0.
+            WitnessInstance(64, 255, {63, 62, 40, 0}, {0b0011, 0b0110, 0b1001}));
+  WriteSeed("witness", "empty_family",  // W(∅) = {∅}: one leaf, budget 0.
+            WitnessInstance(5, 0, {}, {}));
+  WriteSeed("witness", "shared_bits",  // Overlapping members reach leaves twice.
+            WitnessInstance(6, 255, {0, 1, 2, 3, 4}, {0b00011, 0b00110, 0b01001, 0b10100}));
 
   // ---- text_parser: leading universe-size byte + constraint text.
   WriteText("text_parser", "basic", std::string(1, 4) + "A -> {B}; AB -> {C, BC}");

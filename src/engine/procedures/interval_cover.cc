@@ -3,10 +3,18 @@
 
 #include "engine/caches.h"
 #include "engine/procedures/procedure.h"
+#include "lattice/hitting_set.h"
 
 namespace diffc {
 
 namespace {
+
+// Goal families whose leaf bound (`WitnessLeafBound`) is at most this are
+// searched inline, with no lock and no allocation. Larger ones go through
+// the process-wide witness-set cache, which amortizes their search and
+// caches a blown budget negatively. DESIGN.md §10 has the measurements
+// behind the value.
+constexpr std::uint64_t kInlineLeafBound = 64;
 
 // True iff `s` came from a fired StopCheck (as opposed to a budget-
 // truncated enumeration, which is a property of the family, not the query).
@@ -14,10 +22,47 @@ bool IsStopStatus(const Status& s) {
   return s.code() == StatusCode::kDeadlineExceeded || s.code() == StatusCode::kCancelled;
 }
 
+Mask Bits(Mask w) { return w; }
+Mask Bits(const ItemSet& w) { return w.bits(); }
+
+// Covers the goal's L(X, Y) by the intervals [X, S∖W] of its minimal
+// witness sets `witnesses` (masks or `ItemSet`s), in their sorted order.
+template <typename Witnesses>
+Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const ProcedureQuery& query,
+                                          const Witnesses& witnesses, StopCheck* stop) {
+  const Mask x = query.goal->lhs().bits();
+  ImplicationOutcome out;
+  out.SetUnknown();
+  bool every_interval_covered = true;
+  for (const auto& witness : witnesses) {
+    if (Status s = stop->Check(); !s.ok()) return s;
+    const Mask w = Bits(witness);
+    if ((x & w) != 0) continue;  // Empty interval.
+    const Mask top = FullMask(query.n) & ~w;
+    // `top` ∈ L(X, Y): X ⊆ top, and no goal member fits inside top
+    // because W hits every member. If no premise excludes it, it is a
+    // counterexample and the goal is not implied.
+    if (!InConstraintLattice(masks, top)) {
+      out.SetNotImplied(ItemSet(top));
+      return out;
+    }
+    // Single-premise coverage of the whole interval [X, top]:
+    // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
+    // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs.
+    const bool covered =
+        std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
+          return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
+        });
+    if (!covered) every_interval_covered = false;
+  }
+  if (every_interval_covered) out.SetImplied();
+  return out;
+}
+
 }  // namespace
 
-/// Interval cover over the cached minimal witness sets of the goal's
-/// right-hand family: L(X, Y) = ∪_{W minimal} [X, S∖W] (Definition 2.6).
+/// Interval cover over the minimal witness sets of the goal's right-hand
+/// family: L(X, Y) = ∪_{W minimal} [X, S∖W] (Definition 2.6).
 /// Sound in both directions when conclusive:
 ///   - an interval top S∖W outside L(C) is itself a counterexample;
 ///   - if every nonempty interval is covered by a single premise's
@@ -40,6 +85,18 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {
     const DifferentialConstraint& goal = *query.goal;
+    ImplicationOutcome unknown;
+    unknown.SetUnknown();
+    if (WitnessLeafBound(goal.rhs(), kInlineLeafBound) <= kInlineLeafBound) {
+      // Small family: search it here, into this thread's buffers.
+      thread_local WitnessScratch scratch;
+      Status s = MinimalWitnessMasks(goal.rhs(), ctx->budgets.witness_max_results, &scratch,
+                                     nullptr, ctx->stop);
+      if (IsStopStatus(s)) return s;
+      // A truncated enumeration is inconclusive here; complete SAT decides.
+      if (!s.ok()) return unknown;
+      return CoverIntervals(premises.masks(), query, scratch.witnesses, ctx->stop);
+    }
     ctx->stats->witness_cache_used = true;
     std::shared_ptr<const WitnessSetCache::Entry> entry;
     {
@@ -48,38 +105,10 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
                                           &ctx->stats->witness_cache_hit, ctx->stop);
     }
     if (IsStopStatus(entry->status)) return entry->status;
-    ImplicationOutcome out;
-    out.SetUnknown();
-    if (!entry->status.ok()) {
-      // Witness enumeration exhausted its budget (cached negatively):
-      // inconclusive here, complete SAT decides.
-      return out;
-    }
-    const PremiseMasks& masks = premises.masks();
-    const Mask x = goal.lhs().bits();
-    bool every_interval_covered = true;
-    for (const ItemSet& w : entry->witnesses) {
-      if (Status s = ctx->stop->Check(); !s.ok()) return s;
-      if ((x & w.bits()) != 0) continue;  // Empty interval.
-      const Mask top = FullMask(query.n) & ~w.bits();
-      // `top` ∈ L(X, Y): X ⊆ top, and no goal member fits inside top
-      // because W hits every member. If no premise excludes it, it is a
-      // counterexample and the goal is not implied.
-      if (!InConstraintLattice(masks, top)) {
-        out.SetNotImplied(ItemSet(top));
-        return out;
-      }
-      // Single-premise coverage of the whole interval [X, top]:
-      // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
-      // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs.
-      const bool covered =
-          std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
-            return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
-          });
-      if (!covered) every_interval_covered = false;
-    }
-    if (every_interval_covered) out.SetImplied();
-    return out;
+    // Witness enumeration exhausted its budget (cached negatively):
+    // inconclusive here, complete SAT decides.
+    if (!entry->status.ok()) return unknown;
+    return CoverIntervals(premises.masks(), query, entry->witnesses, ctx->stop);
   }
 };
 

@@ -1,7 +1,7 @@
 #include "lattice/hitting_set.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -20,15 +20,16 @@ struct WitnessMetrics {
 
   WitnessMetrics() {
     obs::Registry& r = obs::Registry::Global();
-    searches =
-        r.GetCounter("diffc_witness_searches_total", "MinimalWitnessSets() calls.");
+    searches = r.GetCounter("diffc_witness_searches_total",
+                            "Minimal-witness-set searches (MinimalWitnessMasks calls).");
     nodes = r.GetCounter("diffc_witness_nodes_total",
                          "Transversal search tree nodes visited.");
-    candidates = r.GetCounter("diffc_witness_candidates_total",
-                              "Candidate transversals emitted by the search.");
+    candidates =
+        r.GetCounter("diffc_witness_candidates_total",
+                     "Search leaves (complete transversals, before the minimality test).");
     truncations =
         r.GetCounter("diffc_witness_truncations_total",
-                     "Searches aborted by the candidate budget (ResourceExhausted).");
+                     "Searches aborted by the leaf budget (ResourceExhausted).");
   }
 };
 
@@ -81,25 +82,49 @@ Result<std::vector<ItemSet>> AllWitnessSets(const SetFamily& family, int max_uni
   return out;
 }
 
+std::uint64_t WitnessLeafBound(const SetFamily& family, std::uint64_t cap) {
+  std::uint64_t bound = 1;
+  for (const ItemSet& m : family.members()) {
+    const auto size = static_cast<std::uint64_t>(m.size());
+    if (size != 0 && bound > cap / size) return cap + 1;
+    bound *= size;
+  }
+  return bound;
+}
+
 namespace {
 
-// Depth-first minimal-transversal enumeration. `members` is the minimized
-// antichain; `chosen` hits members[0..idx). At each step, branch on the
-// elements of the first member not yet hit. An element is skipped when some
-// already-chosen element would become redundant, which prunes (most)
-// non-minimal candidates; a final antichain filter guarantees minimality.
+// Depth-first minimal-transversal enumeration over the minimal members.
+// `chosen` hits members[0..idx); each node branches on the bits of the
+// first member it misses, so every minimal transversal is reached (follow
+// its own bits) and every leaf is a transversal. Leaves are kept iff
+// minimal; one minimal transversal can be reached along several paths, so
+// the caller sorts and deduplicates.
 struct TransversalSearch {
-  const std::vector<ItemSet>* members;
-  std::unordered_set<Mask> seen;
-  std::vector<ItemSet> results;
+  TransversalSearch(const std::vector<Mask>& members, std::vector<Mask>& out,
+                    std::size_t max_results, StopCheck* stop)
+      : members(members), out(out), max_results(max_results), stop(stop) {}
+
+  const std::vector<Mask>& members;
+  std::vector<Mask>& out;
   std::size_t max_results;
+  StopCheck* stop;
   WitnessSearchStats stats;
   bool overflow = false;
-  StopCheck* stop = nullptr;
   Status stop_status;
 
-  void Run(ItemSet chosen, size_t idx) {
-    if (overflow || !stop_status.ok()) return;
+  // A transversal is minimal iff each chosen bit is the only chosen bit of
+  // some member: dropping that bit would leave the member unhit.
+  bool IsMinimal(Mask chosen) const {
+    Mask needed = 0;
+    for (Mask y : members) {
+      const Mask h = y & chosen;
+      if ((h & (h - 1)) == 0) needed |= h;
+    }
+    return needed == chosen;
+  }
+
+  void Run(Mask chosen, std::size_t idx) {
     if (stop != nullptr) {
       Status s = stop->Check();
       if (!s.ok()) {
@@ -108,33 +133,33 @@ struct TransversalSearch {
       }
     }
     ++stats.nodes;
-    // Find the first member not hit by `chosen`.
-    while (idx < members->size() && !(*members)[idx].Intersect(chosen).empty()) ++idx;
-    if (idx == members->size()) {
-      if (seen.insert(chosen.bits()).second) {
-        if (results.size() >= max_results) {
-          overflow = true;
-          return;
-        }
-        ++stats.candidates;
-        results.push_back(chosen);
+    while (idx < members.size() && (members[idx] & chosen) != 0) ++idx;
+    if (idx == members.size()) {
+      if (stats.candidates >= max_results) {
+        overflow = true;
+        return;
       }
+      ++stats.candidates;
+      if (IsMinimal(chosen)) out.push_back(chosen);
       return;
     }
-    ForEachBit((*members)[idx].bits(),
-               [&](int b) { Run(chosen.Union(ItemSet::Singleton(b)), idx + 1); });
+    for (Mask rest = members[idx]; rest != 0; rest &= rest - 1) {
+      Run(chosen | (Mask{1} << LowestBit(rest)), idx + 1);
+      if (overflow || !stop_status.ok()) return;
+    }
   }
 };
 
 }  // namespace
 
-Result<std::vector<ItemSet>> MinimalWitnessSets(const SetFamily& family,
-                                                std::size_t max_results,
-                                                WitnessSearchStats* stats,
-                                                StopCheck* stop) {
+Status MinimalWitnessMasks(const SetFamily& family, std::size_t max_results,
+                           WitnessScratch* scratch, WitnessSearchStats* stats,
+                           StopCheck* stop) {
+  scratch->witnesses.clear();
   if (family.HasEmptyMember()) {
+    if (stats != nullptr) *stats = WitnessSearchStats{};
     FlushSearchMetrics(WitnessSearchStats{}, /*truncated=*/false);
-    return std::vector<ItemSet>{};
+    return Status::Ok();
   }
   if (DIFFC_FAILPOINT("witness/truncate")) {
     if (stats != nullptr) *stats = WitnessSearchStats{};
@@ -142,42 +167,44 @@ Result<std::vector<ItemSet>> MinimalWitnessSets(const SetFamily& family,
     return Status::ResourceExhausted(
         "failpoint witness/truncate: candidate transversal budget exceeded");
   }
-  SetFamily minimized = family.Minimized();
-  TransversalSearch search;
-  search.members = &minimized.members();
-  search.max_results = max_results;
-  search.stop = stop;
-  search.Run(ItemSet(), 0);
+  // Members are sorted by mask and a subset never has the larger mask, so
+  // one pass against the members kept so far leaves the minimal ones.
+  std::vector<Mask>& members = scratch->members;
+  members.clear();
+  for (const ItemSet& m : family.members()) {
+    const bool minimal = std::none_of(members.begin(), members.end(),
+                                      [&](Mask kept) { return IsSubset(kept, m.bits()); });
+    if (minimal) members.push_back(m.bits());
+  }
+  TransversalSearch search(members, scratch->witnesses, max_results, stop);
+  search.Run(0, 0);
   if (stats != nullptr) *stats = search.stats;
   FlushSearchMetrics(search.stats, search.overflow);
   if (!search.stop_status.ok()) return search.stop_status;
   if (search.overflow) {
     // A truncated enumeration is an error, never a partial answer: callers
-    // (decomposition covers, the implication engine's witness cache) would
-    // otherwise treat an incomplete transversal antichain as complete.
+    // (decomposition covers, the implication engine's interval cover)
+    // would otherwise treat an incomplete transversal antichain as complete.
     return Status::ResourceExhausted("more than " + std::to_string(max_results) +
                                      " candidate transversals");
   }
-  // The branch-and-extend search can emit non-minimal transversals (an early
-  // choice may be subsumed by later forced choices); keep the antichain.
-  std::vector<ItemSet>& cands = search.results;
-  std::sort(cands.begin(), cands.end(), [](const ItemSet& a, const ItemSet& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
-  });
-  std::vector<ItemSet> minimal;
-  for (const ItemSet& c : cands) {
-    bool dominated = false;
-    for (const ItemSet& m : minimal) {
-      if (m.IsSubsetOf(c)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) minimal.push_back(c);
-  }
-  std::sort(minimal.begin(), minimal.end());
-  return minimal;
+  std::vector<Mask>& out = scratch->witnesses;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return Status::Ok();
+}
+
+Result<std::vector<ItemSet>> MinimalWitnessSets(const SetFamily& family,
+                                                std::size_t max_results,
+                                                WitnessSearchStats* stats,
+                                                StopCheck* stop) {
+  WitnessScratch scratch;
+  Status s = MinimalWitnessMasks(family, max_results, &scratch, stats, stop);
+  if (!s.ok()) return s;
+  std::vector<ItemSet> out;
+  out.reserve(scratch.witnesses.size());
+  for (Mask w : scratch.witnesses) out.push_back(ItemSet(w));
+  return out;
 }
 
 }  // namespace diffc

@@ -32,22 +32,49 @@ Result<std::vector<ItemSet>> AllWitnessSets(const SetFamily& family,
 struct WitnessSearchStats {
   /// Branch-and-extend nodes visited.
   std::uint64_t nodes = 0;
-  /// Candidate transversals emitted before the antichain filter.
+  /// Leaves reached: complete transversals, counted before the minimality
+  /// test and with repeats. This is the count `max_results` caps.
   std::uint64_t candidates = 0;
 };
 
+/// ∏|Y_i| over the members of `family`: an upper bound on the leaves of the
+/// transversal search below, and so on its minimal witness sets. O(|Y|);
+/// returns `cap + 1` as soon as a partial product exceeds `cap`.
+std::uint64_t WitnessLeafBound(const SetFamily& family, std::uint64_t cap);
+
+/// Caller-owned buffers of `MinimalWitnessMasks`. A caller that keeps one
+/// across calls allocates nothing once the vectors have grown.
+struct WitnessScratch {
+  /// The ⊆-minimal members of the family last searched, sorted by mask.
+  std::vector<Mask> members;
+  /// The minimal witness sets found by the last successful call, sorted by
+  /// mask.
+  std::vector<Mask> witnesses;
+};
+
 /// The ⊆-minimal witness sets of `family` (the minimal transversal
-/// antichain), sorted by mask. Every witness set is a superset of a minimal
-/// one, so these generate the lattice decomposition's interval cover.
-/// Computed by branch-and-extend over the members; `max_results` bounds the
-/// output.
+/// antichain) into `scratch->witnesses`, sorted by mask. Every witness set
+/// is a superset of a minimal one, so these generate the lattice
+/// decomposition's interval cover.
 ///
-/// Truncation is never silent: when the candidate budget is exceeded the
-/// result is a ResourceExhausted *error* — callers must not treat it as a
-/// (partial) answer. `stats`, when non-null, receives the work counters
-/// even on the error path. `stop`, when non-null, is checked (amortized) at
-/// every search node; a fired deadline / cancel token aborts the search and
-/// its status is returned.
+/// Branch-and-extend over the family's minimal members, on masks: each
+/// node branches on the bits of the first member it misses, and a leaf is
+/// kept iff every chosen bit is the only chosen bit of some member (its
+/// private member), which is exactly when no bit can be dropped.
+///
+/// `max_results` caps the leaves (`WitnessSearchStats::candidates`), so it
+/// bounds the search's work as well as its output. Truncation is never
+/// silent: past the cap the result is a ResourceExhausted *error*, and
+/// callers must not treat `scratch->witnesses` as a (partial) answer.
+/// `stats`, when non-null, receives the work counters even on the error
+/// path. `stop`, when non-null, is checked (amortized) at every search
+/// node; a fired deadline / cancel token aborts the search and its status
+/// is returned. A family with an empty member has no witness sets.
+Status MinimalWitnessMasks(const SetFamily& family, std::size_t max_results,
+                           WitnessScratch* scratch, WitnessSearchStats* stats = nullptr,
+                           StopCheck* stop = nullptr);
+
+/// `MinimalWitnessMasks` with its own buffers, as `ItemSet`s.
 Result<std::vector<ItemSet>> MinimalWitnessSets(const SetFamily& family,
                                                 std::size_t max_results = 1 << 20,
                                                 WitnessSearchStats* stats = nullptr,

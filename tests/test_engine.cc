@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/implication.h"
@@ -19,6 +20,7 @@
 #include "engine/implication_engine.h"
 #include "engine/procedures/procedure.h"
 #include "engine/worker_pool.h"
+#include "lattice/hitting_set.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "prop/tautology.h"
@@ -151,15 +153,24 @@ TEST(ImplicationEngineTest, StressSameBatchRepeatedlyOnAllThreadCounts) {
   }
 }
 
+// Seven disjoint pairs: 2^7 = 128 search leaves, above interval cover's
+// inline bound of 64, so the goal's family goes through the witness cache.
+SetFamily SevenPairs() {
+  std::vector<ItemSet> members;
+  for (int i = 0; i < 7; ++i) members.push_back(ItemSet{1 + 2 * i, 2 + 2 * i});
+  return SetFamily(std::move(members));
+}
+
 TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
   GlobalWitnessSetCache().Clear();
-  const int n = 10;
-  ConstraintSet premises{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 2}, ItemSet{3}}))};
+  const int n = 20;
+  const SetFamily rhs = SevenPairs();
+  ASSERT_GT(WitnessLeafBound(rhs, 64), 64u);
+  ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
   // 32 goals sharing one right-hand family → 1 miss, then hits.
   std::vector<DifferentialConstraint> goals;
-  SetFamily rhs({ItemSet{1, 2}, ItemSet{3}});
   for (int i = 0; i < 32; ++i) {
-    goals.push_back(DifferentialConstraint(ItemSet{0}.Union(ItemSet::Singleton(4 + i % 5)), rhs));
+    goals.push_back(DifferentialConstraint(ItemSet{0}.Union(ItemSet::Singleton(15 + i % 5)), rhs));
   }
   ImplicationEngine engine;
   Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
@@ -171,6 +182,121 @@ TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
     ASSERT_TRUE(r.status.ok());
     EXPECT_TRUE(r.outcome.implied);
     EXPECT_EQ(r.stats.procedure, DecisionProcedure::kIntervalCover);
+    EXPECT_TRUE(r.stats.witness_cache_used);
+  }
+}
+
+TEST(ImplicationEngineTest, SmallFamiliesBypassTheWitnessCache) {
+  // {1,2}, {3}: two search leaves, far under the inline bound.
+  const int n = 8;
+  const SetFamily rhs({ItemSet{1, 2}, ItemSet{3}});
+  ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
+  std::vector<DifferentialConstraint> goals;
+  for (int i = 0; i < 8; ++i) {
+    goals.push_back(DifferentialConstraint(ItemSet{0}.Union(ItemSet::Singleton(4 + i % 4)), rhs));
+  }
+  // A goal the cover refutes: its one minimal witness {0, 3} makes the
+  // interval top S∖{0, 3}, which misses the premise's lhs.
+  goals.push_back(DifferentialConstraint(ItemSet{4}, SetFamily({ItemSet{0}, ItemSet{3}})));
+  GlobalWitnessSetCache().Clear();
+  const CacheCounters before = GlobalWitnessSetCache().counters();
+  const obs::Counter* searches = RegistryCounter("diffc_witness_searches_total");
+  const std::uint64_t searches0 = searches->Value();
+  ImplicationEngine engine;
+  Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
+  ASSERT_TRUE(out.ok());
+  const CacheCounters after = GlobalWitnessSetCache().counters();
+  EXPECT_EQ(GlobalWitnessSetCache().size(), 0u);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(out->stats.witness_cache_hits + out->stats.witness_cache_misses, 0u);
+  // Each goal still ran its own search.
+  EXPECT_GE(searches->Value() - searches0, goals.size());
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    const EngineQueryResult& r = out->results[i];
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.stats.procedure, DecisionProcedure::kIntervalCover);
+    EXPECT_FALSE(r.stats.witness_cache_used);
+    EXPECT_FALSE(r.stats.witness_cache_hit);
+    Result<ImplicationOutcome> seq = CheckImplication(n, premises, goals[i]);
+    ASSERT_TRUE(seq.ok());
+    EXPECT_EQ(r.outcome.implied, seq->implied);
+    if (!r.outcome.implied) {
+      ASSERT_TRUE(r.outcome.counterexample.has_value());
+      ExpectValidCounterexample(n, premises, goals[i], *r.outcome.counterexample);
+    }
+  }
+  EXPECT_FALSE(out->results.back().outcome.implied);
+}
+
+TEST(ImplicationEngineTest, InlineWitnessBudgetCountsLeaves) {
+  // Disjoint members {1,2}, {3,4}, {5}: the search's 2·2·1 = 4 leaves are
+  // four distinct minimal witness sets. A budget of 3 truncates the inline
+  // search and hands the goal to sat; a budget of 4 lets the cover decide.
+  const int n = 8;
+  const SetFamily rhs({ItemSet{1, 2}, ItemSet{3, 4}, ItemSet{5}});
+  ASSERT_EQ(WitnessLeafBound(rhs, 64), 4u);
+  Result<std::vector<ItemSet>> witnesses = MinimalWitnessSets(rhs);
+  ASSERT_TRUE(witnesses.ok());
+  ASSERT_EQ(witnesses->size(), 4u);
+  const ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
+  const DifferentialConstraint implied(ItemSet{0, 6}, rhs);
+  // L({1} -> {{0}}) needs 1: the first witness {1, 3, 5} refutes the goal.
+  const ConstraintSet refuting{DifferentialConstraint(ItemSet{1}, SetFamily({ItemSet{0}}))};
+  const DifferentialConstraint refuted(ItemSet{6}, rhs);
+  for (std::size_t budget : {3u, 4u}) {
+    EngineOptions opts;
+    opts.witness_max_results = budget;
+    ImplicationEngine engine(opts);
+    const DecisionProcedure expected =
+        budget < 4 ? DecisionProcedure::kSat : DecisionProcedure::kIntervalCover;
+    EngineQueryResult yes = engine.CheckOne(n, premises, implied);
+    ASSERT_TRUE(yes.status.ok()) << yes.status.ToString();
+    EXPECT_TRUE(yes.outcome.implied);
+    EXPECT_EQ(yes.stats.procedure, expected) << "budget " << budget;
+    EngineQueryResult no = engine.CheckOne(n, refuting, refuted);
+    ASSERT_TRUE(no.status.ok()) << no.status.ToString();
+    EXPECT_FALSE(no.outcome.implied);
+    EXPECT_EQ(no.stats.procedure, expected) << "budget " << budget;
+    EXPECT_FALSE(yes.stats.witness_cache_used);
+    EXPECT_FALSE(no.stats.witness_cache_used);
+  }
+}
+
+TEST(ImplicationEngineTest, GoalOutsideTheUniverseIsInvalidArgument) {
+  // Bit 5 lies outside n = 4. Each goal used to reach a different
+  // procedure: fd-subclass and interval cover answered Internal (no valid
+  // counterexample), sat answered implied.
+  const int n = 4;
+  const ConstraintSet fd_premises{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
+  const ConstraintSet cover_premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}}))};
+  const DifferentialConstraint lhs_outside(ItemSet{0, 5}, SetFamily({ItemSet{2}}));
+  const DifferentialConstraint lhs_outside_cover(ItemSet{0, 5},
+                                                 SetFamily({ItemSet{3}, ItemSet{1}}));
+  const DifferentialConstraint member_outside(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2, 5}}));
+  for (std::size_t budget : {std::size_t{4096}, std::size_t{0}}) {
+    EngineOptions opts;
+    opts.witness_max_results = budget;
+    ImplicationEngine engine(opts);
+    for (const auto& [premises, goal, part] :
+         {std::tuple{fd_premises, lhs_outside, "lhs mask"},
+          std::tuple{cover_premises, lhs_outside_cover, "lhs mask"},
+          std::tuple{cover_premises, member_outside, "family member"}}) {
+      EngineQueryResult r = engine.CheckOne(n, premises, goal);
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << r.status.ToString();
+      EXPECT_EQ(r.status.message(), std::string("goal ") + part +
+                                        " has attributes outside the 4-attribute universe");
+      EXPECT_EQ(r.stats.procedure, DecisionProcedure::kNone);
+    }
+    // In a batch the rejection is per query.
+    const DifferentialConstraint inside(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}}));
+    Result<BatchOutcome> out = engine.CheckBatch(n, cover_premises, {lhs_outside_cover, inside});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->results[0].status.code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(out->results[1].status.ok());
+    EXPECT_TRUE(out->results[1].outcome.implied);
   }
 }
 

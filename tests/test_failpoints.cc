@@ -138,21 +138,32 @@ ConstraintSet CoveringPremises() {
   return ConstraintSet{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
 }
 
+// A goal whose right-hand family has seven disjoint pairs: 2^7 = 128
+// search leaves, above interval cover's inline bound of 64, so its witness
+// sets come from the process-wide cache. The premise is the goal itself.
+DifferentialConstraint CachedFamilyGoal() {
+  std::vector<ItemSet> members;
+  for (int i = 0; i < 7; ++i) members.push_back(ItemSet{1 + 2 * i, 2 + 2 * i});
+  return DifferentialConstraint(ItemSet{0}, SetFamily(std::move(members)));
+}
+
 TEST_F(FailpointTest, WitnessTruncationFallsBackToSat) {
-  const int n = 6;
+  const int n = 16;
+  const ConstraintSet premises{CachedFamilyGoal()};
   ImplicationEngine engine;
   GlobalWitnessSetCache().Clear();
 
-  // Baseline: the fast path answers this query.
-  EngineQueryResult baseline = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  // Baseline: the fast path answers this query from the cache path.
+  EngineQueryResult baseline = engine.CheckOne(n, premises, CachedFamilyGoal());
   ASSERT_TRUE(baseline.status.ok());
   EXPECT_TRUE(baseline.outcome.implied);
   EXPECT_EQ(baseline.stats.procedure, DecisionProcedure::kIntervalCover);
+  EXPECT_TRUE(baseline.stats.witness_cache_used);
 
   GlobalWitnessSetCache().Clear();
   const std::uint64_t fires0 = FiresCounter("witness/truncate")->Value();
   failpoint::Arm("witness/truncate", failpoint::Spec::Always());
-  EngineQueryResult r = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  EngineQueryResult r = engine.CheckOne(n, premises, CachedFamilyGoal());
   EXPECT_GT(failpoint::TripCount("witness/truncate"), 0u);
   // Every trip of the compiled-in site reached the registry series.
   EXPECT_EQ(FiresCounter("witness/truncate")->Value(),
@@ -161,10 +172,34 @@ TEST_F(FailpointTest, WitnessTruncationFallsBackToSat) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_TRUE(r.outcome.implied);
   EXPECT_EQ(r.stats.procedure, DecisionProcedure::kSat);
+  EXPECT_TRUE(r.stats.witness_cache_used);
+}
+
+TEST_F(FailpointTest, WitnessTruncationFiresOnTheInlinePath) {
+  const int n = 6;
+  ImplicationEngine engine;
+  GlobalWitnessSetCache().Clear();
+
+  // Baseline: a one-leaf family, searched inline, answers by the cover.
+  EngineQueryResult baseline = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  ASSERT_TRUE(baseline.status.ok());
+  EXPECT_TRUE(baseline.outcome.implied);
+  EXPECT_EQ(baseline.stats.procedure, DecisionProcedure::kIntervalCover);
+  EXPECT_FALSE(baseline.stats.witness_cache_used);
+
+  failpoint::Arm("witness/truncate", failpoint::Spec::Always());
+  EngineQueryResult r = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  EXPECT_GT(failpoint::TripCount("witness/truncate"), 0u);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_TRUE(r.outcome.implied);
+  EXPECT_EQ(r.stats.procedure, DecisionProcedure::kSat);
+  EXPECT_FALSE(r.stats.witness_cache_used);
+  EXPECT_EQ(GlobalWitnessSetCache().size(), 0u);
 }
 
 TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
-  const int n = 6;
+  const int n = 16;
+  const ConstraintSet premises{CachedFamilyGoal()};
   ImplicationEngine engine;
   GlobalWitnessSetCache().Clear();
   GlobalPreparedPremisesCache().Clear();
@@ -172,12 +207,14 @@ TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
   failpoint::Arm("cache/premise-insert", failpoint::Spec::Always());
 
   for (int i = 0; i < 2; ++i) {
-    EngineQueryResult r = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+    EngineQueryResult r = engine.CheckOne(n, premises, CachedFamilyGoal());
     ASSERT_TRUE(r.status.ok());
     EXPECT_TRUE(r.outcome.implied);
     // Never a cache hit: every insert is dropped, so each query recomputes.
+    EXPECT_TRUE(r.stats.witness_cache_used);
     EXPECT_FALSE(r.stats.witness_cache_hit);
   }
+  EXPECT_GT(failpoint::TripCount("cache/witness-insert"), 0u);
   EXPECT_EQ(GlobalWitnessSetCache().size(), 0u);
   EXPECT_EQ(GlobalPreparedPremisesCache().size(), 0u);
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <vector>
 
 #include "lattice/decomposition.h"
 #include "lattice/hitting_set.h"
@@ -85,6 +87,21 @@ TEST(MinimalWitnessTest, EmptyMemberYieldsNone) {
   EXPECT_TRUE(mins->empty());
 }
 
+// The ⊆-minimal elements of `AllWitnessSets(fam)`: the brute-force oracle
+// of the transversal search.
+std::vector<ItemSet> BruteForceMinimalWitnesses(const SetFamily& fam) {
+  Result<std::vector<ItemSet>> all = AllWitnessSets(fam);
+  EXPECT_TRUE(all.ok());
+  std::vector<ItemSet> minimal;
+  for (const ItemSet& w : *all) {
+    const bool dominated = std::any_of(all->begin(), all->end(), [&](const ItemSet& w2) {
+      return w2 != w && w2.IsSubsetOf(w);
+    });
+    if (!dominated) minimal.push_back(w);
+  }
+  return minimal;
+}
+
 // Property: minimal witness sets = ⊆-minimal elements of AllWitnessSets,
 // on random families.
 class MinimalWitnessProperty : public ::testing::TestWithParam<int> {};
@@ -95,26 +112,93 @@ TEST_P(MinimalWitnessProperty, MatchesBruteForce) {
   for (int iter = 0; iter < 20; ++iter) {
     int members = static_cast<int>(rng.UniformInt(0, 4));
     SetFamily fam = SetFamily::FromMasks(rng.RandomFamily(n, members, 0.35));
-    Result<std::vector<ItemSet>> all = AllWitnessSets(fam);
-    ASSERT_TRUE(all.ok());
-    std::vector<ItemSet> expected;
-    for (const ItemSet& w : *all) {
-      bool minimal = true;
-      for (const ItemSet& w2 : *all) {
-        if (w2 != w && w2.IsSubsetOf(w)) {
-          minimal = false;
-          break;
-        }
-      }
-      if (minimal) expected.push_back(w);
-    }
     Result<std::vector<ItemSet>> mins = MinimalWitnessSets(fam);
     ASSERT_TRUE(mins.ok());
-    EXPECT_EQ(*mins, expected);
+    EXPECT_EQ(*mins, BruteForceMinimalWitnesses(fam));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimalWitnessProperty, ::testing::Range(1, 9));
+
+// The mask-native core against the brute-force oracle on families drawn
+// over up to 12 positions of a universe of 7, 12 or 64 attributes (bit 63
+// included), with empty members, repeated members and supersets of other
+// members mixed in. One scratch serves every call, as interval cover's
+// per-thread buffers do. Also checks the leaf budget: a search succeeds at
+// a budget of exactly its leaf count and is ResourceExhausted one below.
+TEST(MinimalWitnessOracleTest, CoreMatchesBruteForce) {
+  Rng rng(20261017);
+  WitnessScratch scratch;
+  int empty_members = 0, repeats = 0, supersets = 0, wide = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const int n = std::array<int, 3>{7, 12, 64}[iter % 3];
+    // The positions members are drawn from: at most 12, so AllWitnessSets
+    // stays small; for n = 64 spread over the whole word.
+    Mask pool = 0;
+    const int positions = static_cast<int>(rng.UniformInt(1, std::min(n, 12)));
+    while (Popcount(pool) < positions) {
+      pool |= Mask{1} << (Popcount(pool) == 0 && n == 64 ? 63 : rng.UniformInt(0, n - 1));
+    }
+    std::vector<ItemSet> members;
+    const int count = static_cast<int>(rng.UniformInt(0, 6));
+    for (int i = 0; i < count; ++i) {
+      const double shape = rng.UniformDouble();
+      if (shape < 0.05) {
+        members.push_back(ItemSet());
+        ++empty_members;
+      } else if (shape < 0.15 && !members.empty()) {
+        members.push_back(members[rng.UniformInt(0, members.size() - 1)]);
+        ++repeats;
+      } else if (shape < 0.3 && !members.empty()) {
+        const ItemSet base = members[rng.UniformInt(0, members.size() - 1)];
+        members.push_back(base.Union(ItemSet(rng.RandomSubsetOf(pool))));
+        ++supersets;
+      } else {
+        Mask m = rng.RandomSubsetOf(pool);
+        if (m == 0) m = pool & (0 - pool);  // Lowest pool bit.
+        members.push_back(ItemSet(m));
+      }
+    }
+    const SetFamily fam(members);
+    if ((fam.UnionOfMembers().bits() >> 32) != 0) ++wide;
+    const std::vector<ItemSet> expected = BruteForceMinimalWitnesses(fam);
+
+    WitnessSearchStats stats;
+    ASSERT_TRUE(MinimalWitnessMasks(fam, 1 << 20, &scratch, &stats).ok());
+    std::vector<ItemSet> got;
+    for (Mask w : scratch.witnesses) got.push_back(ItemSet(w));
+    ASSERT_EQ(got, expected) << "iteration " << iter;
+    EXPECT_LE(stats.candidates, WitnessLeafBound(fam, 1 << 20));
+    EXPECT_GE(stats.candidates, expected.size());
+
+    if (stats.candidates > 0) {
+      EXPECT_TRUE(MinimalWitnessMasks(fam, stats.candidates, &scratch).ok());
+      EXPECT_EQ(MinimalWitnessMasks(fam, stats.candidates - 1, &scratch).code(),
+                StatusCode::kResourceExhausted);
+    }
+  }
+  // The draw exercised every shape it is meant to.
+  EXPECT_GT(empty_members, 0);
+  EXPECT_GT(repeats, 0);
+  EXPECT_GT(supersets, 0);
+  EXPECT_GT(wide, 0);
+}
+
+TEST(MinimalWitnessOracleTest, LeafBoundIsTheMemberSizeProduct) {
+  EXPECT_EQ(WitnessLeafBound(SetFamily(), 64), 1u);
+  EXPECT_EQ(WitnessLeafBound(FamilyOf({0b0011, 0b1100, 0b10000}), 64), 4u);
+  EXPECT_EQ(WitnessLeafBound(SetFamily({ItemSet(), ItemSet{1}}), 64), 0u);
+  // Seven disjoint pairs: 128 leaves, reported as "above 64" once the
+  // partial product passes it.
+  std::vector<ItemSet> pairs;
+  for (int i = 0; i < 7; ++i) pairs.push_back(ItemSet{2 * i, 2 * i + 1});
+  EXPECT_EQ(WitnessLeafBound(SetFamily(pairs), 64), 65u);
+  EXPECT_EQ(WitnessLeafBound(SetFamily(pairs), 1000), 128u);
+  // No overflow on a family whose product leaves 64 bits: 63^12 > 2^64.
+  std::vector<ItemSet> wide;
+  for (int i = 0; i < 12; ++i) wide.push_back(ItemSet(~(Mask{1} << i)));
+  EXPECT_EQ(WitnessLeafBound(SetFamily(wide), ~std::uint64_t{0} - 1), ~std::uint64_t{0});
+}
 
 // --------------------------------------------------- lattice decomposition
 
