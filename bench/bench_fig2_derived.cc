@@ -7,8 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 
 #include "core/inference.h"
 #include "util/random.h"
@@ -88,12 +90,13 @@ void PrintFigure2Table() {
   const int kInstances = 100;
   std::printf("=== Figure 2: derived rules, machine-derived from Figure 1 (n=%d) ===\n",
               n);
-  std::printf("%-14s %10s %10s %12s %12s %12s\n", "rule", "instances", "derived",
-              "avg steps", "avg pruned", "max pruned");
-  for (const Row& row : kRows) {
-    Rng rng(reinterpret_cast<std::uintptr_t>(row.rule) & 0xffff);
+  std::printf("%-14s %10s %10s %12s %12s\n", "rule", "instances", "derived", "avg steps",
+              "max steps");
+  for (std::size_t r = 0; r < std::size(kRows); ++r) {
+    const Row& row = kRows[r];
+    Rng rng(1 + r);
     int derived = 0;
-    long total_steps = 0, total_pruned = 0, max_pruned = 0;
+    long total_steps = 0, max_steps = 0;
     for (int i = 0; i < kInstances; ++i) {
       RuleInstance inst = row.make(rng, n);
       Result<Derivation> d = DeriveImplied(n, inst.premises, inst.conclusion);
@@ -101,14 +104,11 @@ void PrintFigure2Table() {
           d->conclusion() == inst.conclusion) {
         ++derived;
         total_steps += d->size();
-        Derivation pruned = PruneDerivation(*d);
-        total_pruned += pruned.size();
-        max_pruned = std::max<long>(max_pruned, pruned.size());
+        max_steps = std::max<long>(max_steps, d->size());
       }
     }
-    std::printf("%-14s %10d %10d %12.1f %12.1f %12ld\n", row.rule, kInstances, derived,
-                derived ? static_cast<double>(total_steps) / derived : 0.0,
-                derived ? static_cast<double>(total_pruned) / derived : 0.0, max_pruned);
+    std::printf("%-14s %10d %10d %12.1f %12ld\n", row.rule, kInstances, derived,
+                derived ? static_cast<double>(total_steps) / derived : 0.0, max_steps);
   }
   std::printf("\n");
 }

@@ -78,11 +78,10 @@ int Explore(int n, const std::string& constraints_text, const std::string& goal_
   if (sat->implied) {
     Result<Derivation> proof = DeriveImplied(n, *premises, *goal);
     if (proof.ok()) {
-      Derivation pruned = PruneDerivation(*proof);
-      Status valid = ValidateDerivation(n, *premises, pruned);
-      std::printf("\nproof in the Figure 1 system (%d steps, %s):\n%s", pruned.size(),
+      Status valid = ValidateDerivation(n, *premises, *proof);
+      std::printf("\nproof in the Figure 1 system (%d steps, %s):\n%s", proof->size(),
                   valid.ok() ? "machine-validated" : valid.ToString().c_str(),
-                  pruned.ToString(u).c_str());
+                  proof->ToString(u).c_str());
     } else {
       std::printf("\nproof generation skipped: %s\n", proof.status().ToString().c_str());
     }

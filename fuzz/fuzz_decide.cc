@@ -14,6 +14,11 @@
 //   4. *Kernel bound*: the `sat` search visits at most 2^(f+1) − 1 nodes,
 //      f = n − |X| the goal's free attributes: one full binary tree over
 //      them. Dropping the exhaustive fallback rests on this bound.
+//   5. *Proofs*: when the engine answers implied, `DeriveImplied` on the
+//      raw premises returns a derivation that `ValidateDerivation` accepts
+//      and whose last step is the goal; when it answers not implied,
+//      `DeriveImplied` returns NotFound. The proof search visits at most
+//      2^13 − 1 nodes here, so the default step budget always suffices.
 //
 // Byte format (any byte string of 4+ bytes decodes; truncation just yields
 // fewer premises): byte 0 picks n; then the goal and each premise as a
@@ -31,6 +36,7 @@
 
 #include "core/counterexample.h"
 #include "core/implication.h"
+#include "core/inference.h"
 #include "engine/implication_engine.h"
 #include "engine/prepared_premises.h"
 #include "harness.h"
@@ -140,6 +146,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
                                        " sat nodes exceed 2^(f+1)-1 = " +
                                        std::to_string(node_bound) + " (" +
                                        Describe(n, premises, *goal) + ")");
+  }
+
+  Result<Derivation> proof = DeriveImplied(n, premises, *goal);
+  if (r.outcome.verdict == ImplicationOutcome::kImplied) {
+    if (!proof.ok()) {
+      fuzz::FuzzFail("proof", "no derivation of an implied goal: " + proof.status().ToString() +
+                                  " (" + Describe(n, premises, *goal) + ")");
+    }
+    const Status valid = ValidateDerivation(n, premises, *proof);
+    if (!valid.ok() || proof->conclusion() != *goal) {
+      fuzz::FuzzFail("proof", "derivation does not prove the goal: " + valid.ToString() + " (" +
+                                  Describe(n, premises, *goal) + ")");
+    }
+  } else if (proof.status().code() != StatusCode::kNotFound) {
+    fuzz::FuzzFail("proof", "DeriveImplied answered " + proof.status().ToString() +
+                                " for a goal that is not implied (" +
+                                Describe(n, premises, *goal) + ")");
   }
   return 0;
 }

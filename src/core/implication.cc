@@ -9,6 +9,26 @@
 
 namespace diffc {
 
+Status CheckInUniverse(int n, const DifferentialConstraint& c, const char* role) {
+  if (n < 0 || n > 64) {
+    return Status::InvalidArgument("universe size must be in [0, 64]");
+  }
+  const Mask outside = ~FullMask(n);
+  if ((c.lhs().bits() & outside) != 0) {
+    return Status::InvalidArgument(std::string(role) +
+                                   " lhs mask has attributes outside the " +
+                                   std::to_string(n) + "-attribute universe");
+  }
+  for (const ItemSet& m : c.rhs().members()) {
+    if ((m.bits() & outside) != 0) {
+      return Status::InvalidArgument(std::string(role) +
+                                     " family member has attributes outside the " +
+                                     std::to_string(n) + "-attribute universe");
+    }
+  }
+  return Status::Ok();
+}
+
 bool InConstraintLattice(const ConstraintSet& premises, const ItemSet& u) {
   for (const DifferentialConstraint& p : premises) {
     if (p.lhs().IsSubsetOf(u) && !p.rhs().SomeMemberSubsetOf(u)) return true;
@@ -26,6 +46,7 @@ bool InConstraintLattice(const PremiseMasks& premises, Mask u) {
 Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet& premises,
                                                       const DifferentialConstraint& goal,
                                                       int max_free_bits, StopCheck* stop) {
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
   const int free_bits = n - goal.lhs().size();
   if (free_bits > max_free_bits) {
     return Status::ResourceExhausted("exhaustive implication over " +
@@ -74,6 +95,7 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats) {
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
   if (DIFFC_FAILPOINT("cnf/translate")) {
     return Status::Internal("failpoint cnf/translate: CNF translation failed");
   }
@@ -171,6 +193,7 @@ Result<ImplicationOutcome> CheckImplicationFdIndexed(int n, const FdPremiseIndex
 
 Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premises,
                                               const DifferentialConstraint& goal) {
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
   if (!FdSubclassApplicable(premises, goal)) {
     return Status::FailedPrecondition(
         "FD subclass requires single-member right-hand sides");
@@ -181,6 +204,7 @@ Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premis
 
 Result<ImplicationOutcome> CheckImplication(int n, const ConstraintSet& premises,
                                             const DifferentialConstraint& goal) {
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
   if (goal.IsTrivial()) {
     ImplicationOutcome out;
     out.SetImplied();

@@ -51,6 +51,13 @@ struct ImplicationOutcome {
   }
 };
 
+/// InvalidArgument unless `n` is in [0, 64] and the left-hand side and
+/// every right-hand member of `c` lie inside the `n`-attribute universe.
+/// `role` names `c` in the message ("goal", "given"), worded as the wire
+/// decoder words it. The deciders below, `DeriveImplied` and the
+/// implication engine check their input with it.
+Status CheckInUniverse(int n, const DifferentialConstraint& c, const char* role);
+
 /// True iff `u` lies in the closure lattice `L(C) = ∪ L(X_i, Y_i)` of
 /// `premises` — i.e. `u` is excluded as a counterexample by some premise.
 /// O(|C|) set operations; the building block of the engine's interval-cover

@@ -1,10 +1,8 @@
 #include "core/inference.h"
 
-#include <map>
 #include <utility>
 
 #include "core/implication.h"
-#include "lattice/decomposition.h"
 
 namespace diffc {
 
@@ -132,296 +130,165 @@ Status ValidateDerivation(int n, const ConstraintSet& givens, const Derivation& 
   return Status::Ok();
 }
 
-Derivation PruneDerivation(const Derivation& d) {
-  if (d.size() == 0) return d;
-  std::vector<bool> needed(d.size(), false);
-  needed[d.size() - 1] = true;
-  for (int i = d.size() - 1; i >= 0; --i) {
-    if (!needed[i]) continue;
-    for (int p : d.steps()[i].premises) needed[p] = true;
-  }
-  std::vector<int> new_index(d.size(), -1);
-  Derivation pruned;
-  for (int i = 0; i < d.size(); ++i) {
-    if (!needed[i]) continue;
-    ProofStep step = d.steps()[i];
-    for (int& p : step.premises) p = new_index[p];
-    new_index[i] = pruned.AddStep(std::move(step));
-  }
-  return pruned;
-}
-
 namespace {
 
-// Canonical key of a constraint for memoization.
-using ConstraintKey = std::pair<Mask, std::vector<Mask>>;
-
-ConstraintKey KeyOf(const DifferentialConstraint& c) {
-  std::vector<Mask> members;
-  members.reserve(c.rhs().size());
-  for (const ItemSet& m : c.rhs().members()) members.push_back(m.bits());
-  return {c.lhs().bits(), std::move(members)};
-}
-
-// Incremental proof construction with per-conclusion memoization: deriving
-// the same constraint twice reuses the earlier step.
-class ProofBuilder {
+// The counterexample search behind `DeriveImplied`, emitting a Figure 1
+// step whenever it closes a node. A node (A, B) claims A -> Y ∪ B̄ with
+// B̄ = {{b} | b ∈ B}; `Prove` returns the index of the step concluding it.
+class ProofSearch {
  public:
-  ProofBuilder(int n, const ConstraintSet& givens, const DeriveOptions& opts)
-      : n_(n), givens_(givens), opts_(opts) {}
+  ProofSearch(const ConstraintSet& givens, const DifferentialConstraint& goal,
+              std::size_t max_steps)
+      : givens_(givens), goal_(goal), max_steps_(max_steps), given_steps_(givens.size(), -1) {}
 
-  Result<int> EmitGiven(int given_index) {
-    const DifferentialConstraint& c = givens_[given_index];
-    if (int existing = Lookup(c); existing >= 0) return existing;
-    ProofStep step{InferenceRule::kGiven, {}, given_index, c};
-    return Emit(std::move(step));
+  // Proves node (a, b). Returns -1 when no step concludes it: the budget is
+  // spent (the search goes on deciding), or U = a is a counterexample (the
+  // search stops).
+  int Prove(Mask a, Mask b) {
+    if (goal_.rhs().SomeMemberSubsetOf(ItemSet(a))) {
+      return Emit(InferenceRule::kTriviality, {}, Claim(a, b));
+    }
+    // A given with X' ⊆ A and no member inside A is violated by U = A. One
+    // whose members all meet B closes the node; otherwise the one with the
+    // fewest live members (those missing B) picks the split.
+    int violated = -1;
+    int fewest_live = 0;
+    for (int i = 0; i < static_cast<int>(givens_.size()); ++i) {
+      const DifferentialConstraint& given = givens_[i];
+      if (!IsSubset(given.lhs().bits(), a) || given.rhs().SomeMemberSubsetOf(ItemSet(a))) {
+        continue;
+      }
+      int live = 0;
+      for (const ItemSet& m : given.rhs().members()) live += (m.bits() & b) == 0 ? 1 : 0;
+      if (live == 0) return CloseByGiven(i, a, b);
+      if (violated < 0 || live < fewest_live) {
+        violated = i;
+        fewest_live = live;
+      }
+    }
+    if (violated < 0) {
+      refuted_ = true;
+      return -1;
+    }
+    const Mask bit = SplitBit(a, b, givens_[violated]);
+    const int in = Prove(a | bit, b);
+    if (refuted_) return -1;
+    const int out = Prove(a, b | bit);
+    if (refuted_) return -1;
+    return Emit(InferenceRule::kElimination, {out, in}, Claim(a, b));
   }
 
-  Result<int> EmitTriviality(const DifferentialConstraint& c) {
-    if (int existing = Lookup(c); existing >= 0) return existing;
-    if (!c.IsTrivial()) return Status::Internal("triviality on nontrivial constraint");
-    ProofStep step{InferenceRule::kTriviality, {}, -1, c};
-    return Emit(std::move(step));
-  }
-
-  Result<int> EmitAugmentation(int premise, const ItemSet& new_lhs) {
-    DifferentialConstraint c(new_lhs, d_.steps()[premise].conclusion.rhs());
-    if (int existing = Lookup(c); existing >= 0) return existing;
-    ProofStep step{InferenceRule::kAugmentation, {premise}, -1, c};
-    return Emit(std::move(step));
-  }
-
-  Result<int> EmitAddition(int premise, const ItemSet& new_member) {
-    const DifferentialConstraint& p = d_.steps()[premise].conclusion;
-    DifferentialConstraint c(p.lhs(), p.rhs().WithMember(new_member));
-    if (c == p) return premise;  // Adding an existing member changes nothing.
-    if (int existing = Lookup(c); existing >= 0) return existing;
-    ProofStep step{InferenceRule::kAddition, {premise}, -1, c};
-    return Emit(std::move(step));
-  }
-
-  Result<int> EmitElimination(int p1, int p2, DifferentialConstraint conclusion) {
-    if (int existing = Lookup(conclusion); existing >= 0) return existing;
-    ProofStep step{InferenceRule::kElimination, {p1, p2}, -1, std::move(conclusion)};
-    return Emit(std::move(step));
-  }
-
-  const DifferentialConstraint& ConclusionOf(int step) const {
-    return d_.steps()[step].conclusion;
-  }
-
-  int Lookup(const DifferentialConstraint& c) const {
-    auto it = memo_.find(KeyOf(c));
-    return it == memo_.end() ? -1 : it->second;
-  }
-
+  bool refuted() const { return refuted_; }
+  bool exhausted() const { return exhausted_; }
   Derivation&& TakeDerivation() && { return std::move(d_); }
 
-  int n() const { return n_; }
-  const ConstraintSet& givens() const { return givens_; }
-
  private:
-  Result<int> Emit(ProofStep step) {
-    if (d_.steps().size() >= opts_.max_steps) {
-      return Status::ResourceExhausted("derivation exceeds " +
-                                       std::to_string(opts_.max_steps) + " steps");
-    }
-    int idx = d_.AddStep(step);
-    memo_.emplace(KeyOf(d_.steps()[idx].conclusion), idx);
-    return idx;
+  // Y ∪ B̄.
+  SetFamily ClaimRhs(Mask b) const {
+    std::vector<ItemSet> members = goal_.rhs().members();
+    ForEachBit(b, [&](int z) { members.push_back(ItemSet::Singleton(z)); });
+    return SetFamily(std::move(members));
   }
 
-  int n_;
+  DifferentialConstraint Claim(Mask a, Mask b) const {
+    return DifferentialConstraint(ItemSet(a), ClaimRhs(b));
+  }
+
+  // The split attribute, chosen as `engine/sat_kernel.cc` chooses it: the
+  // open bit of a goal member with one open bit and none in B (its A-child
+  // closes by triviality), else the lowest open bit of the narrowest live
+  // member of `violated`.
+  Mask SplitBit(Mask a, Mask b, const DifferentialConstraint& violated) const {
+    for (const ItemSet& y : goal_.rhs().members()) {
+      const Mask open = y.bits() & ~a;
+      if ((y.bits() & b) == 0 && Popcount(open) == 1) return open;
+    }
+    Mask narrowest = 0;
+    for (const ItemSet& m : violated.rhs().members()) {
+      const Mask open = m.bits() & ~a;
+      if ((m.bits() & b) != 0) continue;
+      if (narrowest == 0 || Popcount(open) < Popcount(narrowest)) narrowest = open;
+    }
+    return narrowest & (~narrowest + 1);
+  }
+
+  // Derives the claim of (a, b) from given `i`, whose X' lies inside A and
+  // whose every member meets B: cite the given, augment it to A, replace
+  // each member M by {t} with t the lowest bit of M ∩ B (member
+  // replacement, docs/PROOFS.md), then add the claim's missing members.
+  int CloseByGiven(int i, Mask a, Mask b) {
+    const DifferentialConstraint& given = givens_[i];
+    if (given_steps_[i] < 0) given_steps_[i] = Emit(InferenceRule::kGiven, {}, given, i);
+    int step = given_steps_[i];
+    const ItemSet lhs(a);
+    SetFamily rhs = given.rhs();
+    if (given.lhs() != lhs) {
+      step = Emit(InferenceRule::kAugmentation, {step}, DifferentialConstraint(lhs, rhs));
+    }
+    for (const ItemSet& member : given.rhs().members()) {
+      const ItemSet t = ItemSet::Singleton(LowestBit(member.bits() & b));
+      if (member == t) continue;
+      const int widened = Add(step, lhs, &rhs, t);
+      rhs = rhs.WithoutMember(member);
+      const int trivial = Emit(InferenceRule::kTriviality, {},
+                               DifferentialConstraint(lhs.Union(member), rhs));
+      step = Emit(InferenceRule::kElimination, {widened, trivial},
+                  DifferentialConstraint(lhs, rhs));
+    }
+    for (const ItemSet& member : ClaimRhs(b).members()) step = Add(step, lhs, &rhs, member);
+    return step;
+  }
+
+  // Addition of `member` to lhs -> *rhs; no step when it is a member already.
+  int Add(int step, const ItemSet& lhs, SetFamily* rhs, const ItemSet& member) {
+    if (rhs->HasMember(member)) return step;
+    *rhs = rhs->WithMember(member);
+    return Emit(InferenceRule::kAddition, {step}, DifferentialConstraint(lhs, *rhs));
+  }
+
+  // Appends a step and returns its index, or -1 once the budget is spent.
+  int Emit(InferenceRule rule, std::vector<int> premises, DifferentialConstraint conclusion,
+           int given_index = -1) {
+    if (static_cast<std::size_t>(d_.size()) >= max_steps_) {
+      exhausted_ = true;
+      return -1;
+    }
+    return d_.AddStep(ProofStep{rule, std::move(premises), given_index, std::move(conclusion)});
+  }
+
   const ConstraintSet& givens_;
-  DeriveOptions opts_;
+  const DifferentialConstraint& goal_;
+  const std::size_t max_steps_;
+  std::vector<int> given_steps_;  // The kGiven step citing each given, or -1.
   Derivation d_;
-  std::map<ConstraintKey, int> memo_;
+  bool refuted_ = false;
+  bool exhausted_ = false;
 };
-
-// Derives atom(u) from a given constraint whose lattice decomposition
-// contains u. Returns the step index.
-Result<int> DeriveAtom(ProofBuilder& b, const ItemSet& u) {
-  const int n = b.n();
-  DifferentialConstraint atom = AtomConstraint(n, u);
-  if (int existing = b.Lookup(atom); existing >= 0) return existing;
-
-  int source = -1;
-  for (int i = 0; i < static_cast<int>(b.givens().size()); ++i) {
-    const DifferentialConstraint& g = b.givens()[i];
-    if (g.lhs().IsSubsetOf(u) && !g.rhs().SomeMemberSubsetOf(u)) {
-      source = i;
-      break;
-    }
-  }
-  if (source == -1) {
-    return Status::Internal("no premise covers lattice element");
-  }
-
-  Result<int> step = b.EmitGiven(source);
-  if (!step.ok()) return step;
-  if (b.givens()[source].lhs() != u) {
-    step = b.EmitAugmentation(*step, u);
-    if (!step.ok()) return step;
-  }
-
-  // Narrow every member M (which satisfies M ⊄ u) down to a singleton
-  // {y} with y ∈ M ∖ u:  addition of {y}, then eliminate M against the
-  // trivial constraint (u ∪ M) -> rest ∪ {{y}}.
-  const std::vector<ItemSet> original_members = b.ConclusionOf(*step).rhs().members();
-  for (const ItemSet& member : original_members) {
-    ItemSet outside = member.Minus(u);
-    ItemSet target = ItemSet::Singleton(LowestBit(outside.bits()));
-    if (member == target) continue;
-    SetFamily rest = b.ConclusionOf(*step).rhs().WithoutMember(member);
-    Result<int> with_target = b.EmitAddition(*step, target);
-    if (!with_target.ok()) return with_target;
-    Result<int> trivial =
-        b.EmitTriviality(DifferentialConstraint(u.Union(member), rest.WithMember(target)));
-    if (!trivial.ok()) return trivial;
-    step = b.EmitElimination(*with_target, *trivial,
-                             DifferentialConstraint(u, rest.WithMember(target)));
-    if (!step.ok()) return step;
-  }
-
-  // Pad with the remaining complement singletons.
-  ForEachBit(u.ComplementIn(n).bits(), [&](int z) {
-    if (!step.ok()) return;
-    step = b.EmitAddition(*step, ItemSet::Singleton(z));
-  });
-  return step;
-}
-
-// Derives X -> {{w} | w ∈ W} for a witness-set leaf W of the goal's
-// right-hand family: trivially when W meets X, otherwise by the
-// elimination cascade of Proposition 4.7 over the atoms of [X, S∖W].
-Result<int> DeriveWitnessLeaf(ProofBuilder& b, const ItemSet& x, const ItemSet& w) {
-  const int n = b.n();
-  DifferentialConstraint target(x, SetFamily::Singletons(w));
-  if (int existing = b.Lookup(target); existing >= 0) return existing;
-  if (!w.Intersect(x).empty()) return b.EmitTriviality(target);
-
-  const SetFamily w_singletons = SetFamily::Singletons(w);
-  const Mask v = FullMask(n) & ~(x.bits() | w.bits());
-
-  // cur[U ∖ X] = step deriving U -> {{w}|w∈W} ∪ {{z}|z ∈ Vrem ∖ U}.
-  std::map<Mask, int> cur;
-  {
-    Status first_error = Status::Ok();
-    ForEachSubset(v, [&](Mask free) {
-      if (!first_error.ok()) return;
-      Result<int> atom = DeriveAtom(b, ItemSet(x.bits() | free));
-      if (!atom.ok()) {
-        first_error = atom.status();
-        return;
-      }
-      cur[free] = *atom;
-    });
-    if (!first_error.ok()) return first_error;
-  }
-
-  Mask v_rem = v;
-  while (v_rem != 0) {
-    const int v_prime = LowestBit(v_rem);
-    const Mask v_bit = Mask{1} << v_prime;
-    v_rem &= ~v_bit;
-    std::map<Mask, int> next;
-    Status first_error = Status::Ok();
-    ForEachSubset(v_rem, [&](Mask free) {
-      if (!first_error.ok()) return;
-      ItemSet u(x.bits() | free);
-      SetFamily rhs = w_singletons;
-      ForEachBit(v_rem & ~free, [&](int z) { rhs = rhs.WithMember(ItemSet::Singleton(z)); });
-      Result<int> step =
-          b.EmitElimination(cur[free], cur[free | v_bit], DifferentialConstraint(u, rhs));
-      if (!step.ok()) {
-        first_error = step.status();
-        return;
-      }
-      next[free] = *step;
-    });
-    if (!first_error.ok()) return first_error;
-    cur = std::move(next);
-  }
-  return cur[0];
-}
-
-// The union-rule induction of Proposition 4.6, expanded into base rules:
-// derives x -> family from witness-set leaves.
-Result<int> BuildFamily(ProofBuilder& b, const ItemSet& x, const SetFamily& family) {
-  DifferentialConstraint target(x, family);
-  if (int existing = b.Lookup(target); existing >= 0) return existing;
-  if (target.IsTrivial()) return b.EmitTriviality(target);
-
-  // Base case: every member a singleton (or the family empty) — the leaf
-  // x -> {{w}|w∈W} for the witness set W = ∪family.
-  bool all_singletons = true;
-  ItemSet split_member;
-  for (const ItemSet& m : family.members()) {
-    if (m.size() >= 2) {
-      all_singletons = false;
-      split_member = m;
-      break;
-    }
-  }
-  if (all_singletons) return DeriveWitnessLeaf(b, x, family.UnionOfMembers());
-
-  // Split M into Y1 = {m0} and Y2 = M ∖ {m0}; recurse; then expand the
-  // union rule: from  a: X -> F∪{Y1}  and  b: X -> F∪{Y2}  conclude
-  // X -> F∪{M}.
-  const ItemSet y1 = ItemSet::Singleton(LowestBit(split_member.bits()));
-  const ItemSet y2 = split_member.Minus(y1);
-  const SetFamily rest = family.WithoutMember(split_member);
-
-  Result<int> left = BuildFamily(b, x, rest.WithMember(y1));
-  if (!left.ok()) return left;
-  Result<int> right = BuildFamily(b, x, rest.WithMember(y2));
-  if (!right.ok()) return right;
-
-  Result<int> s1 = b.EmitAddition(*left, split_member);
-  if (!s1.ok()) return s1;
-  Result<int> s2 = b.EmitAugmentation(*right, x.Union(y1));
-  if (!s2.ok()) return s2;
-  Result<int> s3 = b.EmitAddition(*s2, split_member);
-  if (!s3.ok()) return s3;
-  Result<int> s4 = b.EmitTriviality(
-      DifferentialConstraint(x.Union(split_member), rest.WithMember(split_member)));
-  if (!s4.ok()) return s4;
-  Result<int> s5 = b.EmitElimination(
-      *s3, *s4, DifferentialConstraint(x.Union(y1), rest.WithMember(split_member)));
-  if (!s5.ok()) return s5;
-  return b.EmitElimination(*s1, *s5, target);
-}
 
 }  // namespace
 
 Result<Derivation> DeriveImplied(int n, const ConstraintSet& givens,
                                  const DifferentialConstraint& goal,
                                  const DeriveOptions& opts) {
-  ProofBuilder builder(n, givens, opts);
-  if (goal.IsTrivial()) {
-    Result<int> step = builder.EmitTriviality(goal);
-    if (!step.ok()) return step.status();
-    return std::move(builder).TakeDerivation();
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  for (const DifferentialConstraint& given : givens) {
+    if (Status s = CheckInUniverse(n, given, "given"); !s.ok()) return s;
   }
-
-  Result<ImplicationOutcome> implied = CheckImplicationSat(n, givens, goal);
-  if (!implied.ok()) return implied.status();
-  if (!implied->implied) {
-    return Status::NotFound("goal is not implied; no derivation exists");
+  // A singleton goal member {b} already stands in for b ∈ B, so the root
+  // (X, B) with B the singleton members' attributes outside X claims the
+  // goal, and the search never splits on them.
+  Mask singletons = 0;
+  for (const ItemSet& y : goal.rhs().members()) {
+    if (y.size() == 1) singletons |= y.bits();
   }
-
-  Result<int> final_step = BuildFamily(builder, goal.lhs(), goal.rhs());
-  if (!final_step.ok()) return final_step.status();
-  if (builder.ConclusionOf(*final_step) != goal) {
-    return Status::Internal("proof generator concluded the wrong constraint");
+  ProofSearch search(givens, goal, opts.max_steps);
+  search.Prove(goal.lhs().bits(), singletons & ~goal.lhs().bits());
+  if (search.refuted()) return Status::NotFound("goal is not implied; no derivation exists");
+  if (search.exhausted()) {
+    return Status::ResourceExhausted("derivation exceeds " + std::to_string(opts.max_steps) +
+                                     " steps");
   }
-  // If the goal was memoized before the last emitted step, restate it at
-  // the end with a no-op augmentation so `conclusion()` is the goal.
-  Derivation d = std::move(builder).TakeDerivation();
-  if (d.conclusion() != goal) {
-    d.AddStep(ProofStep{InferenceRule::kAugmentation, {*final_step}, -1, goal});
-  }
-  return d;
+  return std::move(search).TakeDerivation();
 }
 
 }  // namespace diffc

@@ -82,28 +82,25 @@ struct DeriveOptions {
   std::size_t max_steps = 1'000'000;
 };
 
-/// Removes steps the conclusion does not depend on (the generator's
-/// memoization leaves unused intermediates behind) and renumbers premise
-/// references. The result validates whenever the input does, concludes
-/// the same constraint, and is never larger.
-Derivation PruneDerivation(const Derivation& d);
-
-/// Constructs an explicit derivation `givens ⊢ goal` using only the four
-/// rules of Figure 1, following the completeness argument of Theorem 4.8:
+/// Decides `givens |= goal` by a counterexample search (Theorem 3.5) and,
+/// when the search is refuted, returns the refuted search tree as a
+/// derivation in the four rules of Figure 1 (docs/PROOFS.md). A node
+/// `(A, B)` claims `A -> Y ∪ {{b} | b ∈ B}`, which holds exactly when the
+/// interval `[A, S∖B]` holds no counterexample. A node closes by
+/// triviality (a goal member inside `A`) or by a given `X' -> Y'` with
+/// `X' ⊆ A` whose every member meets `B`. Otherwise it splits on one open
+/// attribute `b`, and one elimination with `Z := {b}` joins the children
+/// `(A ∪ {b}, B)` and `(A, B ∪ {b})`. The root `(X, B)`, with `B` the
+/// attributes of singleton goal members outside `X`, claims the goal.
+/// Each split fixes an attribute, so at most 2^(f+1) − 1 nodes are
+/// visited, f = n − |X|, and every emitted step is cited by a later one.
 ///
-///  1. for every needed `U ∈ L(goal)`, derive `atom(U)` from a premise
-///     whose lattice decomposition contains `U` (augmentation, then member
-///     narrowing via addition+triviality+elimination, then addition);
-///  2. for every witness-set leaf `W` of the goal's right-hand family,
-///     derive `X -> {{w}|w∈W}` by the elimination cascade of
-///     Proposition 4.7;
-///  3. reassemble `X -> Y` by the union-rule induction of Proposition 4.6,
-///     with each union application expanded into base rules.
-///
-/// Returns NotFound (with no derivation) when `givens` does not imply
-/// `goal`, and ResourceExhausted when the proof would exceed
-/// `opts.max_steps`. The result always passes `ValidateDerivation` and
-/// concludes exactly `goal` — both re-checked by the test suite.
+/// Returns NotFound (with no derivation) exactly when `givens` does not
+/// imply `goal`, whatever `opts.max_steps` is; ResourceExhausted when the
+/// goal is implied but its proof would exceed `opts.max_steps`; and
+/// InvalidArgument when `n` is outside [0, 64] or the goal or a given
+/// leaves the `n`-attribute universe. An OK result passes
+/// `ValidateDerivation` and its last step concludes exactly `goal`.
 Result<Derivation> DeriveImplied(int n, const ConstraintSet& givens,
                                  const DifferentialConstraint& goal,
                                  const DeriveOptions& opts = {});

@@ -127,23 +127,6 @@ void RecordQueryMetrics(const EngineQueryResult& r) {
   }
 }
 
-// InvalidArgument unless the goal's lhs and every member lie inside the
-// `n`-attribute universe, worded as the wire decoder words it.
-Status CheckGoalInUniverse(int n, const DifferentialConstraint& goal) {
-  const Mask outside = ~FullMask(n);
-  if ((goal.lhs().bits() & outside) != 0) {
-    return Status::InvalidArgument("goal lhs mask has attributes outside the " +
-                                   std::to_string(n) + "-attribute universe");
-  }
-  for (const ItemSet& m : goal.rhs().members()) {
-    if ((m.bits() & outside) != 0) {
-      return Status::InvalidArgument("goal family member has attributes outside the " +
-                                     std::to_string(n) + "-attribute universe");
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
@@ -231,7 +214,7 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
   StopCheck stop(deadline, cancel, options_.stop_check_stride);
   obs::Tracer tracer(options_.trace);
   EngineQueryResult r;
-  r.status = CheckGoalInUniverse(prepared.n(), goal);
+  r.status = CheckInUniverse(prepared.n(), goal, "goal");
   if (r.status.ok()) {
     obs::SpanGuard attempt_span(&tracer, "attempt");
     const ProcedureQuery query{prepared.n(), &goal};

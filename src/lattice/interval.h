@@ -33,7 +33,12 @@ struct Interval {
 
   /// Renders "[lo, hi]".
   std::string ToString(const Universe& u) const {
-    return "[" + lo.ToString(u) + ", " + hi.ToString(u) + "]";
+    std::string out(1, '[');
+    out += lo.ToString(u);
+    out += ", ";
+    out += hi.ToString(u);
+    out += ']';
+    return out;
   }
 
   friend bool operator==(const Interval& a, const Interval& b) {

@@ -4,12 +4,55 @@
 #include "core/counterexample.h"
 #include "core/function_ops.h"
 #include "core/implication.h"
+#include "core/inference.h"
 #include "core/parser.h"
+#include "engine/implication_engine.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
 
 namespace diffc {
 namespace {
+
+// ---------------------------------------------------------- universe checks
+
+// Every entry point refuses a universe size outside [0, 64] and a goal that
+// leaves the universe, with one wording. The CNF of `premises` has six
+// auxiliary variables numbered right after the four attributes, so goal
+// bits 4–9 would alias them.
+TEST(UniverseCheckTest, EveryEntryPointRefusesInputOutsideTheUniverse) {
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}, ItemSet{3}})),
+      DifferentialConstraint(ItemSet{1}, SetFamily({ItemSet{0}, ItemSet{2}, ItemSet{3}}))};
+  ImplicationEngine engine;
+  auto expect_refused = [&](int n, const DifferentialConstraint& goal, const std::string& message) {
+    const std::vector<Status> statuses{
+        CheckImplication(n, premises, goal).status(),
+        CheckImplicationSat(n, premises, goal).status(),
+        CheckImplicationExhaustive(n, premises, goal).status(),
+        CheckImplicationFd(n, {}, goal).status(),
+        DeriveImplied(n, premises, goal).status(),
+        engine.CheckOne(n, premises, goal).status,
+    };
+    for (std::size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument)
+          << "entry point " << i << ", n=" << n << ": " << statuses[i].ToString();
+      EXPECT_EQ(statuses[i].message(), message) << "entry point " << i << ", n=" << n;
+    }
+  };
+  const DifferentialConstraint inside(ItemSet(), SetFamily({ItemSet{0}}));
+  for (int n : {-1, 65}) expect_refused(n, inside, "universe size must be in [0, 64]");
+  for (int bit = 4; bit < 10; ++bit) {
+    expect_refused(4, DifferentialConstraint(ItemSet{bit}, SetFamily({ItemSet{0}})),
+                   "goal lhs mask has attributes outside the 4-attribute universe");
+  }
+  expect_refused(4, DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 5}})),
+                 "goal family member has attributes outside the 4-attribute universe");
+  // A cited given outside the universe could not validate.
+  EXPECT_EQ(DeriveImplied(4, {DifferentialConstraint(ItemSet{5}, SetFamily())}, inside)
+                .status()
+                .message(),
+            "given lhs mask has attributes outside the 4-attribute universe");
+}
 
 // ------------------------------------------------------------- basic cases
 

@@ -3,6 +3,7 @@
 #include "core/implication.h"
 #include "core/inference.h"
 #include "core/parser.h"
+#include "engine/implication_engine.h"
 #include "test_helpers.h"
 
 namespace diffc {
@@ -260,46 +261,106 @@ TEST_P(DeriveCompleteness, DerivesIffImplied) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeriveCompleteness, ::testing::Range(1, 11));
 
-// ------------------------------------------------------------ pruning
+// True iff every step but the last is a premise of a later step.
+bool EveryStepCited(const Derivation& d) {
+  std::vector<bool> cited(d.size(), false);
+  for (const ProofStep& step : d.steps()) {
+    for (int p : step.premises) cited[p] = true;
+  }
+  for (int i = 0; i + 1 < d.size(); ++i) {
+    if (!cited[i]) return false;
+  }
+  return true;
+}
 
-TEST(PruneTest, RemovesDeadStepsAndStaysValid) {
+// The service's sizes: 64 givens and two-member goals of density 3/n,
+// drawn until ten non-trivial goals are implied. A derivation exists iff
+// the engine answers implied, and each one validates, concludes the goal
+// and cites every step. A proof with one atom per element of L(goal)
+// (Theorem 4.8) would not fit the default step budget here.
+class DeriveAtServiceSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeriveAtServiceSizes, DerivesIffTheEngineAnswersImplied) {
+  const int n = GetParam();
+  const double density = 3.0 / n;
+  Rng rng(n);
+  const ConstraintSet givens = testing::RandomConstraintSet(rng, n, 64, density, 2, density);
+  ImplicationEngine engine;
+  int derived = 0;
+  for (int draws = 0; draws < 4000 && derived < 10; ++draws) {
+    const DifferentialConstraint goal = testing::RandomConstraint(rng, n, density, 2, density);
+    if (goal.IsTrivial()) continue;
+    const EngineQueryResult r = engine.CheckOne(n, givens, goal);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    Result<Derivation> d = DeriveImplied(n, givens, goal);
+    if (!r.outcome.implied) {
+      EXPECT_EQ(d.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_TRUE(ValidateDerivation(n, givens, *d).ok());
+    EXPECT_EQ(d->conclusion(), goal);
+    EXPECT_TRUE(EveryStepCited(*d));
+    ++derived;
+  }
+  EXPECT_EQ(derived, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DeriveAtServiceSizes, ::testing::Values(16, 24, 32, 64));
+
+TEST(DeriveTest, SmallProofsCiteEveryStep) {
+  Rng rng(41);
+  for (int iter = 0; iter < 200; ++iter) {
+    const int n = static_cast<int>(rng.UniformInt(3, 8));
+    const ConstraintSet givens =
+        testing::RandomConstraintSet(rng, n, static_cast<int>(rng.UniformInt(1, 5)));
+    const DifferentialConstraint goal = testing::RandomConstraint(rng, n);
+    Result<Derivation> d = DeriveImplied(n, givens, goal);
+    ASSERT_EQ(d.ok(), CheckImplicationSat(n, givens, goal)->implied) << d.status().ToString();
+    if (d.ok()) {
+      EXPECT_TRUE(EveryStepCited(*d));
+    }
+  }
+}
+
+TEST(DeriveTest, PigeonholeTautology) {
+  // PHP(4,3) through the Prop. 5.5 reduction: 22 givens over n = 12. The
+  // proof is smaller than the 2^12 atoms of L(∅ -> {}).
+  const prop::DnfFormula php = testing::PigeonholeDnf(3);
+  const ConstraintSet givens = DnfTautologyReduction(php);
+  Result<Derivation> d = DeriveImplied(php.num_vars, givens, TautologyGoal());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_TRUE(ValidateDerivation(php.num_vars, givens, *d).ok());
+  EXPECT_EQ(d->conclusion(), TautologyGoal());
+  EXPECT_TRUE(EveryStepCited(*d));
+  EXPECT_LT(d->size(), 1 << php.num_vars);
+}
+
+TEST(DeriveTest, NotImpliedIsNotFoundWhateverTheBudget) {
+  // The search closes (AC, ∅) and (BC, {A}) by triviality before it meets
+  // U = CD, so a one-step budget is spent before the goal is refuted.
+  Universe u = Universe::Letters(4);
+  ConstraintSet givens = *ParseConstraintSet(u, "C -> {D}");
+  DifferentialConstraint goal = *ParseConstraint(u, "C -> {AC, BC}");
+  DeriveOptions one;
+  one.max_steps = 1;
+  EXPECT_EQ(DeriveImplied(4, givens, goal, one).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(DeriveImplied(4, givens, goal).status().code(), StatusCode::kNotFound);
+}
+
+TEST(DeriveTest, ImpliedOverBudgetIsResourceExhausted) {
   Universe u = Universe::Letters(4);
   ConstraintSet givens = *ParseConstraintSet(u, "A -> {BC, CD}; C -> {D}");
   DifferentialConstraint goal = *ParseConstraint(u, "AB -> {D}");
-  Result<Derivation> d = DeriveImplied(4, givens, goal);
-  ASSERT_TRUE(d.ok());
-  Derivation pruned = PruneDerivation(*d);
-  EXPECT_LE(pruned.size(), d->size());
-  EXPECT_TRUE(ValidateDerivation(4, givens, pruned).ok());
-  EXPECT_EQ(pruned.conclusion(), goal);
-}
-
-TEST(PruneTest, KeepsMinimalProofIntact) {
-  // A hand-written proof with no dead steps is unchanged.
-  Universe u = Universe::Letters(3);
-  ConstraintSet givens = *ParseConstraintSet(u, "A -> {B}; B -> {C}");
-  Derivation d;
-  d.AddStep({InferenceRule::kGiven, {}, 0, *ParseConstraint(u, "A -> {B}")});
-  d.AddStep({InferenceRule::kGiven, {}, 1, *ParseConstraint(u, "B -> {C}")});
-  d.AddStep({InferenceRule::kAddition, {0}, -1, *ParseConstraint(u, "A -> {B, C}")});
-  d.AddStep({InferenceRule::kAugmentation, {1}, -1, *ParseConstraint(u, "AB -> {C}")});
-  d.AddStep({InferenceRule::kElimination, {2, 3}, -1, *ParseConstraint(u, "A -> {C}")});
-  Derivation pruned = PruneDerivation(d);
-  EXPECT_EQ(pruned.size(), d.size());
-  EXPECT_TRUE(ValidateDerivation(3, givens, pruned).ok());
-}
-
-TEST(PruneTest, DropsUnreachableStep) {
-  Universe u = Universe::Letters(3);
-  ConstraintSet givens = *ParseConstraintSet(u, "A -> {B}");
-  Derivation d;
-  d.AddStep({InferenceRule::kGiven, {}, 0, *ParseConstraint(u, "A -> {B}")});
-  d.AddStep({InferenceRule::kTriviality, {}, -1, *ParseConstraint(u, "AB -> {B}")});  // Dead.
-  d.AddStep({InferenceRule::kAugmentation, {0}, -1, *ParseConstraint(u, "AC -> {B}")});
-  Derivation pruned = PruneDerivation(d);
-  EXPECT_EQ(pruned.size(), 2);
-  EXPECT_TRUE(ValidateDerivation(3, givens, pruned).ok());
-  EXPECT_EQ(pruned.conclusion(), *ParseConstraint(u, "AC -> {B}"));
+  Result<Derivation> full = DeriveImplied(4, givens, goal);
+  ASSERT_TRUE(full.ok());
+  DeriveOptions short_by_one;
+  short_by_one.max_steps = static_cast<std::size_t>(full->size()) - 1;
+  EXPECT_EQ(DeriveImplied(4, givens, goal, short_by_one).status().code(),
+            StatusCode::kResourceExhausted);
+  DeriveOptions exact;
+  exact.max_steps = static_cast<std::size_t>(full->size());
+  EXPECT_TRUE(DeriveImplied(4, givens, goal, exact).ok());
 }
 
 // Every validated machine proof is semantically sound: each step's
