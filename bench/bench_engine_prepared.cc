@@ -30,6 +30,7 @@
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
+#include "rewrite/simplifier.h"
 #include "util/random.h"
 
 namespace diffc {
@@ -147,6 +148,7 @@ void RunPreparedExperiment() {
               all_agree ? "yes" : "NO");
 
   const PrepareStats& ps = (*prepared)->stats();
+  const rewrite::SimplifyStats& rs = ps.rewrite;
   const CacheCounters cache = GlobalPreparedPremisesCache().counters();
   // The engine no longer compiles the Proposition 5.4 CNF; its size is
   // still recorded, from the canonical set the artifact holds.
@@ -154,8 +156,8 @@ void RunPreparedExperiment() {
       TranslatePremises(n, (*prepared)->masks().Materialize());
   std::printf("prepare: %zu -> %zu constraints (%zu trivial, %zu duplicates dropped), "
               "%d vars, %zu clauses, %.3fms build\n",
-              ps.input_constraints, ps.canonical_constraints, ps.dropped_trivial,
-              ps.dropped_duplicates, translation.num_vars, translation.clauses.size(),
+              rs.before.constraints, rs.after.constraints, rs.Applied("drop-trivial"),
+              rs.Applied("absorb-subsumed"), translation.num_vars, translation.clauses.size(),
               static_cast<double>(ps.total_ns) / 1e6);
   std::printf("prepared cache: %.4f lifetime hit ratio\n\n", cache.HitRatio());
 
@@ -174,10 +176,10 @@ void RunPreparedExperiment() {
   json << "  \"prepared_speedup\": " << prepared_speedup << ",\n";
   json << "  \"cached_speedup\": " << cached_speedup << ",\n";
   json << "  \"verdicts_agree\": " << (all_agree ? "true" : "false") << ",\n";
-  json << "  \"prepare\": {\"input_constraints\": " << ps.input_constraints
-       << ", \"canonical_constraints\": " << ps.canonical_constraints
-       << ", \"dropped_trivial\": " << ps.dropped_trivial
-       << ", \"dropped_duplicates\": " << ps.dropped_duplicates
+  json << "  \"prepare\": {\"input_constraints\": " << rs.before.constraints
+       << ", \"canonical_constraints\": " << rs.after.constraints
+       << ", \"dropped_trivial\": " << rs.Applied("drop-trivial")
+       << ", \"dropped_duplicates\": " << rs.Applied("absorb-subsumed")
        << ", \"translation_vars\": " << translation.num_vars
        << ", \"translation_clauses\": " << translation.clauses.size()
        << ", \"build_ms\": " << static_cast<double>(ps.total_ns) / 1e6 << "},\n";

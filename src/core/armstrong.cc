@@ -1,6 +1,6 @@
 #include "core/armstrong.h"
 
-#include "core/closure.h"
+#include "core/implication.h"
 #include "lattice/decomposition.h"
 
 namespace diffc {
@@ -9,7 +9,7 @@ Result<SetFunction<std::int64_t>> ArmstrongFunction(int n, const ConstraintSet& 
   Result<SetFunction<std::int64_t>> density = SetFunction<std::int64_t>::Make(n);
   if (!density.ok()) return density.status();
   for (Mask m = 0; m < density->size(); ++m) {
-    if (!InClosureLattice(c, ItemSet(m))) density->at(m) = 1;
+    if (!InConstraintLattice(c, ItemSet(m))) density->at(m) = 1;
   }
   return FromDensity(*density);
 }
@@ -22,7 +22,7 @@ Result<BasketList> ArmstrongBaskets(int n, const ConstraintSet& c, int max_bits)
   std::vector<Mask> baskets;
   const Mask full = FullMask(n);
   for (Mask m = 0;; ++m) {
-    if (!InClosureLattice(c, ItemSet(m))) baskets.push_back(m);
+    if (!InConstraintLattice(c, ItemSet(m))) baskets.push_back(m);
     if (m == full) break;
   }
   return BasketList::Make(n, std::move(baskets));
@@ -31,7 +31,7 @@ Result<BasketList> ArmstrongBaskets(int n, const ConstraintSet& c, int max_bits)
 bool IsArmstrongFunction(const SetFunction<std::int64_t>& f, const ConstraintSet& c) {
   SetFunction<std::int64_t> density = Density(f);
   for (Mask m = 0; m < f.size(); ++m) {
-    const bool in_lattice = InClosureLattice(c, ItemSet(m));
+    const bool in_lattice = InConstraintLattice(c, ItemSet(m));
     if (in_lattice && density.at(m) != 0) return false;
     if (!in_lattice && density.at(m) == 0) return false;
   }

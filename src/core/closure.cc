@@ -5,15 +5,6 @@
 
 namespace diffc {
 
-bool InClosureLattice(const ConstraintSet& c, const ItemSet& u) {
-  for (const DifferentialConstraint& constraint : c) {
-    if (constraint.lhs().IsSubsetOf(u) && !constraint.rhs().SomeMemberSubsetOf(u)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Result<std::vector<ItemSet>> ClosureLattice(int n, const ConstraintSet& c, int max_bits) {
   if (n > max_bits) {
     return Status::ResourceExhausted("closure lattice enumeration over " +
@@ -22,7 +13,7 @@ Result<std::vector<ItemSet>> ClosureLattice(int n, const ConstraintSet& c, int m
   std::vector<ItemSet> out;
   const Mask full = FullMask(n);
   for (Mask m = 0;; ++m) {
-    if (InClosureLattice(c, ItemSet(m))) out.push_back(ItemSet(m));
+    if (InConstraintLattice(c, ItemSet(m))) out.push_back(ItemSet(m));
     if (m == full) break;
   }
   return out;

@@ -10,10 +10,8 @@ namespace diffc {
 
 /// The closure lattice `L(C) = ∪_{X'->Y' ∈ C} L(X', Y')` (Theorem 3.5).
 /// Everything about a constraint set — what it implies, equivalence,
-/// redundancy — is determined by this set.
-
-/// True iff `u ∈ L(C)`. O(|C| · |Y|) membership tests.
-bool InClosureLattice(const ConstraintSet& c, const ItemSet& u);
+/// redundancy — is determined by this set. Membership of one set is
+/// `InConstraintLattice` (`core/implication.h`).
 
 /// All elements of `L(C)` over an `n`-attribute universe, sorted by mask.
 /// Exhaustive in 2^n; ResourceExhausted when `n > max_bits`.

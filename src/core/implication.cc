@@ -9,21 +9,50 @@
 
 namespace diffc {
 
-Status CheckInUniverse(int n, const DifferentialConstraint& c, const char* role) {
+namespace {
+
+Status CheckUniverseSize(int n) {
   if (n < 0 || n > 64) {
     return Status::InvalidArgument("universe size must be in [0, 64]");
   }
-  const Mask outside = ~FullMask(n);
-  if ((c.lhs().bits() & outside) != 0) {
-    return Status::InvalidArgument(std::string(role) +
-                                   " lhs mask has attributes outside the " +
-                                   std::to_string(n) + "-attribute universe");
+  return Status::Ok();
+}
+
+Status OutsideUniverse(int n, const char* role, const char* part) {
+  return Status::InvalidArgument(std::string(role) + " " + part +
+                                 " has attributes outside the " + std::to_string(n) +
+                                 "-attribute universe");
+}
+
+// The goal, then every premise.
+Status CheckQueryInUniverse(int n, const ConstraintSet& premises,
+                            const DifferentialConstraint& goal) {
+  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  for (const DifferentialConstraint& p : premises) {
+    if (Status s = CheckInUniverse(n, p, "premise"); !s.ok()) return s;
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status CheckInUniverse(int n, const DifferentialConstraint& c, const char* role) {
+  if (Status s = CheckUniverseSize(n); !s.ok()) return s;
+  const Mask outside = ~FullMask(n);
+  if ((c.lhs().bits() & outside) != 0) return OutsideUniverse(n, role, "lhs mask");
   for (const ItemSet& m : c.rhs().members()) {
-    if ((m.bits() & outside) != 0) {
-      return Status::InvalidArgument(std::string(role) +
-                                     " family member has attributes outside the " +
-                                     std::to_string(n) + "-attribute universe");
+    if ((m.bits() & outside) != 0) return OutsideUniverse(n, role, "family member");
+  }
+  return Status::Ok();
+}
+
+Status CheckInUniverse(int n, const PremiseMasks& premises) {
+  if (Status s = CheckUniverseSize(n); !s.ok()) return s;
+  const Mask outside = ~FullMask(n);
+  for (const PremiseMasks::Premise& p : premises.premises) {
+    if ((p.lhs & outside) != 0) return OutsideUniverse(n, "premise", "lhs mask");
+    for (Mask y : premises.family(p)) {
+      if ((y & outside) != 0) return OutsideUniverse(n, "premise", "family member");
     }
   }
   return Status::Ok();
@@ -46,7 +75,7 @@ bool InConstraintLattice(const PremiseMasks& premises, Mask u) {
 Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet& premises,
                                                       const DifferentialConstraint& goal,
                                                       int max_free_bits, StopCheck* stop) {
-  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  if (Status s = CheckQueryInUniverse(n, premises, goal); !s.ok()) return s;
   const int free_bits = n - goal.lhs().size();
   if (free_bits > max_free_bits) {
     return Status::ResourceExhausted("exhaustive implication over " +
@@ -95,7 +124,7 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats) {
-  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  if (Status s = CheckQueryInUniverse(n, premises, goal); !s.ok()) return s;
   if (DIFFC_FAILPOINT("cnf/translate")) {
     return Status::Internal("failpoint cnf/translate: CNF translation failed");
   }
@@ -193,7 +222,7 @@ Result<ImplicationOutcome> CheckImplicationFdIndexed(int n, const FdPremiseIndex
 
 Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premises,
                                               const DifferentialConstraint& goal) {
-  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  if (Status s = CheckQueryInUniverse(n, premises, goal); !s.ok()) return s;
   if (!FdSubclassApplicable(premises, goal)) {
     return Status::FailedPrecondition(
         "FD subclass requires single-member right-hand sides");
@@ -204,7 +233,7 @@ Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premis
 
 Result<ImplicationOutcome> CheckImplication(int n, const ConstraintSet& premises,
                                             const DifferentialConstraint& goal) {
-  if (Status s = CheckInUniverse(n, goal, "goal"); !s.ok()) return s;
+  if (Status s = CheckQueryInUniverse(n, premises, goal); !s.ok()) return s;
   if (goal.IsTrivial()) {
     ImplicationOutcome out;
     out.SetImplied();

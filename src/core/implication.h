@@ -53,10 +53,14 @@ struct ImplicationOutcome {
 
 /// InvalidArgument unless `n` is in [0, 64] and the left-hand side and
 /// every right-hand member of `c` lie inside the `n`-attribute universe.
-/// `role` names `c` in the message ("goal", "given"), worded as the wire
-/// decoder words it. The deciders below, `DeriveImplied` and the
-/// implication engine check their input with it.
+/// `role` names `c` in the message ("goal", "premise", "given"), worded as
+/// the wire decoder words it. The deciders below check the goal and every
+/// premise with it, `DeriveImplied` its goal and givens, and the
+/// implication engine each goal.
 Status CheckInUniverse(int n, const DifferentialConstraint& c, const char* role);
+/// `CheckInUniverse` over every premise of an arena, with role "premise":
+/// the check `PreparedPremises::Build` makes once per artifact.
+Status CheckInUniverse(int n, const PremiseMasks& premises);
 
 /// True iff `u` lies in the closure lattice `L(C) = ∪ L(X_i, Y_i)` of
 /// `premises` — i.e. `u` is excluded as a counterexample by some premise.
@@ -96,6 +100,9 @@ struct PremiseTranslation {
 /// Builds the premise clauses of Proposition 5.4 over `n` attributes:
 ///
 ///   ∧_{X'->Y' ∈ C} ( (∨_{a∈X'} ¬u_a) ∨ ∨_j aux_j ),  aux_j → ∧_{y∈Y'_j} u_y
+///
+/// Requires every premise inside the universe (`CheckInUniverse`): an
+/// attribute a ≥ n would be numbered a + 1 and alias an auxiliary.
 PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises);
 
 /// Decides `premises |= goal` through the propositional translation

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "prop/dpll.h"
 #include "util/deadline.h"
@@ -88,9 +87,6 @@ struct QueryStats {
   /// `ExhaustionPolicy::kDegrade` this is the partial evidence attached to
   /// a kUnknown verdict.
   DecisionProcedure stopped_in = DecisionProcedure::kNone;
-  /// The plan the `QueryPlanner` chose: the applicable procedures in
-  /// execution order.
-  std::vector<DecisionProcedure> plan;
   /// Under `ExhaustionPolicy::kDegrade`: the status code (DeadlineExceeded
   /// or ResourceExhausted) the query failed with before the engine converted
   /// it to OK + kUnknown; kOk otherwise.

@@ -127,8 +127,9 @@ class ImplicationEngine {
   /// process-wide `PreparedPremisesCache`; on a miss the arena is the one
   /// rewritten into the artifact. Every family must be sorted and unique
   /// (`PremiseMasks`' invariant). Returns InvalidArgument for an
-  /// out-of-range universe size. The artifact is immutable and may
-  /// be used concurrently, across batches, and by other engine instances.
+  /// out-of-range universe size or a premise outside the universe. The
+  /// artifact is immutable and may be used concurrently, across batches,
+  /// and by other engine instances.
   Result<std::shared_ptr<const PreparedPremises>> Prepare(int n, PremiseMasks premises) const;
 
   /// `Prepare` over `PremiseMasks::Compile(premises)`.
@@ -136,8 +137,8 @@ class ImplicationEngine {
                                                           const ConstraintSet& premises) const;
 
   /// Decides `premises |= goals[i]` for every goal, in parallel. Returns
-  /// InvalidArgument for an out-of-range universe size; per-query failures
-  /// land in the corresponding `EngineQueryResult::status`, never abort.
+  /// InvalidArgument where `Prepare` would; per-query failures land in the
+  /// corresponding `EngineQueryResult::status`, never abort.
   ///
   /// `cancel` is a cooperative batch-wide cancel handle: fire it (from any
   /// thread) and queries not yet started return Cancelled without running,

@@ -41,12 +41,6 @@ QueryPlan QueryPlanner::Plan(const PreparedPremises& premises, const ProcedureQu
 PlanOutcome ExecutePlan(const QueryPlan& plan, const PreparedPremises& premises,
                         const ProcedureQuery& query, ProcedureContext* ctx) {
   PlanOutcome out;
-  ctx->stats->plan.clear();
-  ctx->stats->plan.reserve(plan.steps.size());
-  for (const QueryPlan::Step& step : plan.steps) {
-    ctx->stats->plan.push_back(step.procedure->id());
-  }
-
   bool sampled_deadline = false;
   bool have_pending = false;
   Status pending;

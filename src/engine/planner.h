@@ -63,8 +63,7 @@ struct PlanOutcome {
 ///     terminal (`QueryStats::stopped_in` names the stopping step for
 ///     stop / exhaustion statuses).
 ///
-/// Records the plan in `ctx->stats->plan` and one span per executed step
-/// in `ctx->tracer`.
+/// Records one span per executed step in `ctx->tracer`.
 PlanOutcome ExecutePlan(const QueryPlan& plan, const PreparedPremises& premises,
                         const ProcedureQuery& query, ProcedureContext* ctx);
 

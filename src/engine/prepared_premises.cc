@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "rewrite/simplifier.h"
 
 namespace diffc {
 
@@ -51,16 +50,13 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(int n,
                                                                        PremiseMasks premises) {
-  if (n < 0 || n > 64) {
-    return Status::InvalidArgument("universe size must be in [0, 64]");
-  }
+  if (Status s = CheckInUniverse(n, premises); !s.ok()) return s;
   static std::atomic<std::uint64_t> next_id{1};
 
   auto prepared = std::shared_ptr<PreparedPremises>(new PreparedPremises());
   prepared->n_ = n;
   prepared->id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   PrepareStats& stats = prepared->stats_;
-  stats.input_constraints = premises.size();
   const std::uint64_t start = NowNs();
 
   // Canonicalize in place through the rule-driven rewrite simplifier
@@ -68,39 +64,18 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(int n,
   // the artifact are valid against the original set.
   PremiseMasks& masks = prepared->masks_;
   masks = std::move(premises);
-  rewrite::SimplifyStats sstats;
-  rewrite::SimplifyInPlace(&masks, rewrite::SimplifyOptions(), &sstats);
-  stats.rewrite_passes = sstats.passes;
-  stats.rewrite_applied = sstats.applied_total;
-  stats.rewrite_reached_fixpoint = sstats.reached_fixpoint;
-  stats.rewrite_steps = sstats.steps;
-  stats.cost_constraints_before = sstats.before.constraints;
-  stats.cost_members_before = sstats.before.members;
-  stats.cost_items_before = sstats.before.member_items;
-  stats.cost_constraints_after = sstats.after.constraints;
-  stats.cost_members_after = sstats.after.members;
-  stats.cost_items_after = sstats.after.member_items;
-  stats.rewrite_rule_applied = std::move(sstats.applied_by_rule);
-  for (const auto& [rule, edits] : stats.rewrite_rule_applied) {
-    if (rule == "drop-trivial") stats.dropped_trivial = edits;
-    if (rule == "minimize-rhs") stats.minimized_members = edits;
-    if (rule == "absorb-subsumed") stats.dropped_duplicates = edits;
-    if (rule == "merge-same-lhs") stats.merged_constraints = edits;
-    if (rule == "narrow-members") stats.narrowed_items = edits;
-  }
-  stats.canonical_constraints = masks.size();
+  rewrite::SimplifyInPlace(&masks, rewrite::SimplifyOptions(), &stats.rewrite);
   stats.canonicalize_ns = NowNs() - start;
 
   const std::uint64_t fd_start = NowNs();
   prepared->fd_index_ = BuildFdPremiseIndex(masks);
-  stats.fd_eligible = prepared->fd_index_.eligible;
   stats.fd_index_ns = NowNs() - fd_start;
 
   stats.total_ns = NowNs() - start;
   PrepareMetrics& m = Metrics();
   m.builds->Inc();
-  const std::uint64_t dropped =
-      stats.dropped_trivial + stats.dropped_duplicates + stats.merged_constraints;
+  const rewrite::SimplifyStats& rs = stats.rewrite;
+  const std::uint64_t dropped = rs.before.constraints - rs.after.constraints;
   if (dropped > 0) m.dropped_premises->Inc(dropped);
   m.build_seconds->Observe(stats.total_ns / 1e9);
   return std::shared_ptr<const PreparedPremises>(std::move(prepared));

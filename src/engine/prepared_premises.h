@@ -3,55 +3,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "core/constraint.h"
 #include "core/implication.h"
 #include "core/premise_masks.h"
+#include "rewrite/simplifier.h"
 #include "util/status.h"
 
 namespace diffc {
 
 /// Per-artifact build counters of a `PreparedPremises` compilation.
 struct PrepareStats {
-  /// Constraints in the input set / surviving canonicalization.
-  std::size_t input_constraints = 0;
-  std::size_t canonical_constraints = 0;
-  /// Trivial premises dropped (`L(X, Y) = ∅` constrains nothing): the
-  /// `drop-trivial` edit count.
-  std::size_t dropped_trivial = 0;
-  /// Constraints dropped by `absorb-subsumed`, which subsumes exact
-  /// duplicates (DESIGN.md §14).
-  std::size_t dropped_duplicates = 0;
-  /// Right-hand members removed by `minimize-rhs`.
-  std::size_t minimized_members = 0;
-  /// Constraints removed by `merge-same-lhs`.
-  std::size_t merged_constraints = 0;
-  /// Member items removed by `narrow-members`.
-  std::size_t narrowed_items = 0;
-  /// Rewriter fixpoint passes / total rule edits.
-  std::size_t rewrite_passes = 0;
-  std::size_t rewrite_applied = 0;
-  /// False when the rewriter's step budget ran out before a fixpoint: the
-  /// canonical set is then partly rewritten, with `L(C)` still exact.
-  bool rewrite_reached_fixpoint = false;
-  /// Steps the rewriter charged against `rewrite::kSimplifyStepBudget`.
-  std::uint64_t rewrite_steps = 0;
-  /// The simplifier cost triple — (constraints, witness-family members,
-  /// total member sizes) — before and after canonicalization.
-  std::size_t cost_constraints_before = 0;
-  std::size_t cost_members_before = 0;
-  std::size_t cost_items_before = 0;
-  std::size_t cost_constraints_after = 0;
-  std::size_t cost_members_after = 0;
-  std::size_t cost_items_after = 0;
-  /// (rule name, edit count) per rule the rewriter ran, in application
-  /// order.
-  std::vector<std::pair<std::string, std::size_t>> rewrite_rule_applied;
-  /// True iff the canonical set is in the polynomial FD subclass.
-  bool fd_eligible = false;
+  /// The canonicalizer's counters: the cost triple before and after, the
+  /// passes, and the edits per rule.
+  rewrite::SimplifyStats rewrite;
   /// Wall time per compilation stage and end-to-end, nanoseconds.
   std::uint64_t canonicalize_ns = 0;
   std::uint64_t fd_index_ns = 0;
@@ -82,7 +47,8 @@ class PreparedPremises {
   /// in place: the artifact keeps the arena it is given. Every family must
   /// be sorted and unique (`PremiseMasks`' invariant), as `Compile` and
   /// the wire decoder leave them. Returns InvalidArgument for `n` outside
-  /// [0, 64]; never fails otherwise.
+  /// [0, 64] or a premise outside the universe (`CheckInUniverse`); never
+  /// fails otherwise.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n, PremiseMasks premises);
 
   /// `Build` over `PremiseMasks::Compile(premises)`.

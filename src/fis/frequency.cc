@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "core/closure.h"
+#include "core/implication.h"
 
 namespace diffc {
 
@@ -42,7 +42,7 @@ Result<DensityLp> BuildLp(int n, const std::vector<FrequencyConstraint>& frequen
   DensityLp lp;
   const Mask full = FullMask(n);
   for (Mask u = 0;; ++u) {
-    if (!InClosureLattice(differential, ItemSet(u))) lp.live.push_back(u);
+    if (!InConstraintLattice(differential, ItemSet(u))) lp.live.push_back(u);
     if (u == full) break;
   }
   lp.problem.num_vars = static_cast<int>(lp.live.size());

@@ -19,9 +19,6 @@ struct ClientMetricsSet {
   obs::Counter* retries_exhausted;
   obs::Counter* reconnects;
   obs::Counter* shed_backoffs;
-  obs::Counter* breaker_to_open;
-  obs::Counter* breaker_to_half_open;
-  obs::Counter* breaker_to_closed;
 };
 
 ClientMetricsSet& ClientMetrics() {
@@ -37,15 +34,6 @@ ClientMetricsSet& ClientMetrics() {
                                  "Reconnects after a lost or poisoned connection");
     m->shed_backoffs = r.GetCounter("diffc_net_client_shed_backoffs_total",
                                     "Backoffs honoring a server OVERLOADED retry-after hint");
-    m->breaker_to_open = r.GetCounter("diffc_net_client_breaker_transitions_total",
-                                      "Circuit-breaker state transitions by target state",
-                                      {{"to", "open"}});
-    m->breaker_to_half_open = r.GetCounter("diffc_net_client_breaker_transitions_total",
-                                           "Circuit-breaker state transitions by target state",
-                                           {{"to", "half-open"}});
-    m->breaker_to_closed = r.GetCounter("diffc_net_client_breaker_transitions_total",
-                                        "Circuit-breaker state transitions by target state",
-                                        {{"to", "closed"}});
     return m;
   }();
   return *metrics;
@@ -66,7 +54,6 @@ Status CheckUniverseSize(int n) {
 DiffcClient::DiffcClient(std::string address, ClientOptions options)
     : address_(std::move(address)),
       options_(options),
-      breaker_(options.breaker),
       rng_(options.seed != 0 ? options.seed : std::random_device{}()) {}
 
 DiffcClient DiffcClient::Create(const std::string& address, ClientOptions options) {
@@ -98,38 +85,6 @@ std::uint64_t DiffcClient::RandomBits() {
   std::uint64_t v = 0;
   while (v == 0) v = rng_();
   return v;
-}
-
-void DiffcClient::NoteBreakerTransition(CircuitBreaker::State before) {
-  const CircuitBreaker::State after = breaker_.state();
-  if (after == before) return;
-  ++stats_.breaker_transitions;
-  ClientMetricsSet& m = ClientMetrics();
-  switch (after) {
-    case CircuitBreaker::State::kOpen:
-      m.breaker_to_open->Inc();
-      break;
-    case CircuitBreaker::State::kHalfOpen:
-      m.breaker_to_half_open->Inc();
-      break;
-    case CircuitBreaker::State::kClosed:
-      m.breaker_to_closed->Inc();
-      break;
-  }
-}
-
-void DiffcClient::OnTransportFailure() {
-  const CircuitBreaker::State before = breaker_.state();
-  breaker_.RecordFailure();
-  NoteBreakerTransition(before);
-}
-
-void DiffcClient::OnServerReply() {
-  // Any framed reply — success, typed error, or shed — proves the
-  // endpoint alive, so the breaker's consecutive-failure count resets.
-  const CircuitBreaker::State before = breaker_.state();
-  breaker_.RecordSuccess();
-  NoteBreakerTransition(before);
 }
 
 Result<Frame> DiffcClient::RoundTripRaw(const Frame& request, WireResponse expected,
@@ -230,16 +185,6 @@ Status DiffcClient::EnsureReady(FailureClass* cls) {
       rec.server_handle = ok->handle;
     }
   }
-  if (breaker_.state() == CircuitBreaker::State::kHalfOpen) {
-    // The health probe an open breaker recovers through: cheap, touches
-    // no handles, and proves the whole request/reply path.
-    PingMsg probe;
-    probe.nonce = NextNonce();
-    std::chrono::milliseconds hint{0};
-    Result<Frame> pong = RoundTripRaw(EncodePing(probe), WireResponse::kPong, cls, &hint);
-    if (!pong.ok()) return pong.status();
-    OnServerReply();
-  }
   return Status::Ok();
 }
 
@@ -298,85 +243,52 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
     obs::GlobalTraceStore().Add(std::move(st));
   };
   RetrySchedule schedule(options_.retry, rng_());
-  int attempt = 0;
-  while (true) {
-    ++attempt;
+  for (int attempt = 1;; ++attempt) {
     if (tracer.enabled() && attempt > 1) {
       tracer.Note("attempt", std::to_string(attempt));
     }
-    Status last = Status::Ok();
-    FailureClass cls = FailureClass::kFatal;
+    FailureClass cls = FailureClass::kTransport;
     std::chrono::milliseconds hint{0};
-    bool server_shed = false;
-    const CircuitBreaker::State iter_breaker_before = breaker_.state();
-
-    const CircuitBreaker::State gate_before = breaker_.state();
-    Status gate = breaker_.Allow();
-    NoteBreakerTransition(gate_before);
-    if (!gate.ok()) {
-      // Short-circuit: no I/O while the breaker cools down; the remaining
-      // cooldown doubles as the backoff hint.
-      ++stats_.breaker_short_circuits;
-      cls = FailureClass::kOverloaded;
-      hint = breaker_.RetryAfter();
-      last = gate;
-      arm_tail();
-      tracer.Note("breaker-short-circuit", CircuitBreaker::StateName(breaker_.state()));
-    } else {
-      const std::uint64_t reconnects_before = stats_.reconnects;
-      Status ready = EnsureReady(&cls);
-      if (stats_.reconnects > reconnects_before) tracer.Note("reconnect", address_);
-      if (!ready.ok()) {
-        last = ready;
-        if (cls == FailureClass::kTransport) {
-          arm_tail();
-          tracer.Note("connect-failed", ready.message());
-          OnTransportFailure();
-        }
+    const char* transport_event = "connect-failed";
+    const std::uint64_t reconnects_before = stats_.reconnects;
+    Status last = EnsureReady(&cls);
+    if (stats_.reconnects > reconnects_before) tracer.Note("reconnect", address_);
+    if (last.ok()) {
+      transport_event = "transport-error";
+      Result<Frame> reply = RoundTripRaw(encode(), expected, &cls, &hint);
+      if (!reply.ok()) {
+        last = reply.status();
       } else {
-        Result<Frame> reply = RoundTripRaw(encode(), expected, &cls, &hint);
-        if (reply.ok()) {
-          Result<T> decoded = decode(*reply);
-          if (decoded.ok()) {
-            OnServerReply();
-            finish_trace("ok", /*errored=*/false);
-            return decoded;
-          }
-          // Framed but unparseable: treat like any other desync — poison
-          // the connection and retry the idempotent request on a fresh
-          // one.
-          dead_ = true;
-          cls = FailureClass::kTransport;
-          last = decoded.status();
-          arm_tail();
-          tracer.Note("decode-failed", last.message());
-          OnTransportFailure();
-        } else {
-          last = reply.status();
-          if (cls == FailureClass::kTransport) {
-            arm_tail();
-            tracer.Note("transport-error", last.message());
-            OnTransportFailure();
-          } else {
-            server_shed = cls == FailureClass::kOverloaded;
-            OnServerReply();
-            if (server_shed) {
-              any_shed = true;
-              arm_tail();
-              tracer.Note("shed", "retry_after=" + std::to_string(hint.count()) + "ms");
-            }
-          }
+        Result<T> decoded = decode(*reply);
+        if (decoded.ok()) {
+          finish_trace("ok", /*errored=*/false);
+          return decoded;
         }
+        // Framed but unparseable: treat like any other desync — poison
+        // the connection and retry the idempotent request on a fresh
+        // one.
+        dead_ = true;
+        cls = FailureClass::kTransport;
+        transport_event = "decode-failed";
+        last = decoded.status();
       }
     }
 
-    if (tracer.enabled() && breaker_.state() != iter_breaker_before) {
-      tracer.Note("breaker", CircuitBreaker::StateName(breaker_.state()));
-    }
+    // Classify: a typed server verdict surfaces as is; transport failures
+    // and sheds are retried.
     if (cls == FailureClass::kFatal) {
       finish_trace("error", /*errored=*/true);
       return last;
     }
+    const bool server_shed = cls == FailureClass::kOverloaded;
+    arm_tail();
+    if (server_shed) {
+      any_shed = true;
+      tracer.Note("shed", "retry_after=" + std::to_string(hint.count()) + "ms");
+    } else {
+      tracer.Note(transport_event, last.message());
+    }
+
     Result<std::chrono::milliseconds> delay = schedule.NextDelay(hint, deadline);
     if (!delay.ok()) {
       ++stats_.retries_exhausted;

@@ -29,8 +29,6 @@ struct ClientOptions {
   /// Backoff/budget discipline for transient failures (transport errors,
   /// OVERLOADED replies).
   RetryPolicy retry;
-  /// Per-endpoint circuit breaker over transport failures.
-  CircuitBreakerOptions breaker;
   /// Reconnect automatically after a lost connection, transparently
   /// re-registering every recorded premise set. When false, a lost
   /// connection fails every later call with FailedPrecondition.
@@ -53,8 +51,6 @@ struct ClientStats {
   std::uint64_t retries = 0;
   std::uint64_t retries_exhausted = 0;
   std::uint64_t reconnects = 0;
-  std::uint64_t breaker_transitions = 0;
-  std::uint64_t breaker_short_circuits = 0;
   /// Backoffs taken because the server shed the request (OVERLOADED).
   std::uint64_t shed_backoffs = 0;
 };
@@ -76,8 +72,7 @@ struct ClientStats {
 /// stay valid across connection loss; CHECK_BATCH retries carry an
 /// idempotency nonce so the server never runs (or admission-counts) a
 /// batch twice. OVERLOADED replies back off by at least the server's
-/// retry-after hint. Repeated transport failures open a circuit breaker
-/// that fails fast locally and recovers through a half-open `Ping` probe.
+/// retry-after hint.
 ///
 /// Not thread-safe. Move-only; the destructor closes the connection,
 /// which releases every handle this session registered on the server.
@@ -86,8 +81,8 @@ class DiffcClient {
   DiffcClient() = default;
 
   /// Creates a client without touching the network; the first request
-  /// connects lazily (useful when the endpoint may be down and the
-  /// breaker/retry machinery should own the failure).
+  /// connects lazily (useful when the endpoint may be down and the retry
+  /// loop should own the failure).
   static DiffcClient Create(const std::string& address, ClientOptions options = {});
 
   /// Connects eagerly to a diffcd server at `address` ("host:port" or
@@ -125,7 +120,6 @@ class DiffcClient {
   Status Release(std::uint64_t handle);
 
   const ClientStats& stats() const { return stats_; }
-  CircuitBreaker::State breaker_state() const { return breaker_.state(); }
 
   /// The trace context of the most recent call: minted client-side at call
   /// start, overwritten by the server's echo when the reply carries one.
@@ -151,11 +145,11 @@ class DiffcClient {
 
   DiffcClient(std::string address, ClientOptions options);
 
-  /// The retry loop shared by every request: breaker gate, (re)connect
-  /// with handle re-registration, one round trip, decode, classify,
-  /// back off. `encode` runs per attempt (server handles may change
-  /// across reconnects); `decode` validates the expected reply payload.
-  /// `op` names the call for spans ("check-batch", ...); `wire_tc`, when
+  /// The retry loop shared by every request: (re)connect with handle
+  /// re-registration, one round trip, decode, classify, back off.
+  /// `encode` runs per attempt (server handles may change across
+  /// reconnects); `decode` validates the expected reply payload. `op`
+  /// names the call for spans ("check-batch", ...); `wire_tc`, when
   /// non-null, receives the minted trace context so the encode closure can
   /// put it on the wire (null for messages without a trace field).
   template <typename T>
@@ -171,13 +165,10 @@ class DiffcClient {
   Result<Frame> RoundTripRaw(const Frame& request, WireResponse expected, FailureClass* cls,
                              std::chrono::milliseconds* retry_hint);
 
-  /// Ensures a live connection: reconnects when poisoned, runs the
-  /// half-open breaker probe (Ping), and re-registers recorded premises.
+  /// Ensures a live connection: reconnects when poisoned and re-registers
+  /// recorded premises.
   Status EnsureReady(FailureClass* cls);
 
-  void NoteBreakerTransition(CircuitBreaker::State before);
-  void OnTransportFailure();
-  void OnServerReply();
   std::uint64_t NextNonce();
   /// Nonzero draw from the client's seeded rng (trace/span ids —
   /// deterministic under a pinned seed).
@@ -191,7 +182,6 @@ class DiffcClient {
   bool dead_ = false;
   bool closed_ = false;
   bool connected_once_ = false;
-  CircuitBreaker breaker_;
   std::mt19937_64 rng_;
   /// Client-scoped handle → registration record. Client handles are
   /// allocated locally so they can never collide with a restarted

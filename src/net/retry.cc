@@ -5,6 +5,14 @@
 
 namespace diffc::net {
 
+namespace {
+
+// The backoff cap, and the half-width of the uniform jitter factor.
+constexpr std::chrono::milliseconds kMaxBackoff{2000};
+constexpr double kJitter = 0.2;
+
+}  // namespace
+
 RetrySchedule::RetrySchedule(const RetryPolicy& policy, std::uint64_t jitter_seed)
     : policy_(policy), rng_(jitter_seed) {
   current_ = policy_.initial_backoff.count() > 0 ? policy_.initial_backoff
@@ -25,20 +33,19 @@ Result<std::chrono::milliseconds> RetrySchedule::NextDelay(
                            : Deadline::Never();
   }
 
-  std::chrono::milliseconds delay = std::min(current_, policy_.max_backoff);
-  if (policy_.jitter > 0 && delay.count() > 0) {
+  std::chrono::milliseconds delay = std::min(current_, kMaxBackoff);
+  if (delay.count() > 0) {
     const double u = std::uniform_real_distribution<double>(-1.0, 1.0)(rng_);
-    const auto wiggle = static_cast<long long>(static_cast<double>(delay.count()) *
-                                               policy_.jitter * u);
+    const auto wiggle =
+        static_cast<long long>(static_cast<double>(delay.count()) * kJitter * u);
     delay += std::chrono::milliseconds(wiggle);
-    if (delay.count() < 0) delay = std::chrono::milliseconds(0);
   }
   // The server's retry-after hint is a floor, never a discount: backing
   // off less than an overloaded server asked for just feeds the overload.
   if (server_hint > delay) delay = server_hint;
 
   // Advance the exponential state for the next failure.
-  current_ = std::min(current_ * 2, policy_.max_backoff);
+  current_ = std::min(current_ * 2, kMaxBackoff);
   if (current_.count() < 1) current_ = std::chrono::milliseconds(1);
 
   if (!deadline.IsNever() && deadline.Remaining() <= delay) {
@@ -49,84 +56,6 @@ Result<std::chrono::milliseconds> RetrySchedule::NextDelay(
                                     std::to_string(failures_) + " failures");
   }
   return delay;
-}
-
-const char* CircuitBreaker::StateName(State s) {
-  switch (s) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
-void CircuitBreaker::TransitionTo(State next) {
-  if (state_ == next) return;
-  state_ = next;
-  if (next == State::kOpen) {
-    ++opens_;
-    cooldown_ = Deadline::After(options_.open_duration);
-  } else {
-    cooldown_ = Deadline::Never();
-  }
-  if (next == State::kClosed) consecutive_failures_ = 0;
-}
-
-Status CircuitBreaker::Allow() {
-  switch (state_) {
-    case State::kClosed:
-    case State::kHalfOpen:
-      return Status::Ok();
-    case State::kOpen:
-      if (cooldown_.Expired()) {
-        TransitionTo(State::kHalfOpen);
-        return Status::Ok();
-      }
-      return Status::Unavailable("circuit breaker open; retry in ~" +
-                                 std::to_string(RetryAfter().count()) + "ms");
-  }
-  return Status::Ok();
-}
-
-std::chrono::milliseconds CircuitBreaker::RetryAfter() const {
-  if (state_ != State::kOpen || cooldown_.IsNever()) return std::chrono::milliseconds(0);
-  const auto remaining =
-      std::chrono::duration_cast<std::chrono::milliseconds>(cooldown_.Remaining());
-  return remaining.count() > 0 ? remaining : std::chrono::milliseconds(0);
-}
-
-void CircuitBreaker::RecordSuccess() {
-  switch (state_) {
-    case State::kClosed:
-      consecutive_failures_ = 0;
-      break;
-    case State::kHalfOpen:
-      // One successful probe closes the breaker.
-      TransitionTo(State::kClosed);
-      break;
-    case State::kOpen:
-      // A success cannot originate while open (Allow refuses I/O); ignore.
-      break;
-  }
-}
-
-void CircuitBreaker::RecordFailure() {
-  switch (state_) {
-    case State::kHalfOpen:
-      // The probe failed: straight back to open, cooldown restarted.
-      TransitionTo(State::kOpen);
-      break;
-    case State::kClosed:
-      if (++consecutive_failures_ >= options_.failure_threshold) {
-        TransitionTo(State::kOpen);
-      }
-      break;
-    case State::kOpen:
-      break;
-  }
 }
 
 }  // namespace diffc::net

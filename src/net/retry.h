@@ -12,17 +12,14 @@ namespace diffc::net {
 
 /// The client's retry discipline for transient failures (transport errors
 /// and server shed replies). Defaults suit loopback/LAN deployments; see
-/// DESIGN.md §11 "Failure handling" for the semantics.
+/// DESIGN.md §11 "Failure handling" for the semantics. The backoff doubles
+/// per failure up to a 2 s cap, and each delay is perturbed by a uniform
+/// factor in [0.8, 1.2] so synchronized clients do not retry in lockstep.
 struct RetryPolicy {
   /// Total tries including the first; 1 disables retries.
   int max_attempts = 4;
-  /// Backoff before the first retry; doubles per failure up to
-  /// `max_backoff`.
+  /// Backoff before the first retry.
   std::chrono::milliseconds initial_backoff{10};
-  std::chrono::milliseconds max_backoff{2000};
-  /// Each delay is perturbed by a uniform factor in [1-jitter, 1+jitter]
-  /// so synchronized clients do not retry in lockstep.
-  double jitter = 0.2;
   /// Wall-clock budget across all retries of one call, measured from the
   /// first failure; zero = unbounded. A delay that would overrun the
   /// budget ends the retry loop instead.
@@ -56,57 +53,6 @@ class RetrySchedule {
   Deadline budget_deadline_;  // Armed lazily at the first failure.
   bool budget_armed_ = false;
   std::mt19937_64 rng_;
-};
-
-/// Options of a per-endpoint circuit breaker.
-struct CircuitBreakerOptions {
-  /// Consecutive transport failures that open the breaker.
-  int failure_threshold = 5;
-  /// How long an open breaker short-circuits before admitting a half-open
-  /// probe.
-  std::chrono::milliseconds open_duration{1000};
-};
-
-/// A closed/open/half-open circuit breaker over one endpoint. Closed
-/// passes everything through; `failure_threshold` consecutive transport
-/// failures open it, after which attempts fail locally (Unavailable, no
-/// I/O) until `open_duration` elapses; the next attempt then runs as a
-/// half-open probe — success closes the breaker, failure reopens it.
-///
-/// Not thread-safe; `DiffcClient` (one outstanding request per client) is
-/// the intended owner.
-class CircuitBreaker {
- public:
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  CircuitBreaker() : CircuitBreaker(CircuitBreakerOptions{}) {}
-  explicit CircuitBreaker(CircuitBreakerOptions options) : options_(options) {}
-
-  /// Gate before an attempt. Closed/half-open: OK. Open within the
-  /// cooldown: Unavailable (the caller must not touch the network). Open
-  /// past the cooldown: transitions to half-open and admits the probe.
-  Status Allow();
-
-  void RecordSuccess();
-  void RecordFailure();
-
-  State state() const { return state_; }
-  static const char* StateName(State s);
-
-  /// Remaining cooldown while open (a retry-after hint); zero otherwise.
-  std::chrono::milliseconds RetryAfter() const;
-
-  /// Times the breaker transitioned to open (tests and stats).
-  std::uint64_t opens() const { return opens_; }
-
- private:
-  void TransitionTo(State next);
-
-  const CircuitBreakerOptions options_;
-  State state_ = State::kClosed;
-  int consecutive_failures_ = 0;
-  std::uint64_t opens_ = 0;
-  Deadline cooldown_ = Deadline::Never();
 };
 
 }  // namespace diffc::net

@@ -84,7 +84,7 @@ class Tracer {
 
   /// Records an instant event: a zero-duration span under the innermost
   /// open span, carrying `detail` as its annotation. The client's retry /
-  /// backoff / breaker-transition events use this.
+  /// backoff / reconnect events use this.
   void Note(std::string_view name, std::string_view detail = {});
 
   /// Closes every open span and returns the finished record. The tracer is

@@ -44,6 +44,13 @@ RewriteMetrics& Metrics() {
 
 }  // namespace
 
+std::size_t SimplifyStats::Applied(std::string_view rule) const {
+  for (const auto& [name, edits] : applied_by_rule) {
+    if (name == rule) return edits;
+  }
+  return 0;
+}
+
 std::size_t SimplifyPassBound(const RewriteCost& before) {
   return static_cast<std::size_t>(2 + before.Potential());
 }

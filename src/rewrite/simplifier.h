@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,8 +27,8 @@ struct SimplifyOptions {
   int level = 2;
 };
 
-/// Per-invocation counters, mirrored into `PrepareStats` by the prepare
-/// stage and flushed into the `diffc_rewrite_*` metrics.
+/// Per-invocation counters, kept in `PrepareStats` by the prepare stage and
+/// flushed into the `diffc_rewrite_*` metrics.
 struct SimplifyStats {
   RewriteCost before;
   RewriteCost after;
@@ -43,6 +44,9 @@ struct SimplifyStats {
   /// (rule name, edit count) for every rule the level ran, in application
   /// order — the per-rule breakdown behind `diffc_rewrite_applied_total`.
   std::vector<std::pair<std::string, std::size_t>> applied_by_rule;
+
+  /// The edits of the rule named `rule`; 0 when the level did not run it.
+  std::size_t Applied(std::string_view rule) const;
 };
 
 /// The automatic pass cap: 2 + the scalar potential of `before`. Every

@@ -89,8 +89,8 @@ class [[nodiscard]] Status {
   }
   /// Returns an Unavailable error with `message` — a transport-level
   /// failure (connection reset, torn frame, unreachable or injected-fault
-  /// endpoint, open circuit breaker). Unavailable is the retryable
-  /// failure class: the operation may not have executed at all.
+  /// endpoint). Unavailable is the retryable failure class: the operation
+  /// may not have executed at all.
   static Status Unavailable(std::string message) {
     return Status(StatusCode::kUnavailable, std::move(message));
   }

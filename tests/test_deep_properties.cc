@@ -137,15 +137,17 @@ TEST(DeepEquivalence2, FamilyMinimizationInvariant) {
 TEST(DeepDerivation, StepBudgetEnforced) {
   Universe u = Universe::Letters(6);
   ConstraintSet givens = *ParseConstraintSet(u, "0 -> {AB, CD, EF}");
-  DifferentialConstraint goal = *ParseConstraint(u, "0 -> {ABC, DEF, AD}");
-  // Whether or not this particular goal is implied, a 3-step budget cannot
-  // fit any nontrivial proof.
+  // Implied: every U avoiding A, CD and F holds neither AB nor EF.
+  DifferentialConstraint goal = *ParseConstraint(u, "0 -> {A, CD, F}");
+  Result<Derivation> full = DeriveImplied(6, givens, goal);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_TRUE(ValidateDerivation(6, givens, *full).ok());
+  EXPECT_GT(full->size(), 3);
+  // Its proof does not fit in 3 steps.
   DeriveOptions tiny;
   tiny.max_steps = 3;
   Result<Derivation> d = DeriveImplied(6, givens, goal, tiny);
-  if (d.status().code() != StatusCode::kNotFound) {
-    EXPECT_EQ(d.status().code(), StatusCode::kResourceExhausted);
-  }
+  EXPECT_EQ(d.status().code(), StatusCode::kResourceExhausted) << d.status().ToString();
 }
 
 TEST(DeepDerivation, ProofsSurviveMinimalCoverSwap) {

@@ -444,7 +444,7 @@ TEST(ImplicationEngineTest, NullPreparedIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
+TEST(ImplicationEngineTest, PlanIsRecordedInTheTrace) {
   const int n = 10;
   ConstraintSet premises{
       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2, 3}}))};
@@ -453,18 +453,25 @@ TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
       DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})),
       // General goal: interval cover is planned before SAT, exhaustive last.
       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{4}, ItemSet{5, 6}}))};
-  ImplicationEngine engine;
+  EngineOptions opts;
+  opts.trace = true;
+  ImplicationEngine engine(opts);
   Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
   ASSERT_TRUE(out.ok());
   // The plan is the procedure table in order, filtered by applicability: the
   // two-member premise family is outside the FD subclass, so fd-subclass is
   // never planned.
-  using P = DecisionProcedure;
-  EXPECT_EQ(out->results[0].stats.plan,
-            (std::vector<P>{P::kTrivial, P::kIntervalCover, P::kSat, P::kExhaustive}));
-  EXPECT_EQ(out->results[0].stats.procedure, P::kTrivial);
-  EXPECT_EQ(out->results[1].stats.plan,
-            (std::vector<P>{P::kIntervalCover, P::kSat, P::kExhaustive}));
+  auto plan_span = [&](std::size_t i) {
+    const std::shared_ptr<const obs::TraceRecord>& trace = out->results[i].trace;
+    if (trace == nullptr) return std::string("no trace");
+    for (const obs::TraceSpan& s : trace->spans) {
+      if (s.name.rfind("plan:", 0) == 0) return s.name;
+    }
+    return std::string("no plan span");
+  };
+  EXPECT_EQ(plan_span(0), "plan:trivial+interval-cover+sat+exhaustive");
+  EXPECT_EQ(out->results[0].stats.procedure, DecisionProcedure::kTrivial);
+  EXPECT_EQ(plan_span(1), "plan:interval-cover+sat+exhaustive");
 }
 
 TEST(ImplicationEngineTest, ExpiredBatchDeadlineStillAnswersTrivialGoals) {

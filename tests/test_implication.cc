@@ -15,43 +15,74 @@ namespace {
 
 // ---------------------------------------------------------- universe checks
 
-// Every entry point refuses a universe size outside [0, 64] and a goal that
-// leaves the universe, with one wording. The CNF of `premises` has six
-// auxiliary variables numbered right after the four attributes, so goal
-// bits 4–9 would alias them.
+// Every entry point refuses a universe size outside [0, 64], and a goal or
+// premise that leaves the universe, with one wording. The CNF of
+// `premises` has six auxiliary variables numbered right after the four
+// attributes, so goal or premise bits 4–9 would alias them.
 TEST(UniverseCheckTest, EveryEntryPointRefusesInputOutsideTheUniverse) {
   const ConstraintSet premises{
       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}, ItemSet{3}})),
       DifferentialConstraint(ItemSet{1}, SetFamily({ItemSet{0}, ItemSet{2}, ItemSet{3}}))};
   ImplicationEngine engine;
-  auto expect_refused = [&](int n, const DifferentialConstraint& goal, const std::string& message) {
-    const std::vector<Status> statuses{
-        CheckImplication(n, premises, goal).status(),
-        CheckImplicationSat(n, premises, goal).status(),
-        CheckImplicationExhaustive(n, premises, goal).status(),
-        CheckImplicationFd(n, {}, goal).status(),
-        DeriveImplied(n, premises, goal).status(),
-        engine.CheckOne(n, premises, goal).status,
-    };
+  auto expect_refused = [](const std::vector<Status>& statuses, int n,
+                           const std::string& message) {
     for (std::size_t i = 0; i < statuses.size(); ++i) {
       EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument)
           << "entry point " << i << ", n=" << n << ": " << statuses[i].ToString();
       EXPECT_EQ(statuses[i].message(), message) << "entry point " << i << ", n=" << n;
     }
   };
+  // The four deciders and the engine's one-query entry point.
+  auto entry_points = [&](int n, const ConstraintSet& given, const DifferentialConstraint& goal) {
+    return std::vector<Status>{
+        CheckImplication(n, given, goal).status(),
+        CheckImplicationSat(n, given, goal).status(),
+        CheckImplicationExhaustive(n, given, goal).status(),
+        CheckImplicationFd(n, given, goal).status(),
+        engine.CheckOne(n, given, goal).status,
+    };
+  };
+  auto expect_goal_refused = [&](int n, const DifferentialConstraint& goal,
+                                 const std::string& message) {
+    std::vector<Status> statuses = entry_points(n, premises, goal);
+    statuses.push_back(DeriveImplied(n, premises, goal).status());
+    expect_refused(statuses, n, message);
+  };
   const DifferentialConstraint inside(ItemSet(), SetFamily({ItemSet{0}}));
-  for (int n : {-1, 65}) expect_refused(n, inside, "universe size must be in [0, 64]");
+  for (int n : {-1, 65}) expect_goal_refused(n, inside, "universe size must be in [0, 64]");
   for (int bit = 4; bit < 10; ++bit) {
-    expect_refused(4, DifferentialConstraint(ItemSet{bit}, SetFamily({ItemSet{0}})),
-                   "goal lhs mask has attributes outside the 4-attribute universe");
+    expect_goal_refused(4, DifferentialConstraint(ItemSet{bit}, SetFamily({ItemSet{0}})),
+                        "goal lhs mask has attributes outside the 4-attribute universe");
   }
-  expect_refused(4, DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 5}})),
-                 "goal family member has attributes outside the 4-attribute universe");
+  expect_goal_refused(4, DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 5}})),
+                      "goal family member has attributes outside the 4-attribute universe");
   // A cited given outside the universe could not validate.
   EXPECT_EQ(DeriveImplied(4, {DifferentialConstraint(ItemSet{5}, SetFamily())}, inside)
                 .status()
                 .message(),
             "given lhs mask has attributes outside the 4-attribute universe");
+
+  // Premises outside the universe, refused before any goal is seen.
+  auto expect_premises_refused = [&](const ConstraintSet& given,
+                                     const DifferentialConstraint& goal,
+                                     const std::string& message) {
+    std::vector<Status> statuses = entry_points(4, given, goal);
+    statuses.push_back(engine.Prepare(4, given).status());
+    statuses.push_back(engine.CheckBatch(4, given, {goal}).status());
+    expect_refused(statuses, 4, message);
+  };
+  // E -> {} never fires inside the universe, so U = AB refutes A -> {C, D};
+  // E aliasing an auxiliary made the CNF answer implied.
+  ConstraintSet lhs_outside = premises;
+  lhs_outside.push_back(DifferentialConstraint(ItemSet{4}, SetFamily()));
+  expect_premises_refused(lhs_outside,
+                          DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{2}, ItemSet{3}})),
+                          "premise lhs mask has attributes outside the 4-attribute universe");
+  // A -> {F} with F outside: the exhaustive walk answered implied, the CNF
+  // refused a literal, and the engine's certificate check failed Internal.
+  expect_premises_refused({DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{5}}))},
+                          DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})),
+                          "premise family member has attributes outside the 4-attribute universe");
 }
 
 // ------------------------------------------------------------- basic cases
@@ -286,8 +317,8 @@ TEST(ClosureTest, MembershipAndEnumeration) {
   ASSERT_TRUE(lattice.ok());
   EXPECT_EQ(*lattice, (std::vector<ItemSet>{ItemSet(0b001), ItemSet(0b010),
                                             ItemSet(0b011), ItemSet(0b101)}));
-  EXPECT_TRUE(InClosureLattice(c, ItemSet(0b101)));
-  EXPECT_FALSE(InClosureLattice(c, ItemSet(0b100)));
+  EXPECT_TRUE(InConstraintLattice(c, ItemSet(0b101)));
+  EXPECT_FALSE(InConstraintLattice(c, ItemSet(0b100)));
 }
 
 TEST(ClosureTest, Equivalence) {

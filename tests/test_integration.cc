@@ -37,7 +37,7 @@ class Theorem81 : public ::testing::TestWithParam<int> {
   static bool LatticeContainment(const ConstraintSet& c, const DifferentialConstraint& g) {
     for (Mask m = 0; m < (Mask{1} << kN); ++m) {
       ItemSet u(m);
-      if (InDecomposition(kN, g.lhs(), g.rhs(), u) && !InClosureLattice(c, u)) {
+      if (InDecomposition(kN, g.lhs(), g.rhs(), u) && !InConstraintLattice(c, u)) {
         return false;
       }
     }

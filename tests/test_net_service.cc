@@ -349,10 +349,9 @@ TEST(DiffcdServiceTest, ClientRefusesUniverseSizesOutsideTheWireRange) {
     EXPECT_EQ(offline.CheckBatch(1, n, premises).status().code(), StatusCode::kInvalidArgument)
         << "n=" << n;
   }
-  // No retry, no breaker count, and the connection still serves the handle.
+  // No retry, and the connection still serves the handle.
   EXPECT_EQ(client->stats().retries, 0u);
   EXPECT_EQ(offline.stats().retries, 0u);
-  EXPECT_EQ(offline.breaker_state(), CircuitBreaker::State::kClosed);
   Result<BatchResultMsg> batch = client->CheckBatch(registered->handle, 16, premises);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->results.size(), 1u);

@@ -32,10 +32,10 @@ TEST(PreparedPremisesTest, CanonicalizationDropsTrivialAndDuplicates) {
   const ConstraintSet canonical = p.masks().Materialize();
   ASSERT_EQ(canonical.size(), 1u);
   EXPECT_EQ(canonical[0], real);
-  EXPECT_EQ(p.stats().input_constraints, 3u);
-  EXPECT_EQ(p.stats().canonical_constraints, 1u);
-  EXPECT_EQ(p.stats().dropped_trivial, 1u);
-  EXPECT_EQ(p.stats().dropped_duplicates, 1u);
+  EXPECT_EQ(p.stats().rewrite.before.constraints, 3u);
+  EXPECT_EQ(p.stats().rewrite.after.constraints, 1u);
+  EXPECT_EQ(p.stats().rewrite.Applied("drop-trivial"), 1u);
+  EXPECT_EQ(p.stats().rewrite.Applied("absorb-subsumed"), 1u);
 }
 
 TEST(PreparedPremisesTest, CanonicalizationMinimizesWitnessFamilies) {
@@ -51,7 +51,7 @@ TEST(PreparedPremisesTest, CanonicalizationMinimizesWitnessFamilies) {
   const ConstraintSet canonical = p.masks().Materialize();
   ASSERT_EQ(canonical.size(), 1u);
   EXPECT_EQ(canonical[0].rhs(), SetFamily({ItemSet{1}}));
-  EXPECT_EQ(p.stats().minimized_members, 1u);
+  EXPECT_EQ(p.stats().rewrite.Applied("minimize-rhs"), 1u);
   // The canonical set excludes exactly the same lattice points.
   for (Mask m = 0; m < (Mask{1} << n); ++m) {
     EXPECT_EQ(InConstraintLattice(premises, ItemSet(m)),
@@ -124,7 +124,6 @@ TEST(PreparedPremisesTest, FdIndexMatchesEligibility) {
       PreparedPremises::Build(n, fd_premises);
   ASSERT_TRUE(fd_built.ok());
   EXPECT_TRUE((*fd_built)->fd_index().eligible);
-  EXPECT_TRUE((*fd_built)->stats().fd_eligible);
   EXPECT_EQ((*fd_built)->fd_index().fds.size(), 2u);
   // Closure of {0} under 0→1, 1→2 is {0,1,2}; the indexed checker agrees
   // with the direct FD checker.
@@ -157,10 +156,14 @@ TEST(PreparedPremisesTest, BuildStatsAreCoherent) {
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
   const PrepareStats& s = (*built)->stats();
-  EXPECT_EQ(s.input_constraints, premises.size());
-  EXPECT_EQ(s.canonical_constraints, s.input_constraints - s.dropped_trivial -
-                                         s.dropped_duplicates - s.merged_constraints);
-  EXPECT_EQ((*built)->masks().size(), s.canonical_constraints);
+  // Each edit of the three constraint-dropping rules removes one
+  // constraint; the other two rules remove none.
+  const rewrite::SimplifyStats& rs = s.rewrite;
+  EXPECT_EQ(rs.before.constraints, premises.size());
+  EXPECT_EQ(rs.after.constraints, rs.before.constraints - rs.Applied("drop-trivial") -
+                                      rs.Applied("absorb-subsumed") -
+                                      rs.Applied("merge-same-lhs"));
+  EXPECT_EQ((*built)->masks().size(), rs.after.constraints);
   EXPECT_GT(s.total_ns, 0u);
   EXPECT_LE(s.canonicalize_ns, s.total_ns);
   EXPECT_LE(s.fd_index_ns, s.total_ns);

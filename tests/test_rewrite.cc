@@ -435,9 +435,9 @@ void ExpectWideAntichainsStopAtTheBudget(int k) {
   const std::uint64_t exhausted_before = BudgetExhaustions();
   Result<std::shared_ptr<const PreparedPremises>> built = PreparedPremises::Build(64, premises);
   ASSERT_TRUE(built.ok());
-  const PrepareStats& s = (*built)->stats();
-  EXPECT_FALSE(s.rewrite_reached_fixpoint);
-  EXPECT_LE(s.rewrite_steps, rewrite::kSimplifyStepBudget);
+  const rewrite::SimplifyStats& s = (*built)->stats().rewrite;
+  EXPECT_FALSE(s.reached_fixpoint);
+  EXPECT_LE(s.steps, rewrite::kSimplifyStepBudget);
   EXPECT_EQ(BudgetExhaustions(), exhausted_before + 1);
   // Both premises are intact.
   std::sort(premises.begin(), premises.end());
@@ -463,9 +463,9 @@ TEST(RewriteBudgetTest, ManySameLhsPremisesStopAtTheBudget) {
   }
   Result<std::shared_ptr<const PreparedPremises>> built = PreparedPremises::Build(64, premises);
   ASSERT_TRUE(built.ok());
-  const PrepareStats& s = (*built)->stats();
-  EXPECT_FALSE(s.rewrite_reached_fixpoint);
-  EXPECT_LE(s.rewrite_steps, rewrite::kSimplifyStepBudget);
+  const rewrite::SimplifyStats& s = (*built)->stats().rewrite;
+  EXPECT_FALSE(s.reached_fixpoint);
+  EXPECT_LE(s.steps, rewrite::kSimplifyStepBudget);
   std::sort(premises.begin(), premises.end());
   EXPECT_EQ((*built)->masks().Materialize(), premises);
 }
@@ -480,16 +480,16 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
   Result<std::shared_ptr<const PreparedPremises>> built =
       PreparedPremises::Build(n, premises);  // Default: rewriter at level 2.
   ASSERT_TRUE(built.ok());
-  const PrepareStats& s = (*built)->stats();
-  EXPECT_GE(s.rewrite_passes, 1u);
-  EXPECT_EQ(s.rewrite_rule_applied.size(), 5u);
-  EXPECT_EQ(s.cost_constraints_before, premises.size());
-  EXPECT_EQ(s.cost_constraints_after, (*built)->masks().size());
+  const rewrite::SimplifyStats& s = (*built)->stats().rewrite;
+  EXPECT_GE(s.passes, 1u);
+  EXPECT_EQ(s.applied_by_rule.size(), 5u);
+  EXPECT_EQ(s.before.constraints, premises.size());
+  EXPECT_EQ(s.after.constraints, (*built)->masks().size());
   // Constraint bookkeeping: every removed constraint is attributed to
   // exactly one of the three constraint-dropping rules.
-  EXPECT_EQ(s.canonical_constraints,
-            s.input_constraints - s.dropped_trivial - s.dropped_duplicates -
-                s.merged_constraints);
+  EXPECT_EQ(s.after.constraints, s.before.constraints - s.Applied("drop-trivial") -
+                                     s.Applied("absorb-subsumed") -
+                                     s.Applied("merge-same-lhs"));
   // The canonical set excludes exactly the same lattice points.
   Result<bool> same = LcEquivalent(n, premises, (*built)->masks().Materialize());
   ASSERT_TRUE(same.ok());

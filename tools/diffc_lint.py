@@ -12,6 +12,14 @@ layer honest:
   metric-dup        Each (metric name, label set) is registered by exactly
                     one call site; a second site would silently share (or
                     fork) a time series.
+  metric-catalog    Every well-formed metric name a ``GetCounter`` /
+                    ``GetGauge`` / ``GetHistogram`` call registers has a
+                    row in the README metric table (a line starting
+                    ``| `diffc_...` ``), and every such row names a
+                    registered metric, so the table an operator reads is
+                    exactly what ``/metrics`` exports. The table is
+                    ``<root>/README.md`` or ``<root>/../README.md``; the
+                    rule is silent when neither exists (fixture subsets).
   failpoint-name    Fail-point names follow ``<area>/<site>`` (lowercase,
                     dash-separated words).
   failpoint-dup     Each fail-point name has exactly one site, so arming a
@@ -109,7 +117,7 @@ DECODER_PATH_FILES = {
 # Every rule this linter implements, in docstring order. --check-fixtures
 # verifies each has a bad fixture that fires it.
 ALL_RULES = (
-    "metric-name", "metric-dup", "failpoint-name", "failpoint-dup",
+    "metric-name", "metric-dup", "metric-catalog", "failpoint-name", "failpoint-dup",
     "failpoint-catalog", "solver-atomic", "include-guard",
     "mutex-guarded-by", "naked-lock", "void-discard", "wire-doc",
     "decoder-discipline", "fuzzer-catalog", "rewrite-catalog",
@@ -164,6 +172,7 @@ REWRITE_NAME_RE = re.compile(
     r"\bname\s*\(\s*\)\s*const\s+override\s*\{\s*return\s+\"([^\"]+)\"\s*;\s*\}"
 )
 WIRE_FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s]*[\s>]\s*(\w+)\s*(?:=[^;]*)?;")
+README_METRIC_ROW_RE = re.compile(r"^\|\s*`(diffc_\w+)`\s*\|", re.MULTILINE)
 
 
 class Finding:
@@ -305,7 +314,7 @@ def labels_key(args):
     return ""
 
 
-def scan_metrics(rel, text, registrations, findings):
+def scan_metrics(rel, text, registrations, metric_sites, findings):
     if rel in METRIC_REGISTRY_FILES:
         return
     for m in GET_METRIC_RE.finditer(text):
@@ -322,12 +331,45 @@ def scan_metrics(rel, text, registrations, findings):
             continue
         name = name_m.group(1)
         ok, scheme = metric_kind_checks(kind, name)
-        if not ok:
+        if ok:
+            metric_sites.setdefault(name, []).append((rel, line))
+        else:
             findings.append(
                 Finding(rel, line, "metric-name",
                         f"metric '{name}' does not match the naming scheme {scheme}")
             )
         registrations.setdefault((name, labels_key(args)), []).append((rel, line))
+
+
+def report_metric_catalog(root, metric_sites, findings):
+    """Registered metric names and README metric-table rows must match.
+
+    ``metric_sites`` holds only well-formed names: a malformed one is
+    already a metric-name finding, and must be renamed, not documented.
+    """
+    readme = load_doc(root, "README.md")
+    if readme is None:
+        return
+    rows = {}
+    for m in README_METRIC_ROW_RE.finditer(readme):
+        rows.setdefault(m.group(1), line_of(readme, m.start()))
+    for name, occurrences in sorted(metric_sites.items()):
+        if name in rows:
+            continue
+        file, line = occurrences[0]
+        findings.append(
+            Finding(file, line, "metric-catalog",
+                    f"metric '{name}' has no row in the README metric table; "
+                    "every exported series must be documented there")
+        )
+    for name, line in sorted(rows.items()):
+        if name in metric_sites:
+            continue
+        findings.append(
+            Finding("README.md", line, "metric-catalog",
+                    f"README metric table lists '{name}', which no "
+                    "GetCounter/GetGauge/GetHistogram call registers")
+        )
 
 
 def scan_failpoints(rel, text, sites, findings):
@@ -343,16 +385,15 @@ def scan_failpoints(rel, text, sites, findings):
         sites.setdefault(name, []).append((rel, line))
 
 
-def load_failpoint_catalog(root):
-    """The DESIGN.md text the catalog rule checks against, or None.
+def load_doc(root, name):
+    """The text of the document ``name`` a catalog rule checks against, or None.
 
     Looks in the linted tree first, then one level up (the repo layout:
-    ``--root src`` with DESIGN.md at the repo root). Returning None keeps
-    the rule silent for trees without a catalog, so single-fixture scratch
-    copies exercise only their own rule.
+    ``--root src`` with DESIGN.md, README.md and tests/ at the repo root).
+    Returning None keeps the rule silent for trees without the document,
+    so single-fixture scratch copies exercise only their own rule.
     """
-    for candidate in (os.path.join(root, "DESIGN.md"),
-                      os.path.join(root, os.pardir, "DESIGN.md")):
+    for candidate in (os.path.join(root, name), os.path.join(root, os.pardir, name)):
         if os.path.isfile(candidate):
             with open(candidate, encoding="utf-8") as f:
                 return f.read()
@@ -360,7 +401,7 @@ def load_failpoint_catalog(root):
 
 
 def report_failpoint_catalog(root, sites, findings):
-    catalog = load_failpoint_catalog(root)
+    catalog = load_doc(root, "DESIGN.md")
     if catalog is None:
         return
     for name, occurrences in sorted(sites.items()):
@@ -440,7 +481,7 @@ def scan_wire_doc(rel, text, wire_doc):
 
 def report_wire_doc(root, wire_doc, findings):
     """Every opcode hex and Msg field must be backticked in DESIGN.md."""
-    catalog = load_failpoint_catalog(root)
+    catalog = load_doc(root, "DESIGN.md")
     if catalog is None:
         return
     for rel, line, enum_name, kname, hexval in wire_doc["opcodes"]:
@@ -492,12 +533,11 @@ def scan_decoder_discipline(rel, code, findings):
 def find_fuzz_targets(root):
     """``fuzz_*`` stems of the fuzz dir beside the linted tree, or [].
 
-    Same two-level lookup as ``load_failpoint_catalog``: ``<root>/fuzz``
+    Same two-level lookup as ``load_doc``: ``<root>/fuzz``
     first, then ``<root>/../fuzz`` (the repo layout: ``--root src`` with
     fuzz/ at the repo root). Missing dir means no targets to audit.
     """
-    for candidate in (os.path.join(root, "fuzz"),
-                      os.path.join(root, os.pardir, "fuzz")):
+    for candidate in (os.path.join(root, "fuzz"), os.path.join(root, os.pardir, "fuzz")):
         if os.path.isdir(candidate):
             return sorted(
                 name[:-len(".cc")] for name in os.listdir(candidate)
@@ -506,7 +546,7 @@ def find_fuzz_targets(root):
 
 
 def report_fuzzer_catalog(root, findings):
-    catalog = load_failpoint_catalog(root)
+    catalog = load_doc(root, "DESIGN.md")
     if catalog is None:
         return
     for target in find_fuzz_targets(root):
@@ -531,26 +571,11 @@ def scan_rewrite_rules(rel, text, rewrite_sites):
             (rel, line_of(text, m.start())))
 
 
-def load_rewrite_tests(root):
-    """The test_rewrite.cc text the catalog rule checks against, or None.
-
-    Same two-level lookup as ``load_failpoint_catalog``: the repo layout is
-    ``--root src`` with tests/ at the repo root. None keeps the test half
-    silent for trees without the suite (fixture subsets).
-    """
-    for candidate in (os.path.join(root, "tests", "test_rewrite.cc"),
-                      os.path.join(root, os.pardir, "tests", "test_rewrite.cc")):
-        if os.path.isfile(candidate):
-            with open(candidate, encoding="utf-8") as f:
-                return f.read()
-    return None
-
-
 def report_rewrite_catalog(root, rewrite_sites, findings):
-    catalog = load_failpoint_catalog(root)
+    catalog = load_doc(root, "DESIGN.md")
     if catalog is None:
         return
-    tests = load_rewrite_tests(root)
+    tests = load_doc(root, os.path.join("tests", "test_rewrite.cc"))
     for name, occurrences in sorted(rewrite_sites.items()):
         file, line = occurrences[0]
         if f"`{name}`" not in catalog:
@@ -728,12 +753,12 @@ def scan_void_discards(rel, raw, findings):
 # ------------------------------------------------------------------ driver
 
 
-def lint_file(root, rel, registrations, failpoint_sites, wire_doc, rewrite_sites,
-              findings):
+def lint_file(root, rel, registrations, metric_sites, failpoint_sites, wire_doc,
+              rewrite_sites, findings):
     with open(os.path.join(root, rel), encoding="utf-8") as f:
         raw = f.read()
     no_comments, code_only = strip_comments(raw)
-    scan_metrics(rel, no_comments, registrations, findings)
+    scan_metrics(rel, no_comments, registrations, metric_sites, findings)
     scan_failpoints(rel, no_comments, failpoint_sites, findings)
     scan_wire_doc(rel, no_comments, wire_doc)
     scan_rewrite_rules(rel, no_comments, rewrite_sites)
@@ -751,6 +776,7 @@ def lint_file(root, rel, registrations, failpoint_sites, wire_doc, rewrite_sites
 def lint_tree(root):
     findings = []
     registrations = {}
+    metric_sites = {}
     failpoint_sites = {}
     wire_doc = {"opcodes": [], "fields": []}
     rewrite_sites = {}
@@ -760,13 +786,14 @@ def lint_tree(root):
             if name.endswith(SOURCE_EXTENSIONS):
                 rels.append(os.path.relpath(os.path.join(dirpath, name), root))
     for rel in sorted(rels):
-        lint_file(root, rel.replace(os.sep, "/"), registrations, failpoint_sites,
-                  wire_doc, rewrite_sites, findings)
+        lint_file(root, rel.replace(os.sep, "/"), registrations, metric_sites,
+                  failpoint_sites, wire_doc, rewrite_sites, findings)
     report_wire_doc(root, wire_doc, findings)
     metric_display = {}
     for (name, labels), occurrences in registrations.items():
         metric_display[name if not labels else f"{name} {labels}"] = occurrences
     report_duplicates(metric_display, "metric-dup", "metric", findings)
+    report_metric_catalog(root, metric_sites, findings)
     report_duplicates(failpoint_sites, "failpoint-dup", "fail point", findings)
     report_failpoint_catalog(root, failpoint_sites, findings)
     report_fuzzer_catalog(root, findings)

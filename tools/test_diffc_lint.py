@@ -23,6 +23,7 @@ FIXTURES = os.path.join(TOOLS_DIR, "lint_fixtures")
 
 # The golden findings of the bad fixture tree: (file, line, rule).
 EXPECTED_BAD = [
+    ("README.md", 12, "metric-catalog"),
     ("core/bad_discard.cc", 7, "void-discard"),
     ("core/bad_failpoint.cc", 6, "failpoint-name"),
     ("core/dup_failpoint.cc", 5, "failpoint-dup"),
@@ -38,6 +39,7 @@ EXPECTED_BAD = [
     ("net/wire.cc", 20, "decoder-discipline"),
     ("obs/bad_metric.cc", 5, "metric-name"),
     ("obs/dup_metric_b.cc", 5, "metric-dup"),
+    ("obs/undocumented_metric.cc", 5, "metric-catalog"),
     ("prop/dpll.cc", 8, "solver-atomic"),
     ("rewrite/uncataloged_rule.cc", 7, "rewrite-catalog"),
     ("rewrite/uncataloged_rule.cc", 12, "rewrite-catalog"),
@@ -46,7 +48,7 @@ EXPECTED_BAD = [
 
 # Every rule the linter implements must be covered by the bad fixtures.
 ALL_RULES = {
-    "metric-name", "metric-dup", "failpoint-name", "failpoint-dup",
+    "metric-name", "metric-dup", "metric-catalog", "failpoint-name", "failpoint-dup",
     "failpoint-catalog", "solver-atomic", "include-guard",
     "mutex-guarded-by", "naked-lock", "void-discard", "wire-doc",
     "decoder-discipline", "fuzzer-catalog", "rewrite-catalog",
@@ -85,6 +87,8 @@ class BadFixtureTest(unittest.TestCase):
             "fuzz/fuzz_uncataloged.cc": ["DESIGN.md"],
             # Both rewrite-catalog halves need their lookup targets.
             "rewrite/uncataloged_rule.cc": ["DESIGN.md", "tests/test_rewrite.cc"],
+            # The metric-table rule is silent without README.md.
+            "obs/undocumented_metric.cc": ["README.md"],
         }
         files = sorted({f for f, _, _ in EXPECTED_BAD})
         for rel in files:
