@@ -8,16 +8,18 @@
 //                prepare ran before the rewriter (drop trivial, minimize
 //                families, dedupe), kept here as the baseline now that
 //                prepare always rewrites.
-//   simplified — the rule-driven simplifier at level 2 (DESIGN.md §14).
+//   simplified — the rule-driven simplifier (DESIGN.md §14).
 //
 // The headline number is the artifact shrink attributable to the rewriter
 // beyond the inline path: member_reduction = 1 − members(simplified) /
-// members(raw). The acceptance bar is >= 10%, encoded in
-// bench/BENCH_E10.schema.json and checked in CI. The repeated-query rows
-// time the `sat` kernel (`SearchCounterexample`) over each set's mask
-// arena, so the speedup is the smaller artifact's effect on the search
-// alone; verdict agreement across the two sets is pinned. Results land in
-// BENCH_E10.json.
+// members(raw). Of the planted shapes, only the augmented copies are
+// redundancy the inline path keeps and absorb-subsumed removes; both keep
+// the split same-lhs constraints and the lhs-overlapping members. The
+// acceptance bar is >= 10%, encoded in bench/BENCH_E10.schema.json and
+// checked in CI. The repeated-query rows time the `sat` kernel
+// (`SearchCounterexample`) over each set's mask arena, so the speedup is
+// the smaller artifact's effect on the search alone; verdict agreement
+// across the two sets is pinned. Results land in BENCH_E10.json.
 
 #include <benchmark/benchmark.h>
 
@@ -39,10 +41,9 @@
 namespace diffc {
 namespace {
 
-// The E10 workload: a base set plus the redundancy only the rewriter can
-// remove — the inline path keeps augmented (non-identical) copies and
-// split same-lhs constraints, so the differential is exactly the new
-// rules' contribution.
+// The E10 workload: a base set plus planted redundancy. The inline path
+// keeps the augmented (non-identical) copies, so absorbing them is the
+// rewriter's contribution.
 void MakeWorkload(int n, ConstraintSet* premises,
                   std::vector<DifferentialConstraint>* goals) {
   Rng rng(20260809);
@@ -55,7 +56,7 @@ void MakeWorkload(int n, ConstraintSet* premises,
     premises->push_back(DifferentialConstraint(
         p.lhs().Union(ItemSet(rng.RandomMask(n, 2.0 / n))), p.rhs()));
   }
-  // Split same-lhs singleton constraints: merged into one via the union rule.
+  // Split same-lhs singleton constraints: both paths keep them.
   for (int i = 0; i < 12; ++i) {
     ItemSet lhs(rng.RandomMask(n, 2.0 / n));
     Mask a = rng.RandomMask(n, 2.0 / n) & ~lhs.bits();
@@ -65,7 +66,7 @@ void MakeWorkload(int n, ConstraintSet* premises,
     premises->push_back(DifferentialConstraint(lhs, SetFamily({ItemSet(a)})));
     premises->push_back(DifferentialConstraint(lhs, SetFamily({ItemSet(b)})));
   }
-  // Members overlapping their lhs: narrowed (items shrink, members stay).
+  // Members overlapping their lhs: both paths keep them.
   for (int i = 0; i < 8; ++i) {
     ItemSet lhs(rng.RandomMask(n, 3.0 / n));
     Mask outside = rng.RandomMask(n, 2.0 / n) & ~lhs.bits();
@@ -124,7 +125,7 @@ void RunRewriteExperiment() {
   const ConstraintSet raw = InlineCanonicalize(premises);
   rewrite::SimplifyStats ss;
   const ConstraintSet simplified =
-      rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &ss);  // Level 2.
+      rewrite::Simplify(n, premises, rewrite::SimplifyOptions(), &ss);
 
   const PremiseMasks raw_masks = PremiseMasks::Compile(raw);
   const PremiseMasks simplified_masks = PremiseMasks::Compile(simplified);
@@ -182,7 +183,7 @@ void RunRewriteExperiment() {
               input_cost.members, input_cost.member_items);
   std::printf("%22s %12zu %10zu %10zu\n", "inline (raw)", raw_cost.constraints,
               raw_cost.members, raw_cost.member_items);
-  std::printf("%22s %12zu %10zu %10zu\n", "rewriter (level 2)",
+  std::printf("%22s %12zu %10zu %10zu\n", "rewriter",
               simplified_cost.constraints, simplified_cost.members,
               simplified_cost.member_items);
   std::printf("reduction vs inline: %.1f%% constraints, %.1f%% members, %.1f%% items\n",
@@ -228,14 +229,12 @@ void BM_SimplifyWorkload(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
-  rewrite::SimplifyOptions opts;
-  opts.level = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rewrite::Simplify(n, premises, opts));
+    benchmark::DoNotOptimize(rewrite::Simplify(n, premises, rewrite::SimplifyOptions()));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(premises.size()));
 }
-BENCHMARK(BM_SimplifyWorkload)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimplifyWorkload);
 
 void BM_PrepareWithRewriter(benchmark::State& state) {
   const int n = 16;

@@ -1,12 +1,12 @@
 // Fuzzes the rewrite canonicalizer (src/rewrite/, DESIGN.md §14). The
 // input bytes decode into a small universe (n in [2, 8]) and a constraint
-// set; the decoded instance runs through `Simplify` at both levels with the
-// properties:
+// set; the decoded instance runs through `Simplify` with the properties:
 //
 //   1. *Termination*: the driver reaches a confirmed fixpoint within the
-//      automatic pass bound (2 + the scalar potential of the input).
-//   2. *Soundness*: L(C) over all 2^n subsets is bit-for-bit unchanged —
-//      the materialized-lattice oracle, not a weaker structural check.
+//      automatic pass bound (2 + the input's constraints and members).
+//   2. *Soundness*: L(C) over all 2^n subsets is unchanged — the
+//      enumerated lattices (`ClosureLattice`) are equal, not a weaker
+//      structural check.
 //   3. *Idempotence*: re-running on the output applies zero edits and
 //      returns the identical set.
 //   4. *Order independence*: a shuffle of the instance simplifies to the
@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "core/closure.h"
 #include "core/constraint.h"
 #include "harness.h"
-#include "rewrite/lc_check.h"
 #include "rewrite/simplifier.h"
 
 using namespace diffc;
@@ -68,43 +68,37 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   for (std::size_t i = 0; i < size; ++i) seed = (seed ^ data[i]) * 0x100000001b3ull;
   std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(seed));
 
-  for (int level = 1; level <= 2; ++level) {
-    rewrite::SimplifyOptions opts;
-    opts.level = level;
-    rewrite::SimplifyStats stats;
-    const ConstraintSet out = rewrite::Simplify(n, instance, opts, &stats);
+  rewrite::SimplifyStats stats;
+  const ConstraintSet out = rewrite::Simplify(n, instance, {}, &stats);
 
-    if (!stats.reached_fixpoint) {
-      fuzz::FuzzFail("termination", "no fixpoint within the pass bound at level " +
-                                        std::to_string(level));
-    }
-    if (stats.passes > rewrite::SimplifyPassBound(stats.before)) {
-      fuzz::FuzzFail("termination", "pass count exceeds the potential bound");
-    }
-    if (stats.before < stats.after) {
-      fuzz::FuzzFail("progress", "simplified cost exceeds the input cost");
-    }
+  if (!stats.reached_fixpoint) {
+    fuzz::FuzzFail("termination", "no fixpoint within the pass bound");
+  }
+  if (stats.passes > rewrite::SimplifyPassBound(stats.before)) {
+    fuzz::FuzzFail("termination", "pass count exceeds the pass bound");
+  }
+  if (stats.before < stats.after) {
+    fuzz::FuzzFail("progress", "simplified cost exceeds the input cost");
+  }
 
-    Result<bool> same = rewrite::LcEquivalent(n, instance, out);
-    if (!same.ok()) {
-      fuzz::FuzzFail("oracle", "L(C) materialization failed: " + same.status().ToString());
-    }
-    if (!*same) {
-      fuzz::FuzzFail("soundness", "L(C) changed at level " + std::to_string(level) +
-                                      " (n=" + std::to_string(n) + ", " +
-                                      std::to_string(instance.size()) + " constraints)");
-    }
+  Result<std::vector<ItemSet>> before = ClosureLattice(n, instance);
+  Result<std::vector<ItemSet>> after = ClosureLattice(n, out);
+  if (!before.ok() || !after.ok()) {
+    fuzz::FuzzFail("oracle", "L(C) enumeration failed");
+  }
+  if (*before != *after) {
+    fuzz::FuzzFail("soundness", "L(C) changed (n=" + std::to_string(n) + ", " +
+                                    std::to_string(instance.size()) + " constraints)");
+  }
 
-    rewrite::SimplifyStats again_stats;
-    const ConstraintSet again = rewrite::Simplify(n, out, opts, &again_stats);
-    if (again_stats.applied_total != 0 || again != out) {
-      fuzz::FuzzFail("idempotence", "re-simplification edited an already-canonical set");
-    }
+  rewrite::SimplifyStats again_stats;
+  const ConstraintSet again = rewrite::Simplify(n, out, {}, &again_stats);
+  if (again_stats.applied_total != 0 || again != out) {
+    fuzz::FuzzFail("idempotence", "re-simplification edited an already-canonical set");
+  }
 
-    if (rewrite::Simplify(n, shuffled, opts) != out) {
-      fuzz::FuzzFail("order", "a shuffled instance simplified to a different set at level " +
-                                  std::to_string(level));
-    }
+  if (rewrite::Simplify(n, shuffled, {}) != out) {
+    fuzz::FuzzFail("order", "a shuffled instance simplified to a different set");
   }
   return 0;
 }

@@ -194,6 +194,13 @@ int main(int argc, char** argv) {
   WriteSeed("request_decode", "register_v3", WithSelector(2, EncodeRegisterPremises(reg)));
   WriteSeed("request_decode", "check_batch_v3", WithSelector(3, EncodeCheckBatch(batch)));
   {
+    // A deadline past `kMaxDeadlineMs`: the decoder must reject it.
+    CheckBatchMsg endless = batch;
+    endless.deadline_ms = ~std::uint64_t{0};
+    WriteSeed("request_decode", "check_batch_deadline_max",
+              WithSelector(3, EncodeCheckBatch(endless)));
+  }
+  {
     // A -> {BC, B, BC}; AB -> {C}: a family out of order and with a
     // duplicate, which the decoder must sort and deduplicate into the
     // arena `Compile` builds for the same set.
@@ -224,16 +231,17 @@ int main(int argc, char** argv) {
 
   // ---- rewrite: byte 0 picks n (2 + b % 7); then per constraint an lhs
   // byte, a member-count byte (low 2 bits + 1), and the member bytes. Seeds
-  // plant one redundancy per rule so coverage starts with every rule firing.
+  // plant one redundancy per rule so coverage starts with every rule firing,
+  // plus shapes the canonical set keeps.
   WriteSeed("rewrite", "trivial",  // {A,B} -> {{A}} (member ⊆ lhs).
             {2, 0b0011, 0, 0b0001});
   WriteSeed("rewrite", "nested_members",  // A -> {{B}, {B,C}}: non-minimal.
             {2, 0b0001, 1, 0b0010, 0b0110});
-  WriteSeed("rewrite", "lhs_overlap",  // {A,B} -> {{B,C}}: narrows to {{C}}.
+  WriteSeed("rewrite", "lhs_overlap",  // {A,B} -> {{B,C}}: kept as it is.
             {2, 0b0011, 0, 0b0110});
   WriteSeed("rewrite", "augmented_pair",  // A -> {{C}} absorbs {A,B} -> {{C}}.
             {2, 0b0001, 0, 0b0100, 0b0011, 0, 0b0100});
-  WriteSeed("rewrite", "same_lhs_pair",  // A -> {{B}}, A -> {{C}}: merges.
+  WriteSeed("rewrite", "same_lhs_pair",  // A -> {{B}}, A -> {{C}}: both kept.
             {2, 0b0001, 0, 0b0010, 0b0001, 0, 0b0100});
   WriteSeed("rewrite", "empty_member",  // A -> {∅}: trivial via ∅ ⊆ U.
             {2, 0b0001, 0, 0b0000});

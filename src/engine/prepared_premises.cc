@@ -29,7 +29,7 @@ struct PrepareMetrics {
                           "PreparedPremises compilations (cache misses and direct builds).");
     dropped_premises =
         r.GetCounter("diffc_engine_prepare_dropped_premises_total",
-                     "Premises removed by canonicalization (trivial, subsumed, or merged).");
+                     "Premises removed by canonicalization (trivial or subsumed).");
     build_seconds = r.GetHistogram("diffc_engine_prepare_seconds",
                                    "End-to-end PreparedPremises build wall time.",
                                    obs::ExponentialBuckets(1e-7, 4.0, 12));
@@ -64,7 +64,7 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(int n,
   // the artifact are valid against the original set.
   PremiseMasks& masks = prepared->masks_;
   masks = std::move(premises);
-  rewrite::SimplifyInPlace(&masks, rewrite::SimplifyOptions(), &stats.rewrite);
+  rewrite::SimplifyInPlace(&masks, &stats.rewrite);
   stats.canonicalize_ns = NowNs() - start;
 
   const std::uint64_t fd_start = NowNs();

@@ -43,12 +43,11 @@ struct PrepareStats {
 class PreparedPremises {
  public:
   /// Compiles `premises` over an `n`-attribute universe, canonicalizing
-  /// with the rewrite simplifier under default `rewrite::SimplifyOptions`
-  /// in place: the artifact keeps the arena it is given. Every family must
-  /// be sorted and unique (`PremiseMasks`' invariant), as `Compile` and
-  /// the wire decoder leave them. Returns InvalidArgument for `n` outside
-  /// [0, 64] or a premise outside the universe (`CheckInUniverse`); never
-  /// fails otherwise.
+  /// with the rewrite simplifier in place: the artifact keeps the arena it
+  /// is given. Every family must be sorted and unique (`PremiseMasks`'
+  /// invariant), as `Compile` and the wire decoder leave them. Returns
+  /// InvalidArgument for `n` outside [0, 64] or a premise outside the
+  /// universe (`CheckInUniverse`); never fails otherwise.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n, PremiseMasks premises);
 
   /// `Build` over `PremiseMasks::Compile(premises)`.

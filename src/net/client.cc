@@ -355,6 +355,11 @@ Result<BatchResultMsg> DiffcClient::CheckBatch(std::uint64_t handle, int n,
                                                std::chrono::milliseconds deadline) {
   Status valid = CheckUniverseSize(n);
   if (!valid.ok()) return valid;
+  if (deadline.count() > static_cast<std::int64_t>(kMaxDeadlineMs)) {
+    // The InvalidArgument the server's decoder would answer.
+    return Status::InvalidArgument("deadline " + std::to_string(deadline.count()) +
+                                   " ms exceeds cap " + std::to_string(kMaxDeadlineMs));
+  }
   auto it = handles_.find(handle);
   if (it == handles_.end()) {
     // The same NotFound an unknown handle would earn server-side.

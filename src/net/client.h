@@ -111,7 +111,8 @@ class DiffcClient {
   /// batch — and the client-side bound past which no retry is scheduled;
   /// queries past it come back DeadlineExceeded or degraded, matching the
   /// in-process engine's semantics. InvalidArgument for `n` outside
-  /// [0, 64], before anything is sent.
+  /// [0, 64] or a `deadline` past `kMaxDeadlineMs`, before anything is
+  /// sent.
   Result<BatchResultMsg> CheckBatch(std::uint64_t handle, int n,
                                     const std::vector<DifferentialConstraint>& goals,
                                     std::chrono::milliseconds deadline = {});

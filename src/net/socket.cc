@@ -20,17 +20,18 @@ namespace diffc::net {
 
 namespace {
 
-// Classifies the current errno into the status code the retry layers key
-// on. EINTR never reaches here — every syscall loop retries it — so by the
-// time an error surfaces it is a real condition: a peer reset/abort is
-// Unavailable (safe to retry on a fresh connection, matching the error
-// frames the server sends before closing), a receive timeout from
-// SO_RCVTIMEO is DeadlineExceeded, and anything else (EBADF, ENOMEM, ...)
-// stays Internal so programming errors are not silently retried.
-Status Errno(const std::string& what) {
-  const int err = errno;
+// Classifies the error number `err` into the status code the retry layers
+// key on. EINTR never reaches here — every syscall loop retries it — so by
+// the time an error surfaces it is a real condition: a peer reset/abort or
+// a refused, missing or unreachable endpoint is Unavailable (safe to retry
+// on a fresh connection, matching the error frames the server sends before
+// closing), a receive timeout from SO_RCVTIMEO is DeadlineExceeded, and
+// anything else (EBADF, ENOMEM, ...) stays Internal so programming errors
+// are not silently retried.
+Status ErrnoStatus(int err, const std::string& what) {
   const std::string msg = what + ": " + std::strerror(err);
-  if (err == ECONNRESET || err == ECONNABORTED || err == EPIPE) {
+  if (err == ECONNRESET || err == ECONNABORTED || err == EPIPE || err == ECONNREFUSED ||
+      err == ENOENT || err == EHOSTUNREACH || err == ENETUNREACH) {
     return Status::Unavailable(msg);
   }
   if (err == EAGAIN || err == EWOULDBLOCK || err == ETIMEDOUT) {
@@ -38,6 +39,9 @@ Status Errno(const std::string& what) {
   }
   return Status::Internal(msg);
 }
+
+// `ErrnoStatus` of the current errno.
+Status Errno(const std::string& what) { return ErrnoStatus(errno, what); }
 
 bool IsUnixAddress(const std::string& address) {
   return address.rfind("unix:", 0) == 0;
@@ -276,9 +280,7 @@ Status ConnectFd(int fd, const sockaddr* addr, socklen_t addrlen, const std::str
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0) {
       return Errno("getsockopt(SO_ERROR)");
     }
-    if (err != 0) {
-      return Status::Internal("connect " + address + ": " + std::strerror(err));
-    }
+    if (err != 0) return ErrnoStatus(err, "connect " + address);
   }
   if (::fcntl(fd, F_SETFL, flags) != 0) return Errno("fcntl(restore blocking)");
   return Status::Ok();

@@ -358,6 +358,10 @@ Result<CheckBatchMsg> DecodeCheckBatch(const Frame& f) {
   msg.handle = *handle;
   Result<std::uint64_t> deadline = r.U64();
   if (!deadline.ok()) return deadline.status();
+  if (*deadline > kMaxDeadlineMs) {
+    return Status::InvalidArgument("deadline " + std::to_string(*deadline) +
+                                   " ms exceeds cap " + std::to_string(kMaxDeadlineMs));
+  }
   msg.deadline_ms = *deadline;
   Result<std::uint64_t> nonce = r.U64();
   if (!nonce.ok()) return nonce.status();

@@ -51,6 +51,10 @@ inline constexpr std::uint32_t kMaxConstraintsPerMessage = 1u << 16;
 inline constexpr std::uint32_t kMaxFamilyMembers = 1u << 12;
 inline constexpr std::uint32_t kMaxErrorMessageBytes = 1u << 12;
 
+/// Cap on `CheckBatchMsg::deadline_ms`: one day. A wire value becomes a
+/// nanosecond clock offset, which overflows int64 past ~9.2·10^12 ms.
+inline constexpr std::uint64_t kMaxDeadlineMs = 24ull * 60 * 60 * 1000;
+
 /// Client-to-server message types. Every enumerator has a
 /// `WireRequestName` case and a `DiffcdServer::Dispatch` case (both
 /// enforced by -Werror=switch).
@@ -192,7 +196,8 @@ struct RegisterOkMsg {
 
 /// CHECK_BATCH: decide `handle's premises |= goals[i]` for every goal.
 /// `n` must match the handle's universe (revalidated server-side);
-/// `deadline_ms` (0 = none) bounds the whole batch server-side.
+/// `deadline_ms` (0 = none, at most `kMaxDeadlineMs`) bounds the whole
+/// batch server-side.
 /// `nonce` (0 = none) makes the request idempotent: the server caches the
 /// reply keyed by nonce, so a client retry of a batch whose reply was
 /// lost gets the original answer back instead of a second execution (and

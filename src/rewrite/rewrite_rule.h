@@ -12,10 +12,11 @@
 namespace diffc {
 namespace rewrite {
 
-/// The simplifier's cost of a constraint set: the lexicographic triple
-/// (constraint count, total witness-family members, total member sizes).
-/// Every rewrite rule strictly decreases this triple on each edit, which is
-/// the termination argument of the fixpoint driver (DESIGN.md §14).
+/// The simplifier's cost of a constraint set: (constraint count, total
+/// witness-family members, total member sizes). Every rewrite rule edit
+/// removes a constraint or a member, so `constraints + members` falls on
+/// each edit, which is the termination argument of the fixpoint driver
+/// (DESIGN.md §14); `member_items` is reported only.
 struct RewriteCost {
   std::size_t constraints = 0;
   /// Σ_c |rhs(c)| — total witness-family members across the set.
@@ -25,14 +26,6 @@ struct RewriteCost {
 
   /// The cost of `c`.
   static RewriteCost Of(const PremiseMasks& c);
-
-  /// Scalar potential 65·(constraints + members) + member_items. Because a
-  /// member never holds more than 64 items, every rule edit decreases the
-  /// potential by at least 1 (DESIGN.md §14), so the initial potential
-  /// bounds the total number of edits — and hence fixpoint passes.
-  std::uint64_t Potential() const {
-    return 65 * (static_cast<std::uint64_t>(constraints) + members) + member_items;
-  }
 
   friend bool operator==(const RewriteCost& a, const RewriteCost& b) {
     return a.constraints == b.constraints && a.members == b.members &&
@@ -109,9 +102,6 @@ class RewriteArena {
   /// since the last sort; otherwise this returns at once.
   void SortRuns();
 
-  /// Scratch space for the rules.
-  std::vector<Mask>& scratch() { return scratch_; }
-
  private:
   PremiseMasks* masks_;
   std::uint64_t tick_ = 0;
@@ -121,7 +111,6 @@ class RewriteArena {
   bool exhausted_ = false;
   // False until the first sort, and after a family changes.
   bool runs_sorted_ = false;
-  std::vector<Mask> scratch_;
 };
 
 /// One L(C)-preserving rewrite over a premise arena, derived from the
@@ -131,8 +120,8 @@ class RewriteArena {
 ///   - soundness: L(C) = ∪_c L(lhs(c), rhs(c)) is preserved exactly, so
 ///     every implication verdict against the rewritten set equals the
 ///     verdict against the original;
-///   - progress: every edit strictly decreases `RewriteCost` (and so the
-///     scalar potential), which gives the driver its termination bound;
+///   - progress: every edit removes a constraint or a member, which gives
+///     the driver its termination bound;
 ///   - determinism: equal inputs produce equal outputs.
 class RewriteRule {
  public:
@@ -149,11 +138,6 @@ class RewriteRule {
   /// known. Stops early, with every edit so far applied, once a `Charge`
   /// fails.
   virtual std::size_t Apply(RewriteArena* arena) const = 0;
-
-  /// The lowest `SimplifyOptions::level` that runs this rule: 1 for the
-  /// structural rules (drop/minimize/absorb), 2 for the rewriting ones
-  /// (narrow/merge).
-  virtual int min_level() const { return 1; }
 };
 
 /// One probed application: the edit count, cost before/after, and the
@@ -170,8 +154,7 @@ struct RuleProbe {
 RuleProbe Probe(const RewriteRule& rule, int n, const ConstraintSet& c);
 
 /// The builtin rules (rules.cc), in driver application order:
-/// drop-trivial, minimize-rhs, narrow-members, absorb-subsumed,
-/// merge-same-lhs.
+/// drop-trivial, minimize-rhs, absorb-subsumed.
 const std::vector<const RewriteRule*>& BuiltinRules();
 
 /// The builtin rule named `name`, or nullptr.

@@ -11,13 +11,13 @@ namespace rewrite {
 namespace {
 
 // Registry handles of the simplifier (`diffc_rewrite_*`), looked up once.
-// The per-rule counters share one metric name with a `rule` label, in
-// driver order.
+// The per-rule counters share one metric name with a `rule` label, indexed
+// like `BuiltinRules()`.
 struct RewriteMetrics {
   obs::Counter* simplify_calls;
   obs::Counter* passes;
   obs::Counter* budget_exhausted;
-  std::vector<std::pair<const RewriteRule*, obs::Counter*>> applied;
+  std::vector<obs::Counter*> applied;
 
   RewriteMetrics() {
     obs::Registry& r = obs::Registry::Global();
@@ -29,10 +29,9 @@ struct RewriteMetrics {
         r.GetCounter("diffc_rewrite_budget_exhausted_total",
                      "Simplifier invocations stopped by the step budget before a fixpoint.");
     for (const RewriteRule* rule : BuiltinRules()) {
-      applied.emplace_back(
-          rule, r.GetCounter("diffc_rewrite_applied_total",
-                             "Rewrite-rule edits performed, labeled by rule.",
-                             {{"rule", rule->name()}}));
+      applied.push_back(r.GetCounter("diffc_rewrite_applied_total",
+                                     "Rewrite-rule edits performed, labeled by rule.",
+                                     {{"rule", rule->name()}}));
     }
   }
 };
@@ -52,24 +51,19 @@ std::size_t SimplifyStats::Applied(std::string_view rule) const {
 }
 
 std::size_t SimplifyPassBound(const RewriteCost& before) {
-  return static_cast<std::size_t>(2 + before.Potential());
+  return 2 + before.constraints + before.members;
 }
 
-void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
-                     SimplifyStats* stats) {
+void SimplifyInPlace(PremiseMasks* premises, SimplifyStats* stats) {
   SimplifyStats local;
   SimplifyStats& s = stats != nullptr ? *stats : local;
   s = SimplifyStats();
   s.before = RewriteCost::Of(*premises);
 
-  const int level = options.level < 1 ? 1 : options.level;
-  std::vector<const RewriteRule*> active;
-  for (const RewriteRule* rule : BuiltinRules()) {
-    if (rule->min_level() <= level) active.push_back(rule);
-  }
-  std::vector<std::size_t> applied(active.size(), 0);
-  // The tick at which each active rule last started (0: never).
-  std::vector<std::uint64_t> last_start(active.size(), 0);
+  const std::vector<const RewriteRule*>& rules = BuiltinRules();
+  std::vector<std::size_t> applied(rules.size(), 0);
+  // The tick at which each rule last started (0: never).
+  std::vector<std::uint64_t> last_start(rules.size(), 0);
 
   const std::size_t pass_cap = SimplifyPassBound(s.before);
 
@@ -79,9 +73,9 @@ void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
   while (s.passes < pass_cap) {
     ++s.passes;
     std::size_t edits = 0;
-    for (std::size_t i = 0; i < active.size() && !arena.exhausted(); ++i) {
+    for (std::size_t i = 0; i < rules.size() && !arena.exhausted(); ++i) {
       arena.BeginRule(&last_start[i]);
-      const std::size_t k = active[i]->Apply(&arena);
+      const std::size_t k = rules[i]->Apply(&arena);
       applied[i] += k;
       edits += k;
     }
@@ -94,34 +88,33 @@ void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
     }
 #ifndef NDEBUG
     const RewriteCost next = RewriteCost::Of(*premises);
-    assert(next < cost && "a rewrite pass with edits must strictly decrease the cost");
+    assert(next.constraints + next.members < cost.constraints + cost.members &&
+           "a rewrite pass with edits must remove a constraint or a member");
     cost = next;
 #endif
   }
   premises->Compact();
   s.after = RewriteCost::Of(*premises);
   s.steps = arena.steps();
-  s.applied_by_rule.reserve(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    s.applied_by_rule.emplace_back(active[i]->name(), applied[i]);
+  s.applied_by_rule.reserve(rules.size());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    s.applied_by_rule.emplace_back(rules[i]->name(), applied[i]);
   }
 
   RewriteMetrics& m = Metrics();
   m.simplify_calls->Inc();
   if (s.passes > 0) m.passes->Inc(s.passes);
   if (arena.exhausted()) m.budget_exhausted->Inc();
-  for (const auto& [rule, counter] : m.applied) {
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (active[i] == rule && applied[i] > 0) counter->Inc(applied[i]);
-    }
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (applied[i] > 0) m.applied[i]->Inc(applied[i]);
   }
 }
 
-ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
+ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& /*options*/,
                        SimplifyStats* stats) {
   (void)n;  // No rule reads the universe size.
   PremiseMasks premises = PremiseMasks::Compile(c);
-  SimplifyInPlace(&premises, options, stats);
+  SimplifyInPlace(&premises, stats);
   return premises.Materialize();
 }
 

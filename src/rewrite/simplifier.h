@@ -14,18 +14,10 @@
 namespace diffc {
 namespace rewrite {
 
-/// Driver configuration. Level selects which builtin rules run:
-///
-///   1 — structural rules only (`drop-trivial`, `minimize-rhs`,
-///       `absorb-subsumed`): a strict superset of the PR 5 inline
-///       canonicalization (drop + minimize + dedupe);
-///   2 — adds the rewriting rules (`narrow-members`, `merge-same-lhs`).
-///
-/// Premise compilation (`PreparedPremises::Build`) always runs the
-/// defaults; level 1 exists for the rewrite library's own tests and fuzzer.
-struct SimplifyOptions {
-  int level = 2;
-};
+/// Carries no setting: every simplification runs the one `BuiltinRules()`
+/// list. The type stays only because the public `Simplify` boundary takes
+/// one.
+struct SimplifyOptions {};
 
 /// Per-invocation counters, kept in `PrepareStats` by the prepare stage and
 /// flushed into the `diffc_rewrite_*` metrics.
@@ -41,34 +33,34 @@ struct SimplifyStats {
   bool reached_fixpoint = false;
   /// Steps charged against `kSimplifyStepBudget`.
   std::uint64_t steps = 0;
-  /// (rule name, edit count) for every rule the level ran, in application
-  /// order — the per-rule breakdown behind `diffc_rewrite_applied_total`.
+  /// (rule name, edit count) for every builtin rule, in application order —
+  /// the per-rule breakdown behind `diffc_rewrite_applied_total`.
   std::vector<std::pair<std::string, std::size_t>> applied_by_rule;
 
-  /// The edits of the rule named `rule`; 0 when the level did not run it.
+  /// The edits of the rule named `rule`; 0 for a name no rule has.
   std::size_t Applied(std::string_view rule) const;
 };
 
-/// The automatic pass cap: 2 + the scalar potential of `before`. Every
-/// pass short of fixpoint performs at least one edit and every edit
-/// decreases the potential by at least 1 (DESIGN.md §14), so a fixpoint is
+/// The automatic pass cap: 2 + the constraints and members of `before`.
+/// Every pass short of fixpoint performs at least one edit and every edit
+/// removes a constraint or a member (DESIGN.md §14), so a fixpoint is
 /// always confirmed strictly inside this bound. The driver stops at the cap
 /// even if a (contract-violating) rule failed to make progress, so
 /// Simplify always terminates.
 std::size_t SimplifyPassBound(const RewriteCost& before);
 
-/// Runs the builtin rules at `options.level` over `*premises` in place to
-/// fixpoint and leaves the simplified set sorted and compacted. L(C) — and
-/// therefore every implication verdict — is preserved exactly. Idempotent:
-/// re-running on the result applies nothing. When the step budget runs out
-/// first, the driver stops with `reached_fixpoint` false and leaves the set
-/// as rewritten so far, which preserves L(C) all the same. `stats`, when
+/// Runs the builtin rules over `*premises` in place to fixpoint and leaves
+/// the simplified set sorted and compacted. L(C) — and therefore every
+/// implication verdict — is preserved exactly. Idempotent: re-running on
+/// the result applies nothing. When the step budget runs out first, the
+/// driver stops with `reached_fixpoint` false and leaves the set as
+/// rewritten so far, which preserves L(C) all the same. `stats`, when
 /// non-null, is overwritten.
-void SimplifyInPlace(PremiseMasks* premises, const SimplifyOptions& options,
-                     SimplifyStats* stats = nullptr);
+void SimplifyInPlace(PremiseMasks* premises, SimplifyStats* stats = nullptr);
 
 /// `SimplifyInPlace` over a `ConstraintSet`: flattens `c`, simplifies it
-/// and returns the result as a `ConstraintSet`. No rule reads `n`.
+/// and returns the result as a `ConstraintSet`. No rule reads `n`, and
+/// `options` holds nothing to read.
 ConstraintSet Simplify(int n, ConstraintSet c, const SimplifyOptions& options,
                        SimplifyStats* stats = nullptr);
 

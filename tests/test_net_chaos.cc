@@ -238,8 +238,8 @@ TEST(NetChaosTest, ServerRestartReconnectsAndReRegistersHandles) {
 
 TEST(NetChaosTest, DeadEndpointFailsAfterMaxAttemptsThenConnectsOnceListening) {
   // A lazily created client whose first connect fails: nothing listens at
-  // the address, so the call fails with the connect error after exactly
-  // max_attempts attempts. Once a server listens there, the next call
+  // the address, so the call fails with the connect error, Unavailable,
+  // after exactly max_attempts attempts. Once a server listens there, the next call
   // connects and succeeds.
   const std::string address = UniqueUnixAddress("dead");
 
@@ -252,6 +252,7 @@ TEST(NetChaosTest, DeadEndpointFailsAfterMaxAttemptsThenConnectsOnceListening) {
 
   Result<std::uint64_t> refused = client.Ping(1);
   ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable) << refused.status().ToString();
   EXPECT_EQ(refused.status().message().rfind("connect ", 0), 0u) << refused.status().ToString();
   EXPECT_NE(refused.status().message().find(address), std::string::npos);
   EXPECT_EQ(client.stats().retries, retries);

@@ -679,6 +679,60 @@ TEST(DiffcdServiceTest, EveryRequestTypeReachesItsDecoder) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+TEST(DiffcdServiceTest, OverCapDeadlineIsInvalidArgument) {
+  // A raw CHECK_BATCH whose deadline_ms is past kMaxDeadlineMs, against a
+  // handle registered on the same connection, is answered with an
+  // InvalidArgument error frame (UINT64_MAX would otherwise wrap to a
+  // negative budget and fail every goal); the cap itself runs the batch.
+  DiffcdServer server(LoopbackOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Result<Socket> raw = Connect(server.bound_address());
+  ASSERT_TRUE(raw.ok());
+  Frame reply;
+  bool clean_eof = false;
+  RegisterPremisesMsg reg;
+  reg.n = 3;
+  reg.premises = PremiseMasks::Compile(
+      {DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))});
+  ASSERT_TRUE(WriteFrame(*raw, EncodeRegisterPremises(reg)).ok());
+  ASSERT_TRUE(ReadFrame(*raw, &reply, &clean_eof).ok());
+  Result<RegisterOkMsg> registered = DecodeRegisterOk(reply);
+  ASSERT_TRUE(registered.ok());
+
+  CheckBatchMsg batch;
+  batch.handle = registered->handle;
+  batch.n = 3;
+  batch.goals = {DifferentialConstraint(ItemSet{0, 2}, SetFamily({ItemSet{1}}))};
+  for (const std::uint64_t over : {kMaxDeadlineMs + 1, ~std::uint64_t{0}}) {
+    batch.deadline_ms = over;
+    ASSERT_TRUE(WriteFrame(*raw, EncodeCheckBatch(batch)).ok());
+    ASSERT_TRUE(ReadFrame(*raw, &reply, &clean_eof).ok()) << over;
+    Result<ErrorMsg> err = DecodeError(reply);
+    ASSERT_TRUE(err.ok()) << over << ": reply type " << int{reply.type};
+    EXPECT_EQ(err->code, StatusCode::kInvalidArgument) << over;
+  }
+  batch.deadline_ms = kMaxDeadlineMs;
+  ASSERT_TRUE(WriteFrame(*raw, EncodeCheckBatch(batch)).ok());
+  ASSERT_TRUE(ReadFrame(*raw, &reply, &clean_eof).ok());
+  Result<BatchResultMsg> result = DecodeBatchResult(reply);
+  ASSERT_TRUE(result.ok()) << "reply type " << int{reply.type};
+  ASSERT_EQ(result->results.size(), 1u);
+  EXPECT_EQ(result->results[0].status_code, StatusCode::kOk);
+  EXPECT_EQ(result->results[0].verdict, static_cast<std::uint8_t>(ImplicationOutcome::kImplied));
+
+  // The client refuses an over-cap deadline before anything is sent.
+  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
+  ASSERT_TRUE(client.ok());
+  Result<RegisterOkMsg> handle = client->RegisterPremises(3, reg.premises.Materialize());
+  ASSERT_TRUE(handle.ok());
+  Result<BatchResultMsg> refused =
+      client->CheckBatch(handle->handle, 3, batch.goals,
+                         std::chrono::milliseconds(kMaxDeadlineMs + 1));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
   // PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes per
   // query, so under the request's 1 ms deadline every query ends

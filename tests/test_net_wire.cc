@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -77,6 +78,26 @@ TEST(WireCodecTest, CheckBatchRoundTrip) {
   ASSERT_EQ(decoded->goals.size(), 2u);
   EXPECT_EQ(decoded->goals[0].lhs(), msg.goals[0].lhs());
   EXPECT_EQ(decoded->goals[1].rhs(), msg.goals[1].rhs());
+}
+
+TEST(WireCodecTest, CheckBatchDeadlineCap) {
+  // The cap itself decodes; one past it and UINT64_MAX (which would wrap
+  // to a negative clock offset) are rejected like the decoder's other caps.
+  CheckBatchMsg msg;
+  msg.handle = 7;
+  msg.n = 2;
+  msg.goals = {MakeConstraint({0}, {ItemSet{1}})};
+  msg.deadline_ms = kMaxDeadlineMs;
+  Result<CheckBatchMsg> at_cap = DecodeCheckBatch(EncodeCheckBatch(msg));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->deadline_ms, kMaxDeadlineMs);
+  for (const std::uint64_t over : {kMaxDeadlineMs + 1, ~std::uint64_t{0}}) {
+    msg.deadline_ms = over;
+    Result<CheckBatchMsg> decoded = DecodeCheckBatch(EncodeCheckBatch(msg));
+    ASSERT_FALSE(decoded.ok()) << over;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << over;
+    EXPECT_NE(decoded.status().message().find("cap"), std::string::npos) << over;
+  }
 }
 
 TEST(WireCodecTest, BatchResultRoundTrip) {
@@ -703,6 +724,32 @@ TEST(SocketErrnoTest, OrderlyEarlyCloseStaysInvalidArgumentNotUnavailable) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
   EXPECT_NE(s.message().find("truncated"), std::string::npos);
+}
+
+// A loopback TCP address nothing listens on: bound, then closed.
+std::string ClosedLoopbackAddress() {
+  Result<Listener> listener = Listener::Bind("127.0.0.1:0");
+  EXPECT_TRUE(listener.ok());
+  return listener.ok() ? listener->bound_address() : "127.0.0.1:1";
+}
+
+TEST(SocketErrnoTest, RefusedOrMissingEndpointIsUnavailable) {
+  // A refused TCP connect, blocking and bounded (the bounded one reads the
+  // refusal back through SO_ERROR), and a Unix path nothing listens on:
+  // all retryable outages, not Internal.
+  std::string missing_unix = "unix:/tmp/diffc_wire_missing_";
+  missing_unix += std::to_string(::getpid());
+  missing_unix += ".sock";
+  for (const std::string& address : {ClosedLoopbackAddress(), missing_unix}) {
+    for (const int timeout_ms : {0, 250}) {
+      Result<Socket> s = Connect(address, std::chrono::milliseconds(timeout_ms));
+      ASSERT_FALSE(s.ok()) << address;
+      EXPECT_EQ(s.status().code(), StatusCode::kUnavailable)
+          << address << " timeout " << timeout_ms << ": " << s.status().ToString();
+      EXPECT_EQ(s.status().message().rfind("connect " + address, 0), 0u)
+          << s.status().ToString();
+    }
+  }
 }
 
 TEST(SocketErrnoTest, RecvTimeoutIsDeadlineExceeded) {

@@ -156,13 +156,12 @@ TEST(PreparedPremisesTest, BuildStatsAreCoherent) {
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
   const PrepareStats& s = (*built)->stats();
-  // Each edit of the three constraint-dropping rules removes one
-  // constraint; the other two rules remove none.
+  // Each edit of the two constraint-dropping rules removes one
+  // constraint; minimize-rhs removes none.
   const rewrite::SimplifyStats& rs = s.rewrite;
   EXPECT_EQ(rs.before.constraints, premises.size());
-  EXPECT_EQ(rs.after.constraints, rs.before.constraints - rs.Applied("drop-trivial") -
-                                      rs.Applied("absorb-subsumed") -
-                                      rs.Applied("merge-same-lhs"));
+  EXPECT_EQ(rs.after.constraints,
+            rs.before.constraints - rs.Applied("drop-trivial") - rs.Applied("absorb-subsumed"));
   EXPECT_EQ((*built)->masks().size(), rs.after.constraints);
   EXPECT_GT(s.total_ns, 0u);
   EXPECT_LE(s.canonicalize_ns, s.total_ns);

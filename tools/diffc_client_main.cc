@@ -20,6 +20,7 @@
 #include "flags.h"
 #include "lattice/universe.h"
 #include "net/client.h"
+#include "net/wire.h"
 
 namespace {
 
@@ -98,7 +99,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseIntFlag(kProgram, arg, "n", &n, /*min=*/0, /*max=*/64)) {
-    } else if (ParseIntFlag(kProgram, arg, "deadline-ms", &deadline_ms)) {
+    } else if (ParseIntFlag(kProgram, arg, "deadline-ms", &deadline_ms, /*min=*/0,
+                            static_cast<long>(diffc::net::kMaxDeadlineMs))) {
     } else if (ParseIntFlag(kProgram, arg, "nonce", &nonce)) {
     } else if (ParseIntFlag(kProgram, arg, "retries", &value, /*min=*/1, /*max=*/INT_MAX)) {
       client_options.retry.max_attempts = static_cast<int>(value);

@@ -16,6 +16,7 @@
 
 #include "flags.h"
 #include "net/server.h"
+#include "net/wire.h"
 
 namespace {
 
@@ -23,6 +24,9 @@ using diffc::tools::ParseFlag;
 using diffc::tools::ParseIntFlag;
 
 constexpr char kProgram[] = "diffcd";
+// Millisecond flags become nanosecond clock offsets; the wire's deadline
+// cap keeps them far from overflow.
+constexpr long kMaxMs = static_cast<long>(diffc::net::kMaxDeadlineMs);
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -60,7 +64,7 @@ int main(int argc, char** argv) {
     } else if (ParseIntFlag(kProgram, arg, "max-handles", &value, /*min=*/1)) {
       // 0 handles would refuse every REGISTER.
       options.max_handles_per_session = static_cast<std::size_t>(value);
-    } else if (ParseIntFlag(kProgram, arg, "drain-ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "drain-ms", &value, /*min=*/0, kMaxMs)) {
       options.drain_deadline = std::chrono::milliseconds(value);
     } else if (ParseFlag(arg, "trace_sample_rate", &text)) {
       char* end = nullptr;
@@ -71,7 +75,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.trace_sample_rate = rate;
-    } else if (ParseIntFlag(kProgram, arg, "slow_query_ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "slow_query_ms", &value, /*min=*/0, kMaxMs)) {
       options.slow_request_threshold = std::chrono::milliseconds(value);
     } else if (ParseIntFlag(kProgram, arg, "trace_store_capacity", &value)) {
       options.trace_store_capacity = static_cast<std::size_t>(value);
