@@ -13,7 +13,10 @@
 //      oracle's, passes `IsValidCounterexample` against the raw premises.
 //   4. *Kernel bound*: the `sat` search visits at most 2^(f+1) − 1 nodes,
 //      f = n − |X| the goal's free attributes: one full binary tree over
-//      them. Dropping the exhaustive fallback rests on this bound.
+//      them. The bound holds as well when the search starts from interval
+//      cover's uncovered intervals [X, S∖W]: it seeds only when
+//      Σ 2^−|W| ≤ 1, and each seeded tree has at most 2^(f−|W|+1) − 1
+//      nodes. Dropping the exhaustive fallback rests on this bound.
 //   5. *Proofs*: when the engine answers implied, `DeriveImplied` on the
 //      raw premises returns a derivation that `ValidateDerivation` accepts
 //      and whose last step is the goal; when it answers not implied,

@@ -249,8 +249,9 @@ int main(int argc, char** argv) {
             {6, 0x0f, 1, 0xf0, 0x3c, 0x81, 0, 0x42, 0x0f, 2, 0xf0, 0x3c, 0x81});
 
   // ---- decide: Prop. 5.5 reductions (PHP(h+1, h) refuted by the kernel in
-  // 2·h! − 1 nodes; a random 3-DNF) and an FD-subclass set, so every
-  // decider and oracle starts from a reachable instance.
+  // 2·h! − 1 nodes; a random 3-DNF), an FD-subclass set, and inconclusive
+  // interval covers on both sides of the kernel's seeding guard, so every
+  // decider, oracle and search path starts from a reachable instance.
   for (int holes : {2, 3}) {
     const prop::DnfFormula php = testing::PigeonholeDnf(holes);
     WriteSeed("decide", "php" + std::to_string(holes + 1) + "_" + std::to_string(holes),
@@ -268,6 +269,22 @@ int main(int argc, char** argv) {
     WriteSeed("decide", "fd_not_implied",
               DecideInstance(6, ParseConstraintSet(u6, "A -> {E}")->front(),
                              *ParseConstraintSet(u6, "A -> {B}; B -> {C}; CD -> {E}")));
+  }
+  {
+    // C -> {BDE} is implied, but no single premise covers its B and E
+    // intervals (Σ 2^−|W| = 1): the kernel searches just those two.
+    const Universe u5 = Universe::Letters(5);
+    WriteSeed("decide", "two_uncovered_intervals",
+              DecideInstance(5, ParseConstraintSet(u5, "C -> {BDE}")->front(),
+                             *ParseConstraintSet(u5, "C -> {ABD, ACDE}; CD -> {ABCDE}")));
+  }
+  {
+    // ∅ -> {ABC} leaves all three singleton intervals uncovered: Σ 2^−|W|
+    // = 3/2 > 1, so the kernel searches unseeded.
+    const Universe u4 = Universe::Letters(4);
+    WriteSeed("decide", "three_singleton_intervals",
+              DecideInstance(4, ParseConstraintSet(u4, "0 -> {ABC}")->front(),
+                             *ParseConstraintSet(u4, "0 -> {A, B}; D -> {ABCD}; B -> {C, AC}")));
   }
 
   // ---- witness: families over a few positions, with the leaf budget

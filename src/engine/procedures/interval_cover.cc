@@ -27,15 +27,18 @@ Mask Bits(const ItemSet& w) { return w.bits(); }
 
 // Covers the goal's L(X, Y) by the intervals [X, S∖W] of its minimal
 // witness sets `witnesses` (masks or `ItemSet`s), in their sorted order.
+// An inconclusive cover points `ctx->uncovered_witnesses` at the W of each
+// interval no single premise covers, kept in this thread's buffer.
 template <typename Witnesses>
 Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const ProcedureQuery& query,
-                                          const Witnesses& witnesses, StopCheck* stop) {
+                                          const Witnesses& witnesses, ProcedureContext* ctx) {
+  thread_local std::vector<Mask> uncovered;
+  uncovered.clear();
   const Mask x = query.goal->lhs().bits();
   ImplicationOutcome out;
   out.SetUnknown();
-  bool every_interval_covered = true;
   for (const auto& witness : witnesses) {
-    if (Status s = stop->Check(); !s.ok()) return s;
+    if (Status s = ctx->stop->Check(); !s.ok()) return s;
     const Mask w = Bits(witness);
     if ((x & w) != 0) continue;  // Empty interval.
     const Mask top = FullMask(query.n) & ~w;
@@ -53,9 +56,13 @@ Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const Proce
         std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
           return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
         });
-    if (!covered) every_interval_covered = false;
+    if (!covered) uncovered.push_back(w);
   }
-  if (every_interval_covered) out.SetImplied();
+  if (uncovered.empty()) {
+    out.SetImplied();
+  } else {
+    ctx->uncovered_witnesses = uncovered;
+  }
   return out;
 }
 
@@ -69,7 +76,9 @@ Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const Proce
 ///     lattice, then L(X, Y) ⊆ L(C) and the goal is implied (Thm. 3.5).
 /// Inconclusive covers (an interval needs several premises) and
 /// budget-truncated witness enumerations return kUnknown, handing the
-/// query to the complete SAT procedure.
+/// query to the complete SAT procedure. An inconclusive cover also hands
+/// it the uncovered intervals (`ProcedureContext::uncovered_witnesses`),
+/// the only ones that can hold a counterexample.
 class IntervalCoverProcedure : public DecisionProcedureImpl {
  public:
   DecisionProcedure id() const override { return DecisionProcedure::kIntervalCover; }
@@ -85,6 +94,9 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {
     const DifferentialConstraint& goal = *query.goal;
+    // On every path: a truncated enumeration must leave `sat` unseeded,
+    // never seeded with an earlier goal's intervals.
+    ctx->uncovered_witnesses = {};
     ImplicationOutcome unknown;
     unknown.SetUnknown();
     if (WitnessLeafBound(goal.rhs(), kInlineLeafBound) <= kInlineLeafBound) {
@@ -95,7 +107,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
       if (IsStopStatus(s)) return s;
       // A truncated enumeration is inconclusive here; complete SAT decides.
       if (!s.ok()) return unknown;
-      return CoverIntervals(premises.masks(), query, scratch.witnesses, ctx->stop);
+      return CoverIntervals(premises.masks(), query, scratch.witnesses, ctx);
     }
     ctx->stats->witness_cache_used = true;
     std::shared_ptr<const WitnessSetCache::Entry> entry;
@@ -108,7 +120,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
     // Witness enumeration exhausted its budget (cached negatively):
     // inconclusive here, complete SAT decides.
     if (!entry->status.ok()) return unknown;
-    return CoverIntervals(premises.masks(), query, entry->witnesses, ctx->stop);
+    return CoverIntervals(premises.masks(), query, entry->witnesses, ctx);
   }
 };
 

@@ -2,6 +2,7 @@
 #define DIFFC_ENGINE_PROCEDURES_PROCEDURE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/constraint.h"
@@ -41,8 +42,8 @@ struct ProcedureBudgets {
 
 /// Mutable per-query state handed to `Decide`: the engine options and
 /// budgets in force, the cooperative stop handle, the tracer (never null;
-/// disabled when tracing is off), and the query stats the procedure
-/// annotates (cache flags, solver counters).
+/// disabled when tracing is off), the query stats the procedure annotates
+/// (cache flags, solver counters), and interval cover's handoff to `sat`.
 struct ProcedureContext {
   const EngineOptions* options = nullptr;
   ProcedureBudgets budgets;
@@ -52,6 +53,14 @@ struct ProcedureContext {
   /// True iff the prepared artifact came out of the process-wide
   /// prepared-premises cache (for `QueryStats::premise_cache_hit`).
   bool prepared_from_cache = false;
+  /// The witness sets W of the intervals [X, S∖W] that no single premise
+  /// covers, left by an inconclusive interval cover; `sat` searches only
+  /// those. Interval cover empties the list at the top of every `Decide`,
+  /// so it is empty (search all of L(X, Y)) after a truncated witness
+  /// enumeration, and stays empty when interval cover does not run. It
+  /// points into interval cover's per-thread buffer, valid until that
+  /// thread's next interval-cover step.
+  std::span<const Mask> uncovered_witnesses = {};
 };
 
 /// A decision procedure: one strategy for deciding `premises |= goal`,

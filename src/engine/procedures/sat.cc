@@ -5,7 +5,8 @@ namespace diffc {
 
 /// The complete procedure: the mask-native counterexample search
 /// (`SearchCounterexample`) over the premise arena compiled into the
-/// prepared artifact. Returns ResourceExhausted past the node budget
+/// prepared artifact, seeded on the intervals interval cover left
+/// uncovered. Returns ResourceExhausted past the node budget
 /// (`max_solver_decisions`), which is what arms the exhaustive fallback.
 class SatProcedure : public DecisionProcedureImpl {
  public:
@@ -23,7 +24,8 @@ class SatProcedure : public DecisionProcedureImpl {
     ctx->stats->premise_cache_used = true;
     ctx->stats->premise_cache_hit = ctx->prepared_from_cache;
     return SearchCounterexample(query.n, premises.masks(), *query.goal,
-                                ctx->budgets.max_decisions, ctx->stop, &ctx->stats->solver);
+                                ctx->budgets.max_decisions, ctx->stop, &ctx->stats->solver,
+                                ctx->uncovered_witnesses);
   }
 };
 

@@ -37,6 +37,22 @@ KernelMetrics& Metrics() {
 // True iff the nonzero mask `m` has exactly one bit.
 bool SingleBit(Mask m) { return (m & (m - 1)) == 0; }
 
+// True iff Σ 2^−|W| ≤ 1 over the seeds that name a nonempty interval
+// (W ∩ X = ∅), computed exactly as Σ 2^(64−|W|) ≤ 2^64. Then the seeded
+// trees, of at most 2^(f−|W|+1) − 1 nodes each, together stay within the
+// unseeded tree's 2^(f+1) − 1.
+bool SeedsKeepNodeBound(Mask x, Mask universe, std::span<const Mask> seeds) {
+  using Uint128 = unsigned __int128;
+  const Uint128 whole = Uint128{1} << 64;
+  Uint128 sum = 0;
+  for (const Mask w : seeds) {
+    if ((w & x) != 0) continue;
+    sum += whole >> Popcount(w & universe);
+    if (sum > whole) return false;
+  }
+  return true;
+}
+
 // One counterexample search. `in` and `out` travel by value down the
 // recursion (depth at most 64), so the search allocates nothing.
 class Search {
@@ -105,20 +121,23 @@ class Search {
       for (std::size_t p = 0; p < premises_.size(); ++p) {
         const Mask x = premises_.premises[p].lhs;
         if ((x & out) != 0) continue;
+        const Mask open_x = x & ~in;
         int live = 0;
         Mask live_member = 0;
-        bool satisfied = false;
+        bool quiet = false;
         for (const Mask y : premises_.family(premises_.premises[p])) {
           if ((y & out) != 0) continue;
-          if ((y & ~in) == 0) {
-            satisfied = true;
+          // A member inside `in` satisfies the premise. While X' is not
+          // inside `in`, any member with no bit in `out` leaves the premise
+          // nothing to force, so the scan stops at the first one.
+          if (open_x != 0 || (y & ~in) == 0) {
+            quiet = true;
             break;
           }
           ++live;
           live_member = y;
         }
-        if (satisfied) continue;
-        const Mask open_x = x & ~in;
+        if (quiet) continue;
         if (live == 0) {
           if (open_x == 0) {
             ++stats_.conflicts;
@@ -131,7 +150,7 @@ class Search {
           }
           continue;
         }
-        if (open_x != 0) continue;  // Not violated while X' is not inside `in`.
+        // X' lies inside `in`, and no member does: the premise is violated.
         if (live == 1) {
           stats_.propagations += static_cast<std::uint64_t>(Popcount(live_member & ~in));
           in |= live_member;
@@ -172,7 +191,8 @@ class Search {
 Result<ImplicationOutcome> SearchCounterexample(int n, const PremiseMasks& premises,
                                                 const DifferentialConstraint& goal,
                                                 std::uint64_t max_nodes, StopCheck* stop,
-                                                prop::SolverStats* stats) {
+                                                prop::SolverStats* stats,
+                                                std::span<const Mask> seeds) {
   if (DIFFC_FAILPOINT("sat/kernel")) {
     return Status::Internal("failpoint sat/kernel: counterexample search failed");
   }
@@ -181,7 +201,18 @@ Result<ImplicationOutcome> SearchCounterexample(int n, const PremiseMasks& premi
   // the universe has an empty L(X, Y) and is implied.
   const Mask in = goal.lhs().bits();
   const Mask out = ~FullMask(n);
-  const bool found = (in & out) == 0 && search.Visit(in, out);
+  // Without usable seeds the search covers all of L(X, Y): the one
+  // interval [X, S] of W = ∅.
+  static constexpr Mask kWhole[] = {0};
+  if (seeds.empty() || !SeedsKeepNodeBound(in, FullMask(n), seeds)) seeds = kWhole;
+  bool found = false;
+  if ((in & out) == 0) {
+    for (const Mask w : seeds) {
+      if ((w & in) != 0) continue;  // An empty interval.
+      found = search.Visit(in, out | w);
+      if (found || search.halted()) break;
+    }
+  }
 
   const prop::SolverStats& work = search.stats();
   if (stats != nullptr) *stats = work;

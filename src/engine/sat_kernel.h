@@ -2,7 +2,7 @@
 #define DIFFC_ENGINE_SAT_KERNEL_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "core/constraint.h"
 #include "core/implication.h"
@@ -31,10 +31,21 @@ namespace diffc {
 /// non-null) at every node, and returns ResourceExhausted once more than
 /// `max_nodes` nodes were visited. `stats`, when non-null, receives the
 /// search nodes (in `decisions`), unit propagations and conflicts.
+///
+/// `seeds`, when nonempty, lists witness sets `W` of the goal family, each
+/// naming the interval `[X, S∖W]` of `L(X, Y)` (Definition 2.6), and the
+/// caller vouches that every counterexample lies in one of them (interval
+/// cover passes the intervals no single premise covers). The search then
+/// starts from `(X, W ∪ outside)` for each `W` in turn, under the one node
+/// budget, instead of once from `(X, outside)`. A tree over f = n − |X|
+/// free attributes has at most 2^(f+1) − 1 nodes and a seeded one at most
+/// 2^(f−|W|+1) − 1, so the seeds are used only when Σ 2^−|W| ≤ 1, which
+/// keeps the unseeded bound; otherwise the search runs unseeded.
 Result<ImplicationOutcome> SearchCounterexample(int n, const PremiseMasks& premises,
                                                 const DifferentialConstraint& goal,
                                                 std::uint64_t max_nodes, StopCheck* stop,
-                                                prop::SolverStats* stats);
+                                                prop::SolverStats* stats,
+                                                std::span<const Mask> seeds = {});
 
 }  // namespace diffc
 

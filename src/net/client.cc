@@ -49,6 +49,23 @@ Status CheckUniverseSize(int n) {
   return Status::Ok();
 }
 
+// Connect and backoff durations become `steady_clock` offsets, which
+// overflow past about 9.2·10^12 ms; the wire's deadline cap bounds them
+// well below that. Checked before anything connects.
+Status CheckDurations(const ClientOptions& options) {
+  const std::pair<const char*, std::chrono::milliseconds> durations[] = {
+      {"connect_timeout", options.connect_timeout},
+      {"retry.initial_backoff", options.retry.initial_backoff},
+      {"retry.retry_budget", options.retry.retry_budget}};
+  for (const auto& [name, ms] : durations) {
+    if (ms.count() > static_cast<std::int64_t>(kMaxDeadlineMs)) {
+      return Status::InvalidArgument(std::string(name) + " " + std::to_string(ms.count()) +
+                                     " ms exceeds cap " + std::to_string(kMaxDeadlineMs));
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 DiffcClient::DiffcClient(std::string address, ClientOptions options)
@@ -61,6 +78,7 @@ DiffcClient DiffcClient::Create(const std::string& address, ClientOptions option
 }
 
 Result<DiffcClient> DiffcClient::Connect(const std::string& address, ClientOptions options) {
+  if (Status s = CheckDurations(options); !s.ok()) return s;
   DiffcClient client(address, options);
   FailureClass cls = FailureClass::kTransport;
   Status s = client.EnsureReady(&cls);
@@ -194,6 +212,7 @@ Result<T> DiffcClient::CallDecoded(const char* op, TraceContext* wire_tc,
                                    const std::function<Frame()>& encode,
                                    const std::function<Result<T>(const Frame&)>& decode) {
   if (closed_) return Status::FailedPrecondition("client closed");
+  if (Status s = CheckDurations(options_); !s.ok()) return s;
   // Every call mints a trace identity up front (two rng draws) so the
   // server can join its span even when the client records nothing. The
   // head-sampling decision controls whether *this side* records spans; an

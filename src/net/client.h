@@ -22,6 +22,9 @@ namespace diffc::net {
 /// Resilience knobs of a `DiffcClient`. The defaults ride out transient
 /// faults transparently; `RetryPolicy{.max_attempts = 1}` plus
 /// `reconnect = false` recovers the PR 6 fail-fast behavior.
+/// The client refuses `connect_timeout`, `retry.initial_backoff` or
+/// `retry.retry_budget` past `kMaxDeadlineMs` with InvalidArgument, before
+/// anything connects.
 struct ClientOptions {
   /// Bound on connection establishment (non-blocking connect + poll);
   /// zero blocks indefinitely.
@@ -82,11 +85,14 @@ class DiffcClient {
 
   /// Creates a client without touching the network; the first request
   /// connects lazily (useful when the endpoint may be down and the retry
-  /// loop should own the failure).
+  /// loop should own the failure). Every call answers InvalidArgument when
+  /// `options` holds a duration past `kMaxDeadlineMs`.
   static DiffcClient Create(const std::string& address, ClientOptions options = {});
 
   /// Connects eagerly to a diffcd server at `address` ("host:port" or
-  /// "unix:/path"); fails fast when the endpoint is unreachable.
+  /// "unix:/path"); fails fast when the endpoint is unreachable, and with
+  /// InvalidArgument, before connecting, when `options` holds a duration
+  /// past `kMaxDeadlineMs`.
   static Result<DiffcClient> Connect(const std::string& address, ClientOptions options = {});
 
   bool connected() const { return sock_.valid() && !dead_; }

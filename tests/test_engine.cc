@@ -18,6 +18,7 @@
 #include "core/implication.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
+#include "engine/planner.h"
 #include "engine/procedures/procedure.h"
 #include "engine/worker_pool.h"
 #include "lattice/hitting_set.h"
@@ -543,6 +544,75 @@ TEST(ImplicationEngineTest, HugeWitnessFamilyFallsBackToSat) {
   Result<ImplicationOutcome> seq = CheckImplication(n, premises, goal);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(r.outcome.implied, seq->implied);
+}
+
+TEST(ImplicationEngineTest, SatSearchesOnlyTheIntervalsTheCoverLeft) {
+  // C -> {BDE} has the intervals [C, S∖W] for W = B, D and E. The premise
+  // C -> {ABD, ACDE} covers D's alone, and CD -> {ABCDE} covers none, so
+  // interval cover is inconclusive and hands `sat` the B and E intervals.
+  const int n = 5;
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{2}, SetFamily({ItemSet{0, 1, 3}, ItemSet{0, 2, 3, 4}})),
+      DifferentialConstraint(ItemSet{2, 3}, SetFamily({ItemSet{0, 1, 2, 3, 4}}))};
+  const DifferentialConstraint goal(ItemSet{2}, SetFamily({ItemSet{1, 3, 4}}));
+  ImplicationEngine seeded;
+  EngineOptions opts;
+  opts.witness_max_results = 0;  // A truncated enumeration: `sat` searches all of L(X, Y).
+  ImplicationEngine unseeded(opts);
+  const EngineQueryResult a = seeded.CheckOne(n, premises, goal);
+  const EngineQueryResult b = unseeded.CheckOne(n, premises, goal);
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(a.stats.procedure, DecisionProcedure::kSat);
+  EXPECT_EQ(b.stats.procedure, DecisionProcedure::kSat);
+  EXPECT_EQ(a.outcome.verdict, ImplicationOutcome::kImplied);
+  EXPECT_EQ(b.outcome.verdict, a.outcome.verdict);
+  EXPECT_LT(a.stats.solver.decisions, b.stats.solver.decisions);
+}
+
+TEST(ImplicationEngineTest, ReusedContextNeverSeedsSatWithAnEarlierGoal) {
+  // L(C) misses exactly ACD, BCD and ABCD. ∅ -> {D} is implied, but no
+  // single premise covers its one interval [∅, ABC], so `sat` decides it
+  // from W = D. ∅ -> {BCD} is refuted only by U = ACD, which holds D; its
+  // three witness leaves exceed the budget of 2, so interval cover cannot
+  // enumerate them. Searched from the first goal's W = D, it would read
+  // implied.
+  const int n = 4;
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet(), SetFamily({ItemSet{2}})),
+      DifferentialConstraint(ItemSet{2}, SetFamily({ItemSet{0, 3}, ItemSet{1, 2, 3}}))};
+  const DifferentialConstraint first_goal(ItemSet(), SetFamily({ItemSet{3}}));
+  const DifferentialConstraint truncated_goal(ItemSet(), SetFamily({ItemSet{1, 2, 3}}));
+  Result<std::shared_ptr<const PreparedPremises>> prepared =
+      PreparedPremises::Build(n, premises);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const QueryPlanner planner(ProcedureRegistry::Global().Snapshot());
+  const EngineOptions options;
+  StopCheck stop(Deadline::Never(), CancelToken());
+  obs::Tracer tracer(false);
+  QueryStats stats;
+  const ProcedureBudgets budgets{options.max_solver_decisions, 2};
+  ProcedureContext ctx{&options, budgets, &stop, &tracer, &stats, false};
+  auto run = [&](const DifferentialConstraint& goal) {
+    stats = QueryStats();
+    const ProcedureQuery query{n, &goal};
+    return ExecutePlan(planner.Plan(**prepared, query, options), **prepared, query, &ctx);
+  };
+
+  const PlanOutcome first = run(first_goal);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(first.outcome.verdict, ImplicationOutcome::kImplied);
+  EXPECT_EQ(stats.procedure, DecisionProcedure::kSat);
+  EXPECT_EQ(std::vector<Mask>(ctx.uncovered_witnesses.begin(), ctx.uncovered_witnesses.end()),
+            std::vector<Mask>{ItemSet{3}.bits()});
+
+  const PlanOutcome second = run(truncated_goal);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_EQ(stats.procedure, DecisionProcedure::kSat);
+  Result<ImplicationOutcome> truth = CheckImplicationExhaustive(n, premises, truncated_goal);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(truth->verdict, ImplicationOutcome::kNotImplied);
+  EXPECT_EQ(second.outcome.verdict, truth->verdict);
 }
 
 TEST(ImplicationEngineTest, CertificateCheckRejectsForgedCounterexamples) {

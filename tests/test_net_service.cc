@@ -733,6 +733,40 @@ TEST(DiffcdServiceTest, OverCapDeadlineIsInvalidArgument) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+TEST(DiffcdServiceTest, OverCapClientDurationsAreRefusedBeforeConnecting) {
+  // A connect timeout, initial backoff or retry budget past kMaxDeadlineMs
+  // becomes a clock offset near overflow. `Connect` refuses it before it
+  // dials a live server, and a `Create`d client refuses its first call.
+  DiffcdServer server(LoopbackOptions());
+  ASSERT_TRUE(server.Start().ok());
+  const std::chrono::milliseconds over(kMaxDeadlineMs + 1);
+  ClientOptions timeout;
+  timeout.connect_timeout = over;
+  ClientOptions backoff;
+  backoff.retry.initial_backoff = over;
+  ClientOptions budget;
+  budget.retry.retry_budget = over;
+  for (const ClientOptions& options : {timeout, backoff, budget}) {
+    Result<DiffcClient> eager = DiffcClient::Connect(server.bound_address(), options);
+    ASSERT_FALSE(eager.ok());
+    EXPECT_EQ(eager.status().code(), StatusCode::kInvalidArgument);
+    DiffcClient lazy = DiffcClient::Create(server.bound_address(), options);
+    EXPECT_EQ(lazy.Ping(1).status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(lazy.connected());
+  }
+  // The cap itself is a valid duration.
+  ClientOptions at_cap;
+  at_cap.connect_timeout = std::chrono::milliseconds(kMaxDeadlineMs);
+  at_cap.retry.initial_backoff = std::chrono::milliseconds(kMaxDeadlineMs);
+  at_cap.retry.retry_budget = std::chrono::milliseconds(kMaxDeadlineMs);
+  Result<DiffcClient> client = DiffcClient::Connect(server.bound_address(), at_cap);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<std::uint64_t> pong = client->Ping(7);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(*pong, 7u);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
   // PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes per
   // query, so under the request's 1 ms deadline every query ends

@@ -1,7 +1,8 @@
 // The `sat` procedure's mask-native counterexample search
 // (`engine/sat_kernel.h`): seeded differential checks against the
 // exhaustive Theorem 3.5 oracle and the Proposition 5.4 CNF + DPLL
-// procedure with every counterexample certified, the adversarial
+// procedure with every counterexample certified, the search started from
+// witness-set intervals and its Σ 2^−|W| ≤ 1 guard, the adversarial
 // Proposition 5.5 families (pigeonhole, random DNF tautologies), universe
 // and premise edge cases, the node budget, and cooperative stops.
 
@@ -10,12 +11,14 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/counterexample.h"
 #include "core/implication.h"
 #include "engine/prepared_premises.h"
 #include "engine/sat_kernel.h"
+#include "lattice/hitting_set.h"
 #include "obs/metrics.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
@@ -31,9 +34,29 @@ Result<ImplicationOutcome> Search(int n, const ConstraintSet& premises,
                                   const DifferentialConstraint& goal,
                                   std::uint64_t max_nodes = kUnbounded,
                                   StopCheck* stop = nullptr,
-                                  prop::SolverStats* stats = nullptr) {
+                                  prop::SolverStats* stats = nullptr,
+                                  std::span<const Mask> seeds = {}) {
   return SearchCounterexample(n, PremiseMasks::Compile(premises), goal, max_nodes, stop,
-                              stats);
+                              stats, seeds);
+}
+
+// The witness sets W of the goal family's nonempty intervals [X, S∖W]
+// (W ∩ X = ∅): together they hold every counterexample (Definition 2.6).
+std::vector<Mask> IntervalSeeds(const DifferentialConstraint& goal) {
+  Result<std::vector<ItemSet>> witnesses = MinimalWitnessSets(goal.rhs());
+  EXPECT_TRUE(witnesses.ok());
+  std::vector<Mask> seeds;
+  if (!witnesses.ok()) return seeds;
+  for (const ItemSet& w : *witnesses) {
+    if ((w.bits() & goal.lhs().bits()) == 0) seeds.push_back(w.bits());
+  }
+  return seeds;
+}
+
+// The unseeded search's node bound: one full binary tree over the goal's
+// f = n − |X| free attributes.
+std::uint64_t NodeBound(int n, const DifferentialConstraint& goal) {
+  return (std::uint64_t{2} << (n - goal.lhs().size())) - 1;
 }
 
 // The Theorem 3.5 certificate of a not-implied verdict: U inside the
@@ -67,6 +90,7 @@ TEST(SatKernelTest, AgreesWithExhaustiveAndDpllAndCertifiesEveryCounterexample) 
   Rng rng(20261016);
   int implied = 0;
   int not_implied = 0;
+  int within_guard = 0;
   for (int i = 0; i < 3000; ++i) {
     const int n = 1 + i % 12;
     const ConstraintSet premises = RandomPremises(rng, n);
@@ -88,6 +112,18 @@ TEST(SatKernelTest, AgreesWithExhaustiveAndDpllAndCertifiesEveryCounterexample) 
         n, (*prepared)->masks(), goal, kUnbounded, nullptr, nullptr);
     ASSERT_TRUE(canonical.ok());
     ASSERT_EQ(canonical->implied, kernel->implied) << "instance " << i;
+    // Started from every nonempty interval: the same verdict, within the
+    // unseeded node bound whichever path the guard picks.
+    const std::vector<Mask> seeds = IntervalSeeds(goal);
+    prop::SolverStats seeded_stats;
+    Result<ImplicationOutcome> seeded =
+        Search(n, premises, goal, kUnbounded, nullptr, &seeded_stats, seeds);
+    ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+    ASSERT_EQ(seeded->implied, kernel->implied) << "instance " << i;
+    EXPECT_LE(seeded_stats.decisions, NodeBound(n, goal)) << "instance " << i;
+    std::uint64_t kraft = 0;  // Σ 2^(12−|W|): the guard holds iff ≤ 2^12.
+    for (const Mask w : seeds) kraft += std::uint64_t{1} << (12 - Popcount(w));
+    if (!seeds.empty() && kraft <= (std::uint64_t{1} << 12)) ++within_guard;
     if (kernel->implied) {
       ++implied;
       EXPECT_FALSE(kernel->counterexample.has_value());
@@ -95,11 +131,75 @@ TEST(SatKernelTest, AgreesWithExhaustiveAndDpllAndCertifiesEveryCounterexample) 
       ++not_implied;
       ExpectCertified(n, premises, goal, *kernel, "raw");
       ExpectCertified(n, premises, goal, *canonical, "canonical");
+      ExpectCertified(n, premises, goal, *seeded, "seeded");
     }
   }
-  // Both verdicts are well represented, or the agreement is vacuous.
+  // Both verdicts and both search paths are well represented, or the
+  // agreement is vacuous.
   EXPECT_GT(implied, 300);
   EXPECT_GT(not_implied, 300);
+  EXPECT_GT(within_guard, 300);
+}
+
+TEST(SatKernelTest, SeedsWithinTheGuardSearchOnlyTheirIntervals) {
+  // C -> {AB} has the witness sets A and B: Σ 2^−|W| = 1, the guard's
+  // boundary, so the search is seeded. D -> {ABC} and C -> {AB, D} imply
+  // it. Unseeded, the search branches on D at the root and refutes both
+  // children (3 nodes); seeded, each interval starts with its W outside U
+  // and conflicts at its root (2 nodes).
+  const int n = 4;
+  const DifferentialConstraint goal(ItemSet{2}, SetFamily({ItemSet{0, 1}}));
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{3}, SetFamily({ItemSet{0, 1, 2}})),
+      DifferentialConstraint(ItemSet{2}, SetFamily({ItemSet{0, 1}, ItemSet{3}}))};
+  const std::vector<Mask> seeds = IntervalSeeds(goal);
+  ASSERT_EQ(seeds, (std::vector<Mask>{0b0001, 0b0010}));
+  prop::SolverStats unseeded_stats;
+  prop::SolverStats seeded_stats;
+  Result<ImplicationOutcome> unseeded =
+      Search(n, premises, goal, kUnbounded, nullptr, &unseeded_stats);
+  Result<ImplicationOutcome> seeded =
+      Search(n, premises, goal, kUnbounded, nullptr, &seeded_stats, seeds);
+  ASSERT_TRUE(unseeded.ok());
+  ASSERT_TRUE(seeded.ok());
+  EXPECT_TRUE(unseeded->implied);
+  EXPECT_TRUE(seeded->implied);
+  EXPECT_EQ(unseeded_stats.decisions, 3u);
+  EXPECT_EQ(seeded_stats.decisions, 2u);
+  EXPECT_EQ(seeded_stats.conflicts, 2u);
+  // The seeds share one node budget: two roots do not fit in one node.
+  EXPECT_EQ(Search(n, premises, goal, 1, nullptr, nullptr, seeds).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(SatKernelTest, SeedsPastTheGuardSearchUnseeded) {
+  // ∅ -> {ABC} has three singleton witness sets: Σ 2^−|W| = 3/2 > 1, so
+  // three seeded trees could outgrow the unseeded one. The call with seeds
+  // is the unseeded call, node for node. (Seeded, the A interval alone
+  // would answer U = BC in one node; unseeded, the search branches on A
+  // and answers U = AB in two.)
+  const int n = 3;
+  const ConstraintSet premises{DifferentialConstraint(ItemSet(), SetFamily({ItemSet{1}})),
+                               DifferentialConstraint(ItemSet(),
+                                                      SetFamily({ItemSet{0}, ItemSet{1, 2}}))};
+  const DifferentialConstraint goal(ItemSet(), SetFamily({ItemSet{0, 1, 2}}));
+  const std::vector<Mask> seeds = IntervalSeeds(goal);
+  ASSERT_EQ(seeds, (std::vector<Mask>{0b001, 0b010, 0b100}));
+  prop::SolverStats unseeded_stats;
+  prop::SolverStats seeded_stats;
+  Result<ImplicationOutcome> unseeded =
+      Search(n, premises, goal, kUnbounded, nullptr, &unseeded_stats);
+  Result<ImplicationOutcome> seeded =
+      Search(n, premises, goal, kUnbounded, nullptr, &seeded_stats, seeds);
+  ASSERT_TRUE(unseeded.ok());
+  ASSERT_TRUE(seeded.ok());
+  ASSERT_FALSE(unseeded->implied);
+  ASSERT_FALSE(seeded->implied);
+  EXPECT_EQ(*unseeded->counterexample, ItemSet({0, 1}));
+  EXPECT_EQ(*seeded->counterexample, *unseeded->counterexample);
+  EXPECT_EQ(seeded_stats.decisions, unseeded_stats.decisions);
+  EXPECT_EQ(seeded_stats.decisions, 2u);
+  ExpectCertified(n, premises, goal, *seeded, "guard");
 }
 
 TEST(SatKernelTest, PigeonholeTautologiesAreImpliedInTwoHFactorialMinusOneNodes) {

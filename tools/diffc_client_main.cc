@@ -28,6 +28,9 @@ using diffc::tools::ParseFlag;
 using diffc::tools::ParseIntFlag;
 
 constexpr char kProgram[] = "diffc_client";
+// Millisecond flags become clock offsets; the wire's deadline cap keeps
+// them far from overflow.
+constexpr long kMaxMs = static_cast<long>(diffc::net::kMaxDeadlineMs);
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -40,7 +43,8 @@ void Usage(const char* argv0) {
                "           [--retries=N] [--retry-initial-ms=N] [--retry-budget-ms=N]\n"
                "           [--connect-timeout-ms=N] [--no-reconnect]\n"
                "           (N is a whole integer, at least 1 for --retries and 0\n"
-               "           otherwise; a bad value exits 2)\n"
+               "           otherwise; a -ms value is at most 86400000; a bad\n"
+               "           value exits 2)\n"
                "tracing (both commands):\n"
                "           [--trace]   force-sample the request end to end and print\n"
                "                       the trace id (look it up in diffcd's /tracez)\n",
@@ -99,16 +103,15 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseIntFlag(kProgram, arg, "n", &n, /*min=*/0, /*max=*/64)) {
-    } else if (ParseIntFlag(kProgram, arg, "deadline-ms", &deadline_ms, /*min=*/0,
-                            static_cast<long>(diffc::net::kMaxDeadlineMs))) {
+    } else if (ParseIntFlag(kProgram, arg, "deadline-ms", &deadline_ms, /*min=*/0, kMaxMs)) {
     } else if (ParseIntFlag(kProgram, arg, "nonce", &nonce)) {
     } else if (ParseIntFlag(kProgram, arg, "retries", &value, /*min=*/1, /*max=*/INT_MAX)) {
       client_options.retry.max_attempts = static_cast<int>(value);
-    } else if (ParseIntFlag(kProgram, arg, "retry-initial-ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "retry-initial-ms", &value, /*min=*/0, kMaxMs)) {
       client_options.retry.initial_backoff = std::chrono::milliseconds(value);
-    } else if (ParseIntFlag(kProgram, arg, "retry-budget-ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "retry-budget-ms", &value, /*min=*/0, kMaxMs)) {
       client_options.retry.retry_budget = std::chrono::milliseconds(value);
-    } else if (ParseIntFlag(kProgram, arg, "connect-timeout-ms", &value)) {
+    } else if (ParseIntFlag(kProgram, arg, "connect-timeout-ms", &value, /*min=*/0, kMaxMs)) {
       client_options.connect_timeout = std::chrono::milliseconds(value);
     } else if (arg == "--no-reconnect") {
       client_options.reconnect = false;
