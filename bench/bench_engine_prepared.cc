@@ -90,9 +90,7 @@ void RunPreparedExperiment() {
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, kPremises, kQueries, &premises, &goals);
 
-  EngineOptions default_opts;
-  default_opts.num_threads = 1;
-  ImplicationEngine engine(default_opts);
+  ImplicationEngine engine;
 
   Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, premises);
   if (!prepared.ok()) {
@@ -195,9 +193,7 @@ void BM_CheckOnePerQueryCompile(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, static_cast<int>(state.range(0)), 64, &premises, &goals);
-  EngineOptions opts;
-  opts.num_threads = 1;
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -212,9 +208,7 @@ void BM_CheckOnePrepared(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, static_cast<int>(state.range(0)), 64, &premises, &goals);
-  EngineOptions opts;
-  opts.num_threads = 1;
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, premises);
   if (!prepared.ok()) {
     state.SkipWithError("Prepare failed");

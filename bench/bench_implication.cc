@@ -168,9 +168,7 @@ void PrintBatchEngineTable() {
 
   GlobalWitnessSetCache().Clear();
   GlobalPreparedPremisesCache().Clear();
-  EngineOptions opts;
-  opts.num_threads = 4;
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   Result<BatchOutcome> batch = Status::InvalidArgument("not yet run");
   double engine_ms = bench::MeasureMs([&] { batch = engine.CheckBatch(n, premises, goals); }, 1);
 
@@ -184,7 +182,7 @@ void PrintBatchEngineTable() {
 
   std::printf("%22s %12s %10s %10s\n", "", "batch(ms)", "speedup", "agree");
   std::printf("%22s %12.3f %10s %10s\n", "sequential loop", seq_ms, "1.00x", "-");
-  std::printf("%22s %12.3f %9.2fx %10s\n", "engine (4 workers)", engine_ms,
+  std::printf("%22s %12.3f %9.2fx %10s\n", "engine", engine_ms,
               engine_ms > 0 ? seq_ms / engine_ms : 0.0, all_agree ? "yes" : "NO");
   if (batch.ok()) std::printf("engine stats: %s\n", batch->stats.ToString().c_str());
 
@@ -197,7 +195,6 @@ void PrintBatchEngineTable() {
   const int kOverheadTrials = 8;
   auto make_engine = [&](std::chrono::nanoseconds per_query) {
     EngineOptions o;
-    o.num_threads = 4;
     o.per_query_deadline = per_query;
     return std::make_unique<ImplicationEngine>(o);
   };
@@ -222,13 +219,14 @@ void PrintBatchEngineTable() {
 
   // Adversarial deadline run: 200 pigeonhole queries that each want far
   // more than 10ms of search under a 10ms per-query deadline and kDegrade.
+  // They run in series, so the batch reaches its 1s deadline, and every
+  // query after that stops at its first check.
   const int kPhpHoles = 6;
   prop::DnfFormula php = PigeonholeDnf(kPhpHoles, 8);
   ConstraintSet php_premises = DnfTautologyReduction(php);
   const std::size_t kAdversarialQueries = 200;
   std::vector<DifferentialConstraint> php_goals(kAdversarialQueries, TautologyGoal());
   EngineOptions adv;
-  adv.num_threads = 4;
   adv.per_query_deadline = std::chrono::milliseconds(10);
   adv.batch_deadline = std::chrono::seconds(1);
   adv.exhaustion_policy = ExhaustionPolicy::kDegrade;
@@ -248,7 +246,7 @@ void PrintBatchEngineTable() {
   json << "  \"experiment\": \"E2\",\n";
   json << "  \"n\": " << n << ",\n";
   json << "  \"queries\": " << goals.size() << ",\n";
-  json << "  \"threads\": " << opts.num_threads << ",\n";
+  json << "  \"threads\": 1,\n";
   json << "  \"sequential_ms\": " << seq_ms << ",\n";
   json << "  \"engine_ms\": " << engine_ms << ",\n";
   json << "  \"speedup\": " << (engine_ms > 0 ? seq_ms / engine_ms : 0.0) << ",\n";
@@ -309,7 +307,6 @@ void PrintObservabilityTable() {
   MakeBatchWorkload(n, 1000, &premises, &goals);
 
   EngineOptions opts;
-  opts.num_threads = 4;
   ImplicationEngine engine(opts);
   EngineOptions traced_opts = opts;
   traced_opts.trace = true;
@@ -345,7 +342,6 @@ void PrintObservabilityTable() {
   ConstraintSet php_premises = DnfTautologyReduction(php);
   std::vector<DifferentialConstraint> php_goals(100, TautologyGoal());
   EngineOptions adv;
-  adv.num_threads = 4;
   adv.per_query_deadline = std::chrono::milliseconds(10);
   adv.batch_deadline = std::chrono::seconds(2);
   adv.exhaustion_policy = ExhaustionPolicy::kDegrade;
@@ -377,7 +373,7 @@ void PrintObservabilityTable() {
   json << "  \"experiment\": \"E3\",\n";
   json << "  \"n\": " << n << ",\n";
   json << "  \"queries\": " << goals.size() << ",\n";
-  json << "  \"threads\": " << opts.num_threads << ",\n";
+  json << "  \"threads\": 1,\n";
   json << "  \"overhead\": {\"reps\": " << kReps << ", \"trials\": " << kTrials
        << ", \"enabled_ms\": " << enabled_ms << ", \"enabled_trace_ms\": " << trace_ms
        << ", \"trace_overhead_pct\": " << trace_pct << "},\n";
@@ -455,16 +451,14 @@ void BM_EngineBatch(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeBatchWorkload(n, 1000, &premises, &goals);
-  EngineOptions opts;
-  opts.num_threads = static_cast<int>(state.range(0));
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   for (auto _ : state) {
     Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
     benchmark::DoNotOptimize(out.ok() && out->stats.implied > 0);
   }
   state.SetItemsProcessed(state.iterations() * goals.size());
 }
-BENCHMARK(BM_EngineBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineBatch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace diffc

@@ -74,7 +74,6 @@ Status StartPair(double rate, int n, const ConstraintSet& premises, RatePair* pa
   pair->rate = rate;
   net::ServerOptions sopts;
   sopts.listen_address = "127.0.0.1:0";
-  sopts.engine.num_threads = 1;
   sopts.trace_sample_rate = rate;
   pair->server = std::make_unique<net::DiffcdServer>(sopts);
   if (Status started = pair->server->Start(); !started.ok()) return started;
@@ -199,7 +198,6 @@ void BM_CheckBatchLoopback(benchmark::State& state) {
   MakeWorkload(n, &premises, &goals);
   net::ServerOptions sopts;
   sopts.listen_address = "127.0.0.1:0";
-  sopts.engine.num_threads = 1;
   sopts.trace_sample_rate = state.range(0) / 100.0;
   net::DiffcdServer server(sopts);
   if (!server.Start().ok()) {

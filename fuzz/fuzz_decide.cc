@@ -114,11 +114,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
 
   // One engine for the process; `CheckOne` runs on the calling thread.
-  static ImplicationEngine* engine = [] {
-    EngineOptions options;
-    options.num_threads = 1;
-    return new ImplicationEngine(options);
-  }();
+  static ImplicationEngine* engine = new ImplicationEngine();
   Result<std::shared_ptr<const PreparedPremises>> prepared =
       PreparedPremises::Build(n, premises);
   if (!prepared.ok()) {

@@ -24,7 +24,6 @@
 #include "ds/belief.h"
 #include "engine/caches.h"
 #include "engine/implication_engine.h"
-#include "engine/worker_pool.h"
 #include "fis/apriori.h"
 #include "fis/association.h"
 #include "fis/basket.h"

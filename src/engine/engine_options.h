@@ -33,8 +33,6 @@ enum class ExhaustionPolicy {
 
 /// Tuning knobs of the batched implication engine.
 struct EngineOptions {
-  /// Worker threads for `CheckBatch` (clamped to at least 1).
-  int num_threads = 4;
   /// Candidate budget for witness-set enumeration on the interval-cover
   /// fast path. Families whose transversal search exceeds it are cached
   /// negatively and handled by SAT; at 0 every search does.

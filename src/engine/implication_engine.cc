@@ -9,7 +9,6 @@
 #include "lattice/decomposition.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
-#include "util/mutex.h"
 
 namespace diffc {
 
@@ -101,7 +100,7 @@ EngineMetrics& Metrics() {
 
 // Flushes one settled query into the registry: latency by procedure, and
 // verdict. Called exactly once per query result, wherever it settles
-// (normal run, exception guard, or queue drain).
+// (normal run, exception guard, or cancelled before it started).
 void RecordQueryMetrics(const EngineQueryResult& r) {
   EngineMetrics& m = Metrics();
   const int proc = static_cast<int>(r.stats.procedure);
@@ -182,11 +181,7 @@ std::string BatchStats::ToString() const {
 }
 
 ImplicationEngine::ImplicationEngine(EngineOptions options)
-    : options_(options),
-      planner_(ProcedureRegistry::Global().Snapshot()),
-      pool_(options.num_threads < 1 ? 1 : options.num_threads) {
-  options_.num_threads = pool_.size();
-}
+    : options_(options), planner_(ProcedureRegistry::Global().Snapshot()) {}
 
 Result<std::shared_ptr<const PreparedPremises>> ImplicationEngine::Prepare(
     int n, PremiseMasks premises) const {
@@ -263,8 +258,8 @@ EngineQueryResult ImplicationEngine::GuardedRunQuery(const PreparedPremises& pre
                                                      const CancelToken& cancel,
                                                      bool prepared_from_cache) {
   // A decision procedure that throws must fail its own query, not the
-  // process: the pool's loop-level catch would keep the worker alive but
-  // lose the error.
+  // batch: an exception leaving `RunBatch` would unwind the caller (a diffcd
+  // session) and lose every other goal's answer.
   EngineQueryResult r;
   try {
     r = RunQuery(prepared, goal, batch_deadline, cancel, prepared_from_cache);
@@ -313,8 +308,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   Result<std::shared_ptr<const PreparedPremises>> prepared =
       GlobalPreparedPremisesCache().Get(n, premises, &from_cache);
   if (!prepared.ok()) return prepared.status();
-  return RunBatch(*std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
-                  from_cache);
+  return RunBatch(**prepared, goals, OptionsBatchDeadline(), cancel, from_cache);
 }
 
 Result<BatchOutcome> ImplicationEngine::CheckBatch(
@@ -323,7 +317,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   if (prepared == nullptr) {
     return Status::InvalidArgument("prepared premises must be non-null");
   }
-  return RunBatch(std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
+  return RunBatch(*prepared, goals, OptionsBatchDeadline(), cancel,
                   /*prepared_from_cache=*/true);
 }
 
@@ -334,8 +328,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   if (prepared == nullptr) {
     return Status::InvalidArgument("prepared premises must be non-null");
   }
-  return RunBatch(std::move(prepared), goals, batch_deadline, std::move(cancel),
-                  /*prepared_from_cache=*/true);
+  return RunBatch(*prepared, goals, batch_deadline, cancel, /*prepared_from_cache=*/true);
 }
 
 Deadline ImplicationEngine::OptionsBatchDeadline() const {
@@ -343,41 +336,23 @@ Deadline ImplicationEngine::OptionsBatchDeadline() const {
                                              : Deadline::Never();
 }
 
-Result<BatchOutcome> ImplicationEngine::RunBatch(
-    std::shared_ptr<const PreparedPremises> prepared,
-    const std::vector<DifferentialConstraint>& goals, Deadline batch_deadline,
-    CancelToken cancel, bool prepared_from_cache) {
+BatchOutcome ImplicationEngine::RunBatch(const PreparedPremises& prepared,
+                                         const std::vector<DifferentialConstraint>& goals,
+                                         const Deadline& batch_deadline,
+                                         const CancelToken& cancel, bool prepared_from_cache) {
   BatchOutcome out;
   out.results.resize(goals.size());
   const std::uint64_t batch_start = NowNs();
-
-  if (!goals.empty()) {
-    // Countdown latch: workers fill disjoint slots of the pre-sized result
-    // vector, the submitter blocks until the last query lands.
-    Mutex done_mu;
-    CondVarAny done_cv;
-    std::size_t remaining = goals.size();
-
-    for (std::size_t i = 0; i < goals.size(); ++i) {
-      pool_.Submit([this, i, &prepared, &goals, &out, &done_mu, &done_cv, &remaining,
-                    &batch_deadline, cancel, prepared_from_cache] {
-        // A fired token drains still-queued queries without running them;
-        // queries already inside a solver observe the same token at their
-        // next check-point.
-        if (cancel.Cancelled()) {
-          out.results[i].status = Status::Cancelled("batch cancelled before query started");
-          RecordQueryMetrics(out.results[i]);
-        } else {
-          out.results[i] = GuardedRunQuery(*prepared, goals[i], batch_deadline, cancel,
-                                           prepared_from_cache);
-        }
-        MutexLock lock(&done_mu);
-        if (--remaining == 0) done_cv.NotifyOne();
-      });
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    // A fired token settles the remaining goals without running them; the
+    // running query observes the same token at its next check-point.
+    if (cancel.Cancelled()) {
+      out.results[i].status = Status::Cancelled("batch cancelled before query started");
+      RecordQueryMetrics(out.results[i]);
+    } else {
+      out.results[i] =
+          GuardedRunQuery(prepared, goals[i], batch_deadline, cancel, prepared_from_cache);
     }
-
-    MutexLock lock(&done_mu);
-    done_cv.Wait(done_mu, [&] { return remaining == 0; });
   }
 
   BatchStats& s = out.stats;

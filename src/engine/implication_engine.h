@@ -12,7 +12,6 @@
 #include "engine/engine_options.h"
 #include "engine/planner.h"
 #include "engine/prepared_premises.h"
-#include "engine/worker_pool.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
 #include "util/status.h"
@@ -89,8 +88,8 @@ struct BatchOutcome {
 Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialConstraint& goal,
                          const ImplicationOutcome& outcome);
 
-/// A batched, multi-threaded front door to the implication checkers, built
-/// as a prepare/plan/execute pipeline:
+/// A batched front door to the implication checkers, built as a
+/// prepare/plan/execute pipeline:
 ///
 ///   - **Prepare**: `Prepare(n, premises)` compiles the premise set into
 ///     an immutable, shared `PreparedPremises` artifact (the canonical
@@ -103,16 +102,18 @@ Status CertifyNotImplied(const PreparedPremises& prepared, const DifferentialCon
 ///     (trivial / FD-subclass closure / witness-set interval cover / SAT /
 ///     exhaustive fallback, in that order) by applicability; the plan
 ///     lands in the query stats and trace.
-///   - **Execute**: the plan runs on a fixed-size `std::jthread` worker
-///     pool, against the shared witness-set cache.
+///   - **Execute**: the plan runs on the calling thread, one goal after
+///     another, against the shared witness-set cache.
 ///
 /// Verdicts are identical to `CheckImplication` (every procedure is sound
 /// and the dispatch is deterministic per query); only speed depends on
-/// cache state and thread count. The engine returns `Status` on every
-/// failure path and never aborts the process.
+/// cache state. The engine returns `Status` on every failure path and never
+/// aborts the process.
 ///
-/// Thread-safe: concurrent `CheckBatch` calls from different threads are
-/// allowed and share the pool.
+/// Thread-safe: concurrent `CheckBatch` and `CheckOne` calls from different
+/// threads are allowed. Each runs on its own caller's thread; besides the
+/// engine's read-only options and planner, they share only the
+/// process-wide caches and the metrics registry.
 class ImplicationEngine {
  public:
   explicit ImplicationEngine(EngineOptions options = {});
@@ -120,7 +121,7 @@ class ImplicationEngine {
   ImplicationEngine(const ImplicationEngine&) = delete;
   ImplicationEngine& operator=(const ImplicationEngine&) = delete;
 
-  /// The options the engine was built with (threads already clamped).
+  /// The options the engine was built with.
   const EngineOptions& options() const { return options_; }
 
   /// Compiles `premises` into a shared artifact, served from the
@@ -136,15 +137,16 @@ class ImplicationEngine {
   Result<std::shared_ptr<const PreparedPremises>> Prepare(int n,
                                                           const ConstraintSet& premises) const;
 
-  /// Decides `premises |= goals[i]` for every goal, in parallel. Returns
-  /// InvalidArgument where `Prepare` would; per-query failures land in the
-  /// corresponding `EngineQueryResult::status`, never abort.
+  /// Decides `premises |= goals[i]` for every goal, in order, on the
+  /// calling thread. Returns InvalidArgument where `Prepare` would;
+  /// per-query failures land in the corresponding
+  /// `EngineQueryResult::status`, never abort.
   ///
   /// `cancel` is a cooperative batch-wide cancel handle: fire it (from any
-  /// thread) and queries not yet started return Cancelled without running,
-  /// while running queries stop at their next check-point and return
-  /// Cancelled from there. The call still waits for every slot to settle,
-  /// so the returned vector is fully populated.
+  /// thread) and the running query stops at its next check-point and
+  /// returns Cancelled, while every later goal returns Cancelled without
+  /// running. Every slot is still filled, so the returned vector is fully
+  /// populated.
   Result<BatchOutcome> CheckBatch(int n, const ConstraintSet& premises,
                                   const std::vector<DifferentialConstraint>& goals,
                                   CancelToken cancel = CancelToken());
@@ -164,8 +166,8 @@ class ImplicationEngine {
                                   const std::vector<DifferentialConstraint>& goals,
                                   Deadline batch_deadline, CancelToken cancel = CancelToken());
 
-  /// Single-query convenience: the same dispatch, caches, deadlines, and
-  /// exhaustion policy, no pool round-trip.
+  /// Single-query convenience: one goal of `CheckBatch` (the same dispatch,
+  /// caches, deadlines, and exhaustion policy) without the batch stats.
   EngineQueryResult CheckOne(int n, const ConstraintSet& premises,
                              const DifferentialConstraint& goal);
 
@@ -188,16 +190,15 @@ class ImplicationEngine {
                                     bool prepared_from_cache);
   /// Shared batch driver for the prepared and unprepared entry points;
   /// `batch_deadline` is the already-resolved wall-clock bound.
-  Result<BatchOutcome> RunBatch(std::shared_ptr<const PreparedPremises> prepared,
-                                const std::vector<DifferentialConstraint>& goals,
-                                Deadline batch_deadline, CancelToken cancel,
-                                bool prepared_from_cache);
+  BatchOutcome RunBatch(const PreparedPremises& prepared,
+                        const std::vector<DifferentialConstraint>& goals,
+                        const Deadline& batch_deadline, const CancelToken& cancel,
+                        bool prepared_from_cache);
   /// The batch deadline implied by `EngineOptions::batch_deadline`.
   Deadline OptionsBatchDeadline() const;
 
   EngineOptions options_;
   QueryPlanner planner_;
-  WorkerPool pool_;
 };
 
 }  // namespace diffc

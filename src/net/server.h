@@ -75,9 +75,9 @@ struct ServerOptions {
 ///
 ///   - a wire listener (TCP or Unix) with one session thread per
 ///     connection, dispatching each frame to its request type's handler;
-///   - an `ImplicationEngine` (shared worker pool) answering CHECK_BATCH
-///     requests, with per-request deadlines mapped onto `Deadline` and the
-///     drain path onto a server-wide `CancelToken`;
+///   - an `ImplicationEngine` answering each CHECK_BATCH on the session
+///     thread that received it, with per-request deadlines mapped onto
+///     `Deadline` and the drain path onto a server-wide `CancelToken`;
 ///   - a `PreparedHandleTable` of REGISTER_PREMISES artifacts (per-session
 ///     quota; a session's handles are released when it disconnects);
 ///   - an `AdmissionController` bounding concurrent batches;

@@ -10,7 +10,7 @@ namespace diffc::obs {
 
 /// Per-query tracing: a lightweight span tree on `steady_clock`, recorded
 /// by the engine when `EngineOptions::trace` is on. One `Tracer` lives per
-/// query on the worker thread that runs it (not thread-safe, by design);
+/// query on the thread that runs it (not thread-safe, by design);
 /// the finished `TraceRecord` is attached to the query result.
 ///
 /// A disabled tracer (the default) costs one branch per span — every

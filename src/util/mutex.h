@@ -1,9 +1,7 @@
 #ifndef DIFFC_UTIL_MUTEX_H_
 #define DIFFC_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
-#include <utility>
 
 #include "util/thread_annotations.h"
 
@@ -28,14 +26,7 @@ class CAPABILITY("mutex") Mutex {
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  /// Tells the analysis the calling thread holds this mutex, for facts it
-  /// cannot derive — e.g. inside a predicate that `CondVarAny::Wait`
-  /// re-evaluates with the lock held, or a callee reached only from
-  /// `REQUIRES` contexts through a type-erased boundary. No runtime effect.
-  void AssertHeld() const ASSERT_CAPABILITY(this) {}
-
  private:
-  friend class CondVarAny;
   std::mutex mu_;
 };
 
@@ -55,49 +46,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// A condition variable usable with `Mutex`, wrapping
-/// `std::condition_variable_any`. `Wait` must be called with the mutex
-/// held (`REQUIRES`), waits releasing it, and returns with it re-held —
-/// exactly the `std::condition_variable` contract, but visible to the
-/// analysis.
-///
-/// The predicate is re-evaluated with the mutex held; the analysis cannot
-/// see that through the type-erased wait, so a predicate touching guarded
-/// state should open with `mu_.AssertHeld()`.
-class CondVarAny {
- public:
-  CondVarAny() = default;
-  CondVarAny(const CondVarAny&) = delete;
-  CondVarAny& operator=(const CondVarAny&) = delete;
-
-  /// Blocks until `pred()` is true, releasing `mu` while blocked.
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) REQUIRES(mu) {
-    // Adopt the already-held native mutex so the std wait can release and
-    // re-acquire it; `release()` hands ownership back without unlocking,
-    // keeping the capability held on return as declared.
-    std::unique_lock<std::mutex> relock(mu.mu_, std::adopt_lock);
-    cv_.wait(relock, std::move(pred));
-    relock.release();
-  }
-
-  /// As above, but also wakes on `stop` being requested. Returns the final
-  /// `pred()` value (false means a stop request interrupted the wait).
-  template <typename StopToken, typename Predicate>
-  bool Wait(Mutex& mu, StopToken stop, Predicate pred) REQUIRES(mu) {
-    std::unique_lock<std::mutex> relock(mu.mu_, std::adopt_lock);
-    const bool satisfied = cv_.wait(relock, std::move(stop), std::move(pred));
-    relock.release();
-    return satisfied;
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace diffc

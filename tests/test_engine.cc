@@ -1,15 +1,12 @@
 // Batched implication engine: dispatch correctness against the sequential
-// checkers, thread-count invariance (the stress test runs the same mixed
-// batch at 1, 4 and 8 workers), shared-cache behavior, and the
-// no-abort/Status-on-failure contract.
+// checkers, caller-count invariance (the stress test runs the same mixed
+// batch from 1, 4 and 8 threads sharing one engine), shared-cache behavior,
+// and the no-abort/Status-on-failure contract.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -20,7 +17,6 @@
 #include "engine/implication_engine.h"
 #include "engine/planner.h"
 #include "engine/procedures/procedure.h"
-#include "engine/worker_pool.h"
 #include "lattice/hitting_set.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -89,6 +85,25 @@ MixedBatch MakeMixedBatch(int n, int num_goals, std::uint64_t seed) {
   return b;
 }
 
+// Runs `b`'s batch from `callers` threads at once against `engine`, each
+// thread `rounds` times in a row; returns the outcomes in thread order.
+std::vector<Result<BatchOutcome>> CheckBatchFromCallers(ImplicationEngine& engine,
+                                                        const MixedBatch& b, int callers,
+                                                        int rounds = 1) {
+  std::vector<Result<BatchOutcome>> outs(callers * rounds,
+                                         Status::Internal("batch never ran"));
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) {
+    threads.emplace_back([&engine, &b, &outs, c, rounds] {
+      for (int round = 0; round < rounds; ++round) {
+        outs[c * rounds + round] = engine.CheckBatch(b.n, b.premises, b.goals);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return outs;
+}
+
 TEST(ImplicationEngineTest, MatchesSequentialCheckersAcrossThreadCounts) {
   MixedBatch b = MakeMixedBatch(12, 64, 7);
 
@@ -100,55 +115,53 @@ TEST(ImplicationEngineTest, MatchesSequentialCheckersAcrossThreadCounts) {
     expected.push_back(r->implied);
   }
 
-  for (int threads : {1, 4, 8}) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    ImplicationEngine engine(opts);
-    Result<BatchOutcome> out = engine.CheckBatch(b.n, b.premises, b.goals);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    ASSERT_EQ(out->results.size(), b.goals.size());
-    for (std::size_t i = 0; i < b.goals.size(); ++i) {
-      const EngineQueryResult& r = out->results[i];
-      ASSERT_TRUE(r.status.ok()) << "threads=" << threads << " query=" << i << ": "
-                                 << r.status.ToString();
-      EXPECT_EQ(r.outcome.implied, expected[i])
-          << "threads=" << threads << " query=" << i << " via "
-          << DecisionProcedureName(r.stats.procedure);
-      if (!r.outcome.implied) {
-        ASSERT_TRUE(r.outcome.counterexample.has_value());
-        ExpectValidCounterexample(b.n, b.premises, b.goals[i], *r.outcome.counterexample);
+  for (int callers : {1, 4, 8}) {
+    ImplicationEngine engine;
+    for (const Result<BatchOutcome>& out : CheckBatchFromCallers(engine, b, callers)) {
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ASSERT_EQ(out->results.size(), b.goals.size());
+      for (std::size_t i = 0; i < b.goals.size(); ++i) {
+        const EngineQueryResult& r = out->results[i];
+        ASSERT_TRUE(r.status.ok()) << "callers=" << callers << " query=" << i << ": "
+                                   << r.status.ToString();
+        EXPECT_EQ(r.outcome.implied, expected[i])
+            << "callers=" << callers << " query=" << i << " via "
+            << DecisionProcedureName(r.stats.procedure);
+        if (!r.outcome.implied) {
+          ASSERT_TRUE(r.outcome.counterexample.has_value());
+          ExpectValidCounterexample(b.n, b.premises, b.goals[i], *r.outcome.counterexample);
+        }
       }
+      EXPECT_EQ(out->stats.queries, b.goals.size());
+      EXPECT_EQ(out->stats.implied + out->stats.not_implied + out->stats.failed,
+                b.goals.size());
     }
-    EXPECT_EQ(out->stats.queries, b.goals.size());
-    EXPECT_EQ(out->stats.implied + out->stats.not_implied + out->stats.failed,
-              b.goals.size());
   }
 }
 
 TEST(ImplicationEngineTest, StressSameBatchRepeatedlyOnAllThreadCounts) {
-  // Fire the same mixed batch through freshly-built engines at 1, 4 and 8
-  // threads, twice each (the second pass runs hot caches), and demand
-  // bit-identical verdict vectors every time.
+  // Fire the same mixed batch from 1, 4 and 8 threads at once on a
+  // freshly-built engine, in two passes (the second runs hot caches), and
+  // demand bit-identical verdict vectors every time.
   MixedBatch b = MakeMixedBatch(14, 96, 23);
   std::vector<bool> first;
   bool have_first = false;
   for (int pass = 0; pass < 2; ++pass) {
-    for (int threads : {1, 4, 8}) {
-      EngineOptions opts;
-      opts.num_threads = threads;
-      ImplicationEngine engine(opts);
-      Result<BatchOutcome> out = engine.CheckBatch(b.n, b.premises, b.goals);
-      ASSERT_TRUE(out.ok());
-      std::vector<bool> verdicts;
-      for (const EngineQueryResult& r : out->results) {
-        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-        verdicts.push_back(r.outcome.implied);
-      }
-      if (!have_first) {
-        first = verdicts;
-        have_first = true;
-      } else {
-        EXPECT_EQ(verdicts, first) << "pass=" << pass << " threads=" << threads;
+    for (int callers : {1, 4, 8}) {
+      ImplicationEngine engine;
+      for (const Result<BatchOutcome>& out : CheckBatchFromCallers(engine, b, callers)) {
+        ASSERT_TRUE(out.ok());
+        std::vector<bool> verdicts;
+        for (const EngineQueryResult& r : out->results) {
+          ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+          verdicts.push_back(r.outcome.implied);
+        }
+        if (!have_first) {
+          first = verdicts;
+          have_first = true;
+        } else {
+          EXPECT_EQ(verdicts, first) << "pass=" << pass << " callers=" << callers;
+        }
       }
     }
   }
@@ -849,44 +862,54 @@ TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
   EXPECT_EQ(deadline_exceeded->Value(), deadline_exceeded0 + 1);
 }
 
-TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
+TEST(EngineReliabilityTest, CancelledBeforeTheCallSettlesEveryGoalUnstarted) {
+  obs::Counter* nodes = RegistryCounter("diffc_engine_sat_nodes_total");
   PigeonholeProblem p = MakeStalledPigeonhole();
   std::vector<DifferentialConstraint> goals(6, p.goal);
-  EngineOptions opts;
-  opts.num_threads = 2;
-  ImplicationEngine engine(opts);
+  ImplicationEngine engine;
   CancelToken cancel;
-  // The pool's in-flight gauge rises as a worker picks a query up: the
-  // canceller's signal that a worker is inside a query. No other pool runs
-  // a task now, so zero it first: two workers finishing together can leave
-  // a stale last write behind.
-  obs::Gauge* in_flight = obs::Registry::Global().GetGauge("diffc_pool_in_flight", "");
-  in_flight->Set(0);
-  auto query_started = [in_flight] { return in_flight->Value() > 0; };
-  std::thread canceller([&cancel, &query_started] {
-    for (int spin = 0; spin < 30'000 && !query_started(); ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  cancel.Cancel();
+  const std::uint64_t nodes0 = nodes->Value();
+  Result<BatchOutcome> out = engine.CheckBatch(p.n, p.premises, goals, cancel);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->results.size(), goals.size());
+  for (const EngineQueryResult& r : out->results) {
+    EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
+    EXPECT_NE(r.status.message().find("before query started"), std::string::npos)
+        << r.status.ToString();
+  }
+  EXPECT_EQ(out->stats.cancelled, goals.size());
+  EXPECT_EQ(out->stats.failed, goals.size());
+  // No goal reached the search.
+  EXPECT_EQ(nodes->Value(), nodes0);
+}
+
+TEST(EngineReliabilityTest, CancelledMidBatchStopsTheRunningGoalAndSettlesTheRest) {
+  // Goal 0 alone needs over a minute of search, so the token fires while
+  // it runs (or, on a slow start, before it): it may stop inside the
+  // search, and every later goal settles without starting.
+  PigeonholeProblem p = MakeStalledPigeonhole();
+  std::vector<DifferentialConstraint> goals(6, p.goal);
+  ImplicationEngine engine;
+  CancelToken cancel;
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
     cancel.Cancel();
   });
   Result<BatchOutcome> out = engine.CheckBatch(p.n, p.premises, goals, cancel);
   canceller.join();
   ASSERT_TRUE(out.ok());
-  std::size_t stopped_while_running = 0, drained_from_queue = 0;
-  for (const EngineQueryResult& r : out->results) {
-    EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status.ToString();
-    if (r.status.message().find("before query started") != std::string::npos) {
-      ++drained_from_queue;
-    } else {
-      ++stopped_while_running;
+  ASSERT_EQ(out->results.size(), goals.size());
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    const Status& status = out->results[i].status;
+    EXPECT_EQ(status.code(), StatusCode::kCancelled) << "goal " << i << ": " << status.ToString();
+    if (i > 0) {
+      EXPECT_NE(status.message().find("before query started"), std::string::npos)
+          << "goal " << i << ": " << status.ToString();
     }
   }
   EXPECT_EQ(out->stats.cancelled, goals.size());
   EXPECT_EQ(out->stats.failed, goals.size());
-  // A worker was mid-solve when the token fired (no query finishes on its
-  // own); the queued queries drained without starting.
-  EXPECT_GE(stopped_while_running, 1u);
-  EXPECT_GE(drained_from_queue, 1u);
 }
 
 TEST(EngineReliabilityTest, AdversarialDeadlineBatchFinishesPromptly) {
@@ -897,7 +920,6 @@ TEST(EngineReliabilityTest, AdversarialDeadlineBatchFinishesPromptly) {
   const std::size_t kQueries = 1000;
   std::vector<DifferentialConstraint> goals(kQueries, p.goal);
   EngineOptions opts;
-  opts.num_threads = 4;
   opts.per_query_deadline = std::chrono::milliseconds(10);
   opts.batch_deadline = std::chrono::seconds(1);
   opts.exhaustion_policy = ExhaustionPolicy::kDegrade;
@@ -924,110 +946,12 @@ TEST(EngineReliabilityTest, AdversarialDeadlineBatchFinishesPromptly) {
   EXPECT_NE(s.find("degraded"), std::string::npos);
 }
 
-TEST(WorkerPoolTest, RunsAllSubmittedTasks) {
-  WorkerPool pool(4);
-  std::mutex mu;
-  std::condition_variable cv;
-  int done = 0;
-  const int kTasks = 100;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&] {
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == kTasks) cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done == kTasks; });
-  EXPECT_EQ(done, kTasks);
-}
-
-TEST(WorkerPoolTest, TaskExceptionsAreContainedAndCounted) {
-  obs::Counter* exceptions = RegistryCounter("diffc_pool_task_exceptions_total");
-  const std::uint64_t exceptions0 = exceptions->Value();
-  auto pool_ptr = std::make_unique<WorkerPool>(2);
-  WorkerPool& pool = *pool_ptr;
-  const int kThrowers = 10;
-  const int kNormal = 10;
-  for (int i = 0; i < kThrowers; ++i) {
-    pool.Submit([] { throw std::runtime_error("task failure"); });
-  }
-  // Queued behind the throwers: they only complete if the workers survive.
-  std::mutex mu;
-  std::condition_variable cv;
-  int done = 0;
-  for (int i = 0; i < kNormal; ++i) {
-    pool.Submit([&] {
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == kNormal) cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == kNormal; });
-  }
-  // A thrower dequeued just before the last normal task may still be
-  // mid-unwind; give the counter a moment to settle.
-  for (int spin = 0; spin < 1000 && pool.uncaught_exceptions() < static_cast<std::uint64_t>(kThrowers);
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.uncaught_exceptions(), static_cast<std::uint64_t>(kThrowers));
-  // Destroying the pool joins its workers, so every flush has landed.
-  pool_ptr.reset();
-  EXPECT_EQ(exceptions->Value(), exceptions0 + kThrowers);
-}
-
-TEST(WorkerPoolTest, StatsSnapshotRacesSafelyWithSubmit) {
-  // Regression test for the unsynchronized-stats-read bug class: one thread
-  // hammers Submit while others snapshot stats() / queue_depth() /
-  // in_flight() continuously. Run under TSan in CI; correctness here is the
-  // invariants every snapshot must satisfy.
-  WorkerPool pool(2);
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> submitted{0};
-
-  std::thread submitter([&] {
-    for (int i = 0; i < 2000; ++i) {
-      pool.Submit([] {});
-      submitted.fetch_add(1, std::memory_order_relaxed);
-    }
-    done.store(true, std::memory_order_release);
-  });
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        WorkerPool::Stats s = pool.stats();
-        EXPECT_LE(s.completed, s.submitted);
-        EXPECT_LE(s.queue_depth, s.submitted);
-        EXPECT_GE(s.in_flight, 0);
-        EXPECT_LE(s.in_flight, pool.size());
-        (void)pool.queue_depth();
-        (void)pool.in_flight();
-      }
-    });
-  }
-  submitter.join();
-  for (std::thread& r : readers) r.join();
-
-  // Drain: wait until everything completes, then the totals must agree.
-  for (int spin = 0; spin < 5000 && pool.stats().completed < submitted.load(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  WorkerPool::Stats s = pool.stats();
-  EXPECT_EQ(s.submitted, submitted.load());
-  EXPECT_EQ(s.completed, submitted.load());
-  EXPECT_EQ(s.queue_depth, 0u);
-  EXPECT_EQ(s.exceptions, 0u);
-}
-
 TEST(EngineReliabilityTest, TracedStressBatchIsRaceFree) {
-  // The TSan CI job runs this: a mixed batch on several threads with
+  // The TSan CI job runs this: a mixed batch, twice on one engine, with
   // tracing and metrics both live, exercising every instrumentation flush
-  // site concurrently.
+  // site.
   MixedBatch b = MakeMixedBatch(12, 48, 99);
   EngineOptions opts;
-  opts.num_threads = 4;
   opts.trace = true;
   ImplicationEngine engine(opts);
   for (int round = 0; round < 2; ++round) {
@@ -1044,6 +968,40 @@ TEST(EngineReliabilityTest, TracedStressBatchIsRaceFree) {
   // while the registry is warm: both renderings must be non-empty.
   EXPECT_FALSE(obs::SnapshotPrometheus().empty());
   EXPECT_FALSE(obs::SnapshotJson().empty());
+}
+
+TEST(EngineReliabilityTest, ConcurrentCallersShareOneEngine) {
+  // The engine's only concurrency: several callers (diffcd sessions) on one
+  // engine, sharing its process-wide caches and the metrics registry. The
+  // TSan CI job runs this; every answer must still match the sequential
+  // front door and carry a certified counterexample.
+  MixedBatch b = MakeMixedBatch(12, 48, 41);
+  std::vector<bool> expected;
+  for (const DifferentialConstraint& g : b.goals) {
+    Result<ImplicationOutcome> r = CheckImplication(b.n, b.premises, g);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(r->implied);
+  }
+  EngineOptions opts;
+  opts.trace = true;
+  ImplicationEngine engine(opts);
+  const std::vector<Result<BatchOutcome>> outs =
+      CheckBatchFromCallers(engine, b, /*callers=*/4, /*rounds=*/2);
+  ASSERT_EQ(outs.size(), 8u);
+  for (const Result<BatchOutcome>& out : outs) {
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->results.size(), b.goals.size());
+    for (std::size_t i = 0; i < b.goals.size(); ++i) {
+      const EngineQueryResult& r = out->results[i];
+      ASSERT_TRUE(r.status.ok()) << "query=" << i << ": " << r.status.ToString();
+      EXPECT_EQ(r.outcome.implied, expected[i]) << "query=" << i;
+      ASSERT_NE(r.trace, nullptr);
+      if (!r.outcome.implied) {
+        ASSERT_TRUE(r.outcome.counterexample.has_value());
+        ExpectValidCounterexample(b.n, b.premises, b.goals[i], *r.outcome.counterexample);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -771,9 +771,7 @@ TEST(DiffcdServiceTest, PerRequestDeadlineMapsOntoTheBatch) {
   // PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes per
   // query, so under the request's 1 ms deadline every query ends
   // DeadlineExceeded, whatever the machine speed.
-  ServerOptions options = LoopbackOptions();
-  options.engine.num_threads = 1;
-  DiffcdServer server(options);
+  DiffcdServer server(LoopbackOptions());
   ASSERT_TRUE(server.Start().ok());
   Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
   ASSERT_TRUE(client.ok());
@@ -802,10 +800,9 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
   // The in-flight time comes from the per-query deadline, not from CPU
   // work: PHP(5,4) behind 22 pads (n = 64) needs about 2·10^8 search nodes,
   // so each query runs until its 200 ms deadline and degrades to kUnknown.
-  // Six queries on two workers keep the batch in flight for ~600 ms on any
-  // machine, well inside the 30 s drain deadline.
+  // The six queries run in series, so the batch stays in flight for ~1.2 s
+  // on any machine, well inside the 30 s drain deadline.
   ServerOptions options = LoopbackOptions();
-  options.engine.num_threads = 2;
   options.engine.per_query_deadline = std::chrono::milliseconds(200);
   options.engine.exhaustion_policy = ExhaustionPolicy::kDegrade;
   options.drain_deadline = std::chrono::seconds(30);
@@ -830,7 +827,7 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
     batch = client->CheckBatch(registered->handle, n, goals);
   });
   // Wait until the batch is genuinely executing, then drain mid-burst. The
-  // drain waits out the ~600 ms batch, long enough to see its gauge raised.
+  // drain waits out the ~1.2 s batch, long enough to see its gauge raised.
   ASSERT_TRUE(WaitFor([&] { return server.admission().inflight() > 0; }));
   bool saw_draining = false;
   std::thread watcher([&] { saw_draining = WaitFor([&] { return draining->Value() == 1; }); });
@@ -853,6 +850,68 @@ TEST(DiffcdServiceTest, GracefulDrainWaitsForInflightBatch) {
 
   // Stopped means stopped: new requests fail, repeat shutdowns are no-ops.
   EXPECT_FALSE(client->Ping(1).ok());
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(DiffcdServiceTest, StalledBatchDoesNotDelayAnotherSession) {
+  // Session A's 12 queries each need about 2·10^8 search nodes (PHP(5,4)
+  // behind 22 pads, n = 64), so each runs until its 100 ms deadline and
+  // degrades to kUnknown: A's batch stays in flight for at least 1.2 s on
+  // any machine. Session B's batch runs on B's own session thread, so its
+  // reply must arrive before A's, while A still has most of its queries to
+  // run; had B's goals queued behind A's, at most a few of A's would be
+  // unsettled.
+  ServerOptions options = LoopbackOptions();
+  options.engine.per_query_deadline = std::chrono::milliseconds(100);
+  options.engine.exhaustion_policy = ExhaustionPolicy::kDegrade;
+  obs::Counter* a_settled = obs::Registry::Global().GetCounter(
+      "diffc_engine_degraded_total", "", {{"from", "deadline"}});
+  DiffcdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const prop::DnfFormula php = testing::PigeonholeDnf(4, 22);
+  const std::vector<DifferentialConstraint> stalled(12, TautologyGoal());
+  Result<DiffcClient> a = DiffcClient::Connect(server.bound_address());
+  ASSERT_TRUE(a.ok());
+  Result<RegisterOkMsg> a_set = a->RegisterPremises(php.num_vars, DnfTautologyReduction(php));
+  ASSERT_TRUE(a_set.ok());
+
+  const int n = 10;
+  Rng rng(20261019);
+  const ConstraintSet premises = testing::RandomConstraintSet(rng, n, 12);
+  std::vector<DifferentialConstraint> goals;
+  for (int i = 0; i < 8; ++i) goals.push_back(testing::RandomConstraint(rng, n));
+
+  const std::uint64_t a_settled0 = a_settled->Value();
+  Result<BatchResultMsg> a_batch = Status::Internal("batch never ran");
+  std::thread a_thread([&] { a_batch = a->CheckBatch(a_set->handle, php.num_vars, stalled); });
+  EXPECT_TRUE(WaitFor([&] { return server.admission().inflight() > 0; }));
+  const Result<BatchResultMsg> b_batch = [&]() -> Result<BatchResultMsg> {
+    Result<DiffcClient> b = DiffcClient::Connect(server.bound_address());
+    if (!b.ok()) return b.status();
+    Result<RegisterOkMsg> b_set = b->RegisterPremises(n, premises);
+    if (!b_set.ok()) return b_set.status();
+    return b->CheckBatch(b_set->handle, n, goals);
+  }();
+  const std::uint64_t a_settled_before_b = a_settled->Value() - a_settled0;
+  a_thread.join();
+
+  ASSERT_TRUE(b_batch.ok()) << b_batch.status().ToString();
+  EXPECT_LT(a_settled_before_b, stalled.size() / 2);
+  ASSERT_EQ(b_batch->results.size(), goals.size());
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    Result<ImplicationOutcome> expected = CheckImplication(n, premises, goals[i]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(b_batch->results[i].status_code, StatusCode::kOk) << "goal " << i;
+    EXPECT_EQ(b_batch->results[i].verdict, static_cast<std::uint8_t>(expected->verdict))
+        << "goal " << i;
+  }
+  ASSERT_TRUE(a_batch.ok()) << a_batch.status().ToString();
+  ASSERT_EQ(a_batch->results.size(), stalled.size());
+  for (const WireQueryResult& r : a_batch->results) {
+    EXPECT_EQ(r.status_code, StatusCode::kOk) << r.status_message;
+    EXPECT_EQ(r.verdict, static_cast<std::uint8_t>(ImplicationOutcome::kUnknown));
+  }
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

@@ -2,12 +2,12 @@
 // (and optionally the HTTP /metrics endpoint), then waits for SIGTERM /
 // SIGINT and drains gracefully: in-flight batches finish (or are
 // cancelled at the drain deadline), sessions close, and the process exits
-// 0 on a clean drain, 1 on a forced one.
+// 0 on a clean drain, 1 on a forced one. Each session has its own thread,
+// and a CHECK_BATCH runs on the session thread that received it.
 //
 //   diffcd --listen=127.0.0.1:7411 --metrics=127.0.0.1:9095
-//          --threads=8 --max-inflight=16 --drain-ms=5000   (one command line)
+//          --max-inflight=16 --drain-ms=5000   (one command line)
 
-#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,10 +35,12 @@ void HandleSignal(int sig) { g_signal = sig; }
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen=HOST:PORT|unix:/path] [--metrics=HOST:PORT]\n"
-               "          [--threads=N] [--max-inflight=N] [--max-handles=N]\n"
+               "          [--max-inflight=N] [--max-handles=N]\n"
                "          [--drain-ms=N] [--trace]\n"
                "          [--trace_sample_rate=P] [--slow_query_ms=N]\n"
-               "          [--trace_store_capacity=N]\n",
+               "          [--trace_store_capacity=N]\n"
+               "Each CHECK_BATCH runs on the session thread that received it;\n"
+               "--max-inflight bounds how many batches run at once.\n",
                argv0);
 }
 
@@ -56,8 +58,6 @@ int main(int argc, char** argv) {
       options.listen_address = text;
     } else if (ParseFlag(arg, "metrics", &text)) {
       options.metrics_address = text;
-    } else if (ParseIntFlag(kProgram, arg, "threads", &value, /*min=*/0, /*max=*/INT_MAX)) {
-      options.engine.num_threads = static_cast<int>(value);
     } else if (ParseIntFlag(kProgram, arg, "max-inflight", &value, /*min=*/1)) {
       // 0 slots would refuse every batch.
       options.max_inflight_batches = static_cast<std::size_t>(value);
