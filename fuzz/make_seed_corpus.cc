@@ -286,6 +286,31 @@ int main(int argc, char** argv) {
               DecideInstance(4, ParseConstraintSet(u4, "0 -> {ABC}")->front(),
                              *ParseConstraintSet(u4, "0 -> {A, B}; D -> {ABCD}; B -> {C, AC}")));
   }
+  {
+    // A -> {BC, D} absorbs AE -> {BC, CE, D} (augmentation by E, addition
+    // of CE): interval cover answers implied before any witness search.
+    const Universe u5 = Universe::Letters(5);
+    WriteSeed("decide", "absorbed_by_one_premise",
+              DecideInstance(5, ParseConstraintSet(u5, "AE -> {BC, CE, D}")->front(),
+                             *ParseConstraintSet(u5, "A -> {BC, D}; BD -> {E}")));
+  }
+  {
+    // A -> {BC, D} has the intervals [A, AC] (W = BD) and [A, AB] (W = CD):
+    // each premise covers one, and neither absorbs the goal.
+    const Universe u4 = Universe::Letters(4);
+    WriteSeed("decide", "covered_only_together",
+              DecideInstance(4, ParseConstraintSet(u4, "A -> {BC, D}")->front(),
+                             *ParseConstraintSet(u4, "A -> {B, D}; A -> {C, D}")));
+  }
+  {
+    // ∅ -> {AB, C} has the intervals [∅, BD] (W = AC) and [∅, AD]
+    // (W = BC), in that order. The premise covers the first, and AD, the
+    // second's top, is outside L(C): the counterexample.
+    const Universe u4 = Universe::Letters(4);
+    WriteSeed("decide", "first_interval_covered_second_refuted",
+              DecideInstance(4, ParseConstraintSet(u4, "0 -> {AB, C}")->front(),
+                             *ParseConstraintSet(u4, "0 -> {A, C}")));
+  }
 
   // ---- witness: families over a few positions, with the leaf budget
   // below, at and above the search's leaf count.

@@ -11,6 +11,11 @@
 
 namespace diffc {
 
+/// The mask of a family member, whether the family holds masks (an arena's
+/// `family(p)`, a witness list) or `ItemSet`s (a `SetFamily`).
+inline Mask MemberBits(Mask y) { return y; }
+inline Mask MemberBits(const ItemSet& y) { return y.bits(); }
+
 /// A premise set flattened into attribute masks: the one premise
 /// representation from the client's REGISTER encoder to verdict. The wire
 /// codec writes and reads it (DESIGN.md §11), the rewrite rules edit it in
@@ -58,10 +63,35 @@ struct PremiseMasks {
 
   /// True iff some member of `p` is a subset of `u`.
   bool SomeMemberSubsetOf(const Premise& p, Mask u) const {
-    for (Mask y : family(p)) {
-      if (IsSubset(y, u)) return true;
+    return SomeMemberSubsetOf(family(p), u);
+  }
+
+  /// True iff some member of `family` (masks or `ItemSet`s) is a subset of
+  /// `u`.
+  template <typename Family>
+  static bool SomeMemberSubsetOf(const Family& family, Mask u) {
+    for (const auto& y : family) {
+      if (IsSubset(MemberBits(y), u)) return true;
     }
     return false;
+  }
+
+  /// True iff premise `a` absorbs the constraint `x -> ys`, for an `a` with
+  /// a.lhs ⊆ x: every member Y_a of `a` has a member of `ys` (masks or
+  /// `ItemSet`s) inside x ∪ Y_a. That is exactly L(x, ys) ⊆ L(a). A U in
+  /// L(x, ys) contains x ⊇ a.lhs, and a Y_a ⊆ U would put a member of ys
+  /// inside x ∪ Y_a ⊆ U. Conversely, a Y_a with no such member makes
+  /// U = x ∪ Y_a a set of L(x, ys) outside L(a). It generalizes Figure 1
+  /// augmentation (X -> Y absorbs X∪Z -> Y) and addition (X -> Y absorbs
+  /// X -> Y∪{Z}), and covers exact duplicates. `absorb-subsumed` deletes a
+  /// premise another one absorbs (DESIGN.md §14); interval cover answers a
+  /// goal one premise absorbs (DESIGN.md §10).
+  template <typename Family>
+  bool Absorbs(const Premise& a, Mask x, const Family& ys) const {
+    for (Mask ya : family(a)) {
+      if (!SomeMemberSubsetOf(ys, x | ya)) return false;
+    }
+    return true;
   }
 };
 

@@ -35,7 +35,8 @@ enum class ExhaustionPolicy {
 struct EngineOptions {
   /// Candidate budget for witness-set enumeration on the interval-cover
   /// fast path. Families whose transversal search exceeds it are cached
-  /// negatively and handled by SAT; at 0 every search does.
+  /// negatively and handled by SAT; at 0 every search does. A goal one
+  /// premise absorbs runs no search, so no budget sends it to SAT.
   std::size_t witness_max_results = 4096;
   /// Node budget of the `sat` procedure's counterexample search per query
   /// (ResourceExhausted beyond it, which arms the exhaustive fallback).

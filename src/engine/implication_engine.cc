@@ -201,10 +201,12 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
   if (DIFFC_FAILPOINT("engine/throw")) {
     throw std::runtime_error("failpoint engine/throw: query task threw");
   }
-  const std::uint64_t start = NowNs();
+  // The query's one clock read before it runs: the per-query deadline
+  // counts from it too.
+  const Deadline::Clock::time_point start = Deadline::Clock::now();
   Deadline deadline = batch_deadline;
   if (options_.per_query_deadline.count() > 0) {
-    deadline = Deadline::Earlier(Deadline::After(options_.per_query_deadline), deadline);
+    deadline = Deadline::Earlier(Deadline::At(start + options_.per_query_deadline), deadline);
   }
   StopCheck stop(deadline, cancel, options_.stop_check_stride);
   obs::Tracer tracer(options_.trace);
@@ -237,13 +239,16 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
     r.status = Status::Ok();
     r.outcome.SetUnknown();
   }
-  r.stats.wall_ns = NowNs() - start;
+  const Deadline::Clock::time_point end = Deadline::Clock::now();
+  r.stats.wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
   // Slack: how much of the wall-clock budget was left when the query
-  // settled. 0 means it finished at (or past) its deadline.
+  // settled, read off the same end timestamp. 0 means it finished at (or
+  // past) its deadline.
   if (deadline.IsNever()) {
     Metrics().unbounded_queries->Inc();
   } else {
-    const double remaining_s = std::chrono::duration<double>(deadline.Remaining()).count();
+    const double remaining_s = std::chrono::duration<double>(deadline.expiry() - end).count();
     Metrics().deadline_slack->Observe(remaining_s > 0 ? remaining_s : 0.0);
   }
   if (tracer.enabled()) {

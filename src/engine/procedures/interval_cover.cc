@@ -22,9 +22,6 @@ bool IsStopStatus(const Status& s) {
   return s.code() == StatusCode::kDeadlineExceeded || s.code() == StatusCode::kCancelled;
 }
 
-Mask Bits(Mask w) { return w; }
-Mask Bits(const ItemSet& w) { return w.bits(); }
-
 // Covers the goal's L(X, Y) by the intervals [X, S∖W] of its minimal
 // witness sets `witnesses` (masks or `ItemSet`s), in their sorted order.
 // An inconclusive cover points `ctx->uncovered_witnesses` at the W of each
@@ -39,9 +36,19 @@ Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const Proce
   out.SetUnknown();
   for (const auto& witness : witnesses) {
     if (Status s = ctx->stop->Check(); !s.ok()) return s;
-    const Mask w = Bits(witness);
+    const Mask w = MemberBits(witness);
     if ((x & w) != 0) continue;  // Empty interval.
     const Mask top = FullMask(query.n) & ~w;
+    // Single-premise coverage of the whole interval [X, top]:
+    // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
+    // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs. The covering
+    // premise keeps `top` itself in L(C), so the scan below can only
+    // refute an interval no premise covers.
+    const bool covered =
+        std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
+          return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
+        });
+    if (covered) continue;
     // `top` ∈ L(X, Y): X ⊆ top, and no goal member fits inside top
     // because W hits every member. If no premise excludes it, it is a
     // counterexample and the goal is not implied.
@@ -49,14 +56,7 @@ Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const Proce
       out.SetNotImplied(ItemSet(top));
       return out;
     }
-    // Single-premise coverage of the whole interval [X, top]:
-    // p.lhs ⊆ X keeps p.lhs inside every U ⊇ X, and no member of
-    // p.rhs inside `top` keeps every U ⊆ top clear of p.rhs.
-    const bool covered =
-        std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
-          return IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top);
-        });
-    if (!covered) uncovered.push_back(w);
+    uncovered.push_back(w);
   }
   if (uncovered.empty()) {
     out.SetImplied();
@@ -71,6 +71,8 @@ Result<ImplicationOutcome> CoverIntervals(const PremiseMasks& masks, const Proce
 /// Interval cover over the minimal witness sets of the goal's right-hand
 /// family: L(X, Y) = ∪_{W minimal} [X, S∖W] (Definition 2.6).
 /// Sound in both directions when conclusive:
+///   - a premise that absorbs the goal has L(X, Y) ⊆ L(p) ⊆ L(C), so the
+///     goal is implied before any witness search (Thm. 3.5);
 ///   - an interval top S∖W outside L(C) is itself a counterexample;
 ///   - if every nonempty interval is covered by a single premise's
 ///     lattice, then L(X, Y) ⊆ L(C) and the goal is implied (Thm. 3.5).
@@ -97,6 +99,18 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
     // On every path: a truncated enumeration must leave `sat` unseeded,
     // never seeded with an earlier goal's intervals.
     ctx->uncovered_witnesses = {};
+    // One premise p with p.lhs ⊆ X that absorbs the goal covers all of
+    // L(X, Y) at once (`PremiseMasks::Absorbs`): no witness search, and so
+    // no witness budget, decides for it.
+    const PremiseMasks& masks = premises.masks();
+    const Mask x = goal.lhs().bits();
+    if (std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
+          return IsSubset(p.lhs, x) && masks.Absorbs(p, x, goal.rhs().members());
+        })) {
+      ImplicationOutcome implied;
+      implied.SetImplied();
+      return implied;
+    }
     ImplicationOutcome unknown;
     unknown.SetUnknown();
     if (WitnessLeafBound(goal.rhs(), kInlineLeafBound) <= kInlineLeafBound) {
@@ -107,7 +121,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
       if (IsStopStatus(s)) return s;
       // A truncated enumeration is inconclusive here; complete SAT decides.
       if (!s.ok()) return unknown;
-      return CoverIntervals(premises.masks(), query, scratch.witnesses, ctx);
+      return CoverIntervals(masks, query, scratch.witnesses, ctx);
     }
     ctx->stats->witness_cache_used = true;
     std::shared_ptr<const WitnessSetCache::Entry> entry;
@@ -120,7 +134,7 @@ class IntervalCoverProcedure : public DecisionProcedureImpl {
     // Witness enumeration exhausted its budget (cached negatively):
     // inconclusive here, complete SAT decides.
     if (!entry->status.ok()) return unknown;
-    return CoverIntervals(premises.masks(), query, entry->witnesses, ctx);
+    return CoverIntervals(masks, query, entry->witnesses, ctx);
   }
 };
 

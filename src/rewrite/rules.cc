@@ -78,21 +78,9 @@ class MinimizeRhsRule : public RewriteRule {
   }
 };
 
-// Exact absorption test: L(b) ⊆ L(a), decided pointwise. For U ∈ L(b) we
-// have a.lhs ⊆ b.lhs ⊆ U; and if some Y_a ⊆ U were possible, the condition
-// plants a member of b inside b.lhs ∪ Y_a ⊆ U, contradicting U ∈ L(b). The
-// condition generalizes Figure 1 augmentation (X -> Y absorbs X∪Z -> Y) and
-// addition (X -> Y absorbs X -> Y∪{Z}), and covers exact duplicates. The
-// caller has checked a.lhs ⊆ b.lhs.
-bool FamilyAbsorbs(const PremiseMasks& m, const Premise& a, const Premise& b) {
-  for (Mask ya : m.family(a)) {
-    if (!m.SomeMemberSubsetOf(b, b.lhs | ya)) return false;
-  }
-  return true;
-}
-
-// Constraint subsumption: drop b when some kept a has L(b) ⊆ L(a) — then
-// L(C) loses nothing. Absorption is transitive (it is L-containment on
+// Constraint subsumption: drop b when some kept a with a.lhs ⊆ b.lhs
+// absorbs it (`PremiseMasks::Absorbs`, exactly L(b) ⊆ L(a)) — then L(C)
+// loses nothing. Absorption is transitive (it is L-containment on
 // nontrivial constraints), so chains collapse onto their kept heads.
 class AbsorbSubsumedRule : public RewriteRule {
  public:
@@ -138,7 +126,7 @@ class AbsorbSubsumedRule : public RewriteRule {
         const std::uint32_t i = candidates[c];
         if (i == j || dropped[i] != 0) continue;
         if (!arena->Charge(ps[i].size() * b.size())) break;
-        if (FamilyAbsorbs(m, ps[i], b)) {
+        if (m.Absorbs(ps[i], b.lhs, m.family(b))) {
           dropped[j] = 1;
           ++edits;
           break;

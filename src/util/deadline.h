@@ -95,9 +95,10 @@ class CancelToken {
 ///
 /// `Check()` is designed to sit on a hot path: it consults the clock and
 /// the token only on the first call and then every `stride` calls (default
-/// 1024); in between it is a branch and a decrement. Once a stop condition
-/// fires the status is sticky — every later call returns the same error
-/// without re-reading the clock — so an unwinding search cannot "un-stop".
+/// 1024) after the last sample, a `CheckNow()` included; in between it is
+/// a branch and a decrement. Once a stop condition fires the status is
+/// sticky — every later call returns the same error without re-reading the
+/// clock — so an unwinding search cannot "un-stop".
 ///
 /// Not thread-safe: each solver invocation owns its `StopCheck`. Share the
 /// `CancelToken` across threads instead.
@@ -126,11 +127,12 @@ class StopCheck {
       --countdown_;
       return Status();
     }
-    countdown_ = stride_ - 1;
     return CheckNow();
   }
 
-  /// Unamortized check: samples the token and clock right now (sticky).
+  /// Unamortized check: samples the token and clock right now (sticky),
+  /// and restarts the stride, so the next `stride - 1` `Check()` calls do
+  /// not sample again.
   Status CheckNow();
 
   /// True iff a stop condition has fired.

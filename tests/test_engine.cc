@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -175,12 +177,34 @@ SetFamily SevenPairs() {
   return SetFamily(std::move(members));
 }
 
+// `lhs -> family` split in two on the first member Y1 that has two or more
+// attributes: one premise with Y1's lowest attribute in its place, one with
+// the rest of Y1. A U misses Y1 iff it misses one of the two parts, so the
+// pair has the premise's lattice and keeps every verdict. The pair covers
+// the intervals of a goal `X -> family` (X ⊇ lhs) only together: each W of
+// the goal hits Y1 in one part, and the premise holding that part covers
+// [X, S∖W]. When the members are disjoint and miss X, neither premise
+// absorbs the goal, since X ∪ part holds no goal member. A family with
+// only singleton members is returned whole.
+ConstraintSet SplitFirstMember(const ItemSet& lhs, const SetFamily& family) {
+  for (const ItemSet& y : family.members()) {
+    if (y.size() < 2) continue;
+    const ItemSet low = ItemSet::Singleton(LowestBit(y.bits()));
+    const SetFamily rest = family.WithoutMember(y);
+    return {DifferentialConstraint(lhs, rest.WithMember(low)),
+            DifferentialConstraint(lhs, rest.WithMember(y.Minus(low)))};
+  }
+  return {DifferentialConstraint(lhs, family)};
+}
+
 TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
   GlobalWitnessSetCache().Clear();
   const int n = 20;
   const SetFamily rhs = SevenPairs();
   ASSERT_GT(WitnessLeafBound(rhs, 64), 64u);
-  ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
+  // {0} -> SevenPairs with {1} and with {2} in place of {1, 2}.
+  const ConstraintSet premises = SplitFirstMember(ItemSet{0}, rhs);
+  ASSERT_EQ(premises.size(), 2u);
   // 32 goals sharing one right-hand family → 1 miss, then hits.
   std::vector<DifferentialConstraint> goals;
   for (int i = 0; i < 32; ++i) {
@@ -191,7 +215,8 @@ TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out->stats.witness_cache_hits, 0u);
   EXPECT_GE(out->stats.witness_cache_hits + out->stats.witness_cache_misses, 32u);
-  // Every goal augments the single premise: implied, via the cover.
+  // No premise absorbs a goal, but the two cover every interval between
+  // them: implied, via the cover, from the cached witness sets.
   for (const EngineQueryResult& r : out->results) {
     ASSERT_TRUE(r.status.ok());
     EXPECT_TRUE(r.outcome.implied);
@@ -201,16 +226,19 @@ TEST(ImplicationEngineTest, RepeatedRhsBatchHitsWitnessCache) {
 }
 
 TEST(ImplicationEngineTest, SmallFamiliesBypassTheWitnessCache) {
-  // {1,2}, {3}: two search leaves, far under the inline bound.
+  // {1,2}, {3}: two search leaves, far under the inline bound. The premises
+  // {0} -> {{1}, {3}} and {0} -> {{2}, {3}} cover its two intervals only
+  // together, so every goal runs the inline search.
   const int n = 8;
   const SetFamily rhs({ItemSet{1, 2}, ItemSet{3}});
-  ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
+  const ConstraintSet premises = SplitFirstMember(ItemSet{0}, rhs);
+  ASSERT_EQ(premises.size(), 2u);
   std::vector<DifferentialConstraint> goals;
   for (int i = 0; i < 8; ++i) {
     goals.push_back(DifferentialConstraint(ItemSet{0}.Union(ItemSet::Singleton(4 + i % 4)), rhs));
   }
   // A goal the cover refutes: its one minimal witness {0, 3} makes the
-  // interval top S∖{0, 3}, which misses the premise's lhs.
+  // interval top S∖{0, 3}, which misses both premises' lhs.
   goals.push_back(DifferentialConstraint(ItemSet{4}, SetFamily({ItemSet{0}, ItemSet{3}})));
   GlobalWitnessSetCache().Clear();
   const CacheCounters before = GlobalWitnessSetCache().counters();
@@ -248,13 +276,16 @@ TEST(ImplicationEngineTest, InlineWitnessBudgetCountsLeaves) {
   // Disjoint members {1,2}, {3,4}, {5}: the search's 2·2·1 = 4 leaves are
   // four distinct minimal witness sets. A budget of 3 truncates the inline
   // search and hands the goal to sat; a budget of 4 lets the cover decide.
+  // The implied goal's premises cover its intervals only together (one
+  // holds {1}, the other {2}, in place of {1,2}), so it needs the search.
   const int n = 8;
   const SetFamily rhs({ItemSet{1, 2}, ItemSet{3, 4}, ItemSet{5}});
   ASSERT_EQ(WitnessLeafBound(rhs, 64), 4u);
   Result<std::vector<ItemSet>> witnesses = MinimalWitnessSets(rhs);
   ASSERT_TRUE(witnesses.ok());
   ASSERT_EQ(witnesses->size(), 4u);
-  const ConstraintSet premises{DifferentialConstraint(ItemSet{0}, rhs)};
+  const ConstraintSet premises = SplitFirstMember(ItemSet{0}, rhs);
+  ASSERT_EQ(premises.size(), 2u);
   const DifferentialConstraint implied(ItemSet{0, 6}, rhs);
   // L({1} -> {{0}}) needs 1: the first witness {1, 3, 5} refutes the goal.
   const ConstraintSet refuting{DifferentialConstraint(ItemSet{1}, SetFamily({ItemSet{0}}))};
@@ -372,20 +403,46 @@ TEST(ImplicationEngineTest, FdSubclassBatchUsesFdProcedure) {
 
 TEST(ImplicationEngineTest, FastPathDisabledStillCorrect) {
   MixedBatch b = MakeMixedBatch(12, 32, 99);
+  // Each premise is split on its first wide member, which keeps L(C), so
+  // that most augmented goals need two premises. A goal with one nonempty
+  // interval is the exception: a premise that covers the interval absorbs
+  // the goal.
+  ConstraintSet split;
+  for (const DifferentialConstraint& p : b.premises) {
+    for (DifferentialConstraint& half : SplitFirstMember(p.lhs(), p.rhs())) {
+      split.push_back(std::move(half));
+    }
+  }
+  b.premises = std::move(split);
   // A zero witness budget truncates every transversal search, so interval
-  // cover is inconclusive and SAT decides each nontrivial goal.
+  // cover answers only the goals one premise absorbs, those one premise
+  // implies on its own (L(X, Y) ⊆ L(p)), and SAT decides every other
+  // nontrivial goal.
   EngineOptions opts;
   opts.witness_max_results = 0;
   ImplicationEngine engine(opts);
   Result<BatchOutcome> out = engine.CheckBatch(b.n, b.premises, b.goals);
   ASSERT_TRUE(out.ok());
+  std::size_t absorbed = 0;
   for (std::size_t i = 0; i < b.goals.size(); ++i) {
-    Result<ImplicationOutcome> seq = CheckImplication(b.n, b.premises, b.goals[i]);
+    const DifferentialConstraint& goal = b.goals[i];
+    Result<ImplicationOutcome> seq = CheckImplication(b.n, b.premises, goal);
     ASSERT_TRUE(seq.ok());
-    ASSERT_TRUE(out->results[i].status.ok());
-    EXPECT_EQ(out->results[i].outcome.implied, seq->implied);
+    const EngineQueryResult& r = out->results[i];
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.outcome.implied, seq->implied);
+    if (r.stats.procedure == DecisionProcedure::kTrivial) continue;
+    const bool one_premise_implies =
+        std::any_of(b.premises.begin(), b.premises.end(), [&](const DifferentialConstraint& p) {
+          return CheckImplication(b.n, {p}, goal)->implied;
+        });
+    absorbed += one_premise_implies ? 1 : 0;
+    EXPECT_EQ(r.stats.procedure,
+              one_premise_implies ? DecisionProcedure::kIntervalCover : DecisionProcedure::kSat)
+        << "goal " << i;
   }
-  EXPECT_EQ(out->stats.by_interval_cover, 0u);
+  EXPECT_EQ(out->stats.by_interval_cover, absorbed);
+  EXPECT_LT(absorbed, out->stats.by_sat);
 }
 
 TEST(ImplicationEngineTest, InvalidUniverseSizeIsStatusNotAbort) {
@@ -626,6 +683,263 @@ TEST(ImplicationEngineTest, ReusedContextNeverSeedsSatWithAnEarlierGoal) {
   ASSERT_TRUE(truth.ok());
   EXPECT_EQ(truth->verdict, ImplicationOutcome::kNotImplied);
   EXPECT_EQ(second.outcome.verdict, truth->verdict);
+}
+
+// Interval cover's answer on one goal: the verdict, the counterexample of
+// a refutation, and the W of the intervals left to `sat`.
+struct CoverAnswer {
+  ImplicationOutcome::Verdict verdict = ImplicationOutcome::kUnknown;
+  std::optional<ItemSet> counterexample;
+  std::vector<Mask> uncovered;
+};
+
+// The reference interval cover: every minimal witness set of the goal
+// family in sorted order, and for each nonempty interval [X, S∖W] the top
+// tested against L(C) before the single-premise coverage scan. It has no
+// absorption test and no witness budget.
+CoverAnswer ReferenceCover(int n, const PremiseMasks& masks, const DifferentialConstraint& goal) {
+  Result<std::vector<ItemSet>> witnesses = MinimalWitnessSets(goal.rhs());
+  EXPECT_TRUE(witnesses.ok()) << witnesses.status().ToString();
+  CoverAnswer answer;
+  if (!witnesses.ok()) return answer;
+  const Mask x = goal.lhs().bits();
+  for (const ItemSet& witness : *witnesses) {
+    const Mask w = witness.bits();
+    if ((x & w) != 0) continue;
+    const Mask top = FullMask(n) & ~w;
+    if (!InConstraintLattice(masks, top)) {
+      answer.verdict = ImplicationOutcome::kNotImplied;
+      answer.counterexample = ItemSet(top);
+      return answer;
+    }
+    bool covered = false;
+    for (const PremiseMasks::Premise& p : masks.premises) {
+      covered = covered || (IsSubset(p.lhs, x) && !masks.SomeMemberSubsetOf(p, top));
+    }
+    if (!covered) answer.uncovered.push_back(w);
+  }
+  if (answer.uncovered.empty()) answer.verdict = ImplicationOutcome::kImplied;
+  return answer;
+}
+
+// Interval cover's own `Decide` on one goal, with the given witness budget.
+CoverAnswer DecideByIntervalCover(const PreparedPremises& prepared,
+                                  const DifferentialConstraint& goal,
+                                  std::size_t witness_max_results) {
+  const EngineOptions options;
+  StopCheck stop(Deadline::Never(), CancelToken());
+  obs::Tracer tracer(false);
+  QueryStats stats;
+  ProcedureContext ctx{&options, ProcedureBudgets{options.max_solver_decisions,
+                                                  witness_max_results},
+                       &stop, &tracer, &stats, false};
+  const ProcedureQuery query{prepared.n(), &goal};
+  Result<ImplicationOutcome> out = kIntervalCoverProcedure.Decide(prepared, query, &ctx);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  CoverAnswer answer;
+  if (!out.ok()) return answer;
+  answer.verdict = out->verdict;
+  answer.counterexample = out->counterexample;
+  answer.uncovered.assign(ctx.uncovered_witnesses.begin(), ctx.uncovered_witnesses.end());
+  return answer;
+}
+
+// True iff one premise of the arena with lhs ⊆ X absorbs the goal.
+bool OnePremiseAbsorbs(const PremiseMasks& masks, const DifferentialConstraint& goal) {
+  const Mask x = goal.lhs().bits();
+  return std::any_of(masks.premises.begin(), masks.premises.end(), [&](const auto& p) {
+    return IsSubset(p.lhs, x) && masks.Absorbs(p, x, goal.rhs().members());
+  });
+}
+
+// A premise set with goals, drawn the way one loadbench workload draws
+// them.
+struct CoverInstance {
+  int n = 0;
+  ConstraintSet premises;
+  std::vector<DifferentialConstraint> goals;
+};
+
+DifferentialConstraint Augmented(Rng& rng, int n, const DifferentialConstraint& p) {
+  return DifferentialConstraint(p.lhs().Union(ItemSet(rng.RandomMask(n, 2.0 / n))), p.rhs());
+}
+
+// A constraint with its left-hand side at density 2/n and `members`
+// members at density `member_density`/n, as loadbench draws them.
+DifferentialConstraint WorkloadConstraint(Rng& rng, int n, int members,
+                                          double member_density = 2.0) {
+  return testing::RandomConstraint(rng, n, 2.0 / n, members, member_density / n);
+}
+
+ConstraintSet WorkloadSet(Rng& rng, int n, int count, int members, double member_density = 2.0) {
+  return testing::RandomConstraintSet(rng, n, count, 2.0 / n, members, member_density / n);
+}
+
+// One instance shaped like loadbench's `workload`: interactive (n = 16, 12
+// premises, random two-member goals), revalidate (n = 32, 64 premises plus
+// a trivial one and two duplicates, goals that augment a premise), refute
+// (n = 24, 64 premises, random three-member goals) or churn (n = 16, a
+// 64-premise set with planted redundancy, goals that augment a premise).
+CoverInstance WorkloadShapedInstance(const std::string& workload, Rng& rng) {
+  CoverInstance in;
+  if (workload == "interactive") {
+    in.n = 16;
+    in.premises = WorkloadSet(rng, in.n, 12, 2);
+    for (int g = 0; g < 32; ++g) in.goals.push_back(WorkloadConstraint(rng, in.n, 2));
+  } else if (workload == "revalidate") {
+    in.n = 32;
+    in.premises = WorkloadSet(rng, in.n, 64, 2);
+    in.premises.push_back(DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})));
+    in.premises.push_back(in.premises[0]);
+    in.premises.push_back(in.premises[1]);
+    for (int g = 0; g < 64; ++g) in.goals.push_back(Augmented(rng, in.n, in.premises[g]));
+  } else if (workload == "refute") {
+    in.n = 24;
+    in.premises = WorkloadSet(rng, in.n, 64, 2);
+    for (int g = 0; g < 32; ++g) in.goals.push_back(WorkloadConstraint(rng, in.n, 3));
+  } else {
+    in.n = 16;
+    // 36 random premises, then augmented copies, split same-lhs
+    // singletons, non-minimal families and a trivial premise: 64 in all.
+    in.premises = WorkloadSet(rng, in.n, 36, 2, 3.0);
+    for (int i = 0; i < 8; ++i) in.premises.push_back(Augmented(rng, in.n, in.premises[i * 3]));
+    for (int i = 0; i < 6; ++i) {
+      const ItemSet lhs(rng.RandomMask(in.n, 2.0 / in.n));
+      for (int k = 0; k < 2; ++k) {
+        const Mask m = ItemSet::Singleton(static_cast<int>(rng.UniformInt(0, in.n - 1))).bits();
+        in.premises.push_back(DifferentialConstraint(lhs, SetFamily({ItemSet(m & ~lhs.bits())})));
+      }
+    }
+    for (int i = 0; i < 7; ++i) {
+      const DifferentialConstraint& p = in.premises[i * 5];
+      in.premises.push_back(DifferentialConstraint(
+          p.lhs(), p.rhs().WithMember(p.rhs().member(0).Union(ItemSet(rng.RandomMask(in.n, 0.3))))));
+    }
+    in.premises.push_back(DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})));
+    for (int g = 0; g < 16; ++g) in.goals.push_back(Augmented(rng, in.n, in.premises[g * 4]));
+  }
+  return in;
+}
+
+TEST(IntervalCoverOracleTest, MatchesTheReferenceCoverOnWorkloadShapedInstances) {
+  Rng rng(2028);
+  for (const std::string workload : {"interactive", "revalidate", "refute", "churn"}) {
+    std::size_t goals = 0, absorbed = 0, refuted = 0, inconclusive = 0;
+    for (int set = 0; set < 8; ++set) {
+      const CoverInstance in = WorkloadShapedInstance(workload, rng);
+      Result<std::shared_ptr<const PreparedPremises>> prepared =
+          PreparedPremises::Build(in.n, in.premises);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      const PremiseMasks& masks = (*prepared)->masks();
+      for (const DifferentialConstraint& goal : in.goals) {
+        SCOPED_TRACE(workload + " set " + std::to_string(set) + " goal " +
+                     goal.ToString(Universe::Letters(in.n)));
+        ++goals;
+        const CoverAnswer want = ReferenceCover(in.n, masks, goal);
+        const CoverAnswer got = DecideByIntervalCover(**prepared, goal, 4096);
+        EXPECT_EQ(got.verdict, want.verdict);
+        EXPECT_EQ(got.counterexample, want.counterexample);
+        if (want.verdict == ImplicationOutcome::kUnknown) {
+          EXPECT_EQ(got.uncovered, want.uncovered);
+          ++inconclusive;
+        }
+        refuted += want.verdict == ImplicationOutcome::kNotImplied ? 1 : 0;
+        // An absorbed goal is implied whatever the witness budget; at a
+        // zero budget every other goal is left to `sat`, unseeded.
+        const bool one_absorbs = OnePremiseAbsorbs(masks, goal);
+        absorbed += one_absorbs ? 1 : 0;
+        if (one_absorbs) {
+          EXPECT_EQ(want.verdict, ImplicationOutcome::kImplied);
+        }
+        const CoverAnswer no_budget = DecideByIntervalCover(**prepared, goal, 0);
+        EXPECT_EQ(no_budget.verdict,
+                  one_absorbs ? ImplicationOutcome::kImplied : ImplicationOutcome::kUnknown);
+        EXPECT_TRUE(no_budget.uncovered.empty());
+      }
+    }
+    // Each shape reaches the paths it stands for.
+    SCOPED_TRACE(workload);
+    if (workload == "revalidate" || workload == "churn") {
+      EXPECT_GT(2 * absorbed, goals);
+    } else {
+      EXPECT_GT(refuted, 0u);
+      EXPECT_GT(inconclusive, 0u);
+    }
+  }
+}
+
+// Each case also checks the predicate against a single-premise implication
+// check, since absorption by `a` is exactly {a} |= goal.
+void ExpectAbsorbs(bool want, int n, const DifferentialConstraint& a,
+                   const DifferentialConstraint& goal) {
+  const PremiseMasks m = PremiseMasks::Compile({a});
+  EXPECT_EQ(m.Absorbs(m.premises[0], goal.lhs().bits(), goal.rhs().members()), want);
+  Result<ImplicationOutcome> one = CheckImplicationExhaustive(n, {a}, goal);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one->implied, want);
+}
+
+TEST(PremiseAbsorbsTest, AugmentationAdditionAndDuplicates) {
+  const int n = 6;
+  const DifferentialConstraint a(ItemSet{0}, SetFamily({ItemSet{1, 2}, ItemSet{3}}));
+  // Augmentation: X -> Y absorbs X∪Z -> Y.
+  ExpectAbsorbs(true, n, a, DifferentialConstraint(ItemSet{0, 4}, a.rhs()));
+  // Addition: X -> Y absorbs X -> Y∪{Z}, and not the other way round.
+  ExpectAbsorbs(true, n, a, DifferentialConstraint(ItemSet{0}, a.rhs().WithMember(ItemSet{5})));
+  ExpectAbsorbs(false, n, DifferentialConstraint(ItemSet{0}, a.rhs().WithMember(ItemSet{5})), a);
+  // An exact duplicate.
+  ExpectAbsorbs(true, n, a, a);
+}
+
+TEST(PremiseAbsorbsTest, EmptyFamilies) {
+  const int n = 4;
+  // X' -> ∅ holds every superset of X', so it absorbs every goal on a
+  // wider lhs; only it absorbs a goal with an empty family.
+  const DifferentialConstraint everything(ItemSet{0}, SetFamily());
+  ExpectAbsorbs(true, n, everything, DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{2}})));
+  ExpectAbsorbs(true, n, everything, DifferentialConstraint(ItemSet{0}, SetFamily()));
+  ExpectAbsorbs(false, n, DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})),
+                DifferentialConstraint(ItemSet{0}, SetFamily()));
+}
+
+TEST(PremiseAbsorbsTest, APairThatCoversOnlyTogetherAbsorbsNothing) {
+  // {1} and {2} in place of the goal's {1, 2}: each premise covers one of
+  // the intervals [0, S∖{1,3}] and [0, S∖{2,3}], and neither absorbs.
+  const int n = 5;
+  const DifferentialConstraint goal(ItemSet{0}, SetFamily({ItemSet{1, 2}, ItemSet{3}}));
+  const DifferentialConstraint one(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{3}}));
+  const DifferentialConstraint two(ItemSet{0}, SetFamily({ItemSet{2}, ItemSet{3}}));
+  ExpectAbsorbs(false, n, one, goal);
+  ExpectAbsorbs(false, n, two, goal);
+  Result<ImplicationOutcome> both = CheckImplicationExhaustive(n, {one, two}, goal);
+  ASSERT_TRUE(both.ok());
+  EXPECT_TRUE(both->implied);
+  Result<std::shared_ptr<const PreparedPremises>> prepared = PreparedPremises::Build(n, {one, two});
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_FALSE(OnePremiseAbsorbs((*prepared)->masks(), goal));
+  EXPECT_EQ(DecideByIntervalCover(**prepared, goal, 4096).verdict, ImplicationOutcome::kImplied);
+  EXPECT_EQ(DecideByIntervalCover(**prepared, goal, 0).verdict, ImplicationOutcome::kUnknown);
+}
+
+TEST(PremiseAbsorbsTest, IsExactlySinglePremiseImplication) {
+  // On random small instances with lhs(a) ⊆ X, absorption agrees with the
+  // exhaustive check of {a} |= X -> Y.
+  const int n = 6;
+  Rng rng(41);
+  int absorbing = 0;
+  for (int i = 0; i < 600; ++i) {
+    const DifferentialConstraint a = testing::RandomConstraint(rng, n, 0.2, 1 + i % 3, 0.35);
+    const DifferentialConstraint drawn = testing::RandomConstraint(rng, n, 0.2, 1 + i % 4, 0.4);
+    const DifferentialConstraint goal(drawn.lhs().Union(a.lhs()), drawn.rhs());
+    const PremiseMasks m = PremiseMasks::Compile({a});
+    const bool absorbs = m.Absorbs(m.premises[0], goal.lhs().bits(), goal.rhs().members());
+    Result<ImplicationOutcome> one = CheckImplicationExhaustive(n, {a}, goal);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(absorbs, one->implied) << i;
+    absorbing += absorbs ? 1 : 0;
+  }
+  EXPECT_GT(absorbing, 0);
+  EXPECT_LT(absorbing, 600);
 }
 
 TEST(ImplicationEngineTest, CertificateCheckRejectsForgedCounterexamples) {

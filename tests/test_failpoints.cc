@@ -138,18 +138,41 @@ ConstraintSet CoveringPremises() {
   return ConstraintSet{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
 }
 
+// The FD-shaped premises {0} -> {1} and {0} -> {2}, and a goal whose
+// right-hand family {{1, 2}, {3}} has two minimal witness sets, {1, 3} and
+// {2, 3}: each premise covers one interval, and neither absorbs the goal,
+// so interval cover runs its inline witness search (two leaves).
+ConstraintSet SplitPremises() {
+  return ConstraintSet{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})),
+                       DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{2}}))};
+}
+
+DifferentialConstraint SplitCoverGoal() {
+  return DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 2}, ItemSet{3}}));
+}
+
 // A goal whose right-hand family has seven disjoint pairs: 2^7 = 128
 // search leaves, above interval cover's inline bound of 64, so its witness
-// sets come from the process-wide cache. The premise is the goal itself.
+// sets come from the process-wide cache.
 DifferentialConstraint CachedFamilyGoal() {
   std::vector<ItemSet> members;
   for (int i = 0; i < 7; ++i) members.push_back(ItemSet{1 + 2 * i, 2 + 2 * i});
   return DifferentialConstraint(ItemSet{0}, SetFamily(std::move(members)));
 }
 
+// The goal with {1} and with {2} in place of its first member {1, 2}: each
+// covers the goal's intervals whose W holds its attribute, and neither
+// absorbs the goal, so the goal needs the cached witness sets.
+ConstraintSet CachedFamilyCover() {
+  const DifferentialConstraint goal = CachedFamilyGoal();
+  const SetFamily rest = goal.rhs().WithoutMember(ItemSet{1, 2});
+  return ConstraintSet{DifferentialConstraint(goal.lhs(), rest.WithMember(ItemSet{1})),
+                       DifferentialConstraint(goal.lhs(), rest.WithMember(ItemSet{2}))};
+}
+
 TEST_F(FailpointTest, WitnessTruncationFallsBackToSat) {
   const int n = 16;
-  const ConstraintSet premises{CachedFamilyGoal()};
+  const ConstraintSet premises = CachedFamilyCover();
   ImplicationEngine engine;
   GlobalWitnessSetCache().Clear();
 
@@ -180,15 +203,15 @@ TEST_F(FailpointTest, WitnessTruncationFiresOnTheInlinePath) {
   ImplicationEngine engine;
   GlobalWitnessSetCache().Clear();
 
-  // Baseline: a one-leaf family, searched inline, answers by the cover.
-  EngineQueryResult baseline = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  // Baseline: a two-leaf family, searched inline, answers by the cover.
+  EngineQueryResult baseline = engine.CheckOne(n, SplitPremises(), SplitCoverGoal());
   ASSERT_TRUE(baseline.status.ok());
   EXPECT_TRUE(baseline.outcome.implied);
   EXPECT_EQ(baseline.stats.procedure, DecisionProcedure::kIntervalCover);
   EXPECT_FALSE(baseline.stats.witness_cache_used);
 
   failpoint::Arm("witness/truncate", failpoint::Spec::Always());
-  EngineQueryResult r = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  EngineQueryResult r = engine.CheckOne(n, SplitPremises(), SplitCoverGoal());
   EXPECT_GT(failpoint::TripCount("witness/truncate"), 0u);
   ASSERT_TRUE(r.status.ok());
   EXPECT_TRUE(r.outcome.implied);
@@ -199,7 +222,7 @@ TEST_F(FailpointTest, WitnessTruncationFiresOnTheInlinePath) {
 
 TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
   const int n = 16;
-  const ConstraintSet premises{CachedFamilyGoal()};
+  const ConstraintSet premises = CachedFamilyCover();
   ImplicationEngine engine;
   GlobalWitnessSetCache().Clear();
   GlobalPreparedPremisesCache().Clear();
@@ -221,27 +244,27 @@ TEST_F(FailpointTest, CacheInsertFailuresServeUncachedResults) {
 
 TEST_F(FailpointTest, SatKernelFailureIsPerQuery) {
   const int n = 6;
-  // A zero witness budget leaves interval cover inconclusive, so the query
-  // must reach the sat search.
+  // A zero witness budget leaves interval cover inconclusive on a goal no
+  // single premise absorbs, so the query must reach the sat search.
   EngineOptions opts;
   opts.witness_max_results = 0;
   ImplicationEngine engine(opts);
   failpoint::Arm("sat/kernel", failpoint::Spec::Always());
 
-  EngineQueryResult sat_query = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  EngineQueryResult sat_query = engine.CheckOne(n, SplitPremises(), SplitCoverGoal());
   EXPECT_EQ(sat_query.status.code(), StatusCode::kInternal);
 
   // Queries that never reach the search are untouched.
   EngineQueryResult fd_query = engine.CheckOne(
-      n, CoveringPremises(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})));
+      n, SplitPremises(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}})));
   ASSERT_TRUE(fd_query.status.ok());
   EXPECT_TRUE(fd_query.outcome.implied);
   EXPECT_EQ(fd_query.stats.procedure, DecisionProcedure::kFdSubclass);
 
   // One batch, mixed outcomes: only the SAT-bound query fails.
   std::vector<DifferentialConstraint> goals{
-      TwoMemberGoal(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
-  Result<BatchOutcome> batch = engine.CheckBatch(n, CoveringPremises(), goals);
+      SplitCoverGoal(), DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}}))};
+  Result<BatchOutcome> batch = engine.CheckBatch(n, SplitPremises(), goals);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->results[0].status.code(), StatusCode::kInternal);
   EXPECT_TRUE(batch->results[1].status.ok());
@@ -253,7 +276,7 @@ TEST_F(FailpointTest, SatKernelFailureIsPerQuery) {
   failpoint::Arm("cnf/translate", failpoint::Spec::Always());
   EXPECT_EQ(CheckImplicationSat(n, CoveringPremises(), TwoMemberGoal()).status().code(),
             StatusCode::kInternal);
-  EngineQueryResult untouched = engine.CheckOne(n, CoveringPremises(), TwoMemberGoal());
+  EngineQueryResult untouched = engine.CheckOne(n, SplitPremises(), SplitCoverGoal());
   ASSERT_TRUE(untouched.status.ok()) << untouched.status.ToString();
   EXPECT_TRUE(untouched.outcome.implied);
   EXPECT_EQ(untouched.stats.procedure, DecisionProcedure::kSat);

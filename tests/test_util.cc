@@ -448,6 +448,33 @@ TEST(StopCheckTest, CheckNowBypassesTheStride) {
   EXPECT_EQ(stop.CheckNow().code(), StatusCode::kCancelled);
 }
 
+TEST(StopCheckTest, CheckNowRestartsTheStride) {
+  CancelToken token;
+  StopCheck stop(Deadline::Never(), token, /*stride=*/64);
+  // Midway through a countdown, a CheckNow sample starts a new one: the
+  // next 63 Check() calls do not sample, as after Check()'s own sample.
+  EXPECT_TRUE(stop.Check().ok());
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(stop.Check().ok());
+  EXPECT_TRUE(stop.CheckNow().ok());
+  EXPECT_EQ(stop.samples(), 2u);
+  token.Cancel();
+  for (int i = 0; i < 63; ++i) EXPECT_TRUE(stop.Check().ok());
+  EXPECT_EQ(stop.samples(), 2u);
+  EXPECT_EQ(stop.Check().code(), StatusCode::kCancelled);
+  EXPECT_EQ(stop.samples(), 3u);
+}
+
+TEST(StopCheckTest, CheckNowBeforeTheFirstCheckStartsTheCountdown) {
+  // A plan's pre-step sample is the query's first: the step's first
+  // Check() does not sample again.
+  StopCheck stop(Deadline::After(std::chrono::hours(1)), CancelToken(), /*stride=*/8);
+  EXPECT_TRUE(stop.CheckNow().ok());
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(stop.Check().ok());
+  EXPECT_EQ(stop.samples(), 1u);
+  EXPECT_TRUE(stop.Check().ok());
+  EXPECT_EQ(stop.samples(), 2u);
+}
+
 TEST(StopCheckTest, DeadlineObservedAcrossSleep) {
   StopCheck stop(Deadline::After(std::chrono::milliseconds(1)), CancelToken(),
                  /*stride=*/1);
