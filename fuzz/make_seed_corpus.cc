@@ -243,6 +243,11 @@ int main(int argc, char** argv) {
             {2, 0b0001, 0, 0b0100, 0b0011, 0, 0b0100});
   WriteSeed("rewrite", "same_lhs_pair",  // A -> {{B}}, A -> {{C}}: both kept.
             {2, 0b0001, 0, 0b0010, 0b0001, 0, 0b0100});
+  // n=4: A -> {{A,B}, {A,B,D}} minimizes to A -> {{A,B}}, which sorts
+  // before A -> {{A,B}, {B,C}}; the two then absorb each other, and the one
+  // pass keeps A -> {{A,B}, {B,C}}, the premise that sorted first.
+  WriteSeed("rewrite", "reordered_same_lhs_pair",
+            {2, 0b0001, 1, 0b0011, 0b1011, 0b0001, 1, 0b0011, 0b0110});
   WriteSeed("rewrite", "empty_member",  // A -> {∅}: trivial via ∅ ⊆ U.
             {2, 0b0001, 0, 0b0000});
   WriteSeed("rewrite", "n8_mixed",  // n=8, wider masks, three constraints.

@@ -32,9 +32,6 @@ struct PremiseMasks {
     Mask lhs = 0;
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
-    /// The rewriter's change stamp (`rewrite::RewriteArena`); nothing
-    /// else reads it.
-    std::uint64_t tick = 0;
 
     /// Number of members.
     std::size_t size() const { return end - begin; }

@@ -15,17 +15,6 @@ RewriteCost RewriteCost::Of(const PremiseMasks& c) {
   return cost;
 }
 
-RewriteArena::RewriteArena(PremiseMasks* masks) : masks_(masks) {
-  for (PremiseMasks::Premise& p : masks_->premises) p.tick = 0;
-}
-
-void RewriteArena::BeginRule(std::uint64_t* last_start) {
-  since_ = *last_start;
-  now_ = ++tick_;
-  *last_start = now_;
-  Charge(masks_->size());
-}
-
 bool RewriteArena::ChargeSquare(std::uint64_t k) {
   // Past the remaining budget k * k cannot fit either, and might overflow.
   return Charge(k > remaining_ ? ~std::uint64_t{0} : k * k);
@@ -49,12 +38,9 @@ void RewriteArena::Sort() {
             [&m](const PremiseMasks::Premise& a, const PremiseMasks::Premise& b) {
               return a.lhs != b.lhs ? a.lhs < b.lhs : FamilyLess(m, a, b);
             });
-  runs_sorted_ = true;
 }
 
 void RewriteArena::SortRuns() {
-  if (runs_sorted_) return;
-  runs_sorted_ = true;
   std::vector<PremiseMasks::Premise>& ps = masks_->premises;
   const PremiseMasks& m = *masks_;
   auto less = [&m](const PremiseMasks::Premise& a, const PremiseMasks::Premise& b) {
@@ -82,8 +68,6 @@ RuleProbe Probe(const RewriteRule& rule, int n, const ConstraintSet& c) {
                      return a.lhs < b.lhs;
                    });
   RewriteArena arena(&masks);
-  std::uint64_t last_start = 0;
-  arena.BeginRule(&last_start);
   probe.edits = rule.Apply(&arena);
   probe.after = RewriteCost::Of(masks);
   probe.result = masks.Materialize();

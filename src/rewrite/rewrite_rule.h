@@ -15,8 +15,7 @@ namespace rewrite {
 /// The simplifier's cost of a constraint set: (constraint count, total
 /// witness-family members, total member sizes). Every rewrite rule edit
 /// removes a constraint or a member, so `constraints + members` falls on
-/// each edit, which is the termination argument of the fixpoint driver
-/// (DESIGN.md §14); `member_items` is reported only.
+/// each edit (DESIGN.md §14); `member_items` is reported only.
 struct RewriteCost {
   std::size_t constraints = 0;
   /// Σ_c |rhs(c)| — total witness-family members across the set.
@@ -46,35 +45,16 @@ struct RewriteCost {
 inline constexpr std::uint64_t kSimplifyStepBudget = std::uint64_t{1} << 24;
 
 /// A premise arena under rewriting: the `PremiseMasks` the rules edit in
-/// place, kept sorted by lhs, plus the driver's bookkeeping.
-///
-///   - Change ticks. Each premise carries the tick of its last change, and
-///     each rule run starts at a new tick. A premise is *changed* for a run
-///     when its tick is at or after the tick at which the same rule last
-///     started, so a rule can skip what it already examined (§14).
-///   - The step budget. `Charge` spends it; once spent, every rule stops
-///     and the driver returns the set as rewritten so far.
+/// place, kept sorted by lhs, plus the step budget. `Charge` spends the
+/// budget; once spent, every rule stops and the driver returns the set as
+/// rewritten so far.
 class RewriteArena {
  public:
-  /// Takes `*masks` for rewriting; every premise starts out changed. The
-  /// rules need the premises sorted by lhs (`Sort`).
-  explicit RewriteArena(PremiseMasks* masks);
+  /// Takes `*masks` for rewriting. The rules need the premises sorted by
+  /// lhs (`Sort`).
+  explicit RewriteArena(PremiseMasks* masks) : masks_(masks) {}
 
   PremiseMasks& masks() { return *masks_; }
-
-  /// Starts a rule run. `*last_start` is the tick at which the rule last
-  /// started (0: never); it receives this run's tick. Charges one step per
-  /// premise, the run's scan.
-  void BeginRule(std::uint64_t* last_start);
-
-  /// True iff `p` changed since the running rule last started.
-  bool Changed(const PremiseMasks::Premise& p) const { return p.tick >= since_; }
-
-  /// Records that the running rule changed `p`.
-  void Touch(PremiseMasks::Premise* p) {
-    p->tick = now_;
-    runs_sorted_ = false;
-  }
 
   /// Spends `steps` of the budget; false (and the budget is spent for
   /// good) when fewer remain.
@@ -97,20 +77,14 @@ class RewriteArena {
   /// Sorts the premises by lhs, then by family, lexicographically.
   void Sort();
   /// `Sort` for an arena sorted by lhs: sorts each run of equal lhs by
-  /// family. Rules never edit a lhs, so these runs are all that can fall
-  /// out of order after the first `Sort`, and only when a family changed
-  /// since the last sort; otherwise this returns at once.
+  /// family. Rules never edit a lhs, so these runs are all that a
+  /// minimized family can put out of order after `Sort`.
   void SortRuns();
 
  private:
   PremiseMasks* masks_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t since_ = 0;
-  std::uint64_t now_ = 0;
   std::uint64_t remaining_ = kSimplifyStepBudget;
   bool exhausted_ = false;
-  // False until the first sort, and after a family changes.
-  bool runs_sorted_ = false;
 };
 
 /// One L(C)-preserving rewrite over a premise arena, derived from the
@@ -120,8 +94,7 @@ class RewriteArena {
 ///   - soundness: L(C) = ∪_c L(lhs(c), rhs(c)) is preserved exactly, so
 ///     every implication verdict against the rewritten set equals the
 ///     verdict against the original;
-///   - progress: every edit removes a constraint or a member, which gives
-///     the driver its termination bound;
+///   - progress: every edit removes a constraint or a member;
 ///   - determinism: equal inputs produce equal outputs.
 class RewriteRule {
  public:
@@ -131,20 +104,18 @@ class RewriteRule {
   /// `diffc_rewrite_applied_total` and the DESIGN.md §14 catalog key.
   virtual const char* name() const = 0;
 
-  /// Exhaustively applies the rule to the arena between `BeginRule` calls,
-  /// returning the number of edits performed (0 = no match anywhere). The
-  /// arena stays sorted by lhs; a premise the rule changes is `Touch`ed;
-  /// premises not `Changed` are skipped where §14 shows the outcome is
-  /// known. Stops early, with every edit so far applied, once a `Charge`
+  /// Exhaustively applies the rule to the arena, returning the number of
+  /// edits performed (0 = no match anywhere). The arena stays sorted by
+  /// lhs. Stops early, with every edit so far applied, once a `Charge`
   /// fails.
   virtual std::size_t Apply(RewriteArena* arena) const = 0;
 };
 
 /// One probed application: the edit count, cost before/after, and the
-/// rewritten set. It runs on a fresh arena, so every premise counts as
-/// changed and nothing is skipped. The rule tester uses this to check
-/// progress without mutating its input. `n` is the universe size of `c`;
-/// no rule reads it.
+/// rewritten set, on a fresh arena. The rule tester uses this to check
+/// progress without mutating its input, and the tests and `fuzz_rewrite`
+/// to check that no rule edits a canonical set. `n` is the universe size
+/// of `c`; no rule reads it.
 struct RuleProbe {
   std::size_t edits = 0;
   RewriteCost before;

@@ -3,9 +3,10 @@
 // Figure 1 derives a new constraint from old ones, each rule here removes a
 // constraint or a member that the rest of the set already accounts for,
 // leaving L(C) — and hence every implication verdict — exactly unchanged.
-// Soundness arguments and the exactness of the change-tick skips live in
-// DESIGN.md §14; every rule is property-tested against the enumerated L(C)
-// (`ClosureLattice`) in tests/test_rewrite.cc and fuzz/fuzz_rewrite.cc.
+// Soundness arguments, and why one pass in list order reaches the
+// fixpoint, live in DESIGN.md §14; every rule is property-tested against
+// the enumerated L(C) (`ClosureLattice`) in tests/test_rewrite.cc and
+// fuzz/fuzz_rewrite.cc.
 
 #include <algorithm>
 #include <cstddef>
@@ -50,7 +51,7 @@ class DropTrivialRule : public RewriteRule {
   std::size_t Apply(RewriteArena* arena) const override {
     PremiseMasks& m = arena->masks();
     return std::erase_if(m.premises, [&](const Premise& p) {
-      return arena->Changed(p) && arena->Charge(p.size()) && m.SomeMemberSubsetOf(p, p.lhs);
+      return arena->Charge(p.size()) && m.SomeMemberSubsetOf(p, p.lhs);
     });
   }
 };
@@ -64,7 +65,6 @@ class MinimizeRhsRule : public RewriteRule {
     PremiseMasks& m = arena->masks();
     std::size_t removed_members = 0;
     for (Premise& p : m.premises) {
-      if (!arena->Changed(p)) continue;
       if (!arena->ChargeSquare(p.size())) break;
       Mask* family = m.members.data() + p.begin;
       const auto end = static_cast<std::uint32_t>(
@@ -72,7 +72,6 @@ class MinimizeRhsRule : public RewriteRule {
       if (end == p.end) continue;
       removed_members += p.end - end;
       p.end = end;
-      arena->Touch(&p);
     }
     return removed_members;
   }
@@ -89,38 +88,26 @@ class AbsorbSubsumedRule : public RewriteRule {
     const PremiseMasks& m = arena->masks();
     const std::vector<Premise>& ps = m.premises;
     const std::size_t count = ps.size();
-    // The changed premises, ascending, are the only absorbers left to test:
-    // an unchanged one absorbed no survivor on the last run, and since an
-    // edit keeps L(b), it absorbs none now (DESIGN.md §14).
-    // Their lhs masks lie back to back for the subset scans.
-    std::vector<std::uint32_t> changed;
-    std::vector<Mask> changed_lhs;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!arena->Changed(ps[i])) continue;
-      changed.push_back(static_cast<std::uint32_t>(i));
-      changed_lhs.push_back(ps[i].lhs);
-    }
-    std::vector<std::uint32_t> candidates(changed.size());
+    // The lhs masks lie back to back for the subset scans.
+    std::vector<Mask> lhs(count);
+    for (std::size_t i = 0; i < count; ++i) lhs[i] = ps[i].lhs;
+    std::vector<std::uint32_t> candidates(count);
     std::vector<char> dropped(count, 0);
     std::size_t edits = 0;
     // Descending j keeps the earliest of mutually-absorbing constraints.
     // Premises are sorted by lhs and a subset is never numerically larger,
     // so the absorbers of j lie before the end of its lhs run.
     std::size_t run_end = count;
-    std::size_t last = changed.size();
     for (std::size_t j = count; j-- > 0;) {
       const Premise& b = ps[j];
-      if (j + 1 < count && ps[j + 1].lhs != b.lhs) {
-        run_end = j + 1;
-        while (last > 0 && changed[last - 1] >= run_end) --last;
-      }
-      if (!arena->Charge(last)) break;
+      if (j + 1 < count && ps[j + 1].lhs != b.lhs) run_end = j + 1;
+      if (!arena->Charge(run_end)) break;
       // The absorbers with lhs ⊆ b.lhs, ascending, gathered without a
       // branch per premise.
       std::size_t k = 0;
-      for (std::size_t c = 0; c < last; ++c) {
-        candidates[k] = changed[c];
-        k += IsSubset(changed_lhs[c], b.lhs) ? 1 : 0;
+      for (std::size_t i = 0; i < run_end; ++i) {
+        candidates[k] = static_cast<std::uint32_t>(i);
+        k += IsSubset(lhs[i], b.lhs) ? 1 : 0;
       }
       for (std::size_t c = 0; c < k; ++c) {
         const std::uint32_t i = candidates[c];

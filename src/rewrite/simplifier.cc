@@ -1,6 +1,5 @@
 #include "rewrite/simplifier.h"
 
-#include <cassert>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -15,7 +14,6 @@ namespace {
 // like `BuiltinRules()`.
 struct RewriteMetrics {
   obs::Counter* simplify_calls;
-  obs::Counter* passes;
   obs::Counter* budget_exhausted;
   std::vector<obs::Counter*> applied;
 
@@ -23,8 +21,6 @@ struct RewriteMetrics {
     obs::Registry& r = obs::Registry::Global();
     simplify_calls = r.GetCounter("diffc_rewrite_simplify_total",
                                   "Simplifier fixpoint-driver invocations.");
-    passes = r.GetCounter("diffc_rewrite_passes_total",
-                          "Fixpoint passes across all simplifier invocations.");
     budget_exhausted =
         r.GetCounter("diffc_rewrite_budget_exhausted_total",
                      "Simplifier invocations stopped by the step budget before a fixpoint.");
@@ -50,10 +46,6 @@ std::size_t SimplifyStats::Applied(std::string_view rule) const {
   return 0;
 }
 
-std::size_t SimplifyPassBound(const RewriteCost& before) {
-  return 2 + before.constraints + before.members;
-}
-
 void SimplifyInPlace(PremiseMasks* premises, SimplifyStats* stats) {
   SimplifyStats local;
   SimplifyStats& s = stats != nullptr ? *stats : local;
@@ -61,52 +53,29 @@ void SimplifyInPlace(PremiseMasks* premises, SimplifyStats* stats) {
   s.before = RewriteCost::Of(*premises);
 
   const std::vector<const RewriteRule*>& rules = BuiltinRules();
-  std::vector<std::size_t> applied(rules.size(), 0);
-  // The tick at which each rule last started (0: never).
-  std::vector<std::uint64_t> last_start(rules.size(), 0);
-
-  const std::size_t pass_cap = SimplifyPassBound(s.before);
+  s.applied_by_rule.reserve(rules.size());
 
   RewriteArena arena(premises);
   arena.Sort();
-  [[maybe_unused]] RewriteCost cost = s.before;
-  while (s.passes < pass_cap) {
-    ++s.passes;
-    std::size_t edits = 0;
-    for (std::size_t i = 0; i < rules.size() && !arena.exhausted(); ++i) {
-      arena.BeginRule(&last_start[i]);
-      const std::size_t k = rules[i]->Apply(&arena);
-      applied[i] += k;
-      edits += k;
-    }
-    arena.SortRuns();
+  for (const RewriteRule* rule : rules) {
+    // One step per premise, the rule's scan; no rule runs once the budget
+    // is spent.
+    const std::size_t edits = arena.Charge(premises->size()) ? rule->Apply(&arena) : 0;
+    s.applied_by_rule.emplace_back(rule->name(), edits);
     s.applied_total += edits;
-    if (arena.exhausted()) break;
-    if (edits == 0) {
-      s.reached_fixpoint = true;
-      break;
-    }
-#ifndef NDEBUG
-    const RewriteCost next = RewriteCost::Of(*premises);
-    assert(next.constraints + next.members < cost.constraints + cost.members &&
-           "a rewrite pass with edits must remove a constraint or a member");
-    cost = next;
-#endif
   }
+  arena.SortRuns();
   premises->Compact();
+  s.passes = 1;
+  s.reached_fixpoint = !arena.exhausted();
   s.after = RewriteCost::Of(*premises);
   s.steps = arena.steps();
-  s.applied_by_rule.reserve(rules.size());
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    s.applied_by_rule.emplace_back(rules[i]->name(), applied[i]);
-  }
 
   RewriteMetrics& m = Metrics();
   m.simplify_calls->Inc();
-  if (s.passes > 0) m.passes->Inc(s.passes);
   if (arena.exhausted()) m.budget_exhausted->Inc();
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    if (applied[i] > 0) m.applied[i]->Inc(applied[i]);
+    if (s.applied_by_rule[i].second > 0) m.applied[i]->Inc(s.applied_by_rule[i].second);
   }
 }
 

@@ -24,12 +24,12 @@ struct SimplifyOptions {};
 struct SimplifyStats {
   RewriteCost before;
   RewriteCost after;
-  /// Fixpoint passes run, including the final confirming (edit-free) pass.
+  /// Passes run: always 1, since one pass of the rules is their fixpoint
+  /// (DESIGN.md §14). E10 reports it.
   std::size_t passes = 0;
-  /// Total rule edits across all passes.
+  /// Total rule edits.
   std::size_t applied_total = 0;
-  /// True iff a pass completed with zero edits within the pass cap and
-  /// the step budget.
+  /// True iff the pass finished within the step budget.
   bool reached_fixpoint = false;
   /// Steps charged against `kSimplifyStepBudget`.
   std::uint64_t steps = 0;
@@ -41,21 +41,14 @@ struct SimplifyStats {
   std::size_t Applied(std::string_view rule) const;
 };
 
-/// The automatic pass cap: 2 + the constraints and members of `before`.
-/// Every pass short of fixpoint performs at least one edit and every edit
-/// removes a constraint or a member (DESIGN.md §14), so a fixpoint is
-/// always confirmed strictly inside this bound. The driver stops at the cap
-/// even if a (contract-violating) rule failed to make progress, so
-/// Simplify always terminates.
-std::size_t SimplifyPassBound(const RewriteCost& before);
-
-/// Runs the builtin rules over `*premises` in place to fixpoint and leaves
-/// the simplified set sorted and compacted. L(C) — and therefore every
-/// implication verdict — is preserved exactly. Idempotent: re-running on
-/// the result applies nothing. When the step budget runs out first, the
-/// driver stops with `reached_fixpoint` false and leaves the set as
-/// rewritten so far, which preserves L(C) all the same. `stats`, when
-/// non-null, is overwritten.
+/// Sorts `*premises`, runs the builtin rules over them once in list order,
+/// which reaches their fixpoint (DESIGN.md §14), and leaves the simplified
+/// set sorted and compacted. L(C) — and therefore every implication
+/// verdict — is preserved exactly. Idempotent: re-running on the result
+/// applies nothing. When the step budget runs out first, the driver stops
+/// with `reached_fixpoint` false and leaves the set as rewritten so far,
+/// which preserves L(C) all the same. `stats`, when non-null, is
+/// overwritten.
 void SimplifyInPlace(PremiseMasks* premises, SimplifyStats* stats = nullptr);
 
 /// `SimplifyInPlace` over a `ConstraintSet`: flattens `c`, simplifies it

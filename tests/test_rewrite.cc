@@ -1,10 +1,10 @@
 // Rule-driven rewrite canonicalizer (DESIGN.md §14): a slinky-style rule
 // tester verifies every builtin rule on hundreds of seeded random
 // instances by enumerating L(C) (`ClosureLattice`) on small universes
-// before and after and asserting set equality; plus fixpoint-driver
-// properties (termination within the pass bound, idempotence at fixpoint,
-// cost monotonicity), registry invariants, the n=64 boundary, and
-// prepare/cache integration.
+// before and after and asserting set equality; plus driver properties (one
+// pass reaches the fixpoint of a multi-pass reference, idempotence, cost
+// monotonicity), registry invariants, the n=64 boundary, and prepare/cache
+// integration.
 
 #include <gtest/gtest.h>
 
@@ -191,7 +191,7 @@ TEST(RewriteRegistryTest, CatalogsTheThreeBuiltinRules) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixpoint-driver properties.
+// Driver properties.
 
 ConstraintSet RedundantInstance(Rng& rng, int n) {
   ConstraintSet c = BaseSet(rng, n);
@@ -210,9 +210,9 @@ TEST(SimplifierTest, PreservesLcReachesFixpointAndIsIdempotent) {
     const ConstraintSet instance = RedundantInstance(rng, n);
     SimplifyStats stats;
     const ConstraintSet out = Simplify(n, instance, SimplifyOptions{}, &stats);
-    // Terminates within the automatic pass bound, at a true fixpoint.
+    // One pass, finished within the step budget.
     EXPECT_TRUE(stats.reached_fixpoint) << "round " << round;
-    EXPECT_LE(stats.passes, rewrite::SimplifyPassBound(stats.before));
+    EXPECT_EQ(stats.passes, 1u) << "round " << round;
     // Cost never increases; the triples match the returned set.
     EXPECT_FALSE(stats.before < stats.after);
     EXPECT_EQ(stats.after, RewriteCost::Of(PremiseMasks::Compile(out)));
@@ -270,12 +270,12 @@ TEST(SimplifierTest, HandlesN64Boundary) {
 }
 
 // ---------------------------------------------------------------------------
-// The driver's change-tick skips (DESIGN.md §14) against a reference that
-// skips nothing.
+// One pass is the fixpoint (DESIGN.md §14), against a reference that runs
+// the rules pass after pass until a pass makes no edit.
 
-// A larger redundant instance with same-lhs siblings, so the first pass
-// has absorptions and minimizations to make.
-ConstraintSet IncrementalInstance(Rng& rng, int n) {
+// A larger redundant instance with same-lhs siblings, so the pass has
+// absorptions and minimizations to make.
+ConstraintSet SiblingInstance(Rng& rng, int n) {
   const double lhs_density = 0.05 + 0.25 * rng.UniformDouble();
   ConstraintSet c = testing::RandomConstraintSet(rng, n, static_cast<int>(rng.UniformInt(2, 14)),
                                                  lhs_density, static_cast<int>(rng.UniformInt(1, 3)));
@@ -313,9 +313,9 @@ ConstraintSet IncrementalInstance(Rng& rng, int n) {
   return c;
 }
 
-// The fixpoint of today's driver rebuilt from single-rule probes. Each
-// probe runs on a fresh arena, where every premise counts as changed, so
-// nothing is skipped.
+// The fixpoint of the rules rebuilt from single-rule probes: the rules in
+// list order, pass after pass, the set re-sorted after each pass, until a
+// pass makes no edit.
 struct ReferenceFixpoint {
   ConstraintSet result;
   std::size_t passes = 0;
@@ -343,30 +343,65 @@ ReferenceFixpoint RunReference(int n, ConstraintSet c) {
   return ref;
 }
 
-TEST(IncrementalFixpointTest, MatchesTheFreshArenaReference) {
+// The edits every builtin rule's `Probe` makes on `c`; 0 at a fixpoint.
+std::size_t ProbeEdits(int n, const ConstraintSet& c) {
+  std::size_t edits = 0;
+  for (const RewriteRule* rule : BuiltinRules()) edits += Probe(*rule, n, c).edits;
+  return edits;
+}
+
+TEST(OnePassFixpointTest, MatchesTheMultiPassReference) {
   Rng rng(20261017);
   int edited = 0;
   for (int round = 0; round < 600; ++round) {
     const int n = round % 10 == 9 ? 64 : static_cast<int>(rng.UniformInt(4, 12));
-    const ConstraintSet instance = IncrementalInstance(rng, n);
+    const ConstraintSet instance = SiblingInstance(rng, n);
     SimplifyStats stats;
     const ConstraintSet out = Simplify(n, instance, SimplifyOptions{}, &stats);
     const ReferenceFixpoint ref = RunReference(n, instance);
     ASSERT_TRUE(stats.reached_fixpoint) << "round " << round;
     EXPECT_EQ(out, ref.result) << "round " << round;
-    EXPECT_EQ(stats.passes, ref.passes) << "round " << round;
     ASSERT_EQ(stats.applied_by_rule.size(), ref.applied.size());
     for (std::size_t i = 0; i < ref.applied.size(); ++i) {
       EXPECT_EQ(stats.applied_by_rule[i].second, ref.applied[i])
           << stats.applied_by_rule[i].first << " round " << round;
     }
-    // The three rules reach their fixpoint in one editing pass (DESIGN.md
-    // §14); a second pass, run when the first edited, only confirms it.
-    EXPECT_LE(stats.passes, 2u) << "round " << round;
+    // The driver runs one pass; the reference's second pass, run when its
+    // first edited, finds nothing, and neither does any rule on the output.
+    EXPECT_EQ(stats.passes, 1u) << "round " << round;
+    EXPECT_LE(ref.passes, 2u) << "round " << round;
+    EXPECT_EQ(ProbeEdits(n, out), 0u) << "round " << round;
     if (stats.applied_total > 0) ++edited;
   }
-  // Enough instances edit for the confirming pass's skips to run.
+  // Enough instances edit for the one pass to be put to the test.
   EXPECT_GE(edited, 500);
+}
+
+// A same-lhs pair that minimize-rhs puts out of family order and that then
+// absorb each other, over n = 4: {0} -> {{0,1},{0,1,3}} minimizes to
+// {0} -> {{0,1}}, which sorts before {0} -> {{0,1},{1,2}}. The pass runs
+// absorb-subsumed on the arena as minimize-rhs left it, so it keeps the
+// premise that sorted first before the pass, as the reference does.
+TEST(OnePassFixpointTest, ReorderedSameLhsPairKeepsTheFirstSortedPremise) {
+  const int n = 4;
+  const ConstraintSet instance{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{0, 1}, ItemSet{0, 1, 3}})),
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{0, 1}, ItemSet{1, 2}}))};
+  SimplifyStats stats;
+  const ConstraintSet out = Simplify(n, instance, SimplifyOptions{}, &stats);
+  const ConstraintSet expected{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{0, 1}, ItemSet{1, 2}}))};
+  EXPECT_EQ(out, expected);
+  EXPECT_TRUE(stats.reached_fixpoint);
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.Applied("minimize-rhs"), 1u);
+  EXPECT_EQ(stats.Applied("absorb-subsumed"), 1u);
+  EXPECT_EQ(stats.applied_total, 2u);
+  EXPECT_EQ(ProbeEdits(n, out), 0u);
+  EXPECT_TRUE(SameLattice(n, instance, out));
+  const ReferenceFixpoint ref = RunReference(n, instance);
+  EXPECT_EQ(ref.result, expected);
+  EXPECT_EQ(ref.passes, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -398,9 +433,9 @@ std::uint64_t BudgetExhaustions() {
 }
 
 // Two ∅-lhs premises with k-member antichains of 3-sets: neither family
-// minimizes and neither premise absorbs the other. At k = 1024
-// minimize-rhs and absorb-subsumed reach a fixpoint within the budget; at
-// k = 4096 minimizing one family would already exceed it.
+// minimizes and neither premise absorbs the other. At k = 1024 the pass
+// finishes within the budget; at k = 4096 minimizing one family would
+// already exceed it.
 TEST(RewriteBudgetTest, WideSameLhsAntichainsStopAtTheBudget) {
   for (const int k : {1024, 4096}) {
     SCOPED_TRACE(k);
@@ -452,7 +487,7 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
   const rewrite::SimplifyStats& s = (*built)->stats().rewrite;
-  EXPECT_GE(s.passes, 1u);
+  EXPECT_EQ(s.passes, 1u);
   EXPECT_EQ(s.applied_by_rule.size(), 3u);
   EXPECT_EQ(s.before.constraints, premises.size());
   EXPECT_EQ(s.after.constraints, (*built)->masks().size());
